@@ -8,28 +8,32 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 
+def _rref(m: List[List[Fraction]], ncols: int) -> List[int]:
+    """Reduce ``m`` in place to reduced row echelon form over its first
+    ``ncols`` columns; returns the pivot columns."""
+    pivots: List[int] = []
+    for col in range(ncols):
+        r = len(pivots)
+        if r == len(m):
+            break
+        piv = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = Fraction(1) / m[r][col]
+        m[r] = [v * inv for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(col)
+    return pivots
+
+
 def exact_rank(rows: Sequence[Sequence[Fraction]]) -> int:
     """Rank of a matrix of Fractions by Gaussian elimination."""
     m = [list(map(Fraction, r)) for r in rows]
-    if not m:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, nrows) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = Fraction(1) / m[rank][col]
-        m[rank] = [v * inv for v in m[rank]]
-        for r in range(nrows):
-            if r != rank and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+    return len(_rref(m, len(m[0]))) if m else 0
 
 
 def exact_solve_membership(rows: Sequence[Sequence[Fraction]],
@@ -38,31 +42,15 @@ def exact_solve_membership(rows: Sequence[Sequence[Fraction]],
     k = len(rows)
     if k == 0:
         return [] if all(v == 0 for v in target) else None
-    ncols = len(target)
     # solve rows^T c = target by elimination on the augmented (ncols x k+1)
     aug = [[Fraction(rows[j][i]) for j in range(k)] + [Fraction(target[i])]
-           for i in range(ncols)]
-    piv_cols: List[int] = []
-    r = 0
-    for c in range(k):
-        piv = next((i for i in range(r, ncols) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = Fraction(1) / aug[r][c]
-        aug[r] = [v * inv for v in aug[r]]
-        for i in range(ncols):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        piv_cols.append(c)
-        r += 1
+           for i in range(len(target))]
+    pivots = _rref(aug, k)
     # inconsistent rows?
-    for i in range(r, ncols):
-        if aug[i][k] != 0:
-            return None
+    if any(aug[i][k] != 0 for i in range(len(pivots), len(aug))):
+        return None
     sol = [Fraction(0)] * k
-    for row, c in enumerate(piv_cols):
+    for row, c in enumerate(pivots):
         sol[c] = aug[row][k]
     return sol
 

@@ -138,15 +138,14 @@ def _degree_payload(rep):
 # -- expectation matching ---------------------------------------------------------
 
 
-def _match_expect(expect: dict, outcome: dict,
-                  ws: Workspace) -> Tuple[bool, List[str]]:
+def _match_expect(expect: dict, outcome: dict) -> Tuple[bool, List[str]]:
     problems = []
     for key, want in expect.items():
         got = outcome.get(key)
         if key == "weight":
             ok = got is not None and Fraction(str(want)) == Fraction(str(got))
         elif key == "field":
-            ok = _match_field(want, got, ws)
+            ok = _match_field(want, got)
         elif isinstance(want, (int, float)) and isinstance(got, (int, float)):
             ok = abs(float(want) - float(got)) < 1e-9
         else:
@@ -156,7 +155,7 @@ def _match_expect(expect: dict, outcome: dict,
     return not problems, problems
 
 
-def _match_field(want: dict, got, ws: Workspace) -> bool:
+def _match_field(want: dict, got) -> bool:
     if not isinstance(got, dict):
         return False
     names = set(want) | set(got)
@@ -349,7 +348,7 @@ def run_task(task: dict, ws: Workspace, policy: EqualityPolicy,
         raise ManifestError(f"unknown command {cmd!r}")
 
     if "expect" in task:
-        ok, problems = _match_expect(task["expect"], out, ws)
+        ok, problems = _match_expect(task["expect"], out)
         status = "pass" if ok else "fail"
         if problems:
             out["expect_failures"] = problems

@@ -30,8 +30,8 @@ from .grexpr.equality import DEFAULT_POLICY, EqualityPolicy, equal
 from .grexpr.expr import (GradedExpr, Monomial, apply_func, const, coord,
                           diff, gdiv, gmul, one, partial, substitute, zero)
 from .grexpr.integrate import NonIntegrable, integrate_univariate
-from .homogeneity import (WeightVectorField, degree_of,
-                          weight_field_of_chart, _body_value)
+from .grexpr.grassmann import Plan, body_values
+from .homogeneity import WeightVectorField, degree_of, weight_field_of_chart
 from .pfaffian import PfaffianError, characteristic_class, flat_matrix
 
 
@@ -464,12 +464,10 @@ def _potential_part(spec: NormalFormSpec, chart: ChartSpec) -> GradedExpr:
 def _jacobian_nonsingular(images: Sequence[GradedExpr], chart: ChartSpec,
                           base: Dict[str, object]) -> bool:
     n = chart.dim
-    J = np.zeros((len(images), n))
-    for i, img in enumerate(images):
-        for j, name in enumerate(chart.names):
-            J[i, j] = _body_value(partial(img, name), base)
-    if J.shape[0] != n:
+    if len(images) != n:
         return False
+    plans = [Plan(partial(img, name)) for img in images for name in chart.names]
+    J = np.array(body_values(plans, base)[1]).reshape(n, n)
     return abs(float(np.linalg.det(J))) > 1e-9
 
 
@@ -499,7 +497,8 @@ def one_form_darboux(alpha: GradedExpr, presymp_chart: ChartMap,
     notes: List[str] = []
 
     # guard: nabla(base) nonzero and inside the characteristic space
-    nvec = np.array([_body_value(c, base) for c in nabla.field.coefficients])
+    nvec = np.array(body_values([Plan(c) for c in nabla.field.coefficients],
+                                base)[1])
     if float(np.linalg.norm(nvec)) > 1e-9:
         fm = flat_matrix(alpha, base)
         pairing = abs(float(nvec @ fm.alpha_row))
@@ -739,40 +738,6 @@ class StraighteningError(RuntimeError):
     pass
 
 
-def _compile_body(e: GradedExpr, names: List[str]) -> Callable:
-    """Compile a purely even expression into a float-valued function."""
-    idx = {n: i for i, n in enumerate(names)}
-    funcs = {"sin": math.sin, "cos": math.cos, "exp": math.exp,
-             "log": math.log, "sinh": math.sinh, "cosh": math.cosh}
-    compiled_terms = []
-    for m in e.terms:
-        if any(m.dexp):
-            raise StraighteningError("expected a function, found a form")
-        powers = [(idx[e.chart.coords[i].name], k)
-                  for i, k in enumerate(m.cexp) if k]
-        atoms = []
-        for a in m.atoms:
-            sub = _compile_body(a.arg, names)
-            if a.kind == "inv":
-                atoms.append((lambda x, s=sub: 1.0 / s(x), a.power))
-            else:
-                atoms.append((lambda x, s=sub, f=funcs[a.kind]: f(s(x)), a.power))
-        compiled_terms.append((float(m.coeff), powers, atoms))
-
-    def fn(x):
-        total = 0.0
-        for c, powers, atoms in compiled_terms:
-            v = c
-            for i, k in powers:
-                v *= x[i] ** k
-            for g, p in atoms:
-                v *= g(x) ** p
-            total += v
-        return total
-
-    return fn
-
-
 def _rk4_flow(f: Callable, x0: np.ndarray, t: float, h: float,
               limit: float = 1e6) -> np.ndarray:
     """Fixed-step RK4 flow of dx/dt = f(x) for time t."""
@@ -852,19 +817,18 @@ def straighten_commuting(fields: Sequence[VectorField],
 
     n = chart.dim
     k = len(fields)
-    names = list(chart.names)
     base = np.array([float(b) for b in base])
-    compiled = [[_compile_body(c, names) for c in X.coefficients]
-                for X in fields]
+    compiled = [[Plan(c) for c in X.coefficients] for X in fields]
 
     def fvec(ci):
         def f(x):
-            return np.array([c(x) for c in ci])
+            xs = x.tolist()
+            return np.array([c.float_body(xs) for c in ci])
         return f
 
     fvecs = [fvec(ci) for ci in compiled]
 
-    M = np.array([[c(base) for c in ci] for ci in compiled])
+    M = np.array([f(base) for f in fvecs])
     if _linalg.float_rank(M) < k:
         raise StraighteningError("fields are dependent at the base point")
 

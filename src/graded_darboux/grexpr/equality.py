@@ -18,7 +18,7 @@ from typing import Dict, Optional
 
 from .chart import ChartSpec, EVEN
 from .expr import EvaluationError, GradedExpr
-from .grassmann import GrassmannValue, eval_numeric
+from .grassmann import GrassmannValue, Plan, grassmann_point
 
 
 @dataclass(frozen=True)
@@ -86,8 +86,9 @@ def equal(a: GradedExpr, b: GradedExpr,
     # randomized identity testing, differential component by component
     comps_a = a.diff_components()
     comps_b = b.diff_components()
-    patterns = sorted(set(comps_a) | set(comps_b))
     z = GradedExpr(chart, ())
+    plans = [(pat, Plan(comps_a.get(pat, z)), Plan(comps_b.get(pat, z)))
+             for pat in sorted(set(comps_a) | set(comps_b))]
     rng = random.Random(policy.seed)
 
     checked = 0
@@ -99,13 +100,12 @@ def equal(a: GradedExpr, b: GradedExpr,
                 "(check chart boxes against singularities)")
         attempts += 1
         point = _sample_point(chart, rng)
+        values = grassmann_point(chart, point)
         try:
-            for pat in patterns:
-                va = eval_numeric(comps_a.get(pat, z), point)
-                vb = eval_numeric(comps_b.get(pat, z), point)
-                if _suspicious_bodies(comps_a.get(pat, z), comps_b.get(pat, z),
-                                      point, policy.body_floor):
-                    raise _Redraw()
+            for pat, plan_a, plan_b in plans:
+                # a divisor body under the floor raises: redraw off the pole
+                va = plan_a.grassmann(values, policy.body_floor)
+                vb = plan_b.grassmann(values, policy.body_floor)
                 keys = set(va.data) | set(vb.data)
                 for k in keys:
                     x, y = va.data.get(k, 0.0), vb.data.get(k, 0.0)
@@ -119,28 +119,8 @@ def equal(a: GradedExpr, b: GradedExpr,
                             "rhs": y,
                         }
                         return EqualityResult(False, "randomized", witness)
-        except _Redraw:
-            continue
-        except (EvaluationError, ZeroDivisionError, OverflowError, ValueError):
+        except (EvaluationError, ArithmeticError):
             continue
         checked += 1
     return EqualityResult(True, "randomized",
                           detail=f"{checked} points, rel_tol={policy.rel_tol}")
-
-
-class _Redraw(Exception):
-    pass
-
-
-def _suspicious_bodies(ea: GradedExpr, eb: GradedExpr, point, floor: float) -> bool:
-    """Shift sampling off singularities: redraw when any divisor body is tiny."""
-    for e in (ea, eb):
-        for m in e.terms:
-            for at in m.atoms:
-                if at.kind == "inv":
-                    body = eval_numeric(at.arg, point).body
-                    if abs(body) < floor:
-                        return True
-                if _suspicious_bodies(at.arg, at.arg, point, floor):
-                    return True
-    return False

@@ -5,15 +5,20 @@ are elements of the exterior algebra over those generators with float
 coefficients.  The body is the generator-free part; the soul is nilpotent,
 so transcendental functions evaluate by a finite Taylor series around the
 body and inverses by a terminating geometric series.
+
+Every numeric evaluation goes through one compiled ``Plan`` per expression:
+the expression tree is walked once, and the plan is then called at many
+points, in exact ``Fraction`` bodies, float bodies or Grassmann values.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
-from typing import Dict, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .chart import EVEN
+from .chart import EVEN, ChartSpec
 from .expr import EvaluationError, GradedExpr
 
 
@@ -137,9 +142,6 @@ class GrassmannValue:
             out = out + term
         return out
 
-    def coefficients(self) -> Dict[Tuple[int, ...], float]:
-        return dict(self.data)
-
     def __repr__(self):
         if not self.data:
             return "G(0)"
@@ -196,66 +198,180 @@ def _atom_derivs(kind: str, body: float):
     raise ValueError(kind)
 
 
+_BODY_FUNCS = {"sin": math.sin, "cos": math.cos, "exp": math.exp,
+               "log": math.log, "sinh": math.sinh, "cosh": math.cosh}
+
+
+def _body_atom(kind: str, body: float) -> float:
+    if kind == "inv":
+        if body == 0.0:
+            raise EvaluationError("division by a value with zero body")
+        return 1.0 / body
+    if kind == "log" and body <= 0.0:
+        raise EvaluationError("log of a value with nonpositive body")
+    return _BODY_FUNCS[kind](body)
+
+
+def _power(v, k: int):
+    out = v
+    for _ in range(k - 1):
+        out = out * v
+    return out
+
+
+def _float_coeff(c):
+    # a coefficient beyond float range stays exact, so that only the float
+    # and Grassmann kinds raise OverflowError, at evaluation time
+    try:
+        return float(c)
+    except OverflowError:
+        return c
+
+
+_EXACT_COEFF = operator.itemgetter(0)
+_FLOAT_COEFF = operator.itemgetter(1)
+
+
+class Plan:
+    """Compiled evaluation of one form-degree-0 expression.
+
+    The expression tree is walked once, here; the plan is then called at
+    many points.  ``x`` holds one value per chart coordinate, in chart
+    order.  All three number kinds share one operation order: coefficient,
+    then atoms, then coordinate powers by repeated multiplication, summed
+    term by term from zero.  ``exact`` is True for polynomials with exact
+    coefficients, the only plans with an exact body.
+    """
+
+    __slots__ = ("chart", "terms", "exact", "reads")
+
+    def __init__(self, e: GradedExpr):
+        terms = []
+        reads = set()       # indices of the coordinates the plan reads
+        for m in e.terms:
+            if any(m.dexp):
+                raise EvaluationError("evaluation expects form degree 0; "
+                                      "evaluate form components instead")
+            atoms = tuple((at.kind, Plan(at.arg), at.power) for at in m.atoms)
+            powers = tuple((i, k) for i, k in enumerate(m.cexp) if k)
+            terms.append(((m.coeff, _float_coeff(m.coeff)), atoms, powers))
+            reads.update(i for i, _ in powers)
+            for _, arg, _ in atoms:
+                reads |= arg.reads
+        self.chart = e.chart
+        self.terms = tuple(terms)
+        self.exact = e.is_polynomial() and e.is_exact()
+        self.reads = reads
+
+    def exact_body(self, x: Sequence[Fraction]) -> Fraction:
+        """Exact body; ``x`` holds Fractions, zero at odd coordinates."""
+        if not self.exact:
+            raise EvaluationError("exact body evaluation needs a polynomial "
+                                  "expression with exact coefficients")
+        return self._run(x, Fraction(0), _EXACT_COEFF, None)
+
+    def float_body(self, x: Sequence[float]) -> float:
+        """Float body; ``x`` holds floats, zero at odd coordinates."""
+        return self._run(x, 0.0, _FLOAT_COEFF, _body_atom)
+
+    def grassmann(self, x: Sequence[GrassmannValue],
+                  floor: float = 0.0) -> GrassmannValue:
+        """Grassmann value.  A divisor whose body is smaller than ``floor``
+        in magnitude raises, so that sampling can move off a singularity."""
+        ngens = len(self.chart.odd_indices)
+
+        def atom(kind, v):
+            if kind != "inv":
+                return v.apply_series(_atom_derivs(kind, v.body))
+            if abs(v.body) < floor:
+                raise EvaluationError("divisor body below the sampling floor")
+            return v.inverse()
+
+        return self._run(x, GrassmannValue(ngens),
+                         lambda c: GrassmannValue.scalar(c[1], ngens), atom)
+
+    def _run(self, x, zero, lift, atom):
+        total = zero
+        for coeff, atoms, powers in self.terms:
+            v = lift(coeff)
+            for kind, arg, p in atoms:
+                a = atom(kind, arg._run(x, zero, lift, atom))
+                v = v * (a if p == 1 else _power(a, p))
+            for i, k in powers:
+                v = v * (x[i] if k == 1 else _power(x[i], k))
+            total = total + v
+        return total
+
+
 PointValue = Union[float, int, Fraction, GrassmannValue]
 
 
-def eval_numeric(a: GradedExpr, point: Mapping[str, PointValue],
-                 seed: int = 0) -> GrassmannValue:
-    """Evaluate a form-degree-0 expression at a point.
+def grassmann_point(chart: ChartSpec, point: Mapping[str, PointValue]) -> List[GrassmannValue]:
+    """Per-coordinate Grassmann values of a point.
 
     Even coordinates take real values; odd coordinates take odd Grassmann
     values (missing odd coordinates default to their own unit generator).
-    Deterministic given its inputs; ``seed`` is accepted for interface
-    symmetry with the randomized services built on top.
     """
-    chart = a.chart
     odd = chart.odd_indices
     ngens = len(odd)
     gen_of = {chart.coords[i].name: g for g, i in enumerate(odd)}
 
-    values: Dict[int, GrassmannValue] = {}
-    for i, c in enumerate(chart.coords):
+    values: List[GrassmannValue] = []
+    for c in chart.coords:
         v = point.get(c.name)
         if c.parity == EVEN:
             if v is None:
                 raise EvaluationError(f"no value for coordinate {c.name!r}")
-            if isinstance(v, GrassmannValue):
-                values[i] = v
-            else:
-                values[i] = GrassmannValue.scalar(float(v), ngens)
+            if not isinstance(v, GrassmannValue):
+                v = GrassmannValue.scalar(float(v), ngens)
+        elif v is None:
+            v = GrassmannValue.generator(gen_of[c.name], ngens)
+        elif isinstance(v, GrassmannValue):
+            if v.ngens != ngens:
+                raise EvaluationError("odd assignment has wrong generator count")
         else:
-            if v is None:
-                values[i] = GrassmannValue.generator(gen_of[c.name], ngens)
-            elif isinstance(v, GrassmannValue):
-                if v.ngens != ngens:
-                    raise EvaluationError("odd assignment has wrong generator count")
-                values[i] = v
-            else:
-                values[i] = GrassmannValue.generator(gen_of[c.name], ngens,
-                                                     scale=float(v))
-
-    return _eval(a, values, ngens)
+            v = GrassmannValue.generator(gen_of[c.name], ngens, scale=float(v))
+        values.append(v)
+    return values
 
 
-def _eval(a: GradedExpr, values: Dict[int, GrassmannValue], ngens: int) -> GrassmannValue:
-    total = GrassmannValue(ngens)
-    for m in a.terms:
-        if any(m.dexp):
-            raise EvaluationError("eval_numeric expects form degree 0; "
-                                  "evaluate form components instead")
-        acc = GrassmannValue.scalar(float(m.coeff), ngens)
-        for at in m.atoms:
-            argval = _eval(at.arg, values, ngens)
-            if at.kind == "inv":
-                v = argval.inverse()
-            else:
-                v = argval.apply_series(_atom_derivs(at.kind, argval.body))
-            acc = acc * (v ** at.power)
-        for i, k in enumerate(m.cexp):
-            if k:
-                acc = acc * (values[i] ** k)
-        total = total + acc
-    return total
+def eval_numeric(a: GradedExpr, point: Mapping[str, PointValue]) -> GrassmannValue:
+    """Evaluate a form-degree-0 expression at a point (see grassmann_point)."""
+    return Plan(a).grassmann(grassmann_point(a.chart, point))
+
+
+def _body_point(plans: Sequence[Plan], point: Mapping[str, object]) -> List[Fraction]:
+    """Exact per-coordinate values of a body point: odd coordinates, and
+    even ones that no plan reads, are zero."""
+    chart = plans[0].chart
+    reads = set().union(*(p.reads for p in plans))
+    x = [Fraction(0)] * chart.dim
+    for i in chart.even_indices:
+        name = chart.coords[i].name
+        if name in point:
+            x[i] = Fraction(point[name])
+        elif i in reads:
+            raise EvaluationError(f"no value for coordinate {name!r}")
+    return x
+
+
+def body_values(plans: Sequence[Plan], point: Mapping[str, object]
+                ) -> Tuple[List[Optional[Fraction]], List[float]]:
+    """Bodies of compiled expressions at one body point.
+
+    Odd coordinates are zero.  Exact plans evaluate in Fractions, and their
+    float body is that value rounded once; the others evaluate in floats.
+    Returns the exact bodies (None where a plan is inexact) and the float
+    bodies.
+    """
+    if not plans:
+        return [], []
+    xq = _body_point(plans, point)
+    xf = [float(v) for v in xq]
+    exact = [p.exact_body(xq) if p.exact else None for p in plans]
+    floats = [p.float_body(xf) if q is None else float(q)
+              for p, q in zip(plans, exact)]
+    return exact, floats
 
 
 def eval_body_exact(a: GradedExpr, point: Mapping[str, Union[int, Fraction]]) -> Fraction:
@@ -264,24 +380,5 @@ def eval_body_exact(a: GradedExpr, point: Mapping[str, Union[int, Fraction]]) ->
     Odd coordinates evaluate to zero.  Raises if the expression carries
     transcendental atoms or float coefficients.
     """
-    chart = a.chart
-    total = Fraction(0)
-    for m in a.terms:
-        if any(m.dexp):
-            raise EvaluationError("body evaluation expects form degree 0")
-        if m.atoms:
-            raise EvaluationError("exact body evaluation needs a polynomial expression")
-        if not isinstance(m.coeff, Fraction):
-            raise EvaluationError("exact body evaluation needs exact coefficients")
-        if any(m.cexp[i] for i in chart.odd_indices):
-            continue
-        val = m.coeff
-        for i, k in enumerate(m.cexp):
-            if k:
-                v = point.get(chart.coords[i].name)
-                if v is None:
-                    raise EvaluationError(f"no value for coordinate "
-                                          f"{chart.coords[i].name!r}")
-                val *= Fraction(v) ** k
-        total += val
-    return total
+    plan = Plan(a)
+    return plan.exact_body(_body_point([plan], point))

@@ -14,7 +14,8 @@ from .cartan import VectorField, lie_bracket, lie_derivative
 from .grexpr.chart import ChartError, ChartSpec, CoordinateDecl, EVEN
 from .grexpr.equality import DEFAULT_POLICY, EqualityPolicy, equal
 from .grexpr.expr import GradedExpr, coord, zero
-from .grexpr.grassmann import EvaluationError, eval_body_exact, eval_numeric
+from .grexpr.grassmann import Plan, body_values
+from .symsolve import cramer_membership
 
 
 @dataclass(frozen=True)
@@ -113,16 +114,6 @@ class LinearizationReport:
     diagonalizable: Optional[bool] = None
 
 
-def _body_value(e: GradedExpr, point: Dict[str, object]) -> float:
-    try:
-        return float(eval_body_exact(e, point))
-    except EvaluationError:
-        full = dict(point)
-        for i in e.chart.odd_indices:
-            full.setdefault(e.chart.coords[i].name, 0.0)
-        return eval_numeric(e, full).body
-
-
 def linearization_at_zero(nabla: VectorField, point: Dict[str, object],
                           tol: float = 1e-12) -> LinearizationReport:
     """Differential of an even field at a body zero, block-split by parity.
@@ -136,7 +127,7 @@ def linearization_at_zero(nabla: VectorField, point: Dict[str, object],
     if nabla.parity != EVEN:
         raise ValueError("linearization expects an even field")
     chart = nabla.chart
-    vals = [_body_value(c, point) for c in nabla.coefficients]
+    vals = body_values([Plan(c) for c in nabla.coefficients], point)[1]
     if any(abs(v) > tol for v in vals):
         return LinearizationReport(
             vanishes=False,
@@ -144,11 +135,9 @@ def linearization_at_zero(nabla: VectorField, point: Dict[str, object],
 
     from .grexpr.expr import partial
     n = chart.dim
-    jac = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            jac[i, j] = _body_value(partial(nabla.coefficients[i],
-                                            chart.coords[j].name), point)
+    plans = [Plan(partial(c, name)) for c in nabla.coefficients
+             for name in chart.names]
+    jac = np.array(body_values(plans, point)[1]).reshape(n, n)
     ev = list(chart.even_indices)
     od = list(chart.odd_indices)
     jac_e = jac[np.ix_(ev, ev)]
@@ -293,10 +282,6 @@ def _sample_body_points(chart: ChartSpec, n_points: int, seed: int,
     return pts
 
 
-def body_vector(X: VectorField, point: Dict[str, object]) -> np.ndarray:
-    return np.array([_body_value(c, point) for c in X.coefficients])
-
-
 def _span_contains(D: Distribution, Y: VectorField, n_points: int,
                    seed: int, tol: float = 1e-9) -> Tuple[bool, Optional[dict]]:
     """Pointwise span membership at sampled body points, with an exact
@@ -309,35 +294,24 @@ def _span_contains(D: Distribution, Y: VectorField, n_points: int,
                         for g in D.generators for c in g.coefficients)
                 and all(c.is_polynomial() and c.is_exact() for c in Y.coefficients))
 
-    pts = _sample_body_points(chart, n_points, seed)
-    for p in pts:
-        G = np.array([body_vector(g, p) for g in D.generators])
+    split = len(D.generators) * chart.dim
+    plans = [Plan(c) for X in D.generators + (Y,) for c in X.coefficients]
+    for p in _sample_body_points(chart, n_points, seed):
+        vals = np.array(body_values(plans, p)[1])
+        G = vals[:split].reshape(len(D.generators), chart.dim)
         r = _linalg.float_rank(G)
         if r < D.rank:
             raise RankCollapseError(
                 f"generators drop to rank {r} at a sample point",
                 witness={k: float(v) for k, v in p.items()})
-        yv = body_vector(Y, p)
-        ok, res = _linalg.in_row_space(G, yv, tol)
+        ok, res = _linalg.in_row_space(G, vals[split:], tol)
         if not ok:
             return False, {"point": {k: float(v) for k, v in p.items()},
                            "residual": res}
 
-    if exact_ok:
-        sol = _symbolic_membership(D, Y)
-        if sol is not None and not sol:
-            return False, {"mode": "exact", "residual": "nonzero"}
+    if exact_ok and cramer_membership(D, Y) is False:
+        return False, {"mode": "exact", "residual": "nonzero"}
     return True, None
-
-
-def _symbolic_membership(D: Distribution, Y: VectorField) -> Optional[List[bool]]:
-    """Exact span membership over the fraction field for polynomial data.
-
-    Returns [] when membership fails exactly, [True] when certified, None
-    when the exact path cannot decide (no usable submatrix).
-    """
-    from .symsolve import cramer_membership
-    return cramer_membership(D, Y)
 
 
 def distribution_homogeneous(D: Distribution, nabla: WeightVectorField,

@@ -20,8 +20,8 @@ from .cartan import VectorField, basis_field, exterior_d, interior
 from .grexpr.chart import EVEN
 from .grexpr.equality import DEFAULT_POLICY, EqualityPolicy, equal
 from .grexpr.expr import GradedExpr, gmul, one, zero
-from .grexpr.grassmann import EvaluationError, eval_body_exact
-from .homogeneity import _sample_body_points, _body_value
+from .grexpr.grassmann import Plan, body_values
+from .homogeneity import _sample_body_points
 from .symsolve import SingularSystemError, solve_left_linear
 
 
@@ -71,6 +71,7 @@ class FlatMatrix:
 
 
 def _interior_rows(beta: GradedExpr) -> List[List[GradedExpr]]:
+    """Rows M[a][b]: d(x^b)-coefficient of i_{d/dx^a} beta (left-linear)."""
     chart = beta.chart
     rows = []
     for a in range(chart.dim):
@@ -80,60 +81,48 @@ def _interior_rows(beta: GradedExpr) -> List[List[GradedExpr]]:
     return rows
 
 
+class _FlatMap:
+    """The flat map of a form, derived once and evaluated at many points:
+    of d(form) for 1-forms, with the form itself as an extra row, of the
+    form itself for 2-forms."""
+
+    def __init__(self, form: GradedExpr, two_form: Optional[GradedExpr] = None):
+        chart = self.chart = form.chart
+        deg = form.form_degree()
+        if deg == 1:
+            beta = two_form if two_form is not None else exterior_d(form)
+            alpha = [form.coefficient_of_diff(name) for name in chart.names]
+        elif deg == 2:
+            beta, alpha = form, []
+        else:
+            raise PfaffianError("flat_matrix expects a 1-form or a 2-form")
+        self.one_form = deg == 1
+        self.rows = _interior_rows(beta)
+        self.plans = [Plan(e) for row in self.rows + [alpha] for e in row]
+        n2 = chart.dim ** 2
+        self.exact = all(p.exact for p in self.plans[:n2])
+        self.alpha_exact = self.one_form and all(p.exact for p in self.plans[n2:])
+
+    def at(self, point: Dict[str, object]) -> FlatMatrix:
+        n = self.chart.dim
+        exact, floats = body_values(self.plans, point)
+        return FlatMatrix(
+            point={k: float(v) for k, v in point.items()},
+            matrix=np.array(floats[:n * n]).reshape(n, n),
+            even_indices=self.chart.even_indices,
+            odd_indices=self.chart.odd_indices,
+            alpha_row=np.array(floats[n * n:]) if self.one_form else None,
+            exact_matrix=[exact[a * n:(a + 1) * n] for a in range(n)]
+            if self.exact else None,
+            exact_alpha=exact[n * n:] if self.alpha_exact else None,
+        )
+
+
 def flat_matrix(form: GradedExpr, point: Dict[str, object],
                 two_form: Optional[GradedExpr] = None) -> FlatMatrix:
     """Flat matrix at a body point: of d(form) for 1-forms (with the form
     appended as an extra row), of the form itself for 2-forms."""
-    chart = form.chart
-    deg = form.form_degree()
-    if deg == 1:
-        beta = two_form if two_form is not None else exterior_d(form)
-        alpha = form
-    elif deg == 2:
-        beta = form
-        alpha = None
-    else:
-        raise PfaffianError("flat_matrix expects a 1-form or a 2-form")
-
-    rows = _interior_rows(beta)
-    n = chart.dim
-    mat = np.zeros((n, n))
-    exact: Optional[list] = []
-    for a in range(n):
-        for b in range(n):
-            e = rows[a][b]
-            mat[a, b] = _body_value(e, point)
-            if exact is not None:
-                try:
-                    pass_exact = eval_body_exact(e, point)
-                except EvaluationError:
-                    exact = None
-                else:
-                    if len(exact) <= a:
-                        exact.append([])
-                    exact[a].append(pass_exact)
-
-    arow = None
-    ea: Optional[list] = []
-    if alpha is not None:
-        arow = np.zeros(n)
-        for b, name in enumerate(chart.names):
-            e = alpha.coefficient_of_diff(name)
-            arow[b] = _body_value(e, point)
-            if ea is not None:
-                try:
-                    ea.append(eval_body_exact(e, point))
-                except EvaluationError:
-                    ea = None
-    return FlatMatrix(
-        point={k: float(v) for k, v in point.items()},
-        matrix=mat,
-        even_indices=chart.even_indices,
-        odd_indices=chart.odd_indices,
-        alpha_row=arow,
-        exact_matrix=exact,
-        exact_alpha=ea if alpha is not None else None,
-    )
+    return _FlatMap(form, two_form).at(point)
 
 
 # -- classification -------------------------------------------------------------
@@ -167,10 +156,11 @@ def characteristic_class(alpha: GradedExpr,
         points = _sample_body_points(chart, n_points, seed)
 
     dalpha = exterior_d(alpha)
+    fmap = _FlatMap(alpha, dalpha)
     if equal(dalpha, zero(chart), policy):
         evidence = []
         for p in points:
-            fm = flat_matrix(alpha, p, two_form=dalpha)
+            fm = fmap.at(p)
             if float(np.linalg.norm(fm.alpha_row)) <= tol:
                 raise PfaffianError("form vanishes at a sample point",
                                     witness=fm.point)
@@ -180,7 +170,7 @@ def characteristic_class(alpha: GradedExpr,
     evidence = []
     outcomes = set()
     for p in points:
-        fm = flat_matrix(alpha, p, two_form=dalpha)
+        fm = fmap.at(p)
         if float(np.linalg.norm(fm.alpha_row)) <= tol:
             raise PfaffianError("form vanishes at a sample point",
                                 witness=fm.point)
@@ -244,11 +234,12 @@ def presymplectic_check(omega: GradedExpr,
     if points is None:
         points = _sample_body_points(chart, n_points, seed)
 
+    fmap = _FlatMap(omega)
     evidence = []
     ranks = set()
     kernel = None
     for p in points:
-        fm = flat_matrix(omega, p)
+        fm = fmap.at(p)
         r = fm.rank(tol)
         entry = {"point": fm.point, "rank": r}
         if par == EVEN:
@@ -279,11 +270,6 @@ class ReebField:
         return self.unit_pairing and self.in_kernel
 
 
-def _assemble_contraction_system(beta: GradedExpr):
-    """Rows M[a][b]: d(x^b)-coefficient of i_{d/dx^a} beta (left-linear)."""
-    return _interior_rows(beta)
-
-
 def reeb(alpha: GradedExpr,
          policy: EqualityPolicy = DEFAULT_POLICY) -> ReebField:
     """The unique field with i_R alpha = 1 and i_R d(alpha) = 0."""
@@ -291,7 +277,7 @@ def reeb(alpha: GradedExpr,
     if alpha.form_degree() != 1:
         raise PfaffianError("Reeb field of a one-form only")
     dalpha = exterior_d(alpha)
-    K = _assemble_contraction_system(dalpha)
+    K = _interior_rows(dalpha)
     A = [interior(basis_field(chart, name), alpha) for name in chart.names]
 
     n = chart.dim
@@ -320,15 +306,15 @@ def liouville(omega: GradedExpr, alpha: GradedExpr,
         raise PfaffianError("liouville expects a two-form and a one-form")
     if not equal(exterior_d(alpha), omega, policy):
         raise PfaffianError("one-form is not a potential of the two-form")
+    fmap = _FlatMap(omega)
     for p in _sample_body_points(chart, 3, seed=policy.seed):
-        fm = flat_matrix(omega, p)
+        fm = fmap.at(p)
         if fm.rank() < chart.dim:
             raise PfaffianError("degenerate two-form: flat map is singular",
                                 witness=fm.point)
-    W = _assemble_contraction_system(omega)
     rhs = [alpha.coefficient_of_diff(name) for name in chart.names]
     try:
-        sol, verified = solve_left_linear(W, rhs, policy)
+        sol, verified = solve_left_linear(fmap.rows, rhs, policy)
     except SingularSystemError as exc:
         raise PfaffianError(f"degenerate two-form: {exc}") from exc
     sa, so = alpha.parity(), omega.parity()
@@ -344,10 +330,8 @@ def liouville(omega: GradedExpr, alpha: GradedExpr,
 
 def _form_nonzero_at(w: GradedExpr, point: Dict[str, object],
                      tol: float = 1e-9) -> bool:
-    for pat, coeff in w.diff_components().items():
-        if abs(_body_value(coeff, point)) > tol:
-            return True
-    return False
+    plans = [Plan(c) for c in w.diff_components().values()]
+    return any(abs(v) > tol for v in body_values(plans, point)[1])
 
 
 def darboux_class_oracle(alpha: GradedExpr, point: Dict[str, object],
@@ -371,7 +355,6 @@ def darboux_class_oracle(alpha: GradedExpr, point: Dict[str, object],
         if nxt.is_zero() or 2 * len(powers) > chart.dim + 2:
             break
 
-    s_max = 0
     s = 0
     while True:
         if s + 1 >= len(powers):
@@ -380,9 +363,8 @@ def darboux_class_oracle(alpha: GradedExpr, point: Dict[str, object],
         if w.is_zero() or not _form_nonzero_at(w, point, tol):
             break
         s += 1
-    s_max = s
 
-    next_power = powers[s_max + 1] if s_max + 1 < len(powers) else zero(chart)
+    next_power = powers[s + 1] if s + 1 < len(powers) else zero(chart)
     if next_power.is_zero() or not _form_nonzero_at(next_power, point, tol):
-        return 2 * s_max + 1
-    return 2 * s_max + 2
+        return 2 * s + 1
+    return 2 * s + 2

@@ -17,6 +17,7 @@ import numpy as np
 from .grexpr.chart import EVEN
 from .grexpr.equality import DEFAULT_POLICY, EqualityPolicy, equal
 from .grexpr.expr import GradedExpr, gdiv, gmul, one, zero
+from .grexpr.grassmann import Plan, body_values
 
 
 class SingularSystemError(RuntimeError):
@@ -146,13 +147,13 @@ def laplace_det(rows: List[List[GradedExpr]]) -> GradedExpr:
     return out
 
 
-def cramer_membership(D, Y) -> Optional[List[bool]]:
+def cramer_membership(D, Y) -> Optional[bool]:
     """Exact span membership for all-even polynomial data.
 
-    Returns [True] when membership is certified over the fraction field,
-    [] when it fails exactly, None when no invertible submatrix exists.
+    True when membership is certified over the fraction field, False when
+    it fails exactly, None when no invertible submatrix exists.
     """
-    from .homogeneity import body_vector, _sample_body_points
+    from .homogeneity import _sample_body_points
     import itertools
 
     gens = D.generators
@@ -161,14 +162,14 @@ def cramer_membership(D, Y) -> Optional[List[bool]]:
     n = chart.dim
 
     # pick the column subset with the largest body determinant at a sample
-    pts = _sample_body_points(chart, 3, seed=7)
+    plans = [Plan(c) for g in gens for c in g.coefficients]
+    bodies = [np.array(body_values(plans, p)[1]).reshape(k, n)
+              for p in _sample_body_points(chart, 3, seed=7)]
     best: Tuple[float, Optional[Tuple[int, ...]]] = (0.0, None)
     for cols in itertools.combinations(range(n), k):
         score = 0.0
-        for p in pts:
-            G = np.array([[float(body_vector(g, p)[c]) for c in cols]
-                          for g in gens])
-            score = max(score, abs(float(np.linalg.det(G))))
+        for B in bodies:
+            score = max(score, abs(float(np.linalg.det(B[:, list(cols)]))))
         if score > best[0]:
             best = (score, cols)
     if best[1] is None or best[0] < 1e-12:
@@ -194,5 +195,5 @@ def cramer_membership(D, Y) -> Optional[List[bool]]:
         for j in range(k):
             acc = acc - gmul(nums[j], gens[j].coefficients[c])
         if not acc.is_zero():
-            return []
-    return [True]
+            return False
+    return True

@@ -72,14 +72,15 @@ def test_exit_two_on_bad_expression(tmp_path):
 
 
 def test_determinism_same_seed(tmp_path):
-    outs = []
-    for i in (1, 2):
-        out = tmp_path / f"r{i}.json"
-        code = run(str(MANIFESTS / "cylinder.json"), json_out=str(out),
-                   seed=7, stream=open(os.devnull, "w"))
-        assert code == 0
-        outs.append(out.read_bytes())
-    assert outs[0] == outs[1]
+    for name in ALL:
+        outs = []
+        for i in (1, 2):
+            out = tmp_path / f"r{i}_{name}"
+            code = run(str(MANIFESTS / name), json_out=str(out),
+                       seed=7, stream=open(os.devnull, "w"))
+            assert code == 0, name
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1], name
 
 
 def test_report_exprs_reparse(tmp_path):

@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from graded_darboux import (EqualityPolicy, apply_func, chart, coord, diff,
-                            equal, eval_body_exact, eval_numeric, gdiv, gmul,
-                            one, parse_expr)
+from graded_darboux import (EqualityPolicy, apply_func, chart, const, coord,
+                            diff, equal, eval_body_exact, eval_numeric, gdiv,
+                            gmul, one, parse_expr, substitute)
+from graded_darboux.grexpr import grassmann
 from graded_darboux.grexpr.expr import EvaluationError
+from graded_darboux.grexpr.grassmann import Plan
 from helpers import random_chart, random_expr
 
 
@@ -79,6 +81,61 @@ class TestEvalNumeric:
         c = chart(("x", 0, 1), ("t", 1, 1))
         e = parse_expr("x^2/4 + x*t", c)
         assert eval_body_exact(e, {"x": Fraction(1, 2)}) == Fraction(1, 16)
+        # only the coordinates the expression reads need a value
+        c2 = chart(("x", 0, 1), ("y", 0, 1))
+        assert eval_body_exact(parse_expr("x^2", c2), {"x": 3}) == 9
+        with pytest.raises(EvaluationError):
+            eval_body_exact(parse_expr("x*y", c2), {"x": 3})
+
+
+def _even_part(c, rng):
+    """A random nonzero even polynomial, fit to be an atom argument."""
+    while True:
+        e = random_expr(c, rng, n_terms=2, max_deg=2)
+        if e.parity() == 0:
+            return e
+
+
+class TestPlan:
+    def test_number_kinds_agree_at_dyadic_points(self):
+        rng = random.Random(11)
+        for _ in range(150):
+            c = random_chart(rng, max_even=3, max_odd=2)
+            e = random_expr(c, rng, n_terms=2)
+            kind = rng.choice(["poly", "sin", "cos", "exp", "sinh", "cosh",
+                               "log", "quotient"])
+            if kind == "quotient":
+                b = _even_part(c, rng)
+                e = gdiv(e, one(c) * 2 + gmul(b, b))
+            elif kind == "log":
+                x = coord(c, c.coords[c.even_indices[0]].name)
+                e = gmul(e, apply_func("log", one(c) * 3 + x))
+            elif kind != "poly":
+                e = gmul(e, apply_func(kind, _even_part(c, rng)))
+            point = {c.coords[i].name: Fraction(rng.randint(-64, 64), 64)
+                     for i in c.even_indices}
+            plan = Plan(e)
+            xf = [float(point.get(name, 0)) for name in c.names]
+            odd_zero = {**{n: float(v) for n, v in point.items()},
+                        **{c.coords[i].name: 0.0 for i in c.odd_indices}}
+            assert plan.float_body(xf).hex() == \
+                eval_numeric(e, odd_zero).body.hex()
+            assert plan.exact or kind != "poly"
+            if plan.exact:
+                xq = [Fraction(point.get(name, 0)) for name in c.names]
+                want = substitute(e, {n: const(c, 0) if c.parity(c.index(n))
+                                      else const(c, point[n])
+                                      for n in c.names}).constant_value()
+                assert plan.exact_body(xq) == eval_body_exact(e, point) == want
+
+    def test_coefficient_beyond_float_range(self):
+        c = chart(("x", 0, 0))
+        e = parse_expr("10^400*x + 1", c)
+        assert eval_body_exact(e, {"x": 1}) == 10 ** 400 + 1
+        with pytest.raises(OverflowError):
+            eval_numeric(e, {"x": 1.0})
+        with pytest.raises(OverflowError):
+            Plan(e).float_body([1.0])
 
 
 class TestEqual:
@@ -141,3 +198,14 @@ class TestEqual:
         b = parse_expr("d(p) + p*d(q)", c)
         assert equal(a, b)
         assert not equal(a, a + diff(c, "q"))
+
+    @pytest.mark.parametrize("error", [ValueError, TypeError])
+    def test_evaluator_bug_propagates(self, monkeypatch, error):
+        def broken(self, x, floor=0.0):
+            raise error("planted evaluator bug")
+
+        monkeypatch.setattr(grassmann.Plan, "grassmann", broken)
+        c = chart(("x", 0, 1))
+        x = coord(c, "x")
+        with pytest.raises(error, match="planted evaluator bug"):
+            equal(x, x, EqualityPolicy(mode="randomized", n_points=4))

@@ -14,6 +14,7 @@ from graded_darboux.homogeneity import (Distribution, RankCollapseError,
                                         tangent_lift, verify_weight_chart,
                                         weight_field_of_chart)
 from graded_darboux.grexpr.chart import EVEN, ODD, weights_consistent
+from graded_darboux.symsolve import cramer_membership
 from helpers import random_chart, random_monomial
 
 
@@ -245,6 +246,13 @@ class TestDistributions:
         X2 = vector_field(c, {"y": "x"})
         D = Distribution(c, (X1, X2))
         assert involutive_check(D)
+
+    def test_cramer_membership_verdicts(self):
+        c = chart(("x", 0, 0), ("y", 0, 0))
+        D = Distribution(c, (vector_field(c, {"x": "1"}),))
+        assert cramer_membership(D, vector_field(c, {"x": "x^2"})) is True
+        # y d/dx + x d/dy leaves span{d/dx} wherever x != 0
+        assert cramer_membership(D, vector_field(c, {"x": "y", "y": "x"})) is False
 
     def test_commuting_curved_pair_involutive(self):
         c = chart(("x", 0, 0), ("y", 0, 0), ("z", 0, 0))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from graded_darboux import chart, coord, diff, gmul, one, parse_expr
+from graded_darboux import pfaffian
 from graded_darboux.cartan import (basis_field, exterior_d, interior,
                                    lie_bracket, lie_derivative, vector_field)
 from graded_darboux.homogeneity import degree_of, weight_field_of_chart
@@ -86,6 +87,21 @@ class TestClassification:
         bad = parse_expr("d(x) + t*d(x)", c)
         with pytest.raises(PfaffianError):
             characteristic_class(bad)
+
+    def test_contraction_rows_derived_once(self, cyl_alpha, monkeypatch):
+        calls = []
+
+        def counting_interior(X, w):
+            calls.append(X)
+            return interior(X, w)
+
+        monkeypatch.setattr(pfaffian, "interior", counting_interior)
+        counts = []
+        for n_points in (4, 16):
+            calls.clear()
+            characteristic_class(cyl_alpha, n_points=n_points)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
 
 
 class TestPresymplectic:
