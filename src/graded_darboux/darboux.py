@@ -17,8 +17,8 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product as iproduct
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from itertools import combinations, product as iproduct
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -738,22 +738,39 @@ class StraighteningError(RuntimeError):
     pass
 
 
-def _rk4_flow(f: Callable, x0: np.ndarray, t: float, h: float,
-              limit: float = 1e6) -> np.ndarray:
-    """Fixed-step RK4 flow of dx/dt = f(x) for time t."""
-    steps = max(1, int(math.ceil(abs(t) / h)))
-    dt = t / steps
-    x = np.array(x0, dtype=float)
+def _batch(plans: Sequence[Plan], x: np.ndarray) -> np.ndarray:
+    """Float bodies of the plans at every row of x, one column per plan."""
+    return np.column_stack([np.broadcast_to(p.float_body(x.T), len(x))
+                            for p in plans])
+
+
+def _rk4_flow(plans: Sequence[Plan], jac_plans: Sequence[Plan], x: np.ndarray,
+              J: np.ndarray, t: np.ndarray, h: float, limit: float
+              ) -> Tuple[np.ndarray, np.ndarray]:
+    """Fixed-step RK4 flow of the field f in ``plans`` from every row of x
+    for its own time t, in rescaled time s in [0, 1]: dx/ds = t f(x), and the
+    variational equation dJ/ds = t Df(x) J with Df row-major in ``jac_plans``.
+    One step count serves all rows."""
+    N, n = x.shape
+    steps = max(1, math.ceil(float(np.max(np.abs(t))) / h))
+    dt = (t / steps)[:, None]
+
+    def rhs(y):
+        Df = _batch(jac_plans, y[:, :n]).reshape(N, n, n)
+        return np.hstack([_batch(plans, y[:, :n]),
+                          (Df @ y[:, n:].reshape(N, n, n)).reshape(N, -1)])
+
+    y = np.hstack([x, J.reshape(N, -1)])
     for _ in range(steps):
-        k1 = f(x)
-        k2 = f(x + 0.5 * dt * k1)
-        k3 = f(x + 0.5 * dt * k2)
-        k4 = f(x + dt * k3)
-        x = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(x)) or float(np.max(np.abs(x))) > limit:
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * dt * k1)
+        k3 = rhs(y + 0.5 * dt * k2)
+        k4 = rhs(y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        if not np.max(np.abs(y[:, :n])) <= limit:     # also true for nan
             raise StraighteningError(
                 "flow left the working domain; reduce the box or step")
-    return x
+    return y[:, :n], y[:, n:].reshape(N, n, n)
 
 
 @dataclass
@@ -767,13 +784,11 @@ class StraighteningGrid:
     max_error: float
     certified: bool
     rk4_step: float
-    fd_step: float
 
     def to_csv(self, path: str):
         n = len(self.base)
         with open(path, "w", newline="") as fh:
-            fh.write(f"# base={list(map(float, self.base))} "
-                     f"rk4_step={self.rk4_step} fd_step={self.fd_step}\n")
+            fh.write(f"# base={list(map(float, self.base))} rk4_step={self.rk4_step}\n")
             writer = csv.writer(fh)
             writer.writerow([f"u{i + 1}" for i in range(n)]
                             + [f"x{i + 1}" for i in range(n)])
@@ -787,16 +802,17 @@ def straighten_commuting(fields: Sequence[VectorField],
                          box: float = 0.5,
                          nodes_per_axis: int = 5,
                          rk4_step: float = 1e-3,
-                         fd_step: float = 1e-3,
                          tol: float = 1e-6,
                          domain_limit: float = 1e6,
                          policy: EqualityPolicy = DEFAULT_POLICY
                          ) -> StraighteningGrid:
     """Numeric straightening of commuting independent even fields.
 
-    Coordinates are built by composing flows from a transversal slice; the
-    certificate compares the finite-difference pushforward of each field
-    against the corresponding coordinate derivation on every grid node.
+    Coordinates are built by composing flows from a transversal slice, with
+    every grid node in one RK4 integration.  The variational equation
+    carries the Jacobian of the coordinate map along the same flows, and the
+    certificate checks that it pushes each field forward to the
+    corresponding coordinate derivation on every grid node.
     """
     if not fields:
         raise ValueError("need at least one field")
@@ -807,31 +823,24 @@ def straighten_commuting(fields: Sequence[VectorField],
     for X in fields:
         if X.parity != EVEN or X.chart != chart:
             raise StraighteningError("fields must be even and share one chart")
-    for i in range(len(fields)):
-        for j in range(i + 1, len(fields)):
-            br = lie_bracket(fields[i], fields[j])
-            for c in br.coefficients:
-                if not equal(c, zero(chart), policy):
-                    raise StraighteningError(
-                        f"fields {i} and {j} do not commute: [X_i,X_j] != 0")
+    for i, j in combinations(range(len(fields)), 2):
+        for c in lie_bracket(fields[i], fields[j]).coefficients:
+            if not equal(c, zero(chart), policy):
+                raise StraighteningError(
+                    f"fields {i} and {j} do not commute: [X_i,X_j] != 0")
 
     n = chart.dim
     k = len(fields)
     base = np.array([float(b) for b in base])
-    compiled = [[Plan(c) for c in X.coefficients] for X in fields]
+    plans = [[Plan(c) for c in X.coefficients] for X in fields]
+    jac_plans = [[Plan(partial(c, name)) for c in X.coefficients
+                  for name in chart.names] for X in fields]
 
-    def fvec(ci):
-        def f(x):
-            xs = x.tolist()
-            return np.array([c.float_body(xs) for c in ci])
-        return f
-
-    fvecs = [fvec(ci) for ci in compiled]
-
-    M = np.array([f(base) for f in fvecs])
+    M = np.vstack([_batch(ps, base[None]) for ps in plans])
     if _linalg.float_rank(M) < k:
         raise StraighteningError("fields are dependent at the base point")
 
+    # the slices complete the fields to a basis, so the grid has n axes
     slice_axes: List[int] = []
     cur = M.copy()
     for j in range(n):
@@ -842,41 +851,25 @@ def straighten_commuting(fields: Sequence[VectorField],
             cur = cand
             slice_axes.append(j)
 
-    axes = [np.linspace(-box, box, nodes_per_axis) for _ in range(k)] + \
-           [np.linspace(-box, box, nodes_per_axis) for _ in slice_axes]
+    axes = [np.linspace(-box, box, nodes_per_axis) for _ in range(n)]
+    combos = list(iproduct(*axes))
+    U = np.array(combos)
+    x = np.tile(base, (len(combos), 1))
+    J = np.zeros((len(combos), n, n))
+    for m, ax in enumerate(slice_axes):
+        x[:, ax] += U[:, k + m]
+        J[:, ax, k + m] = 1.0
+    for i in reversed(range(k)):
+        x, J = _rk4_flow(plans[i], jac_plans[i], x, J, U[:, i], rk4_step,
+                         domain_limit)
+        J[:, :, i] = _batch(plans[i], x)
 
-    def forward(u: Sequence[float]) -> np.ndarray:
-        x = base.copy()
-        for s_val, ax in zip(u[k:], slice_axes):
-            x[ax] += s_val
-        for i in reversed(range(k)):
-            if u[i] != 0.0:
-                x = _rk4_flow(fvecs[i], x, u[i], rk4_step, domain_limit)
-        return x
-
-    nodes = []
-    jacobians = []
-    max_err = 0.0
-    total_axes = k + len(slice_axes)
-    for combo in iproduct(*axes):
-        x = forward(combo)
-        J = np.zeros((n, total_axes))
-        for m in range(total_axes):
-            up = list(combo)
-            dn = list(combo)
-            up[m] += fd_step
-            dn[m] -= fd_step
-            J[:, m] = (forward(up) - forward(dn)) / (2 * fd_step)
-        if abs(float(np.linalg.det(J))) < 1e-12 and total_axes == n:
-            raise StraighteningError("singular jacobian on the grid "
-                                     f"at u={combo}")
-        Jinv = np.linalg.inv(J) if total_axes == n else np.linalg.pinv(J)
-        for i in range(k):
-            push = Jinv @ fvecs[i](x)
-            err = float(np.max(np.abs(push - np.eye(total_axes)[i])))
-            max_err = max(max_err, err)
-        nodes.append((tuple(float(v) for v in combo), x))
-        jacobians.append(J)
-
-    return StraighteningGrid(base, k, slice_axes, axes, nodes, jacobians,
-                             max_err, max_err < tol, rk4_step, fd_step)
+    nodes = [(tuple(map(float, combo)), row) for combo, row in zip(combos, x)]
+    singular = np.flatnonzero(np.abs(np.linalg.det(J)) < 1e-12)
+    if singular.size:
+        raise StraighteningError("singular jacobian on the grid "
+                                 f"at u={nodes[singular[0]][0]}")
+    F = np.stack([_batch(ps, x) for ps in plans], axis=-1)
+    max_err = float(np.max(np.abs(np.linalg.solve(J, F) - np.eye(n)[:, :k])))
+    return StraighteningGrid(base, k, slice_axes, axes, nodes, list(J),
+                             max_err, max_err < tol, rk4_step)

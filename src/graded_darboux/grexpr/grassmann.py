@@ -18,6 +18,8 @@ import operator
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from .chart import EVEN, ChartSpec
 from .expr import EvaluationError, GradedExpr
 
@@ -202,7 +204,10 @@ _BODY_FUNCS = {"sin": math.sin, "cos": math.cos, "exp": math.exp,
                "log": math.log, "sinh": math.sinh, "cosh": math.cosh}
 
 
-def _body_atom(kind: str, body: float) -> float:
+def _body_atom(kind: str, body):
+    # element by element, so that batched and per-point bodies agree bit for bit
+    if isinstance(body, np.ndarray):
+        return np.array([_body_atom(kind, b) for b in body.tolist()])
     if kind == "inv":
         if body == 0.0:
             raise EvaluationError("division by a value with zero body")
@@ -270,8 +275,9 @@ class Plan:
                                   "expression with exact coefficients")
         return self._run(x, Fraction(0), _EXACT_COEFF, None)
 
-    def float_body(self, x: Sequence[float]) -> float:
-        """Float body; ``x`` holds floats, zero at odd coordinates."""
+    def float_body(self, x: Sequence):
+        """Float body; ``x`` holds floats, zero at odd coordinates, or one
+        float array per coordinate for an array of bodies (or a float)."""
         return self._run(x, 0.0, _FLOAT_COEFF, _body_atom)
 
     def grassmann(self, x: Sequence[GrassmannValue],

@@ -158,6 +158,7 @@ def test_straighten_command_writes_csv(tmp_path):
     payload = json.loads(out.read_text())
     task = payload["tasks"][0]
     assert task["certified"] and task["max_error"] < 1e-6
+    assert task["mode"] == "numeric"
     assert csv_path.exists()
     lines = csv_path.read_text().splitlines()
     assert lines[1] == "u1,x1" and len(lines) == 7

@@ -16,6 +16,7 @@ from graded_darboux.darboux import (NormalFormSpec, StraighteningError,
                                     linear_darboux, log_primitive,
                                     one_form_darboux, poincare_primitive,
                                     straighten_commuting, verify_normal_form)
+from graded_darboux.grexpr.grassmann import Plan
 from graded_darboux.homogeneity import (WeightVectorField, degree_of,
                                         weight_field_of_chart)
 from graded_darboux.pfaffian import PfaffianError
@@ -382,6 +383,39 @@ class TestStraightening:
                                     nodes_per_axis=3)
         assert grid.certified and grid.max_error < 1e-6
 
+    def test_variational_jacobian_matches_analytic_map(self):
+        # the coordinate map is u -> exp(u1) * (cos u2, sin u2); the column
+        # of R is carried through the flow of E by the variational equation
+        c = chart(("x", 0, 0), ("y", 0, 0))
+        E = vector_field(c, {"x": "x", "y": "y"})
+        R = vector_field(c, {"x": "-y", "y": "x"})
+        grid = straighten_commuting([E, R], [1, 0], box=0.3, nodes_per_axis=3)
+        assert grid.certified and len(grid.jacobians) == 9
+        for (u, _), J in zip(grid.nodes, grid.jacobians):
+            cs, sn = math.cos(u[1]), math.sin(u[1])
+            want = math.exp(u[0]) * np.array([[cs, -sn], [sn, cs]])
+            assert float(np.max(np.abs(J - want))) < 1e-10
+
+    def test_field_evaluations_independent_of_grid_size(self, monkeypatch):
+        c = chart(("x", 0, 0), ("y", 0, 0), ("z", 0, 0))
+        pair = [basis_field(c, "x"), vector_field(c, {"y": "1", "z": "cos(y)"})]
+        calls = []
+        float_body = Plan.float_body
+
+        def counting(plan, x):
+            calls.append(plan)
+            return float_body(plan, x)
+
+        monkeypatch.setattr(Plan, "float_body", counting)
+        counts = []
+        for nodes in (2, 4):
+            calls.clear()
+            grid = straighten_commuting(pair, [0, 0, 0], box=0.3,
+                                        nodes_per_axis=nodes)
+            assert grid.certified and len(grid.nodes) == nodes ** 3
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
+
     def test_noncommuting_rejected(self):
         c = chart(("x", 0, 0), ("y", 0, 0))
         f1 = basis_field(c, "x")
@@ -394,6 +428,13 @@ class TestStraightening:
         with pytest.raises(StraighteningError):
             straighten_commuting([basis_field(c, "x"), basis_field(c, "x")],
                                  [0, 0])
+
+    def test_singular_node_named(self):
+        # on the slice point (0, 1) the field is parallel to the slice axis
+        c = chart(("x", 0, 0), ("y", 0, 0))
+        f = vector_field(c, {"x": "1 - y", "y": "y"})
+        with pytest.raises(StraighteningError, match=r"at u=\(-1\.0, 1\.0\)"):
+            straighten_commuting([f], [0, 0], box=1.0, nodes_per_axis=3)
 
     def test_escaping_flow_rejected(self):
         # finite-time blow-up leaves the working domain

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from graded_darboux import (EqualityPolicy, apply_func, chart, const, coord,
@@ -99,6 +100,7 @@ def _even_part(c, rng):
 class TestPlan:
     def test_number_kinds_agree_at_dyadic_points(self):
         rng = random.Random(11)
+        batch_rng = random.Random(12)
         for _ in range(150):
             c = random_chart(rng, max_even=3, max_odd=2)
             e = random_expr(c, rng, n_terms=2)
@@ -120,6 +122,13 @@ class TestPlan:
                         **{c.coords[i].name: 0.0 for i in c.odd_indices}}
             assert plan.float_body(xf).hex() == \
                 eval_numeric(e, odd_zero).body.hex()
+            points = [xf] + [[batch_rng.randint(-64, 64) / 64
+                              if i in c.even_indices else 0.0
+                              for i in range(c.dim)] for _ in range(4)]
+            batch = np.broadcast_to(plan.float_body(np.array(points).T),
+                                    len(points))
+            assert [v.hex() for v in batch.tolist()] == \
+                [plan.float_body(p).hex() for p in points]
             assert plan.exact or kind != "poly"
             if plan.exact:
                 xq = [Fraction(point.get(name, 0)) for name in c.names]
