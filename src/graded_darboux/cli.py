@@ -205,7 +205,7 @@ def run_task(task: dict, ws: Workspace, policy: EqualityPolicy,
         if rep.degree is not None:
             out["parity"] = "odd" if rep.degree.parity else "even"
             out["weight"] = str(rep.degree.weight)
-        out["mode"] = "exact" if rep.homogeneous else "randomized"
+        out["mode"] = rep.mode
         status = "pass" if rep.homogeneous else "fail"
 
     elif cmd == "lift":

@@ -78,11 +78,14 @@ class ChartSpec:
 
     ``default_box`` is the sampling interval used for even coordinates that
     do not declare their own (randomized equality, point sampling).
+    ``odd_mask`` has bit i set when coordinate i is odd.
     """
 
     coords: Tuple[CoordinateDecl, ...]
     default_box: Tuple[float, float] = (-1.0, 1.0)
     _index: dict = field(default=None, compare=False, hash=False, repr=False)
+    odd_mask: int = field(default=0, init=False, compare=False, hash=False,
+                          repr=False)
 
     def __post_init__(self):
         coords = tuple(self.coords)
@@ -93,6 +96,8 @@ class ChartSpec:
             raise ChartError(f"duplicate coordinate names in {names}")
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "_index", {c.name: i for i, c in enumerate(coords)})
+        object.__setattr__(self, "odd_mask",
+                           sum(c.parity << i for i, c in enumerate(coords)))
 
     # -- basic queries ----------------------------------------------------
 

@@ -24,6 +24,7 @@ the expression into "inexact" mode (randomized equality only).
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from .chart import ChartSpec, ChartError, EVEN, ODD
@@ -40,6 +41,9 @@ class ParityError(ValueError):
 
 class EvaluationError(ValueError):
     pass
+
+
+_ONE = Fraction(1)
 
 
 def _cnum(v: Number):
@@ -95,15 +99,16 @@ class Atom:
 
 
 class Monomial:
-    __slots__ = ("coeff", "atoms", "cexp", "dexp", "_key")
+    __slots__ = ("coeff", "atoms", "cexp", "dexp", "_key", "_masks")
 
     def __init__(self, coeff, atoms: Tuple[Atom, ...], cexp: Tuple[int, ...],
-                 dexp: Tuple[int, ...]):
+                 dexp: Tuple[int, ...], masks=None):
         self.coeff = coeff
         self.atoms = atoms
         self.cexp = cexp
         self.dexp = dexp
         self._key = None
+        self._masks = masks
 
     def key(self):
         if self._key is None:
@@ -121,11 +126,37 @@ class Monomial:
     def form_degree(self) -> int:
         return sum(self.dexp)
 
+    def masks(self, chart: ChartSpec):
+        """Occupancy bitmasks ``(odd_mask, zw, pw, sw)`` over ``chart``.
+
+        Bit i stands for coordinate i and bit n+i for d(x_i), so bit order
+        is canonical order.  ``zw`` holds the square-zero generators present
+        (odd coordinates, even differentials), ``pw`` those of odd form
+        degree and ``sw`` the odd ones; a power counts by its parity.  The
+        cache is keyed by the chart's ``odd_mask``.
+        """
+        mk = self._masks
+        odd = chart.odd_mask
+        if mk is None or mk[0] != odd:
+            n = len(self.cexp)
+            zw = pw = sw = 0
+            for i, k in enumerate(self.cexp):
+                if k and odd >> i & 1:
+                    sw |= 1 << i
+            for i, k in enumerate(self.dexp):
+                if k:
+                    bit = 1 << (n + i)
+                    if not odd >> i & 1:
+                        zw |= bit
+                        pw |= bit
+                    elif k & 1:
+                        pw |= bit
+                        sw |= bit
+            mk = self._masks = (odd, zw | sw & ((1 << n) - 1), pw, sw)
+        return mk
+
     def parity(self, chart: ChartSpec) -> int:
-        s = 0
-        for i in chart.odd_indices:
-            s += self.cexp[i] + self.dexp[i]
-        return s % 2
+        return self.masks(chart)[3].bit_count() & 1
 
     def is_exact(self) -> bool:
         if not isinstance(self.coeff, Fraction):
@@ -136,60 +167,52 @@ class Monomial:
         return not self.atoms
 
 
-def _sign_word(m: Monomial, chart: ChartSpec):
-    """Sign-relevant generators of a canonical monomial, in order.
-
-    Entries are ``(pos, p, s)`` with ``pos`` the canonical position key and
-    (p, s) the generator bidegree mod 2.  Even coordinates are omitted (they
-    never contribute signs).
-    """
-    word = []
-    for i in chart.odd_indices:
-        if m.cexp[i]:
-            word.append(((0, i), 0, 1))
-    for i, k in enumerate(m.dexp):
-        if k:
-            s = chart.parity(i)
-            if s == EVEN:
-                word.append(((1, i), 1, 0))
-            else:
-                word.extend(((1, i), 1, 1) for _ in range(k))
-    return word
+def _crossings(w1: int, w2: int) -> int:
+    """``#{a in w2, b in w1 : a < b}``: the pairs that cross when w2 is
+    moved left past w1 into canonical order."""
+    n = 0
+    while w2:
+        low = w2 & -w2
+        n += (w1 >> low.bit_length()).bit_count()
+        w2 ^= low
+    return n
 
 
-def _mul_monomials(m1: Monomial, m2: Monomial, chart: ChartSpec) -> Optional[Monomial]:
-    # square-zero collisions
-    for i in chart.odd_indices:
-        if m1.cexp[i] and m2.cexp[i]:
-            return None
-    for i in chart.even_indices:
-        if m1.dexp[i] and m2.dexp[i]:
-            return None
+def _mul_monomials(m1: Monomial, m2: Monomial, chart: ChartSpec,
+                   coeff=None) -> Optional[Monomial]:
+    """Canonical product, or None on a square-zero collision.  ``coeff``,
+    when given, stands in for ``m1.coeff * m2.coeff`` (used when one side
+    has unit coefficient)."""
+    odd, zw1, pw1, sw1 = m1.masks(chart)
+    _, zw2, pw2, sw2 = m2.masks(chart)
+    if zw1 & zw2:
+        return None
 
     # Koszul sign: every generator of m2 crosses the generators of m1 that
-    # sit after its canonical position.
-    sign = 1
-    w1 = _sign_word(m1, chart)
-    w2 = _sign_word(m2, chart)
-    for pos_a, pa, sa in w2:
-        for pos_b, pb, sb in w1:
-            if pos_a < pos_b:
-                if (pa * pb + sa * sb) % 2:
-                    sign = -sign
+    # sit after its canonical position; a crossing costs (-1)**(p*q + s*t)
+    if coeff is None:
+        coeff = m1.coeff * m2.coeff
+    if (_crossings(pw1, pw2) + _crossings(sw1, sw2)) & 1:
+        coeff = -coeff
 
-    cexp = tuple(a + b for a, b in zip(m1.cexp, m2.cexp))
-    dexp = tuple(a + b for a, b in zip(m1.dexp, m2.dexp))
+    if not m2.atoms:
+        atoms = m1.atoms
+    elif not m1.atoms:
+        atoms = m2.atoms
+    else:
+        merged: Dict[tuple, Atom] = {}
+        for a in m1.atoms + m2.atoms:
+            k = a.merge_key()
+            if k in merged:
+                merged[k] = merged[k].with_power(merged[k].power + a.power)
+            else:
+                merged[k] = a
+        atoms = tuple(sorted(merged.values(), key=Atom.full_key))
 
-    merged: Dict[tuple, Atom] = {}
-    for a in m1.atoms + m2.atoms:
-        k = a.merge_key()
-        if k in merged:
-            merged[k] = merged[k].with_power(merged[k].power + a.power)
-        else:
-            merged[k] = a
-    atoms = tuple(sorted(merged.values(), key=Atom.full_key))
-
-    return Monomial(m1.coeff * m2.coeff * sign, atoms, cexp, dexp)
+    # powers of d(xi) add, so their parity bits do too
+    return Monomial(coeff, atoms, tuple(map(add, m1.cexp, m2.cexp)),
+                    tuple(map(add, m1.dexp, m2.dexp)),
+                    (odd, zw1 | zw2, pw1 ^ pw2, sw1 ^ sw2))
 
 
 def _reduce_inverses(m: Monomial, chart: ChartSpec) -> Monomial:
@@ -234,7 +257,7 @@ class GradedExpr:
     def from_terms(chart: ChartSpec, terms: Iterable[Monomial]) -> "GradedExpr":
         acc: Dict[tuple, Monomial] = {}
         for m in terms:
-            if m.coeff == 0:
+            if not m.coeff:
                 continue
             if m.atoms:
                 m = _reduce_inverses(m, chart)
@@ -242,13 +265,15 @@ class GradedExpr:
             if k in acc:
                 old = acc[k]
                 c = old.coeff + m.coeff
-                if c == 0:
+                if not c:
                     del acc[k]
                 else:
-                    acc[k] = Monomial(c, old.atoms, old.cexp, old.dexp)
+                    acc[k] = Monomial(c, old.atoms, old.cexp, old.dexp, old._masks)
             else:
                 acc[k] = m
-        out = tuple(sorted(acc.values(), key=Monomial.sort_key))
+        out = tuple(acc.values())
+        if len(out) > 1:
+            out = tuple(sorted(out, key=Monomial.sort_key))
         return GradedExpr(chart, out)
 
     # -- structural queries --------------------------------------------------
@@ -266,7 +291,8 @@ class GradedExpr:
     def __eq__(self, other):
         if not isinstance(other, GradedExpr):
             return NotImplemented
-        return self.chart == other.chart and self.key() == other.key()
+        return ((self.chart is other.chart or self.chart == other.chart)
+                and self.key() == other.key())
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -340,7 +366,7 @@ class GradedExpr:
 
     def _coerce(self, other):
         if isinstance(other, GradedExpr):
-            if other.chart != self.chart:
+            if other.chart is not self.chart and other.chart != self.chart:
                 raise ChartError("operands live on different charts")
             return other
         return const(self.chart, _cnum(other))
@@ -466,7 +492,7 @@ def apply_func(kind: str, arg: GradedExpr) -> GradedExpr:
 
 def gmul(a: GradedExpr, b: GradedExpr) -> GradedExpr:
     """Graded product (wedge when both factors carry differentials)."""
-    if a.chart != b.chart:
+    if a.chart is not b.chart and a.chart != b.chart:
         raise ChartError("gmul of expressions on different charts")
     out = []
     for m1 in a.terms:
@@ -524,7 +550,8 @@ def gdiv(a: GradedExpr, b: GradedExpr) -> GradedExpr:
         raise ParityError("division by a form-valued expression")
     if b.parity() not in (EVEN, None):
         raise ParityError("division by an odd expression")
-    if all(any(m.cexp[i] for i in b.chart.odd_indices) for m in b.terms):
+    body = (1 << b.chart.dim) - 1      # the coordinate bits of a mask
+    if all(m.masks(b.chart)[3] & body for m in b.terms):
         raise ZeroDivisionError("division by a nilpotent (zero-body) expression")
 
     cval = b.constant_value()
@@ -592,23 +619,6 @@ def gdiv(a: GradedExpr, b: GradedExpr) -> GradedExpr:
 # -- Leibniz walks -------------------------------------------------------------
 
 
-def _factor_list(m: Monomial, chart: ChartSpec):
-    """Factors of a monomial in canonical order with bidegrees mod 2.
-
-    Yields ``(tag, payload, p, s)`` where tag is 'atom' | 'coord' | 'diff'.
-    """
-    out = []
-    for a in m.atoms:
-        out.append(("atom", a, 0, 0))
-    for i, k in enumerate(m.cexp):
-        if k:
-            out.append(("coord", (i, k), 0, (chart.parity(i) * k) % 2))
-    for i, k in enumerate(m.dexp):
-        if k:
-            out.append(("diff", (i, k), k % 2, (chart.parity(i) * k) % 2))
-    return out
-
-
 def _single_factor_expr(chart: ChartSpec, tag, payload) -> GradedExpr:
     n = chart.dim
     if tag == "atom":
@@ -627,27 +637,60 @@ def leibniz_walk(e: GradedExpr, op_p: int, op_s: int,
     """Apply a graded derivation of bidegree (op_p, op_s) (mod 2).
 
     ``image(tag, payload)`` returns the derivation's value on a single factor
-    (or None for zero).  Crossing a factor of bidegree (p, s) costs
-    (-1)**(op_p*p + op_s*s).
+    (or None for zero); tag is 'atom' (payload an Atom), 'coord' or 'diff'
+    (payload ``(index, power)``), visited in canonical order.  Crossing a
+    factor of bidegree (p, s) costs (-1)**(op_p*p + op_s*s).  The term for
+    factor f of ``m = L f R`` is ``L * image(f) * R``, with the cofactors L
+    and R (exponents and masks alike) sliced out of m.
     """
     chart = e.chart
-    total = zero(chart)
+    n = chart.dim
+    odd = chart.odd_mask
+    zeros = (0,) * n
+    out: List[Monomial] = []
+
+    def emit(img, left: Monomial, right: Monomial):
+        for t in img.terms:
+            lt = _mul_monomials(left, t, chart)
+            if lt is not None:
+                m = _mul_monomials(lt, right, chart, lt.coeff)
+                if m is not None:
+                    out.append(m)
+
+    def cut(mk, pos):
+        """Masks of the generators before and after bit ``pos``."""
+        lo, hi = (1 << pos) - 1, -(2 << pos)
+        return ((odd, mk[1] & lo, mk[2] & lo, mk[3] & lo),
+                (odd, mk[1] & hi, mk[2] & hi, mk[3] & hi))
+
     for m in e.terms:
-        factors = _factor_list(m, chart)
-        sign = 1
-        for idx, (tag, payload, p, s) in enumerate(factors):
-            img = image(tag, payload)
-            if img is not None and not img.is_zero():
-                term = const(chart, m.coeff * sign)
-                for t2, pl2, _, _ in factors[:idx]:
-                    term = gmul(term, _single_factor_expr(chart, t2, pl2))
-                term = gmul(term, img)
-                for t2, pl2, _, _ in factors[idx + 1:]:
-                    term = gmul(term, _single_factor_expr(chart, t2, pl2))
-                total = total + term
-            if (op_p * p + op_s * s) % 2:
-                sign = -sign
-    return total
+        atoms, cexp, dexp = m.atoms, m.cexp, m.dexp
+        mk = m.masks(chart)
+        c = m.coeff     # carries the sign of the factors crossed so far
+        for j, a in enumerate(atoms):
+            img = image("atom", a)
+            if img is not None and img.terms:
+                emit(img, Monomial(c, atoms[:j], zeros, zeros, (odd, 0, 0, 0)),
+                     Monomial(_ONE, atoms[j + 1:], cexp, dexp, mk))
+        for i, k in enumerate(cexp):
+            if k:
+                img = image("coord", (i, k))
+                if img is not None and img.terms:
+                    lm, rm = cut(mk, i)
+                    emit(img, Monomial(c, atoms, cexp[:i] + zeros[i:], zeros, lm),
+                         Monomial(_ONE, (), zeros[:i + 1] + cexp[i + 1:], dexp, rm))
+                if op_s % 2 and odd >> i & 1:
+                    c = -c
+        for i, k in enumerate(dexp):
+            if k:
+                img = image("diff", (i, k))
+                if img is not None and img.terms:
+                    lm, rm = cut(mk, n + i)
+                    emit(img, Monomial(c, atoms, cexp, dexp[:i] + zeros[i:], lm),
+                         Monomial(_ONE, (), zeros, zeros[:i + 1] + dexp[i + 1:], rm))
+                if k & 1 and (op_p + op_s * (odd >> i & 1)) % 2:
+                    c = -c
+    return GradedExpr.from_terms(chart, out)
 
 
 _DERIV_TABLE = {

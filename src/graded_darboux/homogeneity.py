@@ -50,6 +50,7 @@ class DegreeReport:
     degree: Optional[Degree]
     residual: object = None   # GradedExpr or VectorField
     note: str = ""
+    mode: str = "exact"       # path that decided: exact | numeric | randomized
 
     def __bool__(self):
         return self.homogeneous
@@ -198,13 +199,21 @@ def degree_of(T, nabla: WeightVectorField,
         pairs = [(keys_T[k], keys_L.get(k, 0)) for k in keys_T]
         w = _match_ratio(pairs, exact)
         if w is None:
-            return DegreeReport(False, None, L, "no consistent weight")
+            return DegreeReport(False, None, L, "no consistent weight",
+                                "exact" if exact else "numeric")
         residual = VectorField(T.chart, T.parity,
                                tuple(cl - cw * w for cl, cw in
                                      zip(L.coefficients, T.coefficients)))
-        ok = all(equal(c, zero(T.chart), policy) for c in residual.coefficients)
+        ok, mode = True, "exact"
+        for c in residual.coefficients:
+            res = equal(c, zero(T.chart), policy)
+            if res.mode != "exact":
+                mode = res.mode
+            if not res:
+                ok = False
+                break
         deg = Degree(T.parity, w) if ok else None
-        return DegreeReport(ok, deg, residual)
+        return DegreeReport(ok, deg, residual, mode=mode)
 
     if T.is_zero():
         return DegreeReport(True, None, T, "zero expression: any degree")
@@ -221,10 +230,12 @@ def degree_of(T, nabla: WeightVectorField,
                 list(dT.values()) + list(dL.values()))
     w = _match_ratio([(dT[k], dL.get(k, 0)) for k in dT], exact)
     if w is None:
-        return DegreeReport(False, None, L, "no consistent weight")
+        return DegreeReport(False, None, L, "no consistent weight",
+                            "exact" if exact else "numeric")
     residual = L - T * w
-    ok = bool(equal(residual, zero(T.chart), policy))
-    return DegreeReport(ok, Degree(parity, w) if ok else None, residual)
+    res = equal(residual, zero(T.chart), policy)
+    return DegreeReport(res.equal, Degree(parity, w) if res else None,
+                        residual, mode=res.mode)
 
 
 # -- lifts --------------------------------------------------------------------

@@ -6,9 +6,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from graded_darboux import chart, coord, diff, gmul, one, zero
+from graded_darboux import apply_func, chart, coord, diff, gmul, one, zero
 from graded_darboux.grexpr.chart import ChartSpec, CoordinateDecl, EVEN, ODD
-from graded_darboux.grexpr.expr import GradedExpr
+from graded_darboux.grexpr.expr import ATOM_KINDS, GradedExpr, Monomial, const
 from graded_darboux.cartan import VectorField
 
 
@@ -142,3 +142,82 @@ def word_to_expr(word, c: ChartSpec) -> GradedExpr:
         name = c.coords[idx].name
         e = gmul(e, coord(c, name) if kind == "c" else diff(c, name))
     return e
+
+
+# -- atom-laden expressions, float coefficients -----------------------------------
+
+
+def _even_argument(c: ChartSpec, rng: random.Random) -> GradedExpr:
+    """Even, form-degree-0 atom argument; its odd part (if any) is t0*t1."""
+    xs = [cd.name for cd in c.coords if cd.parity == EVEN]
+    ts = [cd.name for cd in c.coords if cd.parity == ODD]
+    f = coord(c, rng.choice(xs)) * rng.randint(1, 3)
+    if rng.random() < 0.5:
+        f = f + Fraction(rng.randint(1, 3), 2)
+    if len(ts) >= 2 and rng.random() < 0.5:
+        f = f + gmul(coord(c, ts[0]), coord(c, ts[1]))
+    return f
+
+
+def random_atomic_monomial(c: ChartSpec, rng: random.Random, floats=False,
+                           form_degree=0) -> GradedExpr:
+    """coefficient * atoms (powers 1-3) * coordinates * differentials; the
+    differentials may repeat, so odd ones reach powers >= 2."""
+    if floats and rng.random() < 0.5:
+        coeff = rng.choice([0.1, 0.3, 1.7, -2.2, 1 / 3])
+    else:
+        coeff = Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 3))
+    e = one(c) * coeff
+    for _ in range(rng.randint(1, 2)):
+        kind = rng.choice(ATOM_KINDS)
+        arg = _even_argument(c, rng)
+        if kind == "log":
+            arg = gmul(arg, arg) + 1
+        e = gmul(e, apply_func(kind, arg) ** rng.randint(1, 3))
+    for cd in c.coords:
+        k = rng.randint(0, 2) if cd.parity == EVEN else rng.randint(0, 1)
+        if k:
+            e = gmul(e, coord(c, cd.name) ** k)
+    for _ in range(form_degree):
+        e = gmul(e, diff(c, rng.choice(c.names)))
+    return e
+
+
+# -- factor-by-factor Leibniz walk (oracle) ------------------------------------------
+
+
+def _factor_expr(c: ChartSpec, tag, payload) -> GradedExpr:
+    n = c.dim
+    if tag == "atom":
+        return GradedExpr(c, (Monomial(Fraction(1), (payload,), (0,) * n, (0,) * n),))
+    i, k = payload
+    gen = coord(c, c.names[i]) if tag == "coord" else diff(c, c.names[i])
+    return gen ** k
+
+
+def leibniz_walk_oracle(e: GradedExpr, op_p: int, op_s: int, image) -> GradedExpr:
+    """The graded Leibniz rule applied literally: for each factor f of each
+    monomial, multiply the factors before f, image(f) and the factors after
+    f one at a time with ``gmul``, and add the terms up one by one."""
+    c = e.chart
+    total = zero(c)
+    for m in e.terms:
+        factors = [("atom", a, 0, 0) for a in m.atoms]
+        factors += [("coord", (i, k), 0, c.parity(i) * k % 2)
+                    for i, k in enumerate(m.cexp) if k]
+        factors += [("diff", (i, k), k % 2, c.parity(i) * k % 2)
+                    for i, k in enumerate(m.dexp) if k]
+        sign = 1
+        for idx, (tag, payload, p, s) in enumerate(factors):
+            img = image(tag, payload)
+            if img is not None and not img.is_zero():
+                term = const(c, m.coeff * sign)
+                for t2, pl2, _, _ in factors[:idx]:
+                    term = gmul(term, _factor_expr(c, t2, pl2))
+                term = gmul(term, img)
+                for t2, pl2, _, _ in factors[idx + 1:]:
+                    term = gmul(term, _factor_expr(c, t2, pl2))
+                total = total + term
+            if (op_p * p + op_s * s) % 2:
+                sign = -sign
+    return total

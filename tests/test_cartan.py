@@ -9,8 +9,11 @@ from graded_darboux.cartan import (ChartMap, VectorField, basis_field,
                                    exterior_d, interior, lie_bracket,
                                    lie_derivative, pullback, pushforward_vf,
                                    vector_field)
+from graded_darboux import cartan
+from graded_darboux.grexpr import expr
 from graded_darboux.grexpr.chart import ChartError, EVEN, ODD
-from helpers import random_chart, random_expr, random_field
+from helpers import (leibniz_walk_oracle, random_atomic_monomial, random_chart,
+                     random_expr, random_field)
 
 
 @pytest.fixture
@@ -307,3 +310,57 @@ class TestChartMaps:
         with pytest.raises(ChartError):
             ChartMap(a, b, {"u": parse_expr("2*x", a)},
                      {"x": parse_expr("u", b)})
+
+
+class TestLeibnizOracle:
+    """The cofactor-slicing Leibniz walk against the literal factor-by-factor
+    rule, on atoms of power >= 2, odd differentials of power >= 2 and float
+    coefficients."""
+
+    @staticmethod
+    def _cases():
+        rng = random.Random(4242)
+        for i in range(60):
+            c = random_chart(rng, max_even=3, max_odd=3)
+            floats = i % 2 == 1
+            fdeg = rng.randint(1, 3)
+            w = zero(c)
+            for _ in range(2):
+                w = w + random_atomic_monomial(c, rng, floats, fdeg)
+            f = random_atomic_monomial(c, rng, floats) + \
+                random_atomic_monomial(c, rng, floats)
+            coeffs = []
+            parity = rng.randint(0, 1)
+            for cd in c.coords:
+                m = random_atomic_monomial(c, rng, floats)
+                keep = m.parity() == (parity + cd.parity) % 2
+                coeffs.append(m if keep and rng.random() < 0.7 else zero(c))
+            yield c, w, f, VectorField(c, parity, tuple(coeffs))
+
+    @staticmethod
+    def _outputs(cases):
+        out = []
+        for c, w, f, X in cases:
+            out.append(exterior_d(w))
+            out.append(exterior_d(f))
+            out.append(interior(X, w))
+            out.append(lie_derivative(X, w))
+            out.append(lie_derivative(X, f))
+            out.extend(expr.partial(f, name) for name in c.names)
+            out.extend(expr.partial(w, name) for name in c.names)
+        return out
+
+    def test_walk_matches_oracle(self, monkeypatch):
+        cases = list(self._cases())
+        got = self._outputs(cases)
+        monkeypatch.setattr(expr, "leibniz_walk", leibniz_walk_oracle)
+        monkeypatch.setattr(cartan, "leibniz_walk", leibniz_walk_oracle)
+        want = self._outputs(cases)
+        assert got == want
+        # the inputs do exercise what the identity suites never draw
+        ws = [w for _, w, _, _ in cases]
+        assert any(isinstance(m.coeff, float) for w in ws for m in w.terms)
+        assert any(a.power >= 2 for w in ws for m in w.terms for a in m.atoms)
+        assert any(k >= 2 and c.parity(i) == ODD for c, w, _, _ in cases
+                   for m in w.terms for i, k in enumerate(m.dexp))
+        assert sum(not e.is_zero() for e in got) > len(got) // 2

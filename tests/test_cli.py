@@ -4,10 +4,14 @@ import json
 import os
 from pathlib import Path
 
-from graded_darboux import equal, parse_expr
-from graded_darboux.cli import load_manifest, main, run
+import pytest
+
+from graded_darboux import apply_func, chart, coord, equal, parse_expr
+from graded_darboux.cli import Workspace, load_manifest, main, run, run_task
+from graded_darboux.grexpr.equality import EqualityPolicy
 
 MANIFESTS = Path(__file__).resolve().parents[1] / "src" / "graded_darboux" / "manifests"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 ALL = ["cylinder.json", "theta.json", "eta.json", "liouville.json",
        "counterexample.json", "thermodynamics.json"]
 
@@ -81,6 +85,46 @@ def test_determinism_same_seed(tmp_path):
             assert code == 0, name
             outs.append(out.read_bytes())
         assert outs[0] == outs[1], name
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_reports_match_golden(tmp_path, name):
+    """Seed-0 reports are byte-identical to the committed ones.  When a
+    report is meant to change, rewrite its file with ``run(..., json_out=)``
+    and say why in the change."""
+    out = tmp_path / name
+    assert run(str(MANIFESTS / name), json_out=str(out),
+               stream=open(os.devnull, "w")) == 0
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_degree_mode_exact_when_inhomogeneous(tmp_path):
+    """An inhomogeneous polynomial is decided by exact coefficient matching."""
+    m = tmp_path / "inhom.json"
+    m.write_text(json.dumps({
+        "charts": {"M": {"coords": [["x", "even", "1"], ["y", "even", "2"]]}},
+        "forms": {"f": {"chart": "M", "expr": "x + y"}},
+        "tasks": [{"cmd": "degree", "args": {"of": "f"},
+                   "expect": {"homogeneous": False}}],
+    }))
+    out = tmp_path / "rep.json"
+    assert run(str(m), json_out=str(out), stream=open(os.devnull, "w")) == 0
+    task = json.loads(out.read_text())["tasks"][0]
+    assert task["homogeneous"] is False
+    assert task["mode"] == "exact"
+
+
+def test_degree_mode_randomized_when_residual_is_sampled():
+    """Float coefficients leave a rounding residual (about 4e-16*sin(y)*x*y)
+    that only randomized equality can dismiss."""
+    c = chart(("x", 0, 3), ("y", 0, 0))
+    x, y = coord(c, "x"), coord(c, "y")
+    s = apply_func("sin", y)
+    ws = Workspace(charts={"M": c}, forms={"f": x * s * 0.1 + x * y * s * 0.7})
+    out = run_task({"cmd": "degree", "args": {"of": "f"}}, ws,
+                   EqualityPolicy(n_points=16), 16, 0)
+    assert out["homogeneous"] is True
+    assert out["mode"] == "randomized"
 
 
 def test_report_exprs_reparse(tmp_path):

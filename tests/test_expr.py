@@ -8,6 +8,8 @@ import pytest
 from graded_darboux import (apply_func, canonicalize, chart, coord, diff,
                             equal, gdiv, gmul, one, parse_expr, partial,
                             substitute, zero, ParseError, ParityError)
+from graded_darboux.grexpr.chart import ODD
+from graded_darboux.grexpr.expr import GradedExpr, Monomial, _mul_monomials
 from helpers import brute_force_reorder, random_chart, random_monomial, word_to_expr
 
 
@@ -130,6 +132,56 @@ class TestProduct:
             else:
                 sign, canon = oracle
                 assert got == word_to_expr(canon, c) * sign, word
+
+    def test_sign_oracle_split_products(self):
+        # words of 4-8 generators, split in two and multiplied with gmul, so
+        # both operands carry several generators; odd differentials repeat
+        rng = random.Random(608)
+        nonzero = 0
+        for _ in range(600):
+            c = random_chart(rng, max_even=4, max_odd=4)
+            gens = [(k, i) for k in ("c", "d") for i in range(c.dim)]
+            odd_d = [("d", i) for i in range(c.dim) if c.parity(i) == ODD]
+            word = [rng.choice(gens) for _ in range(rng.randint(4, 8))]
+            if odd_d and rng.random() < 0.6:
+                g = rng.choice(odd_d)
+                for _ in range(rng.randint(1, 2)):
+                    if len(word) < 8:
+                        word.insert(rng.randint(0, len(word)), g)
+            cut = rng.randint(2, len(word) - 2)
+            got = gmul(word_to_expr(word[:cut], c), word_to_expr(word[cut:], c))
+            oracle = brute_force_reorder(word, c)
+            if oracle is None:
+                assert got.is_zero(), word
+            else:
+                sign, canon = oracle
+                assert got == word_to_expr(canon, c) * sign, word
+                nonzero += 1
+        assert nonzero > 150
+
+    def test_masks_follow_the_chart(self):
+        # the same Monomial objects on two charts that differ only in the
+        # parity of y: each chart's own square-zero and sign rules apply
+        even = chart(("x", 0, 0), ("y", 0, 0), ("t", 1, 0))
+        odd = chart(("x", 0, 0), ("y", 1, 0), ("t", 1, 0))
+        one_ = Fraction(1)
+        y = Monomial(one_, (), (0, 1, 0), (0, 0, 0))
+        dy = Monomial(one_, (), (0, 0, 0), (0, 1, 0))
+        xdx = Monomial(one_, (), (1, 0, 0), (1, 0, 0))
+        yt = Monomial(one_, (), (0, 1, 1), (0, 0, 0))
+        for c in (even, odd, even, odd):
+            is_odd = c is odd
+            assert (_mul_monomials(y, y, c) is None) == is_odd
+            assert (_mul_monomials(dy, dy, c) is None) == (not is_odd)
+            # d(y)*y = -y*d(y) when y is odd, +y*d(y) when even
+            assert _mul_monomials(dy, y, c).coeff == (-1 if is_odd else 1)
+            assert _mul_monomials(dy, xdx, c).coeff == -1
+            assert y.parity(c) == dy.parity(c) == int(is_odd)
+            assert GradedExpr(c, (yt,)).parity() == int(not is_odd)
+            # y*t is a nilpotent divisor only where y is odd
+            err = ZeroDivisionError if is_odd else ParityError
+            with pytest.raises(err):
+                gdiv(one(c), GradedExpr(c, (yt,)))
 
 
 class TestQuotient:
