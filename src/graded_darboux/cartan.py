@@ -14,13 +14,14 @@ and in particular i_X is left C-infinity-linear in X.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Union
 
 from .grexpr.chart import ChartError, ChartSpec, EVEN, ODD
 from .grexpr.equality import equal
 from .grexpr.expr import (GradedExpr, ParityError, atom_chain, coord, diff,
                           gmul, leibniz_walk, one, partial, substitute, zero)
+from .grexpr.parser import parse_expr
 
 
 @dataclass(frozen=True)
@@ -87,7 +88,6 @@ class VectorField:
 def vector_field(chart: ChartSpec, coeffs: Dict[str, Union[str, GradedExpr]],
                  parity: int = EVEN) -> VectorField:
     """Convenience constructor from a name -> expression mapping."""
-    from .grexpr.parser import parse_expr
     out = []
     for c in chart.coords:
         v = coeffs.get(c.name)

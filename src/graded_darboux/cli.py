@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Dict, List, Optional, Tuple
 
-from .cartan import ChartMap, VectorField, vector_field
+from .cartan import ChartMap, VectorField, exterior_d, vector_field
 from .grexpr.chart import ChartError, ChartSpec, CoordinateDecl, as_parity
 from .grexpr.equality import EqualityPolicy, equal
 from .grexpr.expr import GradedExpr, ParityError
@@ -138,14 +138,15 @@ def _degree_payload(rep):
 # -- expectation matching ---------------------------------------------------------
 
 
-def _match_expect(expect: dict, outcome: dict) -> Tuple[bool, List[str]]:
+def _match_expect(expect: dict, outcome: dict, vfield: Optional[VectorField],
+                  policy: EqualityPolicy) -> Tuple[bool, List[str]]:
     problems = []
     for key, want in expect.items():
         got = outcome.get(key)
         if key == "weight":
             ok = got is not None and Fraction(str(want)) == Fraction(str(got))
         elif key == "field":
-            ok = _match_field(want, got)
+            ok = _match_field(want, vfield, policy)
         elif isinstance(want, (int, float)) and isinstance(got, (int, float)):
             ok = abs(float(want) - float(got)) < 1e-9
         else:
@@ -155,16 +156,17 @@ def _match_expect(expect: dict, outcome: dict) -> Tuple[bool, List[str]]:
     return not problems, problems
 
 
-def _match_field(want: dict, got) -> bool:
-    if not isinstance(got, dict):
+def _match_field(want: dict, got: Optional[VectorField],
+                 policy: EqualityPolicy) -> bool:
+    """Expected coefficients parse on the field's chart and compare with
+    ``equal``; a coordinate named on one side only fails."""
+    if got is None or not isinstance(want, dict):
         return False
-    names = set(want) | set(got)
-    for n in names:
-        if (n in want) != (n in got):
-            return False
-        if str(want.get(n, "0")).replace(" ", "") != str(got.get(n, "0")).replace(" ", ""):
-            return False
-    return True
+    have = {n: c for n, c in zip(got.chart.names, got.coefficients)
+            if not c.is_zero()}
+    return set(want) == set(have) and all(
+        equal(parse_expr(str(want[n]), got.chart), have[n], policy)
+        for n in want)
 
 
 # -- task execution ----------------------------------------------------------------
@@ -176,6 +178,7 @@ def run_task(task: dict, ws: Workspace, policy: EqualityPolicy,
     args = task.get("args", {})
     out: Dict[str, Any] = {"task": cmd, "seed": seed, "mode": "exact"}
     status = "pass"
+    vfield: Optional[VectorField] = None      # the field an expectation reads
 
     def nabla_arg(default_chart=None):
         if "nabla" in args:
@@ -241,19 +244,19 @@ def run_task(task: dict, ws: Workspace, policy: EqualityPolicy,
     elif cmd == "reeb":
         form = ws.form(args["form"])
         rep = reeb(form, policy)
-        out["field"] = _render(rep.field)
+        vfield = rep.field
+        out["field"] = _render(vfield)
         status = "pass" if bool(rep) else "fail"
 
     elif cmd == "liouville":
-        from .cartan import exterior_d
         alpha = ws.form(args["alpha"])
         omega = ws.form(args["omega"]) if "omega" in args else exterior_d(alpha)
-        X = liouville(omega, alpha, policy)
-        out["field"] = _render(X)
+        vfield = liouville(omega, alpha, policy)
+        out["field"] = _render(vfield)
 
     elif cmd == "poincare":
         form = ws.form(args["form"])
-        prim = poincare_primitive(form, nabla_arg(form.chart), policy=policy)
+        prim = poincare_primitive(form, nabla_arg(form.chart))
         out["output_exprs"] = [format_expr(prim)]
 
     elif cmd == "log-primitive":
@@ -348,7 +351,7 @@ def run_task(task: dict, ws: Workspace, policy: EqualityPolicy,
         raise ManifestError(f"unknown command {cmd!r}")
 
     if "expect" in task:
-        ok, problems = _match_expect(task["expect"], out)
+        ok, problems = _match_expect(task["expect"], out, vfield, policy)
         status = "pass" if ok else "fail"
         if problems:
             out["expect_failures"] = problems

@@ -27,8 +27,8 @@ from .cartan import (ChartMap, VectorField, exterior_d, interior,
                      lie_bracket, pullback)
 from .grexpr.chart import (ChartError, ChartSpec, CoordinateDecl, EVEN, ODD)
 from .grexpr.equality import DEFAULT_POLICY, EqualityPolicy, equal
-from .grexpr.expr import (GradedExpr, Monomial, apply_func, const, coord,
-                          diff, gdiv, gmul, one, partial, substitute, zero)
+from .grexpr.expr import (GradedExpr, apply_func, const, coord, diff, gdiv,
+                          gmul, partial, substitute, zero)
 from .grexpr.integrate import NonIntegrable, integrate_univariate
 from .grexpr.grassmann import Plan, body_values
 from .homogeneity import WeightVectorField, degree_of, weight_field_of_chart
@@ -181,8 +181,7 @@ def homotopy(w: GradedExpr) -> GradedExpr:
 
 
 def poincare_primitive(w: GradedExpr, nabla: Optional[WeightVectorField] = None,
-                       center: Optional[Dict[str, object]] = None,
-                       policy: EqualityPolicy = DEFAULT_POLICY) -> GradedExpr:
+                       center: Optional[Dict[str, object]] = None) -> GradedExpr:
     """Primitive of a closed polynomial form that preserves homogeneity.
 
     The radial scaling commutes with every diagonal linear flow, so the
@@ -327,11 +326,6 @@ class LinearDarbouxResult:
         return self.residual < 1e-9
 
 
-def _constant_flat(omega: GradedExpr) -> np.ndarray:
-    fm = flat_matrix(omega, {c.name: 0 for c in omega.chart.coords})
-    return fm.matrix
-
-
 def _skew_pairs(A: np.ndarray, tol: float) -> Tuple[List[np.ndarray],
                                                     List[np.ndarray],
                                                     List[np.ndarray]]:
@@ -382,7 +376,7 @@ def linear_darboux(omega0: GradedExpr,
         if c.constant_value() is None:
             raise ValueError("expected constant coefficients")
 
-    B = _constant_flat(omega0)
+    B = flat_matrix(omega0, {c.name: 0 for c in omega0.chart.coords}).matrix
     ev = list(chart.even_indices)
     od = list(chart.odd_indices)
     tol = 1e-12 * max(1.0, float(np.max(np.abs(B))) if B.size else 1.0)
@@ -403,7 +397,7 @@ def linear_darboux(omega0: GradedExpr,
     kern_odd = [l for l in range(len(lam)) if abs(lam[l]) <= tol]
 
     # new even coordinates: rows of the inverse of the basis matrix
-    names: List[CoordinateDecl] = []
+    decls: List[CoordinateDecl] = []
     images: Dict[str, GradedExpr] = {}
 
     def lin_comb(row: np.ndarray, indices: List[int]) -> GradedExpr:
@@ -422,29 +416,23 @@ def linear_darboux(omega0: GradedExpr,
         C = np.zeros((0, 0))
 
     for i in range(r):
-        names.append(CoordinateDecl(f"q{i + 1}", EVEN, 0))
+        decls.append(CoordinateDecl(f"q{i + 1}", EVEN, 0))
         images[f"q{i + 1}"] = lin_comb(C[i], ev)
     for i in range(r):
-        names.append(CoordinateDecl(f"p{i + 1}", EVEN, 0))
+        decls.append(CoordinateDecl(f"p{i + 1}", EVEN, 0))
         images[f"p{i + 1}"] = lin_comb(C[r + i], ev)
     for l, idx in enumerate(keep):
         scale = math.sqrt(abs(lam[idx]) / 2.0)
-        names.append(CoordinateDecl(f"y{l + 1}", ODD, 0))
+        decls.append(CoordinateDecl(f"y{l + 1}", ODD, 0))
         images[f"y{l + 1}"] = lin_comb(scale * V[:, idx], od)
     for j in range(len(kernel_even)):
-        names.append(CoordinateDecl(f"z{j + 1}", EVEN, 0))
+        decls.append(CoordinateDecl(f"z{j + 1}", EVEN, 0))
         images[f"z{j + 1}"] = lin_comb(C[2 * r + j], ev)
     for j, idx in enumerate(kern_odd):
-        names.append(CoordinateDecl(f"w{j + 1}", ODD, 0))
+        decls.append(CoordinateDecl(f"w{j + 1}", ODD, 0))
         images[f"w{j + 1}"] = lin_comb(V[:, idx], od)
 
-    # reorder role-wise: q.., p.., y.., then residual even, residual odd
-    order = ([f"q{i + 1}" for i in range(r)] + [f"p{i + 1}" for i in range(r)]
-             + [f"y{l + 1}" for l in range(s)]
-             + [f"z{j + 1}" for j in range(len(kernel_even))]
-             + [f"w{j + 1}" for j in range(len(kern_odd))])
-    decls = {d.name: d for d in names}
-    target = ChartSpec(tuple(decls[n] for n in order))
+    target = ChartSpec(tuple(decls))
     spec = NormalFormSpec("presymplectic", r, s, eps,
                           residual=len(kernel_even) + len(kern_odd))
     phi = ChartMap(chart, target, images)
@@ -454,11 +442,6 @@ def linear_darboux(omega0: GradedExpr,
 
 
 # -- one-form Darboux assembly ---------------------------------------------------
-
-
-def _potential_part(spec: NormalFormSpec, chart: ChartSpec) -> GradedExpr:
-    inner = NormalFormSpec("potential", spec.r, spec.s, spec.eps)
-    return canonical_expr(inner, chart)
 
 
 def _jacobian_nonsingular(images: Sequence[GradedExpr], chart: ChartSpec,
@@ -519,7 +502,9 @@ def one_form_darboux(alpha: GradedExpr, presymp_chart: ChartMap,
         raise PfaffianError("the supplied chart does not canonicalize the "
                             "differential of the form")
 
-    alpha_prime = alpha - pullback(presymp_chart, _potential_part(pre_spec, target))
+    potential = canonical_expr(NormalFormSpec("potential", r, s, pre_spec.eps),
+                               target)
+    alpha_prime = alpha - pullback(presymp_chart, potential)
     if not equal(exterior_d(alpha_prime), zero(chart), policy):
         raise PfaffianError("residual one-form is not closed")
 
@@ -537,95 +522,60 @@ def one_form_darboux(alpha: GradedExpr, presymp_chart: ChartMap,
     nabla_vanishes = float(np.linalg.norm(nvec)) <= 1e-9
     log_branch = (not nabla_vanishes) and (w == 0) and contact_like
 
-    roles_q = list(target.names[:r])
-    roles_p = list(target.names[r:2 * r])
-    roles_y = list(target.names[2 * r:2 * r + s])
-    roles_rest = list(target.names[2 * r + s:])
-
-    def image(n):
-        return presymp_chart.images[n]
+    roles = pre_spec.coordinate_roles(target)
+    q, p, y, rest = roles["q"], roles["p"], roles["y"], roles["rest"]
+    images = dict(presymp_chart.images)
 
     if contact_like:
+        variant = "contact-log" if log_branch else "contact"
+        z_img = _closed_primitive(alpha_prime, base, notes)
+        if z_img is None:
+            return DarbouxResult("verification-only", notes=notes)
         if log_branch:
-            f = _closed_primitive(alpha_prime, base, notes)
-            if f is None:
-                return DarbouxResult("verification-only", notes=notes)
-            vexpr = nabla.field.apply(f)
-            vval = vexpr.constant_value()
-            if vval is None:
+            if nabla.field.apply(z_img).constant_value() is None:
                 notes.append("weight field applied to the primitive is not "
                              "constant: cannot form the exponential coordinate")
                 return DarbouxResult("verification-only", notes=notes)
-            z_img = apply_func("exp", f)
-            variant = "contact-log"
-        else:
-            z_img = _closed_primitive(alpha_prime, base, notes)
-            if z_img is None:
-                return DarbouxResult("verification-only", notes=notes)
-            variant = "contact"
+            z_img = apply_func("exp", z_img)
 
         # z replaces one residual coordinate; pick one that keeps the
         # jacobian nonsingular at the base point
-        chosen = None
-        for drop in range(len(roles_rest)):
-            keep_rest = [roles_rest[j] for j in range(len(roles_rest)) if j != drop]
-            imgs = ([image(n) for n in roles_q] + [image(n) for n in roles_p]
-                    + [z_img] + [image(n) for n in roles_y]
-                    + [image(n) for n in keep_rest])
-            if _jacobian_nonsingular(imgs, chart, base):
-                chosen = keep_rest
+        for keep in [rest[:j] + rest[j + 1:] for j in range(len(rest))] or [[]]:
+            new_names = q + p + ["z"] + y + keep
+            new_images = ([images[n] for n in q + p] + [z_img]
+                          + [images[n] for n in y + keep])
+            if _jacobian_nonsingular(new_images, chart, base):
                 break
-        if chosen is None and not roles_rest:
-            chosen = []
-            imgs = ([image(n) for n in roles_q] + [image(n) for n in roles_p]
-                    + [z_img] + [image(n) for n in roles_y])
-            if not _jacobian_nonsingular(imgs, chart, base):
-                notes.append("no residual coordinate available and the "
-                             "candidate chart is singular at the base point")
-                return DarbouxResult("verification-only", notes=notes)
-        if chosen is None:
+        else:
             notes.append("could not replace a residual coordinate with z "
-                         "while keeping the chart nonsingular")
+                         "while keeping the chart nonsingular" if rest else
+                         "no residual coordinate available and the "
+                         "candidate chart is singular at the base point")
             return DarbouxResult("verification-only", notes=notes)
-        new_names = (roles_q + roles_p + ["z"] + roles_y + chosen)
-        new_images = ([image(n) for n in roles_q] + [image(n) for n in roles_p]
-                      + [z_img] + [image(n) for n in roles_y]
-                      + [image(n) for n in chosen])
-        out_spec = NormalFormSpec(variant, r, s, tuple(eps), len(chosen))
     else:
         # contained case: the residual must vanish or absorb into the momenta
-        variant = "potential"
-        if equal(alpha_prime, zero(chart), policy):
-            new_names = roles_q + roles_p + roles_y + roles_rest
-            new_images = [image(n) for n in new_names]
-            out_spec = NormalFormSpec(variant, r, s, tuple(eps), len(roles_rest))
-        else:
+        variant, keep = "potential", rest
+        if not equal(alpha_prime, zero(chart), policy):
             if presymp_chart.inverse_images is None:
                 notes.append("nonzero residual one-form and no inverse images "
                              "to absorb it: construction downgraded")
                 return DarbouxResult("verification-only", notes=notes)
-            inv = presymp_chart.inverse()
-            ap_t = pullback(inv, alpha_prime)
+            ap_t = pullback(presymp_chart.inverse(), alpha_prime)
             zt = _closed_primitive(ap_t, {n: 0 for n in target.names}, notes)
             if zt is None:
                 return DarbouxResult("verification-only", notes=notes)
-            bad = [n for n in target.names
-                   if n not in roles_q and zt.depends_on(n)]
+            bad = [n for n in target.names if n not in q and zt.depends_on(n)]
             if bad:
                 notes.append(f"residual primitive depends on {bad}: "
                              "momentum absorption does not apply")
                 return DarbouxResult("verification-only", notes=notes)
-            new_names = roles_q + roles_p + roles_y + roles_rest
-            new_images = []
-            for n in roles_q:
-                new_images.append(image(n))
-            for qn, pn in zip(roles_q, roles_p):
-                corr = substitute(partial(zt, qn), dict(presymp_chart.images))
-                new_images.append(image(pn) + corr)
-            for n in roles_y + roles_rest:
-                new_images.append(image(n))
-            out_spec = NormalFormSpec(variant, r, s, tuple(eps), len(roles_rest))
+            for qn, pn in zip(q, p):
+                images[pn] = images[pn] + substitute(partial(zt, qn),
+                                                     presymp_chart.images)
             notes.append("residual primitive absorbed into the momenta")
+        new_names = q + p + y + rest
+        new_images = [images[n] for n in new_names]
+    out_spec = NormalFormSpec(variant, r, s, pre_spec.eps, len(keep))
 
     # weights of the new coordinates
     decls = []
@@ -642,8 +592,7 @@ def one_form_darboux(alpha: GradedExpr, presymp_chart: ChartMap,
         decls.append(CoordinateDecl(name, par if par is not None else EVEN,
                                     wgt if isinstance(wgt, Fraction) else 0))
     new_chart = ChartSpec(tuple(decls), default_box=chart.default_box)
-    phi_out = ChartMap(chart, new_chart,
-                       {n: img for n, img in zip(new_names, new_images)})
+    phi_out = ChartMap(chart, new_chart, dict(zip(new_names, new_images)))
     report = verify_normal_form(alpha, phi_out, out_spec, nabla, policy)
     status = "ok" if report.passed else "verification-only"
     return DarbouxResult(status, phi_out, out_spec, report, weights, notes)
@@ -705,15 +654,15 @@ def verify_normal_form(alpha: GradedExpr, phi: ChartMap, spec: NormalFormSpec,
         return a + b
 
     if w is not None:
+        # pairs and odd squares carry the weight of the form, 0 in the log case
+        want = Fraction(0) if spec.variant == "contact-log" else w
         for qn, pn in zip(roles["q"], roles["p"]):
             tot = wsum(coord_weights[qn], coord_weights[pn])
-            want = Fraction(0) if spec.variant == "contact-log" else w
             entries.append(CheckEntry(
                 f"pair-weight-{qn}-{pn}", tot == want,
                 f"w({qn})+w({pn}) = {tot}, expected {want}"))
         for yn in roles["y"]:
             ww = coord_weights[yn]
-            want = Fraction(0) if spec.variant == "contact-log" else w
             tot = None if ww is None else 2 * ww
             entries.append(CheckEntry(
                 f"odd-weight-{yn}", tot == want,

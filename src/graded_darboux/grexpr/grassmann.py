@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import operator
+import random
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -378,6 +379,23 @@ def body_values(plans: Sequence[Plan], point: Mapping[str, object]
     floats = [p.float_body(xf) if q is None else float(q)
               for p, q in zip(plans, exact)]
     return exact, floats
+
+
+def sample_body_points(chart: ChartSpec, n_points: int, seed: int,
+                        denominator: int = 64) -> List[Dict[str, Fraction]]:
+    """Dyadic-rational body points inside the chart boxes (exactly float-
+    representable, so the exact and float paths see the same points)."""
+    rng = random.Random(seed)
+    pts = []
+    for _ in range(n_points):
+        p: Dict[str, Fraction] = {}
+        for i in chart.even_indices:
+            lo, hi = chart.box_for(i)
+            t = Fraction(rng.randint(0, denominator), denominator)
+            p[chart.coords[i].name] = (Fraction(lo)
+                                       + (Fraction(hi) - Fraction(lo)) * t)
+        pts.append(p)
+    return pts
 
 
 def eval_body_exact(a: GradedExpr, point: Mapping[str, Union[int, Fraction]]) -> Fraction:

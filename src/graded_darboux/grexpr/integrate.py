@@ -18,6 +18,7 @@ from typing import Union
 from .chart import EVEN
 from .expr import (GradedExpr, Monomial, apply_func, const, coord,
                    gdiv, gmul, partial, substitute, zero)
+from .parser import parse_expr
 
 Bound = Union[int, Fraction, float, str, GradedExpr]
 
@@ -104,7 +105,6 @@ def _as_bound(b: Bound, chart) -> GradedExpr:
     if isinstance(b, GradedExpr):
         return b
     if isinstance(b, str):
-        from .parser import parse_expr
         return parse_expr(b, chart)
     return const(chart, b)
 

@@ -20,7 +20,7 @@ from typing import List, Tuple
 
 from .chart import ChartSpec
 from .expr import (FUNC_KINDS, GradedExpr, ParityError, apply_func, const,
-                   coord, diff, gdiv, gmul, zero)
+                   coord, diff, gdiv, gmul)
 
 
 class ParseError(ValueError):

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -13,8 +12,8 @@ from . import _linalg
 from .cartan import VectorField, lie_bracket, lie_derivative
 from .grexpr.chart import ChartError, ChartSpec, CoordinateDecl, EVEN
 from .grexpr.equality import DEFAULT_POLICY, EqualityPolicy, equal
-from .grexpr.expr import GradedExpr, coord, zero
-from .grexpr.grassmann import Plan, body_values
+from .grexpr.expr import coord, partial, zero
+from .grexpr.grassmann import Plan, body_values, sample_body_points
 from .symsolve import cramer_membership
 
 
@@ -134,7 +133,6 @@ def linearization_at_zero(nabla: VectorField, point: Dict[str, object],
             vanishes=False,
             verdict="nonvanishing at the point: weight vector field")
 
-    from .grexpr.expr import partial
     n = chart.dim
     plans = [Plan(partial(c, name)) for c in nabla.coefficients
              for name in chart.names]
@@ -179,63 +177,47 @@ def degree_of(T, nabla: WeightVectorField,
               policy: EqualityPolicy = DEFAULT_POLICY) -> DegreeReport:
     """Homogeneity degree via coefficient matching of L_nabla T against w*T."""
     nf = nabla.field if isinstance(nabla, WeightVectorField) else nabla
-
     if isinstance(T, VectorField):
         L = lie_bracket(nf, T)
-        keys_T: Dict[tuple, object] = {}
-        keys_L: Dict[tuple, object] = {}
-        for idx, (ct, cl) in enumerate(zip(T.coefficients, L.coefficients)):
-            for m in ct.terms:
-                keys_T[(idx, m.key())] = m.coeff
-            for m in cl.terms:
-                keys_L[(idx, m.key())] = m.coeff
-        if not keys_T:
-            return DegreeReport(True, None, L, "zero field: any degree")
-        if set(keys_L) - set(keys_T):
-            return DegreeReport(False, None, L,
-                                "derivative has monomials outside the input")
-        exact = all(isinstance(c, Fraction) for c in
-                    list(keys_T.values()) + list(keys_L.values()))
-        pairs = [(keys_T[k], keys_L.get(k, 0)) for k in keys_T]
-        w = _match_ratio(pairs, exact)
-        if w is None:
-            return DegreeReport(False, None, L, "no consistent weight",
-                                "exact" if exact else "numeric")
-        residual = VectorField(T.chart, T.parity,
-                               tuple(cl - cw * w for cl, cw in
-                                     zip(L.coefficients, T.coefficients)))
-        ok, mode = True, "exact"
-        for c in residual.coefficients:
-            res = equal(c, zero(T.chart), policy)
-            if res.mode != "exact":
-                mode = res.mode
-            if not res:
-                ok = False
-                break
-        deg = Degree(T.parity, w) if ok else None
-        return DegreeReport(ok, deg, residual, mode=mode)
+        parity, pairs = T.parity, list(zip(T.coefficients, L.coefficients))
+    else:
+        if T.is_zero():
+            return DegreeReport(True, None, T, "zero expression: any degree")
+        parity = T.parity()
+        if parity is None:
+            return DegreeReport(False, None, T, "mixed parity")
+        L = lie_derivative(nf, T)
+        pairs = [(T, L)]
 
-    if T.is_zero():
-        return DegreeReport(True, None, T, "zero expression: any degree")
-    parity = T.parity()
-    if parity is None:
-        return DegreeReport(False, None, T, "mixed parity")
-    L = lie_derivative(nf, T)
-    dT = {m.key(): m.coeff for m in T.terms}
-    dL = {m.key(): m.coeff for m in L.terms}
-    if set(dL) - set(dT):
+    # monomial coefficients of each (input, derivative) component pair
+    keys_T = {(i, m.key()): m.coeff for i, (ct, _) in enumerate(pairs)
+              for m in ct.terms}
+    keys_L = {(i, m.key()): m.coeff for i, (_, cl) in enumerate(pairs)
+              for m in cl.terms}
+    if not keys_T:      # only a zero field gets here
+        return DegreeReport(True, None, L, "zero field: any degree")
+    if set(keys_L) - set(keys_T):
         return DegreeReport(False, None, L,
                             "derivative has monomials outside the input")
     exact = all(isinstance(c, Fraction) for c in
-                list(dT.values()) + list(dL.values()))
-    w = _match_ratio([(dT[k], dL.get(k, 0)) for k in dT], exact)
+                list(keys_T.values()) + list(keys_L.values()))
+    w = _match_ratio([(keys_T[k], keys_L.get(k, 0)) for k in keys_T], exact)
     if w is None:
         return DegreeReport(False, None, L, "no consistent weight",
                             "exact" if exact else "numeric")
-    residual = L - T * w
-    res = equal(residual, zero(T.chart), policy)
-    return DegreeReport(res.equal, Degree(parity, w) if res else None,
-                        residual, mode=res.mode)
+    residuals = [cl - ct * w for ct, cl in pairs]
+    ok, mode = True, "exact"
+    for c in residuals:
+        res = equal(c, zero(c.chart), policy)
+        if res.mode != "exact":
+            mode = res.mode
+        if not res:
+            ok = False
+            break
+    residual = (VectorField(T.chart, T.parity, tuple(residuals))
+                if isinstance(T, VectorField) else residuals[0])
+    return DegreeReport(ok, Degree(parity, w) if ok else None, residual,
+                        mode=mode)
 
 
 # -- lifts --------------------------------------------------------------------
@@ -276,23 +258,6 @@ def cotangent_lift(nabla: WeightVectorField,
 # -- distributions ------------------------------------------------------------
 
 
-def _sample_body_points(chart: ChartSpec, n_points: int, seed: int,
-                        denominator: int = 64) -> List[Dict[str, Fraction]]:
-    """Dyadic-rational body points inside the chart boxes (exactly float-
-    representable, so the exact and float paths see the same points)."""
-    rng = random.Random(seed)
-    pts = []
-    for _ in range(n_points):
-        p: Dict[str, Fraction] = {}
-        for i in chart.even_indices:
-            lo, hi = chart.box_for(i)
-            t = Fraction(rng.randint(0, denominator), denominator)
-            p[chart.coords[i].name] = (Fraction(lo)
-                                       + (Fraction(hi) - Fraction(lo)) * t)
-        pts.append(p)
-    return pts
-
-
 def _span_contains(D: Distribution, Y: VectorField, n_points: int,
                    seed: int, tol: float = 1e-9) -> Tuple[bool, Optional[dict]]:
     """Pointwise span membership at sampled body points, with an exact
@@ -307,7 +272,7 @@ def _span_contains(D: Distribution, Y: VectorField, n_points: int,
 
     split = len(D.generators) * chart.dim
     plans = [Plan(c) for X in D.generators + (Y,) for c in X.coefficients]
-    for p in _sample_body_points(chart, n_points, seed):
+    for p in sample_body_points(chart, n_points, seed):
         vals = np.array(body_values(plans, p)[1])
         G = vals[:split].reshape(len(D.generators), chart.dim)
         r = _linalg.float_rank(G)

@@ -20,8 +20,7 @@ from .cartan import VectorField, basis_field, exterior_d, interior
 from .grexpr.chart import EVEN
 from .grexpr.equality import DEFAULT_POLICY, EqualityPolicy, equal
 from .grexpr.expr import GradedExpr, gmul, one, zero
-from .grexpr.grassmann import Plan, body_values
-from .homogeneity import _sample_body_points
+from .grexpr.grassmann import Plan, body_values, sample_body_points
 from .symsolve import SingularSystemError, solve_left_linear
 
 
@@ -153,7 +152,7 @@ def characteristic_class(alpha: GradedExpr,
     if alpha.parity() is None:
         raise PfaffianError("classification expects a form of definite parity")
     if points is None:
-        points = _sample_body_points(chart, n_points, seed)
+        points = sample_body_points(chart, n_points, seed)
 
     dalpha = exterior_d(alpha)
     fmap = _FlatMap(alpha, dalpha)
@@ -232,7 +231,7 @@ def presymplectic_check(omega: GradedExpr,
     if not equal(domega, zero(chart), policy):
         raise NotClosedError("form is not closed", witness=str(domega))
     if points is None:
-        points = _sample_body_points(chart, n_points, seed)
+        points = sample_body_points(chart, n_points, seed)
 
     fmap = _FlatMap(omega)
     evidence = []
@@ -307,7 +306,7 @@ def liouville(omega: GradedExpr, alpha: GradedExpr,
     if not equal(exterior_d(alpha), omega, policy):
         raise PfaffianError("one-form is not a potential of the two-form")
     fmap = _FlatMap(omega)
-    for p in _sample_body_points(chart, 3, seed=policy.seed):
+    for p in sample_body_points(chart, 3, seed=policy.seed):
         fm = fmap.at(p)
         if fm.rank() < chart.dim:
             raise PfaffianError("degenerate two-form: flat map is singular",

@@ -9,15 +9,15 @@ Solutions are verified by substituting back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .grexpr.chart import EVEN
 from .grexpr.equality import DEFAULT_POLICY, EqualityPolicy, equal
-from .grexpr.expr import GradedExpr, gdiv, gmul, one, zero
-from .grexpr.grassmann import Plan, body_values
+from .grexpr.expr import GradedExpr, gdiv, gmul, zero
+from .grexpr.grassmann import Plan, body_values, sample_body_points
 
 
 class SingularSystemError(RuntimeError):
@@ -153,9 +153,6 @@ def cramer_membership(D, Y) -> Optional[bool]:
     True when membership is certified over the fraction field, False when
     it fails exactly, None when no invertible submatrix exists.
     """
-    from .homogeneity import _sample_body_points
-    import itertools
-
     gens = D.generators
     k = len(gens)
     chart = D.chart
@@ -164,7 +161,7 @@ def cramer_membership(D, Y) -> Optional[bool]:
     # pick the column subset with the largest body determinant at a sample
     plans = [Plan(c) for g in gens for c in g.coefficients]
     bodies = [np.array(body_values(plans, p)[1]).reshape(k, n)
-              for p in _sample_body_points(chart, 3, seed=7)]
+              for p in sample_body_points(chart, 3, seed=7)]
     best: Tuple[float, Optional[Tuple[int, ...]]] = (0.0, None)
     for cols in itertools.combinations(range(n), k):
         score = 0.0

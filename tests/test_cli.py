@@ -216,3 +216,36 @@ def test_main_entrypoint(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["seed"] == 3
     assert payload["status"] == "pass"
+
+
+def _cylinder_with_reeb_expectation(tmp_path, field):
+    payload = json.loads((MANIFESTS / "cylinder.json").read_text())
+    (task,) = [t for t in payload["tasks"] if t["cmd"] == "reeb"]
+    task["expect"] = {"field": field}
+    payload["tasks"] = [task]
+    m = tmp_path / "reeb.json"
+    m.write_text(json.dumps(payload))
+    out = tmp_path / "reeb_report.json"
+    code = run(str(m), json_out=str(out), stream=open(os.devnull, "w"))
+    return code, json.loads(out.read_text())["tasks"][0]
+
+
+def test_field_expectation_compared_by_equal(tmp_path):
+    code, task = _cylinder_with_reeb_expectation(tmp_path, {"z": "2/2"})
+    assert code == 0 and task["status"] == "pass"
+    assert task["field"] == {"z": "1"}
+
+
+def test_field_expectation_key_on_one_side_fails(tmp_path):
+    code, task = _cylinder_with_reeb_expectation(tmp_path,
+                                                 {"z": "1", "p": "0"})
+    assert code == 1 and task["status"] == "fail"
+    assert task["expect_failures"][0].startswith("field:")
+    code, task = _cylinder_with_reeb_expectation(tmp_path, {})
+    assert code == 1 and task["status"] == "fail"
+
+
+def test_field_expectation_that_does_not_parse_fails(tmp_path):
+    code, task = _cylinder_with_reeb_expectation(tmp_path, {"z": "1 +"})
+    assert code == 1 and task["status"] == "fail"
+    assert task["error"] == "unexpected 'end of input' (at position 3)"

@@ -291,6 +291,64 @@ class TestOneFormDarboux:
         alpha = parse_expr("2*p*d(q) + q*d(p)", c)
         res = one_form_darboux(alpha, ChartMap.identity(c), r=1)
         assert res.status == "verification-only"
+        assert res.notes == ["residual primitive depends on ['p']: "
+                             "momentum absorption does not apply"]
+
+    def test_no_inverse_images_downgrades(self):
+        c = chart(("q", 0, 0), ("p", 0, 0), default_box=(0.5, 1.0))
+        t = chart(("Q", 0, 0), ("P", 0, 0))
+        phi = ChartMap(c, t, {"Q": parse_expr("q", c), "P": parse_expr("p", c)})
+        res = one_form_darboux(parse_expr("(p + q^2)*d(q)", c), phi, r=1)
+        assert res.status == "verification-only" and res.chart_map is None
+        assert res.notes == ["nonzero residual one-form and no inverse images "
+                             "to absorb it: construction downgraded"]
+
+    def test_no_residual_slot_for_z(self):
+        # every residual coordinate duplicates q, so no choice of the one
+        # that z replaces gives a nonsingular chart
+        c = chart(("q", 0, 1), ("p", 0, -1), ("z", 0, 0), ("w", 0, 0))
+        t = chart(("Q", 0, 1), ("P", 0, -1), ("K1", 0, 0), ("K2", 0, 0))
+        q = parse_expr("q", c)
+        phi = ChartMap(c, t, {"Q": q, "P": parse_expr("p", c), "K1": q, "K2": q})
+        res = one_form_darboux(parse_expr("d(z) + p*d(q)", c), phi, r=1)
+        assert res.status == "verification-only" and res.chart_map is None
+        assert res.notes == ["could not replace a residual coordinate with z "
+                             "while keeping the chart nonsingular"]
+
+    def test_singular_chart_without_residual_coordinates(self):
+        # the primitive z^2 of 2*z*d(z) is critical at the base point
+        c = chart(("q", 0, 1), ("p", 0, -1), ("z", 0, 0))
+        t = chart(("Q", 0, 1), ("P", 0, -1))
+        phi = ChartMap(c, t, {"Q": parse_expr("q", c), "P": parse_expr("p", c)})
+        res = one_form_darboux(parse_expr("p*d(q) + 2*z*d(z)", c), phi, r=1,
+                               base_point={"z": 0})
+        assert res.status == "verification-only" and res.chart_map is None
+        assert res.notes == ["no residual coordinate available and the "
+                             "candidate chart is singular at the base point"]
+
+    def test_log_branch_nonconstant_weight_derivative(self):
+        # P = v + 1 leaves the inhomogeneous residual d(x)/x - d(u), whose
+        # primitive log(x) - u has nabla(f) = 1 - u
+        c = chart(("x", 0, 1), ("u", 0, 1), ("v", 0, -1), default_box=(0.5, 1.5))
+        t = chart(("Q", 0, 1), ("P", 0, -1), ("K", 0, 1))
+        phi = ChartMap(c, t, {"Q": parse_expr("u", c),
+                              "P": parse_expr("v + 1", c),
+                              "K": parse_expr("x", c)})
+        res = one_form_darboux(parse_expr("d(x)/x + v*d(u)", c), phi, r=1,
+                               base_point={"x": 1})
+        assert res.status == "verification-only" and res.chart_map is None
+        assert res.notes == ["weight field applied to the primitive is not "
+                             "constant: cannot form the exponential coordinate"]
+
+    def test_nonintegrable_residual_downgrades(self):
+        c = chart(("q", 0, 1), ("p", 0, -1), ("z", 0, 0))
+        t = chart(("Q", 0, 1), ("P", 0, -1), ("K", 0, 0))
+        phi = ChartMap(c, t, {"Q": parse_expr("q", c), "P": parse_expr("p", c),
+                              "K": parse_expr("z", c)})
+        res = one_form_darboux(parse_expr("p*d(q) + exp(z^2)*d(z)", c), phi, r=1)
+        assert res.status == "verification-only" and res.chart_map is None
+        assert res.notes == ["primitive construction failed: argument of exp "
+                             "is not linear in z"]
 
     def test_wrong_presymplectic_chart_rejected(self):
         c = chart(("z", 0, 0), ("p", 0, 1), ("q", 0, -1))
