@@ -1,5 +1,6 @@
 """Manifest execution: exit codes, determinism, report round-trips."""
 
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -87,15 +88,25 @@ def test_determinism_same_seed(tmp_path):
         assert outs[0] == outs[1], name
 
 
+DIGESTS = json.loads((GOLDEN / "digests.json").read_text())
+
+
 @pytest.mark.parametrize("name", ALL)
 def test_reports_match_golden(tmp_path, name):
-    """Seed-0 reports are byte-identical to the committed ones.  When a
-    report is meant to change, rewrite its file with ``run(..., json_out=)``
-    and say why in the change."""
+    """Reports are byte-identical to the committed ones: seed 0 in full,
+    seeds 1-9 by SHA-256 in ``digests.json``.  When a report is meant to
+    change, rewrite its file or digest from ``run(..., json_out=)`` and say
+    why in the change."""
     out = tmp_path / name
-    assert run(str(MANIFESTS / name), json_out=str(out),
-               stream=open(os.devnull, "w")) == 0
-    assert out.read_bytes() == (GOLDEN / name).read_bytes()
+    for seed in range(10):
+        assert run(str(MANIFESTS / name), json_out=str(out), seed=seed,
+                   stream=open(os.devnull, "w")) == 0
+        got = out.read_bytes()
+        if seed == 0:
+            assert got == (GOLDEN / name).read_bytes()
+        else:
+            assert hashlib.sha256(got).hexdigest() == DIGESTS[name][str(seed)], \
+                f"{name} seed {seed}"
 
 
 def test_degree_mode_exact_when_inhomogeneous(tmp_path):
