@@ -1,4 +1,5 @@
-"""Small dense linear algebra helpers: exact rational and float paths."""
+"""Small dense linear algebra helpers: exact rational and float paths.
+Every float zero, rank and membership decision of the package is made here."""
 
 from __future__ import annotations
 
@@ -6,6 +7,8 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from .grexpr.equality import EIGEN_CLUSTER, EIGENSPACE_TOL, threshold
 
 
 def _rref(m: List[List[Fraction]], ncols: int) -> List[int]:
@@ -55,55 +58,59 @@ def exact_solve_membership(rows: Sequence[Sequence[Fraction]],
     return sol
 
 
-def float_rank(mat: np.ndarray, tol: float = 1e-9) -> int:
-    if mat.size == 0:
-        return 0
-    s = np.linalg.svd(mat, compute_uv=False)
-    if s.size == 0:
-        return 0
-    return int(np.sum(s > tol * max(1.0, float(s[0]))))
+def negligible(x: float, tol: float, scale: float = 0.0) -> bool:
+    """Whether |x| is at most ``tol`` relative to ``scale``: the package's
+    float zero test."""
+    return bool(abs(x) <= threshold(tol, scale))
 
 
-def in_row_space(mat: np.ndarray, vec: np.ndarray, tol: float = 1e-9) -> Tuple[bool, float]:
+def vanishes(vec: np.ndarray, tol: float) -> bool:
+    """Whether the Euclidean norm of ``vec`` is negligible."""
+    return negligible(float(np.linalg.norm(vec)), tol)
+
+
+def _rank(s: np.ndarray, tol: float) -> int:
+    """Number of singular values above ``tol`` relative to the largest."""
+    return int(np.sum(s > threshold(tol, float(s[0])))) if s.size else 0
+
+
+def float_rank(mat: np.ndarray, tol: float) -> int:
+    return _rank(np.linalg.svd(mat, compute_uv=False), tol)
+
+
+def in_row_space(mat: np.ndarray, vec: np.ndarray, tol: float) -> Tuple[bool, float]:
     """Least-squares membership of ``vec`` in the row space of ``mat``."""
-    if mat.size == 0:
-        res = float(np.linalg.norm(vec))
-        return res <= tol, res
     sol, *_ = np.linalg.lstsq(mat.T, vec, rcond=None)
     res = float(np.linalg.norm(mat.T @ sol - vec))
-    scale = max(1.0, float(np.linalg.norm(vec)))
-    return res <= tol * scale, res
+    return negligible(res, tol, float(np.linalg.norm(vec))), res
 
 
-def nullspace(mat: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def nullspace(mat: np.ndarray, tol: float) -> np.ndarray:
     """Orthonormal basis of the kernel (columns)."""
-    if mat.size == 0:
-        return np.eye(mat.shape[1] if mat.ndim == 2 else 0)
     u, s, vt = np.linalg.svd(mat)
-    smax = float(s[0]) if s.size else 0.0
-    rank = int(np.sum(s > tol * max(1.0, smax)))
-    return vt[rank:].T
+    return vt[_rank(s, tol):].T
 
 
-def diagonalizable_real(mat: np.ndarray, tol: float = 1e-8) -> Tuple[bool, List[float]]:
+def diagonalizable_real(mat: np.ndarray) -> Tuple[bool, List[float]]:
     """Necessary-condition check: real spectrum and full eigenspaces."""
     n = mat.shape[0]
     if n == 0:
         return True, []
     eigvals = np.linalg.eigvals(mat)
-    if np.any(np.abs(eigvals.imag) > tol * max(1.0, float(np.max(np.abs(eigvals))))):
+    if np.any(np.abs(eigvals.imag)
+              > threshold(EIGEN_CLUSTER, float(np.max(np.abs(eigvals))))):
         return False, [complex(v) for v in eigvals]
     vals = sorted(float(v.real) for v in eigvals)
     # cluster equal eigenvalues and compare algebraic vs geometric multiplicity
     clusters: List[List[float]] = []
     for v in vals:
-        if clusters and abs(v - clusters[-1][-1]) <= tol * max(1.0, abs(v)):
+        if clusters and negligible(v - clusters[-1][-1], EIGEN_CLUSTER, abs(v)):
             clusters[-1].append(v)
         else:
             clusters.append([v])
     for cl in clusters:
         lam = sum(cl) / len(cl)
-        geo = nullspace(mat - lam * np.eye(n), tol=1e-7).shape[1]
+        geo = nullspace(mat - lam * np.eye(n), EIGENSPACE_TOL).shape[1]
         if geo < len(cl):
             return False, vals
     return True, vals

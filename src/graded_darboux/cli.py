@@ -17,9 +17,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Dict, List, Optional, Tuple
 
+from . import _linalg
 from .cartan import ChartMap, VectorField, exterior_d, vector_field
 from .grexpr.chart import ChartError, ChartSpec, CoordinateDecl, as_parity
-from .grexpr.equality import EqualityPolicy, equal
+from .grexpr.equality import DEFAULT_POLICY, EqualityPolicy, equal
 from .grexpr.expr import GradedExpr, ParityError
 from .grexpr.parser import ParseError, format_expr, parse_expr
 from .homogeneity import (Distribution, WeightVectorField, degree_of,
@@ -36,6 +37,13 @@ from .darboux import (NormalFormSpec, homog_solve_pde,
 
 class ManifestError(ValueError):
     pass
+
+
+class _TaskArgs(dict):
+    """A task's arguments: a missing one is a manifest error."""
+
+    def __missing__(self, key):
+        raise ManifestError(f"missing argument {key!r}")
 
 
 @dataclass
@@ -77,7 +85,10 @@ def _parse_chart(name: str, spec: dict) -> ChartSpec:
         chart_box = (float(box[0]), float(box[1]))
     decls = []
     for entry in coords:
-        cname, parity, weight = entry[0], entry[1], entry[2]
+        if not (isinstance(entry, (list, tuple)) and len(entry) == 3):
+            raise ManifestError(f"chart {name!r}: coordinate {entry!r} is not "
+                                "[name, parity, weight]")
+        cname, parity, weight = entry
         decls.append(CoordinateDecl(cname, as_parity(parity), Fraction(str(weight)),
                                     box=per_coord.get(cname)))
     return ChartSpec(tuple(decls), default_box=chart_box)
@@ -105,6 +116,9 @@ def load_manifest(payload: dict) -> tuple:
     tasks = payload.get("tasks", [])
     if not isinstance(tasks, list):
         raise ManifestError("'tasks' must be a list")
+    for i, task in enumerate(tasks):
+        if not (isinstance(task, dict) and isinstance(task.get("args", {}), dict)):
+            raise ManifestError(f"task {i} is not an object with object 'args'")
     return ws, tasks
 
 
@@ -148,7 +162,7 @@ def _match_expect(expect: dict, outcome: dict, vfield: Optional[VectorField],
         elif key == "field":
             ok = _match_field(want, vfield, policy)
         elif isinstance(want, (int, float)) and isinstance(got, (int, float)):
-            ok = abs(float(want) - float(got)) < 1e-9
+            ok = _linalg.negligible(float(want) - float(got), policy.rel_tol)
         else:
             ok = str(want) == str(got)
         if not ok:
@@ -175,19 +189,17 @@ def _match_field(want: dict, got: Optional[VectorField],
 def run_task(task: dict, ws: Workspace, policy: EqualityPolicy,
              n_samples: int, seed: int) -> dict:
     cmd = task.get("cmd")
-    args = task.get("args", {})
+    args = _TaskArgs(task.get("args", {}))
     out: Dict[str, Any] = {"task": cmd, "seed": seed, "mode": "exact"}
     status = "pass"
     vfield: Optional[VectorField] = None      # the field an expectation reads
 
     def nabla_arg(default_chart=None):
-        if "nabla" in args:
+        if "nabla" in args or default_chart is None:
             f = ws.vfield(args["nabla"])
             canonical = verify_weight_chart(f, f.chart)
             return WeightVectorField(f, canonical=canonical)
-        if default_chart is not None:
-            return weight_field_of_chart(default_chart)
-        raise ManifestError(f"task {cmd!r} needs a 'nabla' argument")
+        return weight_field_of_chart(default_chart)
 
     if cmd == "check-chart":
         f = ws.vfield(args["nabla"])
@@ -360,7 +372,7 @@ def run_task(task: dict, ws: Workspace, policy: EqualityPolicy,
 
 
 def run(manifest_path: str, json_out: Optional[str] = None, seed: int = 0,
-        samples: int = 16, tol: float = 1e-9,
+        samples: int = 16, tol: float = DEFAULT_POLICY.rel_tol,
         stream=sys.stdout) -> int:
     """Execute a manifest; returns the process exit code."""
     try:
@@ -422,7 +434,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                       help="write the machine-readable report here")
     runp.add_argument("--seed", type=int, default=0)
     runp.add_argument("--samples", type=int, default=16)
-    runp.add_argument("--tol", type=float, default=1e-9)
+    runp.add_argument("--tol", type=float, default=DEFAULT_POLICY.rel_tol,
+                      help="relative tolerance of every numeric decision")
     ns = parser.parse_args(argv)
     if ns.command == "run":
         return run(ns.manifest, ns.json_out, ns.seed, ns.samples, ns.tol)

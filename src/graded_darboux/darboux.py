@@ -26,7 +26,9 @@ from . import _linalg
 from .cartan import (ChartMap, VectorField, exterior_d, interior,
                      lie_bracket, pullback)
 from .grexpr.chart import (ChartError, ChartSpec, CoordinateDecl, EVEN, ODD)
-from .grexpr.equality import DEFAULT_POLICY, EqualityPolicy, equal
+from .grexpr.equality import (COEFF_DROP, DEFAULT_POLICY, DOMAIN_LIMIT,
+                              GRID_CERTIFICATE, NOISE_FLOOR, RK4_STEP,
+                              EqualityPolicy, equal)
 from .grexpr.expr import (GradedExpr, apply_func, const, coord, diff, gdiv,
                           gmul, partial, substitute, zero)
 from .grexpr.integrate import NonIntegrable, integrate_univariate
@@ -323,14 +325,14 @@ class LinearDarbouxResult:
     residual: float
 
     def __bool__(self):
-        return self.residual < 1e-9
+        return _linalg.negligible(self.residual, DEFAULT_POLICY.rel_tol)
 
 
-def _skew_pairs(A: np.ndarray, tol: float) -> Tuple[List[np.ndarray],
+def _skew_pairs(A: np.ndarray, scale: float) -> Tuple[List[np.ndarray],
                                                     List[np.ndarray],
                                                     List[np.ndarray]]:
     """Symplectic basis of a real skew form: pairs (u, v) with u^T A v = 1,
-    plus a basis of the kernel."""
+    plus a basis of the kernel; ``scale`` is the largest entry of the form."""
     n = A.shape[0]
     vs = [np.eye(n)[:, i] for i in range(n)]
     us, vvs = [], []
@@ -346,7 +348,7 @@ def _skew_pairs(A: np.ndarray, tol: float) -> Tuple[List[np.ndarray],
                 cand = (abs(val), 1 if (val > 0 and i > j) else 0, i, j, val)
                 if best is None or cand[:2] > best[:2]:
                     best = cand
-        if best is None or best[0] <= tol:
+        if best is None or _linalg.negligible(best[0], NOISE_FLOOR, scale):
             break
         _, _, i, j, val = best
         u = vs[i]
@@ -379,9 +381,9 @@ def linear_darboux(omega0: GradedExpr,
     B = flat_matrix(omega0, {c.name: 0 for c in omega0.chart.coords}).matrix
     ev = list(chart.even_indices)
     od = list(chart.odd_indices)
-    tol = 1e-12 * max(1.0, float(np.max(np.abs(B))) if B.size else 1.0)
+    bmax = float(np.max(np.abs(B))) if B.size else 0.0
 
-    us, vvs, kernel_even = _skew_pairs(B[np.ix_(ev, ev)], tol)
+    us, vvs, kernel_even = _skew_pairs(B[np.ix_(ev, ev)], bmax)
     r = len(us)
 
     G = B[np.ix_(od, od)]
@@ -389,12 +391,13 @@ def linear_darboux(omega0: GradedExpr,
         lam, V = np.linalg.eigh(G)
     else:
         lam, V = np.array([]), np.zeros((0, 0))
-    keep = [l for l in range(len(lam)) if abs(lam[l]) > tol]
+    kern_odd = [l for l in range(len(lam))
+                if _linalg.negligible(lam[l], NOISE_FLOOR, bmax)]
+    keep = [l for l in range(len(lam)) if l not in kern_odd]
     # +1 block before -1 block
     keep.sort(key=lambda l: (0 if lam[l] > 0 else 1, -abs(lam[l])))
     eps = tuple(1 if lam[l] > 0 else -1 for l in keep)
     s = len(keep)
-    kern_odd = [l for l in range(len(lam)) if abs(lam[l]) <= tol]
 
     # new even coordinates: rows of the inverse of the basis matrix
     decls: List[CoordinateDecl] = []
@@ -403,7 +406,7 @@ def linear_darboux(omega0: GradedExpr,
     def lin_comb(row: np.ndarray, indices: List[int]) -> GradedExpr:
         e = zero(chart)
         for val, idx in zip(row, indices):
-            if abs(val) > 1e-15:
+            if not _linalg.negligible(val, COEFF_DROP):
                 c = Fraction(val) if float(val).is_integer() else float(val)
                 e = e + coord(chart, chart.coords[idx].name) * c
         return e
@@ -415,22 +418,13 @@ def linear_darboux(omega0: GradedExpr,
     else:
         C = np.zeros((0, 0))
 
-    for i in range(r):
-        decls.append(CoordinateDecl(f"q{i + 1}", EVEN, 0))
-        images[f"q{i + 1}"] = lin_comb(C[i], ev)
-    for i in range(r):
-        decls.append(CoordinateDecl(f"p{i + 1}", EVEN, 0))
-        images[f"p{i + 1}"] = lin_comb(C[r + i], ev)
-    for l, idx in enumerate(keep):
-        scale = math.sqrt(abs(lam[idx]) / 2.0)
-        decls.append(CoordinateDecl(f"y{l + 1}", ODD, 0))
-        images[f"y{l + 1}"] = lin_comb(scale * V[:, idx], od)
-    for j in range(len(kernel_even)):
-        decls.append(CoordinateDecl(f"z{j + 1}", EVEN, 0))
-        images[f"z{j + 1}"] = lin_comb(C[2 * r + j], ev)
-    for j, idx in enumerate(kern_odd):
-        decls.append(CoordinateDecl(f"w{j + 1}", ODD, 0))
-        images[f"w{j + 1}"] = lin_comb(V[:, idx], od)
+    blocks = [("q", EVEN, C[:r], ev), ("p", EVEN, C[r:2 * r], ev),
+              ("y", ODD, [math.sqrt(abs(lam[l]) / 2.0) * V[:, l] for l in keep], od),
+              ("z", EVEN, C[2 * r:], ev), ("w", ODD, [V[:, l] for l in kern_odd], od)]
+    for prefix, parity, rows, indices in blocks:
+        for j, row in enumerate(rows):
+            decls.append(CoordinateDecl(f"{prefix}{j + 1}", parity, 0))
+            images[f"{prefix}{j + 1}"] = lin_comb(row, indices)
 
     target = ChartSpec(tuple(decls))
     spec = NormalFormSpec("presymplectic", r, s, eps,
@@ -451,7 +445,8 @@ def _jacobian_nonsingular(images: Sequence[GradedExpr], chart: ChartSpec,
         return False
     plans = [Plan(partial(img, name)) for img in images for name in chart.names]
     J = np.array(body_values(plans, base)[1]).reshape(n, n)
-    return abs(float(np.linalg.det(J))) > 1e-9
+    return not _linalg.negligible(float(np.linalg.det(J)),
+                                  DEFAULT_POLICY.rel_tol)
 
 
 def one_form_darboux(alpha: GradedExpr, presymp_chart: ChartMap,
@@ -482,11 +477,11 @@ def one_form_darboux(alpha: GradedExpr, presymp_chart: ChartMap,
     # guard: nabla(base) nonzero and inside the characteristic space
     nvec = np.array(body_values([Plan(c) for c in nabla.field.coefficients],
                                 base)[1])
-    if float(np.linalg.norm(nvec)) > 1e-9:
+    nabla_vanishes = _linalg.vanishes(nvec, policy.rel_tol)
+    if not nabla_vanishes:
         fm = flat_matrix(alpha, base)
-        pairing = abs(float(nvec @ fm.alpha_row))
-        dcontr = float(np.linalg.norm(nvec @ fm.matrix))
-        if pairing < 1e-9 and dcontr < 1e-9:
+        if (_linalg.negligible(float(nvec @ fm.alpha_row), policy.rel_tol)
+                and _linalg.vanishes(nvec @ fm.matrix, policy.rel_tol)):
             return DarbouxResult(
                 status="not-guaranteed",
                 notes=["weight field is nonzero at the base point and lies "
@@ -519,7 +514,6 @@ def one_form_darboux(alpha: GradedExpr, presymp_chart: ChartMap,
         raise PfaffianError("form has no constant class on the sample box")
     contact_like = cls.kind in ("contact", "precontact", "closed")
 
-    nabla_vanishes = float(np.linalg.norm(nvec)) <= 1e-9
     log_branch = (not nabla_vanishes) and (w == 0) and contact_like
 
     roles = pre_spec.coordinate_roles(target)
@@ -541,7 +535,11 @@ def one_form_darboux(alpha: GradedExpr, presymp_chart: ChartMap,
         # z replaces one residual coordinate; pick one that keeps the
         # jacobian nonsingular at the base point
         for keep in [rest[:j] + rest[j + 1:] for j in range(len(rest))] or [[]]:
-            new_names = q + p + ["z"] + y + keep
+            # the roles are positional, so any name not kept will do
+            kept = q + p + y + keep
+            zname = next(n for n in ["z"] + [f"z{i}" for i in range(1, len(kept) + 1)]
+                         if n not in kept)
+            new_names = q + p + [zname] + y + keep
             new_images = ([images[n] for n in q + p] + [z_img]
                           + [images[n] for n in y + keep])
             if _jacobian_nonsingular(new_images, chart, base):
@@ -694,14 +692,13 @@ def _batch(plans: Sequence[Plan], x: np.ndarray) -> np.ndarray:
 
 
 def _rk4_flow(plans: Sequence[Plan], jac_plans: Sequence[Plan], x: np.ndarray,
-              J: np.ndarray, t: np.ndarray, h: float, limit: float
-              ) -> Tuple[np.ndarray, np.ndarray]:
+              J: np.ndarray, t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Fixed-step RK4 flow of the field f in ``plans`` from every row of x
     for its own time t, in rescaled time s in [0, 1]: dx/ds = t f(x), and the
     variational equation dJ/ds = t Df(x) J with Df row-major in ``jac_plans``.
     One step count serves all rows."""
     N, n = x.shape
-    steps = max(1, math.ceil(float(np.max(np.abs(t))) / h))
+    steps = max(1, math.ceil(float(np.max(np.abs(t))) / RK4_STEP))
     dt = (t / steps)[:, None]
 
     def rhs(y):
@@ -716,7 +713,7 @@ def _rk4_flow(plans: Sequence[Plan], jac_plans: Sequence[Plan], x: np.ndarray,
         k3 = rhs(y + 0.5 * dt * k2)
         k4 = rhs(y + dt * k3)
         y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.max(np.abs(y[:, :n])) <= limit:     # also true for nan
+        if not np.max(np.abs(y[:, :n])) <= DOMAIN_LIMIT:     # also true for nan
             raise StraighteningError(
                 "flow left the working domain; reduce the box or step")
     return y[:, :n], y[:, n:].reshape(N, n, n)
@@ -725,19 +722,16 @@ def _rk4_flow(plans: Sequence[Plan], jac_plans: Sequence[Plan], x: np.ndarray,
 @dataclass
 class StraighteningGrid:
     base: np.ndarray
-    field_count: int
     slice_axes: List[int]
-    flow_times: List[np.ndarray]
     nodes: List[Tuple[Tuple[float, ...], np.ndarray]]
     jacobians: List[np.ndarray]
     max_error: float
     certified: bool
-    rk4_step: float
 
     def to_csv(self, path: str):
         n = len(self.base)
         with open(path, "w", newline="") as fh:
-            fh.write(f"# base={list(map(float, self.base))} rk4_step={self.rk4_step}\n")
+            fh.write(f"# base={list(map(float, self.base))} rk4_step={RK4_STEP}\n")
             writer = csv.writer(fh)
             writer.writerow([f"u{i + 1}" for i in range(n)]
                             + [f"x{i + 1}" for i in range(n)])
@@ -750,9 +744,6 @@ def straighten_commuting(fields: Sequence[VectorField],
                          base: Sequence[float],
                          box: float = 0.5,
                          nodes_per_axis: int = 5,
-                         rk4_step: float = 1e-3,
-                         tol: float = 1e-6,
-                         domain_limit: float = 1e6,
                          policy: EqualityPolicy = DEFAULT_POLICY
                          ) -> StraighteningGrid:
     """Numeric straightening of commuting independent even fields.
@@ -786,17 +777,17 @@ def straighten_commuting(fields: Sequence[VectorField],
                   for name in chart.names] for X in fields]
 
     M = np.vstack([_batch(ps, base[None]) for ps in plans])
-    if _linalg.float_rank(M) < k:
+    if _linalg.float_rank(M, policy.rel_tol) < k:
         raise StraighteningError("fields are dependent at the base point")
 
     # the slices complete the fields to a basis, so the grid has n axes
     slice_axes: List[int] = []
-    cur = M.copy()
+    cur = M         # full row rank throughout
     for j in range(n):
         if len(slice_axes) + k >= n:
             break
         cand = np.vstack([cur, np.eye(n)[j]])
-        if _linalg.float_rank(cand) > _linalg.float_rank(cur):
+        if _linalg.float_rank(cand, policy.rel_tol) == len(cand):
             cur = cand
             slice_axes.append(j)
 
@@ -809,16 +800,15 @@ def straighten_commuting(fields: Sequence[VectorField],
         x[:, ax] += U[:, k + m]
         J[:, ax, k + m] = 1.0
     for i in reversed(range(k)):
-        x, J = _rk4_flow(plans[i], jac_plans[i], x, J, U[:, i], rk4_step,
-                         domain_limit)
+        x, J = _rk4_flow(plans[i], jac_plans[i], x, J, U[:, i])
         J[:, :, i] = _batch(plans[i], x)
 
     nodes = [(tuple(map(float, combo)), row) for combo, row in zip(combos, x)]
-    singular = np.flatnonzero(np.abs(np.linalg.det(J)) < 1e-12)
-    if singular.size:
-        raise StraighteningError("singular jacobian on the grid "
-                                 f"at u={nodes[singular[0]][0]}")
+    singular = [u for (u, _), det in zip(nodes, np.linalg.det(J))
+                if _linalg.negligible(det, NOISE_FLOOR)]
+    if singular:
+        raise StraighteningError(f"singular jacobian on the grid at u={singular[0]}")
     F = np.stack([_batch(ps, x) for ps in plans], axis=-1)
     max_err = float(np.max(np.abs(np.linalg.solve(J, F) - np.eye(n)[:, :k])))
-    return StraighteningGrid(base, k, slice_axes, axes, nodes, list(J),
-                             max_err, max_err < tol, rk4_step)
+    return StraighteningGrid(base, slice_axes, nodes, list(J),
+                             max_err, _linalg.negligible(max_err, GRID_CERTIFICATE))

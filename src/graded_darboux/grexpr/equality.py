@@ -13,25 +13,39 @@ components within a relative tolerance.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from .chart import ChartSpec, EVEN
 from .expr import EvaluationError, GradedExpr
-from .grassmann import GrassmannValue, Plan, grassmann_point
+from .grassmann import DivisorFloorError, GrassmannValue, Plan, grassmann_point
 
 
 @dataclass(frozen=True)
 class EqualityPolicy:
     n_points: int = 32
-    rel_tol: float = 1e-9
+    rel_tol: float = 1e-9       # every rank, membership and vanishing decision
     seed: int = 0
     mode: str = "auto"          # auto | randomized (force sampling)
-    max_redraws: int = 100
-    body_floor: float = 1e-6    # redraw if a divisor body gets this close to 0
 
 
 DEFAULT_POLICY = EqualityPolicy()
+
+# Thresholds that do not follow rel_tol, each fixed by what it guards.
+MAX_REDRAWS = 100           # sample draws per requested point before giving up
+DIVISOR_FLOOR = 1e-6        # a divisor body this close to 0 is a pole: redraw
+NOISE_FLOOR = 1e-12         # a pivot, determinant or field value this small is 0
+COEFF_DROP = 1e-15          # a float coefficient this small is left out of a chart map
+EIGEN_CLUSTER = 1e-8        # eigenvalues this close are one (imaginary parts: 0)
+EIGENSPACE_TOL = 1e-7       # looser than EIGEN_CLUSTER: the shift by a cluster mean
+GRID_CERTIFICATE = 1e-6     # push-forward error a straightening grid may keep
+RK4_STEP = 1e-3             # flow time per RK4 step of straightening
+DOMAIN_LIMIT = 1e6          # a flow leaving |x| <= this has diverged
+
+
+def threshold(tol: float, scale: float = 0.0) -> float:
+    """``tol`` relative to ``scale``, and absolute below scale 1."""
+    return tol * max(1.0, scale)
 
 
 @dataclass
@@ -40,6 +54,7 @@ class EqualityResult:
     mode: str                   # exact | randomized
     witness: Optional[dict] = None
     detail: str = ""
+    redraws: Dict[str, int] = field(default_factory=dict)  # by reason, see equal()
 
     def __bool__(self) -> bool:
         return self.equal
@@ -61,12 +76,17 @@ def _sample_point(chart: ChartSpec, rng: random.Random) -> Dict[str, object]:
 
 
 def _close(a: float, b: float, rel_tol: float) -> bool:
-    return abs(a - b) <= rel_tol * max(1.0, abs(a), abs(b))
+    return abs(a - b) <= threshold(rel_tol, max(abs(a), abs(b)))
 
 
 def equal(a: GradedExpr, b: GradedExpr,
           policy: EqualityPolicy = DEFAULT_POLICY) -> EqualityResult:
-    """Decide a == b; exact when possible, else randomized per the policy."""
+    """Decide a == b; exact when possible, else randomized per the policy.
+
+    A sample point whose evaluation fails is redrawn; ``redraws`` counts the
+    redraws by reason: ``divisor-floor`` (a divisor body under
+    ``DIVISOR_FLOOR``), ``evaluation`` (another ``EvaluationError``) or
+    ``arithmetic`` (an ``ArithmeticError`` such as an overflow)."""
     if a.chart != b.chart:
         raise ValueError("cannot compare expressions over different charts")
     chart = a.chart
@@ -92,20 +112,19 @@ def equal(a: GradedExpr, b: GradedExpr,
     rng = random.Random(policy.seed)
 
     checked = 0
-    attempts = 0
+    redraws: Dict[str, int] = {}
     while checked < policy.n_points:
-        if attempts > policy.max_redraws * max(1, policy.n_points):
+        if checked + sum(redraws.values()) > MAX_REDRAWS * max(1, policy.n_points):
             raise EvaluationError(
                 "could not sample a valid evaluation point "
                 "(check chart boxes against singularities)")
-        attempts += 1
         point = _sample_point(chart, rng)
         values = grassmann_point(chart, point)
         try:
             for pat, plan_a, plan_b in plans:
                 # a divisor body under the floor raises: redraw off the pole
-                va = plan_a.grassmann(values, policy.body_floor)
-                vb = plan_b.grassmann(values, policy.body_floor)
+                va = plan_a.grassmann(values, DIVISOR_FLOOR)
+                vb = plan_b.grassmann(values, DIVISOR_FLOOR)
                 keys = set(va.data) | set(vb.data)
                 for k in keys:
                     x, y = va.data.get(k, 0.0), vb.data.get(k, 0.0)
@@ -118,9 +137,15 @@ def equal(a: GradedExpr, b: GradedExpr,
                             "lhs": x,
                             "rhs": y,
                         }
-                        return EqualityResult(False, "randomized", witness)
-        except (EvaluationError, ArithmeticError):
+                        return EqualityResult(False, "randomized", witness,
+                                              redraws=redraws)
+        except (EvaluationError, ArithmeticError) as exc:
+            reason = ("divisor-floor" if isinstance(exc, DivisorFloorError)
+                      else "evaluation" if isinstance(exc, EvaluationError)
+                      else "arithmetic")
+            redraws[reason] = redraws.get(reason, 0) + 1
             continue
         checked += 1
     return EqualityResult(True, "randomized",
-                          detail=f"{checked} points, rel_tol={policy.rel_tol}")
+                          detail=f"{checked} points, rel_tol={policy.rel_tol}",
+                          redraws=redraws)

@@ -480,11 +480,7 @@ def apply_func(kind: str, arg: GradedExpr) -> GradedExpr:
                 and len(m.atoms) == 1 and m.atoms[0].power == 1
                 and m.atoms[0].kind == ("log" if kind == "exp" else "exp")):
             return m.atoms[0].arg
-    n = arg.chart.dim
-    return GradedExpr(
-        arg.chart,
-        (Monomial(Fraction(1), (Atom(kind, arg),), (0,) * n, (0,) * n),),
-    )
+    return _single_factor_expr(arg.chart, "atom", Atom(kind, arg))
 
 
 # -- products and quotients ----------------------------------------------------
@@ -575,30 +571,20 @@ def gdiv(a: GradedExpr, b: GradedExpr) -> GradedExpr:
             return GradedExpr.from_terms(a.chart, out)
         # factor-by-factor symbolic inverse of the single monomial, so that
         # partial cancellations (x * 1/x^2 -> 1/x) keep working
-        n = a.chart.dim
         acc = a * (Fraction(1) / d.coeff if isinstance(d.coeff, Fraction)
                    else 1.0 / d.coeff)
         for i, k in enumerate(d.cexp):
             if k:
                 ci = coord(a.chart, a.chart.coords[i].name)
-                inv_c = GradedExpr(
-                    a.chart,
-                    (Monomial(Fraction(1), (Atom("inv", ci, k),),
-                              (0,) * n, (0,) * n),))
-                acc = gmul(acc, inv_c)
+                acc = gmul(acc, _single_factor_expr(a.chart, "atom",
+                                                    Atom("inv", ci, k)))
         for at in d.atoms:
             if at.kind == "inv":
                 acc = gmul(acc, at.arg ** at.power)
             else:
-                base = GradedExpr(
-                    a.chart,
-                    (Monomial(Fraction(1), (Atom(at.kind, at.arg),),
-                              (0,) * n, (0,) * n),))
-                inv_a = GradedExpr(
-                    a.chart,
-                    (Monomial(Fraction(1), (Atom("inv", base, at.power),),
-                              (0,) * n, (0,) * n),))
-                acc = gmul(acc, inv_a)
+                base = _single_factor_expr(a.chart, "atom", Atom(at.kind, at.arg))
+                acc = gmul(acc, _single_factor_expr(a.chart, "atom",
+                                                    Atom("inv", base, at.power)))
         return acc
 
     # symbolic quotient: normalize the divisor to unit leading coefficient
@@ -607,11 +593,7 @@ def gdiv(a: GradedExpr, b: GradedExpr) -> GradedExpr:
         b.chart,
         tuple(Monomial(m.coeff / lead, m.atoms, m.cexp, m.dexp) for m in b.terms),
     )
-    n = a.chart.dim
-    inv_expr = GradedExpr(
-        a.chart,
-        (Monomial(Fraction(1), (Atom("inv", bn),), (0,) * n, (0,) * n),),
-    )
+    inv_expr = _single_factor_expr(a.chart, "atom", Atom("inv", bn))
     return gmul(a, inv_expr) * (Fraction(1) / lead if isinstance(lead, Fraction)
                                 else 1.0 / lead)
 

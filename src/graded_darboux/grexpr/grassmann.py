@@ -25,6 +25,10 @@ from .chart import EVEN, ChartSpec
 from .expr import EvaluationError, GradedExpr
 
 
+class DivisorFloorError(EvaluationError):
+    """A divisor body fell below the sampling floor of ``Plan.grassmann``."""
+
+
 class GrassmannValue:
     """Element of the exterior algebra on ``ngens`` anticommuting generators.
 
@@ -291,7 +295,7 @@ class Plan:
             if kind != "inv":
                 return v.apply_series(_atom_derivs(kind, v.body))
             if abs(v.body) < floor:
-                raise EvaluationError("divisor body below the sampling floor")
+                raise DivisorFloorError("divisor body below the sampling floor")
             return v.inverse()
 
         return self._run(x, GrassmannValue(ngens),

@@ -11,7 +11,7 @@ import numpy as np
 from . import _linalg
 from .cartan import VectorField, lie_bracket, lie_derivative
 from .grexpr.chart import ChartError, ChartSpec, CoordinateDecl, EVEN
-from .grexpr.equality import DEFAULT_POLICY, EqualityPolicy, equal
+from .grexpr.equality import DEFAULT_POLICY, NOISE_FLOOR, EqualityPolicy, equal
 from .grexpr.expr import coord, partial, zero
 from .grexpr.grassmann import Plan, body_values, sample_body_points
 from .symsolve import cramer_membership
@@ -38,9 +38,6 @@ class WeightVectorField:
 class Degree:
     parity: Optional[int]
     weight: Union[Fraction, float, None]
-
-    def as_tuple(self):
-        return (self.parity, self.weight)
 
 
 @dataclass
@@ -114,8 +111,8 @@ class LinearizationReport:
     diagonalizable: Optional[bool] = None
 
 
-def linearization_at_zero(nabla: VectorField, point: Dict[str, object],
-                          tol: float = 1e-12) -> LinearizationReport:
+def linearization_at_zero(nabla: VectorField,
+                          point: Dict[str, object]) -> LinearizationReport:
     """Differential of an even field at a body zero, block-split by parity.
 
     At a zero the Jacobian of the coefficients is well defined; real
@@ -128,7 +125,7 @@ def linearization_at_zero(nabla: VectorField, point: Dict[str, object],
         raise ValueError("linearization expects an even field")
     chart = nabla.chart
     vals = body_values([Plan(c) for c in nabla.coefficients], point)[1]
-    if any(abs(v) > tol for v in vals):
+    if not all(_linalg.negligible(v, NOISE_FLOOR) for v in vals):
         return LinearizationReport(
             vanishes=False,
             verdict="nonvanishing at the point: weight vector field")
@@ -153,12 +150,12 @@ def linearization_at_zero(nabla: VectorField, point: Dict[str, object],
 # -- degrees ------------------------------------------------------------------
 
 
-def _match_ratio(pairs, is_exact: bool, tol: float = 1e-9):
+def _match_ratio(pairs, is_exact: bool, tol: float):
     """Shared ratio c_L/c_T across aligned coefficient pairs, or None."""
     w = None
     for c_t, c_l in pairs:
         if c_t == 0:
-            if (c_l == 0) if is_exact else (abs(c_l) <= tol):
+            if (c_l == 0) if is_exact else _linalg.negligible(c_l, tol):
                 continue
             return None
         r = c_l / c_t if is_exact else float(c_l) / float(c_t)
@@ -168,7 +165,7 @@ def _match_ratio(pairs, is_exact: bool, tol: float = 1e-9):
             if is_exact:
                 if r != w:
                     return None
-            elif abs(r - w) > tol * max(1.0, abs(w)):
+            elif not _linalg.negligible(r - w, tol, abs(w)):
                 return None
     return Fraction(0) if w is None else w
 
@@ -201,7 +198,8 @@ def degree_of(T, nabla: WeightVectorField,
                             "derivative has monomials outside the input")
     exact = all(isinstance(c, Fraction) for c in
                 list(keys_T.values()) + list(keys_L.values()))
-    w = _match_ratio([(keys_T[k], keys_L.get(k, 0)) for k in keys_T], exact)
+    w = _match_ratio([(keys_T[k], keys_L.get(k, 0)) for k in keys_T], exact,
+                     policy.rel_tol)
     if w is None:
         return DegreeReport(False, None, L, "no consistent weight",
                             "exact" if exact else "numeric")
@@ -235,31 +233,25 @@ def _lifted_chart(chart: ChartSpec, prefix: str, suffix: str,
     return ChartSpec(tuple(decls), default_box=chart.default_box)
 
 
-def tangent_lift(nabla: WeightVectorField,
-                 chart: Optional[ChartSpec] = None) -> WeightVectorField:
+def tangent_lift(nabla: WeightVectorField) -> WeightVectorField:
     """Adapted chart (x, x_dot) with the lifted field sum w (x dx + xd dxd)."""
     if not nabla.canonical:
         raise ValueError("tangent lift expects the canonical weight field")
-    base = chart or nabla.chart
-    lifted = _lifted_chart(base, "", "_dot", +1)
-    return weight_field_of_chart(lifted)
+    return weight_field_of_chart(_lifted_chart(nabla.chart, "", "_dot", +1))
 
 
-def cotangent_lift(nabla: WeightVectorField,
-                   chart: Optional[ChartSpec] = None) -> WeightVectorField:
+def cotangent_lift(nabla: WeightVectorField) -> WeightVectorField:
     """Adapted chart (x, p_x); momenta carry the opposite weight."""
     if not nabla.canonical:
         raise ValueError("cotangent lift expects the canonical weight field")
-    base = chart or nabla.chart
-    lifted = _lifted_chart(base, "p_", "", -1)
-    return weight_field_of_chart(lifted)
+    return weight_field_of_chart(_lifted_chart(nabla.chart, "p_", "", -1))
 
 
 # -- distributions ------------------------------------------------------------
 
 
 def _span_contains(D: Distribution, Y: VectorField, n_points: int,
-                   seed: int, tol: float = 1e-9) -> Tuple[bool, Optional[dict]]:
+                   seed: int) -> bool:
     """Pointwise span membership at sampled body points, with an exact
     symbolic path when every entry is even and polynomial."""
     chart = D.chart
@@ -275,19 +267,14 @@ def _span_contains(D: Distribution, Y: VectorField, n_points: int,
     for p in sample_body_points(chart, n_points, seed):
         vals = np.array(body_values(plans, p)[1])
         G = vals[:split].reshape(len(D.generators), chart.dim)
-        r = _linalg.float_rank(G)
+        r = _linalg.float_rank(G, DEFAULT_POLICY.rel_tol)
         if r < D.rank:
             raise RankCollapseError(
                 f"generators drop to rank {r} at a sample point",
                 witness={k: float(v) for k, v in p.items()})
-        ok, res = _linalg.in_row_space(G, vals[split:], tol)
-        if not ok:
-            return False, {"point": {k: float(v) for k, v in p.items()},
-                           "residual": res}
-
-    if exact_ok and cramer_membership(D, Y) is False:
-        return False, {"mode": "exact", "residual": "nonzero"}
-    return True, None
+        if not _linalg.in_row_space(G, vals[split:], DEFAULT_POLICY.rel_tol)[0]:
+            return False
+    return not (exact_ok and cramer_membership(D, Y) is False)
 
 
 def distribution_homogeneous(D: Distribution, nabla: WeightVectorField,
@@ -295,9 +282,7 @@ def distribution_homogeneous(D: Distribution, nabla: WeightVectorField,
     """Whether L_nabla of every generator stays inside the span."""
     nf = nabla.field if isinstance(nabla, WeightVectorField) else nabla
     for g in D.generators:
-        cand = lie_bracket(nf, g)
-        ok, _w = _span_contains(D, cand, n_points, seed)
-        if not ok:
+        if not _span_contains(D, lie_bracket(nf, g), n_points, seed):
             return False
     return True
 
@@ -313,7 +298,6 @@ def involutive_check(D: Distribution, n_points: int = 16, seed: int = 0) -> bool
             br = lie_bracket(gi, gens[j])
             if br.is_zero():
                 continue
-            ok, _w = _span_contains(D, br, n_points, seed)
-            if not ok:
+            if not _span_contains(D, br, n_points, seed):
                 return False
     return True

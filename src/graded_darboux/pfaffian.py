@@ -63,10 +63,10 @@ class FlatMatrix:
         ix = list(self.odd_indices)
         return self.matrix[np.ix_(ix, ix)]
 
-    def rank(self, tol: float = 1e-9) -> int:
+    def rank(self, policy: EqualityPolicy = DEFAULT_POLICY) -> int:
         if self.exact_matrix is not None:
             return _linalg.exact_rank(self.exact_matrix)
-        return _linalg.float_rank(self.matrix, tol)
+        return _linalg.float_rank(self.matrix, policy.rel_tol)
 
 
 def _interior_rows(beta: GradedExpr) -> List[List[GradedExpr]]:
@@ -142,7 +142,6 @@ class ClassificationReport:
 def characteristic_class(alpha: GradedExpr,
                          points: Optional[Sequence[Dict[str, object]]] = None,
                          n_points: int = 16, seed: int = 0,
-                         tol: float = 1e-9,
                          policy: EqualityPolicy = DEFAULT_POLICY
                          ) -> ClassificationReport:
     """Class and kind of a nowhere-vanishing one-form at sampled body points."""
@@ -156,36 +155,33 @@ def characteristic_class(alpha: GradedExpr,
 
     dalpha = exterior_d(alpha)
     fmap = _FlatMap(alpha, dalpha)
-    if equal(dalpha, zero(chart), policy):
-        evidence = []
-        for p in points:
-            fm = fmap.at(p)
-            if float(np.linalg.norm(fm.alpha_row)) <= tol:
-                raise PfaffianError("form vanishes at a sample point",
-                                    witness=fm.point)
-            evidence.append({"point": fm.point, "rank": 0, "case": "closed"})
-        return ClassificationReport(1, "closed", "closed", evidence)
-
+    closed = bool(equal(dalpha, zero(chart), policy))
     evidence = []
     outcomes = set()
     for p in points:
         fm = fmap.at(p)
-        if float(np.linalg.norm(fm.alpha_row)) <= tol:
+        if _linalg.vanishes(fm.alpha_row, policy.rel_tol):
             raise PfaffianError("form vanishes at a sample point",
                                 witness=fm.point)
-        r = fm.rank(tol)
+        if closed:
+            evidence.append({"point": fm.point, "rank": 0, "case": "closed"})
+            continue
+        r = fm.rank(policy)
         if fm.exact_matrix is not None and fm.exact_alpha is not None:
             contained = _linalg.exact_solve_membership(
                 fm.exact_matrix, fm.exact_alpha) is not None
             residual = 0.0 if contained else None
         else:
-            contained, residual = _linalg.in_row_space(fm.matrix, fm.alpha_row, tol)
+            contained, residual = _linalg.in_row_space(fm.matrix, fm.alpha_row,
+                                                       policy.rel_tol)
         cls = r if contained else r + 1
         outcomes.add((r, contained))
         evidence.append({"point": fm.point, "rank": r,
                          "case": "contained" if contained else "transversal",
                          "class": cls, "residual": residual})
 
+    if closed:
+        return ClassificationReport(1, "closed", "closed", evidence)
     if len(outcomes) != 1:
         return ClassificationReport(None, "irregular", "irregular", evidence)
     r, contained = outcomes.pop()
@@ -217,7 +213,6 @@ class PresymplecticReport:
 def presymplectic_check(omega: GradedExpr,
                         points: Optional[Sequence[Dict[str, object]]] = None,
                         n_points: int = 16, seed: int = 0,
-                        tol: float = 1e-9,
                         policy: EqualityPolicy = DEFAULT_POLICY
                         ) -> PresymplecticReport:
     """Closedness plus constant-rank verdict for a 2-form of definite parity."""
@@ -239,15 +234,15 @@ def presymplectic_check(omega: GradedExpr,
     kernel = None
     for p in points:
         fm = fmap.at(p)
-        r = fm.rank(tol)
+        r = fm.rank(policy)
         entry = {"point": fm.point, "rank": r}
         if par == EVEN:
-            entry["even_rank"] = _linalg.float_rank(fm.even_block, tol)
-            entry["odd_rank"] = _linalg.float_rank(fm.odd_block, tol)
+            entry["even_rank"] = _linalg.float_rank(fm.even_block, policy.rel_tol)
+            entry["odd_rank"] = _linalg.float_rank(fm.odd_block, policy.rel_tol)
         ranks.add((r, entry.get("even_rank"), entry.get("odd_rank")))
         evidence.append(entry)
         if kernel is None:
-            kernel = _linalg.nullspace(fm.matrix, tol)
+            kernel = _linalg.nullspace(fm.matrix, policy.rel_tol)
     constant = len(ranks) == 1
     if constant:
         r, er, orank = ranks.pop()
@@ -308,7 +303,7 @@ def liouville(omega: GradedExpr, alpha: GradedExpr,
     fmap = _FlatMap(omega)
     for p in sample_body_points(chart, 3, seed=policy.seed):
         fm = fmap.at(p)
-        if fm.rank() < chart.dim:
+        if fm.rank(policy) < chart.dim:
             raise PfaffianError("degenerate two-form: flat map is singular",
                                 witness=fm.point)
     rhs = [alpha.coefficient_of_diff(name) for name in chart.names]
@@ -327,14 +322,13 @@ def liouville(omega: GradedExpr, alpha: GradedExpr,
 # -- wedge-power class oracle (purely even charts) --------------------------------
 
 
-def _form_nonzero_at(w: GradedExpr, point: Dict[str, object],
-                     tol: float = 1e-9) -> bool:
+def _form_nonzero_at(w: GradedExpr, point: Dict[str, object]) -> bool:
     plans = [Plan(c) for c in w.diff_components().values()]
-    return any(abs(v) > tol for v in body_values(plans, point)[1])
+    return not all(_linalg.negligible(v, DEFAULT_POLICY.rel_tol)
+                   for v in body_values(plans, point)[1])
 
 
-def darboux_class_oracle(alpha: GradedExpr, point: Dict[str, object],
-                         tol: float = 1e-9) -> int:
+def darboux_class_oracle(alpha: GradedExpr, point: Dict[str, object]) -> int:
     """Class by wedge powers: the largest s with alpha /\\ (d alpha)^s != 0
     at the point decides 2s+1 or 2s+2.  Undefined on super charts, where top
     powers of odd differentials never vanish."""
@@ -343,7 +337,7 @@ def darboux_class_oracle(alpha: GradedExpr, point: Dict[str, object],
         raise PfaffianError("wedge-power class oracle needs a purely even chart")
     if alpha.form_degree() != 1:
         raise PfaffianError("class oracle expects a one-form")
-    if not _form_nonzero_at(alpha, point, tol):
+    if not _form_nonzero_at(alpha, point):
         raise PfaffianError("form vanishes at the point", witness=point)
 
     dalpha = exterior_d(alpha)
@@ -359,11 +353,11 @@ def darboux_class_oracle(alpha: GradedExpr, point: Dict[str, object],
         if s + 1 >= len(powers):
             break
         w = gmul(alpha, powers[s + 1])
-        if w.is_zero() or not _form_nonzero_at(w, point, tol):
+        if w.is_zero() or not _form_nonzero_at(w, point):
             break
         s += 1
 
     next_power = powers[s + 1] if s + 1 < len(powers) else zero(chart)
-    if next_power.is_zero() or not _form_nonzero_at(next_power, point, tol):
+    if next_power.is_zero() or not _form_nonzero_at(next_power, point):
         return 2 * s + 1
     return 2 * s + 2

@@ -14,8 +14,9 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import _linalg
 from .grexpr.chart import EVEN
-from .grexpr.equality import DEFAULT_POLICY, EqualityPolicy, equal
+from .grexpr.equality import DEFAULT_POLICY, NOISE_FLOOR, EqualityPolicy, equal
 from .grexpr.expr import GradedExpr, gdiv, gmul, zero
 from .grexpr.grassmann import Plan, body_values, sample_body_points
 
@@ -63,7 +64,6 @@ def solve_left_linear(M: Sequence[Sequence[GradedExpr]],
 
     # equations as (coeff per unknown, rhs)
     eqs = [([M[a][b] for a in range(n)], rhs[b]) for b in range(m)]
-    solved: List[Optional[int]] = []
     pivot_rows: List[Tuple[int, List[GradedExpr], GradedExpr]] = []
     remaining = set(range(n))
     active = list(range(m))
@@ -162,16 +162,13 @@ def cramer_membership(D, Y) -> Optional[bool]:
     plans = [Plan(c) for g in gens for c in g.coefficients]
     bodies = [np.array(body_values(plans, p)[1]).reshape(k, n)
               for p in sample_body_points(chart, 3, seed=7)]
-    best: Tuple[float, Optional[Tuple[int, ...]]] = (0.0, None)
-    for cols in itertools.combinations(range(n), k):
-        score = 0.0
-        for B in bodies:
-            score = max(score, abs(float(np.linalg.det(B[:, list(cols)]))))
-        if score > best[0]:
-            best = (score, cols)
-    if best[1] is None or best[0] < 1e-12:
+
+    def score(cols):
+        return max(abs(float(np.linalg.det(B[:, list(cols)]))) for B in bodies)
+
+    cols = max(itertools.combinations(range(n), k), key=score, default=None)
+    if cols is None or _linalg.negligible(score(cols), NOISE_FLOOR):
         return None
-    cols = best[1]
 
     sub = [[gens[j].coefficients[c] for c in cols] for j in range(k)]
     rho = laplace_det(sub)

@@ -76,6 +76,23 @@ def test_exit_two_on_bad_expression(tmp_path):
     assert run(str(m), stream=open(os.devnull, "w")) == 2
 
 
+@pytest.mark.parametrize("payload, message", [
+    ({"charts": {"M": {"coords": [["x", "even"]]}}, "tasks": []},
+     "error: bad manifest: chart 'M': coordinate ['x', 'even'] is not "
+     "[name, parity, weight]"),
+    ({"charts": {"M": {"coords": [["x", "even", "1"]]}},
+      "tasks": [{"cmd": "classify", "args": {}}]},
+     "error: task 0: missing argument 'form'"),
+    ({"charts": {}, "tasks": ["classify"]},
+     "error: bad manifest: task 0 is not an object with object 'args'"),
+])
+def test_exit_two_on_malformed_manifest(tmp_path, capsys, payload, message):
+    m = tmp_path / "malformed.json"
+    m.write_text(json.dumps(payload))
+    assert run(str(m), stream=open(os.devnull, "w")) == 2
+    assert capsys.readouterr().err == message + "\n"
+
+
 def test_determinism_same_seed(tmp_path):
     for name in ALL:
         outs = []

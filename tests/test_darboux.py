@@ -315,6 +315,19 @@ class TestOneFormDarboux:
         assert res.notes == ["could not replace a residual coordinate with z "
                              "while keeping the chart nonsingular"]
 
+    def test_new_coordinate_named_apart_from_a_kept_z(self):
+        # the first candidate keeps the residual coordinate called z, so the
+        # primitive coordinate takes another name in the z position
+        c = chart(("q", 0, 0), ("p", 0, 0), ("u", 0, 0), ("v", 0, 0))
+        t = chart(("Q", 0, 0), ("P", 0, 0), ("K", 0, 0), ("z", 0, 0))
+        phi = ChartMap(c, t, {"Q": parse_expr("q", c), "P": parse_expr("p", c),
+                              "K": parse_expr("u", c), "z": parse_expr("v", c)})
+        res = one_form_darboux(parse_expr("d(u) + p*d(q)", c), phi, r=1)
+        assert res.status == "ok" and res.spec.variant == "contact"
+        assert res.chart_map.target.names == ("Q", "P", "z1", "z")
+        assert res.chart_map.images["z1"] == coord(c, "u")
+        assert res.chart_map.images["z"] == coord(c, "v")
+
     def test_singular_chart_without_residual_coordinates(self):
         # the primitive z^2 of 2*z*d(z) is critical at the base point
         c = chart(("q", 0, 1), ("p", 0, -1), ("z", 0, 0))

@@ -201,6 +201,21 @@ class TestEqual:
         r = equal(x, x, EqualityPolicy(mode="randomized", n_points=4))
         assert r and r.mode == "randomized"
 
+    @pytest.mark.parametrize("box, lhs, rhs, reason", [
+        # a pole inside the box: some divisor bodies fall under the floor
+        ((-1e-5, 1e-5), "(1 + x)/(x + x^2)*x", "1", "divisor-floor"),
+        # log of a nonpositive body raises an EvaluationError
+        ((-1.0, 1.0), "2*log(x)", "log(x^2)", "evaluation"),
+        # exp(2*x) overflows above x = 354.9
+        ((300.0, 400.0), "exp(x)*exp(x)", "exp(2*x)", "arithmetic"),
+    ])
+    def test_redraws_counted_by_reason(self, box, lhs, rhs, reason):
+        c = chart(("x", 0, 1), default_box=box)
+        r = equal(parse_expr(lhs, c), parse_expr(rhs, c))
+        assert r and r.mode == "randomized"
+        assert r.detail == "32 points, rel_tol=1e-09"
+        assert list(r.redraws) == [reason] and r.redraws[reason] > 0
+
     def test_forms_compared_componentwise(self):
         c = chart(("p", 0, 1), ("q", 0, -1))
         a = parse_expr("p*d(q) + d(p)", c)

@@ -6,7 +6,8 @@ import random
 import numpy as np
 import pytest
 
-from graded_darboux import chart, coord, diff, gmul, one, parse_expr
+from graded_darboux import (EqualityPolicy, chart, coord, diff, gmul, one,
+                            parse_expr)
 from graded_darboux import pfaffian
 from graded_darboux.cartan import (basis_field, exterior_d, interior,
                                    lie_bracket, lie_derivative, vector_field)
@@ -74,6 +75,15 @@ class TestClassification:
     def test_precontact(self):
         c = chart(("z", 0, 0), ("p", 0, 1), ("q", 0, -1), ("u", 0, 0))
         rep = characteristic_class(parse_expr("d(z) + p*d(q)", c))
+        assert rep.class_ == 3 and rep.kind == "precontact"
+
+    def test_rel_tol_governs_rank(self):
+        # the 1e-6 pair sits above the default tolerance and below 1e-3
+        c = chart("q", "p", "u", "v", "z")
+        alpha = parse_expr("d(z) + q*d(p) + 0.000001*exp(u)*d(v)", c)
+        rep = characteristic_class(alpha)
+        assert rep.class_ == 5 and rep.kind == "contact"
+        rep = characteristic_class(alpha, policy=EqualityPolicy(rel_tol=1e-3))
         assert rep.class_ == 3 and rep.kind == "precontact"
 
     def test_vanishing_sample_reported(self):

@@ -1,0 +1,26 @@
+"""Numeric thresholds have one owner: ``grexpr/equality.py`` defines them and
+``_linalg.py`` makes the float zero, rank and membership decisions, so no
+other module holds a tolerance literal of its own."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "graded_darboux"
+
+OWNERS = {"grexpr/equality.py", "_linalg.py"}
+
+
+def _small_float_literals(path: Path):
+    """(file, line, value) of every nonzero float literal below 1e-3."""
+    rel = path.relative_to(SRC).as_posix()
+    return [(rel, node.lineno, node.value)
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Constant) and isinstance(node.value, float)
+            and 0 < abs(node.value) < 1e-3]
+
+
+def test_no_tolerance_literal_outside_the_owners():
+    found = [hit for path in sorted(SRC.rglob("*.py"))
+             if path.relative_to(SRC).as_posix() not in OWNERS
+             for hit in _small_float_literals(path)]
+    assert found == []
