@@ -72,6 +72,12 @@ class Workspace:
         return table[name]
 
 
+def _parse_box(box, where: str) -> tuple:
+    if not (isinstance(box, list) and len(box) == 2):
+        raise ManifestError(f"{where}: box {box!r} is not [low, high]")
+    return float(box[0]), float(box[1])
+
+
 def _parse_chart(name: str, spec: dict) -> ChartSpec:
     coords = spec.get("coords")
     if not coords:
@@ -80,9 +86,10 @@ def _parse_chart(name: str, spec: dict) -> ChartSpec:
     chart_box = (-1.0, 1.0)
     per_coord: Dict[str, tuple] = {}
     if isinstance(box, dict):
-        per_coord = {k: (float(v[0]), float(v[1])) for k, v in box.items()}
+        per_coord = {k: _parse_box(v, f"chart {name!r}, coordinate {k!r}")
+                     for k, v in box.items()}
     elif box is not None:
-        chart_box = (float(box[0]), float(box[1]))
+        chart_box = _parse_box(box, f"chart {name!r}")
     decls = []
     for entry in coords:
         if not (isinstance(entry, (list, tuple)) and len(entry) == 3):
@@ -186,11 +193,10 @@ def _match_field(want: dict, got: Optional[VectorField],
 # -- task execution ----------------------------------------------------------------
 
 
-def run_task(task: dict, ws: Workspace, policy: EqualityPolicy,
-             n_samples: int, seed: int) -> dict:
+def run_task(task: dict, ws: Workspace, policy: EqualityPolicy) -> dict:
     cmd = task.get("cmd")
     args = _TaskArgs(task.get("args", {}))
-    out: Dict[str, Any] = {"task": cmd, "seed": seed, "mode": "exact"}
+    out: Dict[str, Any] = {"task": cmd, "seed": policy.seed, "mode": "exact"}
     status = "pass"
     vfield: Optional[VectorField] = None      # the field an expectation reads
 
@@ -233,8 +239,7 @@ def run_task(task: dict, ws: Workspace, policy: EqualityPolicy,
 
     elif cmd == "classify":
         form = ws.form(args["form"])
-        rep = characteristic_class(form, n_points=n_samples, seed=seed,
-                                   policy=policy)
+        rep = characteristic_class(form, policy=policy)
         out["class"] = rep.class_
         out["case"] = rep.case
         out["kind"] = rep.kind
@@ -244,8 +249,7 @@ def run_task(task: dict, ws: Workspace, policy: EqualityPolicy,
 
     elif cmd == "presymplectic":
         form = ws.form(args["form"])
-        rep = presymplectic_check(form, n_points=n_samples, seed=seed,
-                                  policy=policy)
+        rep = presymplectic_check(form, policy=policy)
         out["rank"] = rep.rank
         out["even_rank"] = rep.even_rank
         out["odd_rank"] = rep.odd_rank
@@ -255,10 +259,8 @@ def run_task(task: dict, ws: Workspace, policy: EqualityPolicy,
 
     elif cmd == "reeb":
         form = ws.form(args["form"])
-        rep = reeb(form, policy)
-        vfield = rep.field
+        vfield = reeb(form, policy)
         out["field"] = _render(vfield)
-        status = "pass" if bool(rep) else "fail"
 
     elif cmd == "liouville":
         alpha = ws.form(args["alpha"])
@@ -316,6 +318,8 @@ def run_task(task: dict, ws: Workspace, policy: EqualityPolicy,
 
     elif cmd == "straighten":
         fields_ = [ws.vfield(n) for n in args["fields"]]
+        if not fields_:
+            raise ManifestError("straighten needs at least one field")
         grid = straighten_commuting(
             fields_, args.get("base", [0.0] * fields_[0].chart.dim),
             box=float(args.get("box", 0.5)),
@@ -347,12 +351,13 @@ def run_task(task: dict, ws: Workspace, policy: EqualityPolicy,
     elif cmd == "dist":
         kind = args.get("kind", "involutive")
         gens = tuple(ws.vfield(n) for n in args["generators"])
+        if not gens:
+            raise ManifestError("dist needs at least one generator")
         D = Distribution(gens[0].chart, gens)
         if kind == "homogeneous":
-            ok = distribution_homogeneous(D, nabla_arg(gens[0].chart),
-                                          n_points=n_samples, seed=seed)
+            ok = distribution_homogeneous(D, nabla_arg(gens[0].chart), policy)
         elif kind == "involutive":
-            ok = involutive_check(D, n_points=n_samples, seed=seed)
+            ok = involutive_check(D, policy)
         else:
             raise ManifestError(f"unknown dist kind {kind!r}")
         out[kind] = ok
@@ -397,7 +402,7 @@ def run(manifest_path: str, json_out: Optional[str] = None, seed: int = 0,
     results = []
     for i, task in enumerate(tasks):
         try:
-            entry = run_task(task, ws, policy, samples, seed)
+            entry = run_task(task, ws, policy)
         except ManifestError as exc:
             print(f"error: task {i}: {exc}", file=sys.stderr)
             return 2
@@ -412,7 +417,8 @@ def run(manifest_path: str, json_out: Optional[str] = None, seed: int = 0,
               file=stream)
 
     report = {"manifest": manifest_path.split("/")[-1], "seed": seed,
-              "samples": samples, "tolerance": tol, "tasks": results,
+              "samples": policy.n_points, "tolerance": policy.rel_tol,
+              "tasks": results,
               "status": "pass" if all(r["status"] == "pass" for r in results)
               else "fail"}
     if json_out:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations, product as iproduct
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -360,8 +360,7 @@ def _skew_pairs(A: np.ndarray, scale: float) -> Tuple[List[np.ndarray],
     return us, vvs, vs
 
 
-def linear_darboux(omega0: GradedExpr,
-                   chart: Optional[ChartSpec] = None) -> LinearDarbouxResult:
+def linear_darboux(omega0: GradedExpr) -> LinearDarbouxResult:
     """Linear normal form of a constant-coefficient even two-form.
 
     The even-even block (skew) is brought to the standard pair form and the
@@ -369,7 +368,7 @@ def linear_darboux(omega0: GradedExpr,
     kernel directions become residual coordinates.  The transform is checked
     by pulling the canonical form back.
     """
-    chart = chart or omega0.chart
+    chart = omega0.chart
     if omega0.form_degree() not in (0, 2):
         raise ValueError("expected a two-form")
     if omega0.parity() not in (EVEN, None):
@@ -378,7 +377,7 @@ def linear_darboux(omega0: GradedExpr,
         if c.constant_value() is None:
             raise ValueError("expected constant coefficients")
 
-    B = flat_matrix(omega0, {c.name: 0 for c in omega0.chart.coords}).matrix
+    B = flat_matrix(omega0, {c.name: 0 for c in chart.coords}).matrix
     ev = list(chart.even_indices)
     od = list(chart.odd_indices)
     bmax = float(np.max(np.abs(B))) if B.size else 0.0
@@ -439,14 +438,14 @@ def linear_darboux(omega0: GradedExpr,
 
 
 def _jacobian_nonsingular(images: Sequence[GradedExpr], chart: ChartSpec,
-                          base: Dict[str, object]) -> bool:
+                          base: Dict[str, object],
+                          policy: EqualityPolicy) -> bool:
     n = chart.dim
     if len(images) != n:
         return False
     plans = [Plan(partial(img, name)) for img in images for name in chart.names]
     J = np.array(body_values(plans, base)[1]).reshape(n, n)
-    return not _linalg.negligible(float(np.linalg.det(J)),
-                                  DEFAULT_POLICY.rel_tol)
+    return not _linalg.negligible(float(np.linalg.det(J)), policy.rel_tol)
 
 
 def one_form_darboux(alpha: GradedExpr, presymp_chart: ChartMap,
@@ -509,7 +508,7 @@ def one_form_darboux(alpha: GradedExpr, presymp_chart: ChartMap,
         notes.append("input form is not homogeneous: weight-law checks "
                      "will be reported as failures")
 
-    cls = characteristic_class(alpha, n_points=8, policy=policy)
+    cls = characteristic_class(alpha, policy=replace(policy, n_points=8))
     if cls.kind == "irregular":
         raise PfaffianError("form has no constant class on the sample box")
     contact_like = cls.kind in ("contact", "precontact", "closed")
@@ -542,7 +541,7 @@ def one_form_darboux(alpha: GradedExpr, presymp_chart: ChartMap,
             new_names = q + p + [zname] + y + keep
             new_images = ([images[n] for n in q + p] + [z_img]
                           + [images[n] for n in y + keep])
-            if _jacobian_nonsingular(new_images, chart, base):
+            if _jacobian_nonsingular(new_images, chart, base, policy):
                 break
         else:
             notes.append("could not replace a residual coordinate with z "

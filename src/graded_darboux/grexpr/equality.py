@@ -23,10 +23,17 @@ from .grassmann import DivisorFloorError, GrassmannValue, Plan, grassmann_point
 
 @dataclass(frozen=True)
 class EqualityPolicy:
+    """How every sampled decision is made: how many body points, drawn from
+    which seed, compared at which tolerance."""
+
     n_points: int = 32
     rel_tol: float = 1e-9       # every rank, membership and vanishing decision
     seed: int = 0
     mode: str = "auto"          # auto | randomized (force sampling)
+
+    def __post_init__(self):
+        if self.n_points < 1:
+            raise ValueError("a sampled decision needs at least one point")
 
 
 DEFAULT_POLICY = EqualityPolicy()
@@ -114,7 +121,7 @@ def equal(a: GradedExpr, b: GradedExpr,
     checked = 0
     redraws: Dict[str, int] = {}
     while checked < policy.n_points:
-        if checked + sum(redraws.values()) > MAX_REDRAWS * max(1, policy.n_points):
+        if checked + sum(redraws.values()) > MAX_REDRAWS * policy.n_points:
             raise EvaluationError(
                 "could not sample a valid evaluation point "
                 "(check chart boxes against singularities)")

@@ -385,8 +385,8 @@ def body_values(plans: Sequence[Plan], point: Mapping[str, object]
     return exact, floats
 
 
-def sample_body_points(chart: ChartSpec, n_points: int, seed: int,
-                        denominator: int = 64) -> List[Dict[str, Fraction]]:
+def sample_body_points(chart: ChartSpec, n_points: int,
+                       seed: int) -> List[Dict[str, Fraction]]:
     """Dyadic-rational body points inside the chart boxes (exactly float-
     representable, so the exact and float paths see the same points)."""
     rng = random.Random(seed)
@@ -395,7 +395,7 @@ def sample_body_points(chart: ChartSpec, n_points: int, seed: int,
         p: Dict[str, Fraction] = {}
         for i in chart.even_indices:
             lo, hi = chart.box_for(i)
-            t = Fraction(rng.randint(0, denominator), denominator)
+            t = Fraction(rng.randint(0, 64), 64)
             p[chart.coords[i].name] = (Fraction(lo)
                                        + (Fraction(hi) - Fraction(lo)) * t)
         pts.append(p)

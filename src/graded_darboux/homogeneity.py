@@ -14,7 +14,6 @@ from .grexpr.chart import ChartError, ChartSpec, CoordinateDecl, EVEN
 from .grexpr.equality import DEFAULT_POLICY, NOISE_FLOOR, EqualityPolicy, equal
 from .grexpr.expr import coord, partial, zero
 from .grexpr.grassmann import Plan, body_values, sample_body_points
-from .symsolve import cramer_membership
 
 
 @dataclass(frozen=True)
@@ -250,44 +249,45 @@ def cotangent_lift(nabla: WeightVectorField) -> WeightVectorField:
 # -- distributions ------------------------------------------------------------
 
 
-def _span_contains(D: Distribution, Y: VectorField, n_points: int,
-                   seed: int) -> bool:
-    """Pointwise span membership at sampled body points, with an exact
-    symbolic path when every entry is even and polynomial."""
+def _span_contains(D: Distribution, Y: VectorField,
+                   policy: EqualityPolicy) -> bool:
+    """Pointwise span membership at the policy's sampled body points, decided
+    exactly when every coefficient has exact body values."""
     chart = D.chart
-    exact_ok = (chart.is_purely_even()
-                and all(g.parity == EVEN for g in D.generators)
-                and Y.parity == EVEN
-                and all(c.is_polynomial() and c.is_exact()
-                        for g in D.generators for c in g.coefficients)
-                and all(c.is_polynomial() and c.is_exact() for c in Y.coefficients))
-
     split = len(D.generators) * chart.dim
     plans = [Plan(c) for X in D.generators + (Y,) for c in X.coefficients]
-    for p in sample_body_points(chart, n_points, seed):
-        vals = np.array(body_values(plans, p)[1])
+    exact = all(p.exact for p in plans)
+    for p in sample_body_points(chart, policy.n_points, policy.seed):
+        qs, floats = body_values(plans, p)
+        vals = np.array(floats)
         G = vals[:split].reshape(len(D.generators), chart.dim)
-        r = _linalg.float_rank(G, DEFAULT_POLICY.rel_tol)
+        r = _linalg.float_rank(G, policy.rel_tol)
         if r < D.rank:
             raise RankCollapseError(
                 f"generators drop to rank {r} at a sample point",
                 witness={k: float(v) for k, v in p.items()})
-        if not _linalg.in_row_space(G, vals[split:], DEFAULT_POLICY.rel_tol)[0]:
-            return False
-    return not (exact_ok and cramer_membership(D, Y) is False)
-
-
-def distribution_homogeneous(D: Distribution, nabla: WeightVectorField,
-                             n_points: int = 16, seed: int = 0) -> bool:
-    """Whether L_nabla of every generator stays inside the span."""
-    nf = nabla.field if isinstance(nabla, WeightVectorField) else nabla
-    for g in D.generators:
-        if not _span_contains(D, lie_bracket(nf, g), n_points, seed):
+        if exact:
+            rows = [qs[j:j + chart.dim] for j in range(0, split, chart.dim)]
+            inside = _linalg.exact_solve_membership(rows, qs[split:]) is not None
+        else:
+            inside = _linalg.in_row_space(G, vals[split:], policy.rel_tol)[0]
+        if not inside:
             return False
     return True
 
 
-def involutive_check(D: Distribution, n_points: int = 16, seed: int = 0) -> bool:
+def distribution_homogeneous(D: Distribution, nabla: WeightVectorField,
+                             policy: EqualityPolicy = DEFAULT_POLICY) -> bool:
+    """Whether L_nabla of every generator stays inside the span."""
+    nf = nabla.field if isinstance(nabla, WeightVectorField) else nabla
+    for g in D.generators:
+        if not _span_contains(D, lie_bracket(nf, g), policy):
+            return False
+    return True
+
+
+def involutive_check(D: Distribution,
+                     policy: EqualityPolicy = DEFAULT_POLICY) -> bool:
     """All pairwise graded brackets stay inside the span ([X,X] included
     for odd generators)."""
     gens = D.generators
@@ -298,6 +298,6 @@ def involutive_check(D: Distribution, n_points: int = 16, seed: int = 0) -> bool
             br = lie_bracket(gi, gens[j])
             if br.is_zero():
                 continue
-            if not _span_contains(D, br, n_points, seed):
+            if not _span_contains(D, br, policy):
                 return False
     return True

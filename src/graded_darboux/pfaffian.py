@@ -141,17 +141,17 @@ class ClassificationReport:
 
 def characteristic_class(alpha: GradedExpr,
                          points: Optional[Sequence[Dict[str, object]]] = None,
-                         n_points: int = 16, seed: int = 0,
                          policy: EqualityPolicy = DEFAULT_POLICY
                          ) -> ClassificationReport:
-    """Class and kind of a nowhere-vanishing one-form at sampled body points."""
+    """Class and kind of a nowhere-vanishing one-form at the given body
+    points, or at the policy's sampled ones."""
     chart = alpha.chart
     if alpha.form_degree() != 1:
         raise PfaffianError("classification expects a one-form")
     if alpha.parity() is None:
         raise PfaffianError("classification expects a form of definite parity")
     if points is None:
-        points = sample_body_points(chart, n_points, seed)
+        points = sample_body_points(chart, policy.n_points, policy.seed)
 
     dalpha = exterior_d(alpha)
     fmap = _FlatMap(alpha, dalpha)
@@ -212,10 +212,10 @@ class PresymplecticReport:
 
 def presymplectic_check(omega: GradedExpr,
                         points: Optional[Sequence[Dict[str, object]]] = None,
-                        n_points: int = 16, seed: int = 0,
                         policy: EqualityPolicy = DEFAULT_POLICY
                         ) -> PresymplecticReport:
-    """Closedness plus constant-rank verdict for a 2-form of definite parity."""
+    """Closedness plus constant-rank verdict for a 2-form of definite parity,
+    at the given body points or at the policy's sampled ones."""
     chart = omega.chart
     if omega.form_degree() != 2:
         raise PfaffianError("expected a two-form")
@@ -226,7 +226,7 @@ def presymplectic_check(omega: GradedExpr,
     if not equal(domega, zero(chart), policy):
         raise NotClosedError("form is not closed", witness=str(domega))
     if points is None:
-        points = sample_body_points(chart, n_points, seed)
+        points = sample_body_points(chart, policy.n_points, policy.seed)
 
     fmap = _FlatMap(omega)
     evidence = []
@@ -254,18 +254,8 @@ def presymplectic_check(omega: GradedExpr,
 # -- Reeb and Liouville fields ---------------------------------------------------
 
 
-@dataclass
-class ReebField:
-    field: VectorField
-    unit_pairing: bool      # i_R alpha = 1
-    in_kernel: bool         # i_R d(alpha) = 0
-
-    def __bool__(self):
-        return self.unit_pairing and self.in_kernel
-
-
 def reeb(alpha: GradedExpr,
-         policy: EqualityPolicy = DEFAULT_POLICY) -> ReebField:
+         policy: EqualityPolicy = DEFAULT_POLICY) -> VectorField:
     """The unique field with i_R alpha = 1 and i_R d(alpha) = 0."""
     chart = alpha.chart
     if alpha.form_degree() != 1:
@@ -278,18 +268,17 @@ def reeb(alpha: GradedExpr,
     M = [[K[a][b] for b in range(n)] + [A[a]] for a in range(n)]
     rhs = [zero(chart) for _ in range(n)] + [one(chart)]
     try:
-        sol, verified = solve_left_linear(M, rhs, policy)
+        sol = solve_left_linear(M, rhs, policy)
     except SingularSystemError as exc:
         raise PfaffianError(f"no Reeb field: {exc}") from exc
 
     par = alpha.parity()
     R = VectorField(chart, par if par is not None else EVEN, tuple(sol))
-    pair_ok = bool(equal(interior(R, alpha), one(chart), policy))
-    kern_ok = bool(equal(interior(R, dalpha), zero(chart), policy)) \
-        if not dalpha.is_zero() else True
-    if not (pair_ok and kern_ok and verified):
+    if not (equal(interior(R, alpha), one(chart), policy)
+            and (dalpha.is_zero()
+                 or equal(interior(R, dalpha), zero(chart), policy))):
         raise PfaffianError("Reeb system solved but verification failed")
-    return ReebField(R, pair_ok, kern_ok)
+    return R
 
 
 def liouville(omega: GradedExpr, alpha: GradedExpr,
@@ -308,13 +297,13 @@ def liouville(omega: GradedExpr, alpha: GradedExpr,
                                 witness=fm.point)
     rhs = [alpha.coefficient_of_diff(name) for name in chart.names]
     try:
-        sol, verified = solve_left_linear(fmap.rows, rhs, policy)
+        sol = solve_left_linear(fmap.rows, rhs, policy)
     except SingularSystemError as exc:
         raise PfaffianError(f"degenerate two-form: {exc}") from exc
     sa, so = alpha.parity(), omega.parity()
     par = ((sa or 0) + (so or 0)) % 2
     X = VectorField(chart, par, tuple(sol))
-    if not verified or not equal(interior(X, omega), alpha, policy):
+    if not equal(interior(X, omega), alpha, policy):
         raise PfaffianError("liouville system solved but verification failed")
     return X
 

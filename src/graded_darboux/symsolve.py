@@ -4,21 +4,16 @@ Solves small left-linear systems  sum_a  R^a * M[a][b] = rhs[b]  with
 expression entries by Gaussian elimination.  Pivots must be even (even
 elements are central, so dividing by them is unambiguous); candidate pivots
 that are not obviously nonzero are screened with randomized equality.
-Solutions are verified by substituting back.
+Callers verify a solution against the equations it is meant to satisfy.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-import numpy as np
-
-from . import _linalg
 from .grexpr.chart import EVEN
-from .grexpr.equality import DEFAULT_POLICY, NOISE_FLOOR, EqualityPolicy, equal
+from .grexpr.equality import DEFAULT_POLICY, EqualityPolicy, equal
 from .grexpr.expr import GradedExpr, gdiv, gmul, zero
-from .grexpr.grassmann import Plan, body_values, sample_body_points
 
 
 class SingularSystemError(RuntimeError):
@@ -48,11 +43,10 @@ def _usable_pivot(e: GradedExpr, policy: EqualityPolicy) -> bool:
 def solve_left_linear(M: Sequence[Sequence[GradedExpr]],
                       rhs: Sequence[GradedExpr],
                       policy: EqualityPolicy = DEFAULT_POLICY
-                      ) -> Tuple[List[GradedExpr], bool]:
+                      ) -> List[GradedExpr]:
     """Solve ``sum_a R^a M[a][b] = rhs[b]`` for the R^a.
 
-    Returns (solution, verified).  Unknowns absent from every equation are
-    set to zero.  Raises SingularSystemError when no even nonzero pivot can
+    Unknowns absent from every equation are set to zero.  Raises SingularSystemError when no even nonzero pivot can
     be found for an unknown that appears, or when a leftover equation is
     inconsistent.
     """
@@ -116,78 +110,5 @@ def solve_left_linear(M: Sequence[Sequence[GradedExpr]],
             if a2 != a and not coeffs[a2].is_zero():
                 acc = acc - gmul(sol[a2], coeffs[a2])
         sol[a] = acc
+    return sol
 
-    verified = True
-    for b in range(m):
-        lhs = zero(chart)
-        for a in range(n):
-            if not sol[a].is_zero() and not M[a][b].is_zero():
-                lhs = lhs + gmul(sol[a], M[a][b])
-        if not equal(lhs, rhs[b], policy):
-            verified = False
-            break
-    return sol, verified
-
-
-# -- exact determinants and Cramer membership (polynomial, all-even data) -----
-
-
-def laplace_det(rows: List[List[GradedExpr]]) -> GradedExpr:
-    k = len(rows)
-    chart = rows[0][0].chart
-    if k == 1:
-        return rows[0][0]
-    out = zero(chart)
-    for j in range(k):
-        if rows[0][j].is_zero():
-            continue
-        minor = [[rows[r][c] for c in range(k) if c != j] for r in range(1, k)]
-        term = gmul(rows[0][j], laplace_det(minor))
-        out = out + term if j % 2 == 0 else out - term
-    return out
-
-
-def cramer_membership(D, Y) -> Optional[bool]:
-    """Exact span membership for all-even polynomial data.
-
-    True when membership is certified over the fraction field, False when
-    it fails exactly, None when no invertible submatrix exists.
-    """
-    gens = D.generators
-    k = len(gens)
-    chart = D.chart
-    n = chart.dim
-
-    # pick the column subset with the largest body determinant at a sample
-    plans = [Plan(c) for g in gens for c in g.coefficients]
-    bodies = [np.array(body_values(plans, p)[1]).reshape(k, n)
-              for p in sample_body_points(chart, 3, seed=7)]
-
-    def score(cols):
-        return max(abs(float(np.linalg.det(B[:, list(cols)]))) for B in bodies)
-
-    cols = max(itertools.combinations(range(n), k), key=score, default=None)
-    if cols is None or _linalg.negligible(score(cols), NOISE_FLOOR):
-        return None
-
-    sub = [[gens[j].coefficients[c] for c in cols] for j in range(k)]
-    rho = laplace_det(sub)
-    if rho.is_zero():
-        return None
-    y_sub = [Y.coefficients[c] for c in cols]
-
-    # Cramer numerators: det of sub with row j replaced by y_sub
-    nums = []
-    for j in range(k):
-        mod = [y_sub if r == j else sub[r] for r in range(k)]
-        nums.append(laplace_det([list(row) for row in mod]))
-
-    # residual check, cleared of denominators:
-    #   rho * Y_c - sum_j nums_j * X_{j,c} = 0 for every coordinate c
-    for c in range(n):
-        acc = gmul(rho, Y.coefficients[c])
-        for j in range(k):
-            acc = acc - gmul(nums[j], gens[j].coefficients[c])
-        if not acc.is_zero():
-            return False
-    return True

@@ -340,7 +340,8 @@ def test_criterion_10_class_vs_oracle():
         if alpha.is_zero() or alpha.form_degree() != 1:
             continue
         try:
-            rep = characteristic_class(alpha, n_points=16, seed=tried)
+            rep = characteristic_class(
+                alpha, policy=EqualityPolicy(n_points=16, seed=tried))
         except PfaffianError:
             continue
         if rep.kind == "irregular":

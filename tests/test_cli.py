@@ -85,6 +85,15 @@ def test_exit_two_on_bad_expression(tmp_path):
      "error: task 0: missing argument 'form'"),
     ({"charts": {}, "tasks": ["classify"]},
      "error: bad manifest: task 0 is not an object with object 'args'"),
+    ({"charts": {"M": {"coords": [["x", "even", "1"]], "box": [0.5]}},
+      "tasks": []},
+     "error: bad manifest: chart 'M': box [0.5] is not [low, high]"),
+    ({"charts": {"M": {"coords": [["x", "even", "1"]]}},
+      "tasks": [{"cmd": "straighten", "args": {"fields": []}}]},
+     "error: task 0: straighten needs at least one field"),
+    ({"charts": {"M": {"coords": [["x", "even", "1"]]}},
+      "tasks": [{"cmd": "dist", "args": {"generators": []}}]},
+     "error: task 0: dist needs at least one generator"),
 ])
 def test_exit_two_on_malformed_manifest(tmp_path, capsys, payload, message):
     m = tmp_path / "malformed.json"
@@ -126,6 +135,15 @@ def test_reports_match_golden(tmp_path, name):
                 f"{name} seed {seed}"
 
 
+def test_samples_below_eight_sample_eight_points(tmp_path):
+    """One policy carries the sample count: ``samples=0`` classifies at 8
+    points, as every other decision of the run does, and the report says 8."""
+    out = tmp_path / "cylinder.json"
+    assert run(str(MANIFESTS / "cylinder.json"), json_out=str(out), samples=0,
+               stream=open(os.devnull, "w")) == 0
+    assert json.loads(out.read_text())["samples"] == 8
+
+
 def test_degree_mode_exact_when_inhomogeneous(tmp_path):
     """An inhomogeneous polynomial is decided by exact coefficient matching."""
     m = tmp_path / "inhom.json"
@@ -150,7 +168,7 @@ def test_degree_mode_randomized_when_residual_is_sampled():
     s = apply_func("sin", y)
     ws = Workspace(charts={"M": c}, forms={"f": x * s * 0.1 + x * y * s * 0.7})
     out = run_task({"cmd": "degree", "args": {"of": "f"}}, ws,
-                   EqualityPolicy(n_points=16), 16, 0)
+                   EqualityPolicy(n_points=16))
     assert out["homogeneous"] is True
     assert out["mode"] == "randomized"
 

@@ -195,6 +195,10 @@ class TestEqual:
             if exact.mode == "exact":
                 assert bool(equal(a, b, pol)) == bool(exact)
 
+    def test_policy_needs_a_point(self):
+        with pytest.raises(ValueError):
+            EqualityPolicy(n_points=0)
+
     def test_forced_randomized_mode(self):
         c = chart(("x", 0, 1))
         x = coord(c, "x")

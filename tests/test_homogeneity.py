@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from graded_darboux import chart, coord, diff, eval_body_exact, gmul, parse_expr
+from graded_darboux import (EqualityPolicy, chart, coord, diff,
+                            eval_body_exact, gmul, parse_expr)
 from graded_darboux.cartan import basis_field, vector_field
 from graded_darboux.homogeneity import (Distribution, RankCollapseError,
                                         WeightVectorField, cotangent_lift,
@@ -14,7 +15,6 @@ from graded_darboux.homogeneity import (Distribution, RankCollapseError,
                                         tangent_lift, verify_weight_chart,
                                         weight_field_of_chart)
 from graded_darboux.grexpr.chart import EVEN, ODD, weights_consistent
-from graded_darboux.symsolve import cramer_membership
 from helpers import random_chart, random_monomial
 
 
@@ -247,12 +247,30 @@ class TestDistributions:
         D = Distribution(c, (X1, X2))
         assert involutive_check(D)
 
-    def test_cramer_membership_verdicts(self):
+    @pytest.mark.parametrize("nabla, inside", [
+        # [nabla, d/dx] = x^2 d/dx
+        ({"x": "-x^3/3"}, True),
+        # [nabla, d/dx] = y d/dx + x d/dy leaves span{d/dx} wherever x != 0
+        ({"x": "-x*y", "y": "-x^2/2"}, False),
+        # [nabla, d/dx] = x d/dx + (x/10^12) d/dy: a residual below rel_tol,
+        # but exact
+        ({"x": "-x^2/2", "y": "-x^2/(2*10^12)"}, False),
+    ], ids=["inside", "outside", "tiny-exact-residual"])
+    def test_exact_membership_verdicts(self, nabla, inside):
         c = chart(("x", 0, 0), ("y", 0, 0))
         D = Distribution(c, (vector_field(c, {"x": "1"}),))
-        assert cramer_membership(D, vector_field(c, {"x": "x^2"})) is True
-        # y d/dx + x d/dy leaves span{d/dx} wherever x != 0
-        assert cramer_membership(D, vector_field(c, {"x": "y", "y": "x"})) is False
+        nab = WeightVectorField(vector_field(c, nabla), canonical=False)
+        assert distribution_homogeneous(D, nab) is inside
+
+    def test_rel_tol_reaches_membership(self):
+        # [nabla, d/dx] = -d/dx - 0.000001*exp(x) d/dy: a float residual
+        # above the default rel_tol and below 1e-3
+        c = chart(("x", 0, 0), ("y", 0, 0))
+        D = Distribution(c, (basis_field(c, "x"),))
+        nab = WeightVectorField(
+            vector_field(c, {"x": "x", "y": "0.000001*exp(x)"}), canonical=False)
+        assert not distribution_homogeneous(D, nab)
+        assert distribution_homogeneous(D, nab, EqualityPolicy(rel_tol=1e-3))
 
     def test_commuting_curved_pair_involutive(self):
         c = chart(("x", 0, 0), ("y", 0, 0), ("z", 0, 0))

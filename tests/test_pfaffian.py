@@ -6,8 +6,8 @@ import random
 import numpy as np
 import pytest
 
-from graded_darboux import (EqualityPolicy, chart, coord, diff, gmul, one,
-                            parse_expr)
+from graded_darboux import (EqualityPolicy, chart, coord, diff, equal, gmul,
+                            one, parse_expr, zero)
 from graded_darboux import pfaffian
 from graded_darboux.cartan import (basis_field, exterior_d, interior,
                                    lie_bracket, lie_derivative, vector_field)
@@ -109,7 +109,8 @@ class TestClassification:
         counts = []
         for n_points in (4, 16):
             calls.clear()
-            characteristic_class(cyl_alpha, n_points=n_points)
+            characteristic_class(cyl_alpha,
+                                 policy=EqualityPolicy(n_points=n_points))
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0
 
@@ -150,14 +151,15 @@ class TestPresymplectic:
 class TestReeb:
     def test_canonical(self):
         c = chart(("z", 0, 0), ("p", 0, 1), ("q", 0, -1))
-        rep = reeb(parse_expr("d(z) + p*d(q)", c))
-        assert rep.field.coefficient("z") == one(c)
-        assert rep.field.coefficient("p").is_zero()
+        R = reeb(parse_expr("d(z) + p*d(q)", c))
+        assert R.coefficient("z") == one(c)
+        assert R.coefficient("p").is_zero()
 
     def test_cylinder(self, cyl, cyl_alpha):
-        rep = reeb(cyl_alpha)
-        assert rep.field.coefficient("z") == one(cyl)
-        assert rep.unit_pairing and rep.in_kernel
+        R = reeb(cyl_alpha)
+        assert R.coefficient("z") == one(cyl)
+        assert equal(interior(R, cyl_alpha), one(cyl))
+        assert equal(interior(R, exterior_d(cyl_alpha)), zero(cyl))
 
     def test_eta_randomized(self):
         c = chart(("x", 0, 1), ("y", 0, -1), ("z", 0, 0), default_box=(-0.6, 0.6))
@@ -165,8 +167,9 @@ class TestReeb:
             "y*(1 + sin(z) + cos(x*y)*(1+sin(z)) - sin(x*y)*(exp(z)"
             " + x*y*(1+sin(z))))*d(x) - x*sin(x*y)*(x*y*(sin(z)+1)"
             " + exp(z))*d(y) + exp(z)*cos(x*y)*d(z)", c)
-        rep = reeb(eta)
-        assert rep.unit_pairing and rep.in_kernel
+        R = reeb(eta)
+        assert equal(interior(R, eta), one(c))
+        assert equal(interior(R, exterior_d(eta)), zero(c))
 
     def test_reeb_homogeneity(self):
         # degree of the Reeb field is minus the degree of the form
@@ -174,8 +177,7 @@ class TestReeb:
         gibbs = parse_expr("d(U) - p1*d(q1)", c)
         nab = weight_field_of_chart(c)
         assert degree_of(gibbs, nab).degree.weight == 1
-        rep = reeb(gibbs)
-        dr = degree_of(rep.field, nab)
+        dr = degree_of(reeb(gibbs), nab)
         assert dr.homogeneous and dr.degree.weight == -1
 
     def test_non_contact_rejected(self):

@@ -1,6 +1,7 @@
 """Numeric thresholds have one owner: ``grexpr/equality.py`` defines them and
 ``_linalg.py`` makes the float zero, rank and membership decisions, so no
-other module holds a tolerance literal of its own."""
+other module holds a tolerance literal of its own.  Sampling has one carrier:
+the sample count and seed of a decision travel in its ``EqualityPolicy``."""
 
 import ast
 from pathlib import Path
@@ -23,4 +24,24 @@ def test_no_tolerance_literal_outside_the_owners():
     found = [hit for path in sorted(SRC.rglob("*.py"))
              if path.relative_to(SRC).as_posix() not in OWNERS
              for hit in _small_float_literals(path)]
+    assert found == []
+
+
+# the CLI builds its policy from --samples/--seed; the sampler is what the
+# policy's fields are handed to
+SAMPLING_PARAMS = {"n_points", "seed"}
+SAMPLING_OWNERS = {("cli.py", "run"), ("grexpr/grassmann.py", "sample_body_points")}
+
+
+def test_no_sampling_parameter_outside_the_policy():
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = node.args
+            names = {x.arg for x in a.posonlyargs + a.args + a.kwonlyargs}
+            if names & SAMPLING_PARAMS and (rel, node.name) not in SAMPLING_OWNERS:
+                found.append((rel, node.lineno, node.name))
     assert found == []
