@@ -11,8 +11,8 @@ from .grexpr import (EVEN, ODD, ChartError, ChartSpec, CoordinateDecl,
                      EqualityPolicy, EqualityResult, EvaluationError,
                      GradedExpr, GrassmannValue, NonIntegrable, ParityError,
                      ParseError, apply_func, canonicalize, chart, const,
-                     coord, coords, diff, equal, eval_body_exact,
-                     eval_numeric, format_expr, gdiv, gmul, integrate_univariate,
+                     coord, diff, equal, eval_body_exact, eval_numeric,
+                     format_expr, gdiv, gmul, integrate_univariate,
                      one, parse_expr, partial, substitute,
                      weights_consistent, zero)
 

@@ -1,10 +1,11 @@
 """Small dense linear algebra helpers: exact rational and float paths.
-Every float zero, rank and membership decision of the package is made here."""
+Every float zero, rank and membership decision of the package is made here,
+and ``rank`` and ``contains`` alone choose between the two paths."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -40,22 +41,14 @@ def exact_rank(rows: Sequence[Sequence[Fraction]]) -> int:
 
 
 def exact_solve_membership(rows: Sequence[Sequence[Fraction]],
-                           target: Sequence[Fraction]) -> Optional[List[Fraction]]:
-    """Coefficients c with sum_j c_j rows[j] = target, or None if unsolvable."""
+                           target: Sequence[Fraction]) -> bool:
+    """Whether ``target`` is a combination of ``rows``."""
     k = len(rows)
-    if k == 0:
-        return [] if all(v == 0 for v in target) else None
-    # solve rows^T c = target by elimination on the augmented (ncols x k+1)
+    # eliminate on the augmented (ncols x k+1) system rows^T c = target
     aug = [[Fraction(rows[j][i]) for j in range(k)] + [Fraction(target[i])]
            for i in range(len(target))]
     pivots = _rref(aug, k)
-    # inconsistent rows?
-    if any(aug[i][k] != 0 for i in range(len(pivots), len(aug))):
-        return None
-    sol = [Fraction(0)] * k
-    for row, c in enumerate(pivots):
-        sol[c] = aug[row][k]
-    return sol
+    return all(aug[i][k] == 0 for i in range(len(pivots), len(aug)))
 
 
 def negligible(x: float, tol: float, scale: float = 0.0) -> bool:
@@ -83,6 +76,32 @@ def in_row_space(mat: np.ndarray, vec: np.ndarray, tol: float) -> Tuple[bool, fl
     sol, *_ = np.linalg.lstsq(mat.T, vec, rcond=None)
     res = float(np.linalg.norm(mat.T @ sol - vec))
     return negligible(res, tol, float(np.linalg.norm(vec))), res
+
+
+def _exact(*mats: Sequence[Sequence]) -> bool:
+    return all(isinstance(v, Fraction) for m in mats for r in m for v in r)
+
+
+def rank(rows: Sequence[Sequence[Union[Fraction, float]]], tol: float) -> int:
+    """Rank of a matrix of body values: exact when every entry is a
+    Fraction, by singular values otherwise."""
+    if _exact(rows):
+        return exact_rank(rows)
+    # each Fraction is rounded once to the nearest float
+    return float_rank(np.array(rows, dtype=float), tol)
+
+
+def contains(rows: Sequence[Sequence[Union[Fraction, float]]],
+             vec: Sequence[Union[Fraction, float]],
+             tol: float) -> Tuple[bool, Optional[float]]:
+    """Membership of ``vec`` in the row space of ``rows`` and its residual:
+    exact (residual 0.0, or None outside) when every entry is a Fraction,
+    by least squares otherwise."""
+    if _exact(rows, [vec]):
+        inside = exact_solve_membership(rows, vec)
+        return inside, 0.0 if inside else None
+    mat = np.array(rows, dtype=float).reshape(len(rows), len(vec))
+    return in_row_space(mat, np.array(vec, dtype=float), tol)
 
 
 def nullspace(mat: np.ndarray, tol: float) -> np.ndarray:

@@ -293,7 +293,8 @@ def run_task(task: dict, ws: Workspace, policy: EqualityPolicy) -> dict:
         out["residual"] = res.residual
         out["output_exprs"] = {n: format_expr(e)
                                for n, e in res.chart_map.images.items()}
-        status = "pass" if bool(res) else "fail"
+        status = ("pass" if _linalg.negligible(res.residual, policy.rel_tol)
+                  else "fail")
 
     elif cmd == "darboux":
         form = ws.form(args["form"])

@@ -324,9 +324,6 @@ class LinearDarbouxResult:
     spec: NormalFormSpec
     residual: float
 
-    def __bool__(self):
-        return _linalg.negligible(self.residual, DEFAULT_POLICY.rel_tol)
-
 
 def _skew_pairs(A: np.ndarray, scale: float) -> Tuple[List[np.ndarray],
                                                     List[np.ndarray],
@@ -444,7 +441,7 @@ def _jacobian_nonsingular(images: Sequence[GradedExpr], chart: ChartSpec,
     if len(images) != n:
         return False
     plans = [Plan(partial(img, name)) for img in images for name in chart.names]
-    J = np.array(body_values(plans, base)[1]).reshape(n, n)
+    J = np.array(body_values(plans, base), dtype=float).reshape(n, n)
     return not _linalg.negligible(float(np.linalg.det(J)), policy.rel_tol)
 
 
@@ -475,7 +472,7 @@ def one_form_darboux(alpha: GradedExpr, presymp_chart: ChartMap,
 
     # guard: nabla(base) nonzero and inside the characteristic space
     nvec = np.array(body_values([Plan(c) for c in nabla.field.coefficients],
-                                base)[1])
+                                base), dtype=float)
     nabla_vanishes = _linalg.vanishes(nvec, policy.rel_tol)
     if not nabla_vanishes:
         fm = flat_matrix(alpha, base)

@@ -4,8 +4,8 @@ from .chart import (EVEN, ODD, ChartError, ChartSpec, CoordinateDecl,
                     as_parity, as_weight, chart, weights_consistent)
 from .equality import DEFAULT_POLICY, EqualityPolicy, EqualityResult, equal
 from .expr import (Atom, EvaluationError, GradedExpr, Monomial, ParityError,
-                   apply_func, canonicalize, const, coord, coords, diff,
-                   gdiv, gmul, one, partial, substitute, zero)
+                   apply_func, canonicalize, const, coord, diff, gdiv, gmul,
+                   one, partial, substitute, zero)
 from .grassmann import GrassmannValue, eval_body_exact, eval_numeric
 from .integrate import NonIntegrable, antiderivative, integrate_univariate
 from .parser import ParseError, format_expr, parse_expr
@@ -15,7 +15,7 @@ __all__ = [
     "as_weight", "chart", "weights_consistent",
     "DEFAULT_POLICY", "EqualityPolicy", "EqualityResult", "equal",
     "Atom", "EvaluationError", "GradedExpr", "Monomial", "ParityError",
-    "apply_func", "canonicalize", "const", "coord", "coords", "diff", "gdiv",
+    "apply_func", "canonicalize", "const", "coord", "diff", "gdiv",
     "gmul", "one", "partial", "substitute", "zero",
     "GrassmannValue", "eval_body_exact", "eval_numeric",
     "NonIntegrable", "antiderivative", "integrate_univariate",

@@ -450,10 +450,6 @@ def diff(chart: ChartSpec, name: str) -> GradedExpr:
     return GradedExpr(chart, (Monomial(Fraction(1), (), (0,) * n, dexp),))
 
 
-def coords(chart: ChartSpec) -> Tuple[GradedExpr, ...]:
-    return tuple(coord(chart, c.name) for c in chart.coords)
-
-
 def apply_func(kind: str, arg: GradedExpr) -> GradedExpr:
     """Apply a transcendental atom to an even, form-degree-0 argument.
 

@@ -367,22 +367,17 @@ def _body_point(plans: Sequence[Plan], point: Mapping[str, object]) -> List[Frac
 
 
 def body_values(plans: Sequence[Plan], point: Mapping[str, object]
-                ) -> Tuple[List[Optional[Fraction]], List[float]]:
+                ) -> List[Union[Fraction, float]]:
     """Bodies of compiled expressions at one body point.
 
-    Odd coordinates are zero.  Exact plans evaluate in Fractions, and their
-    float body is that value rounded once; the others evaluate in floats.
-    Returns the exact bodies (None where a plan is inexact) and the float
-    bodies.
+    Odd coordinates are zero.  Exact plans evaluate to Fractions, the others
+    to floats.
     """
     if not plans:
-        return [], []
+        return []
     xq = _body_point(plans, point)
     xf = [float(v) for v in xq]
-    exact = [p.exact_body(xq) if p.exact else None for p in plans]
-    floats = [p.float_body(xf) if q is None else float(q)
-              for p, q in zip(plans, exact)]
-    return exact, floats
+    return [p.exact_body(xq) if p.exact else p.float_body(xf) for p in plans]
 
 
 def sample_body_points(chart: ChartSpec, n_points: int,

@@ -59,19 +59,14 @@ class RankCollapseError(RuntimeError):
 
 @dataclass(frozen=True)
 class Distribution:
-    """Freely generated distribution: independent generators, declared rank."""
+    """Freely generated distribution: independent generators."""
 
     chart: ChartSpec
     generators: Tuple[VectorField, ...]
-    rank: int = None
 
     def __post_init__(self):
         gens = tuple(self.generators)
         object.__setattr__(self, "generators", gens)
-        if self.rank is None:
-            object.__setattr__(self, "rank", len(gens))
-        if self.rank != len(gens):
-            raise ValueError("declared rank must match the generator count")
         for g in gens:
             if g.chart != self.chart:
                 raise ChartError("generator lives on the wrong chart")
@@ -123,7 +118,8 @@ def linearization_at_zero(nabla: VectorField,
     if nabla.parity != EVEN:
         raise ValueError("linearization expects an even field")
     chart = nabla.chart
-    vals = body_values([Plan(c) for c in nabla.coefficients], point)[1]
+    vals = np.array(body_values([Plan(c) for c in nabla.coefficients], point),
+                    dtype=float)
     if not all(_linalg.negligible(v, NOISE_FLOOR) for v in vals):
         return LinearizationReport(
             vanishes=False,
@@ -132,7 +128,7 @@ def linearization_at_zero(nabla: VectorField,
     n = chart.dim
     plans = [Plan(partial(c, name)) for c in nabla.coefficients
              for name in chart.names]
-    jac = np.array(body_values(plans, point)[1]).reshape(n, n)
+    jac = np.array(body_values(plans, point), dtype=float).reshape(n, n)
     ev = list(chart.even_indices)
     od = list(chart.odd_indices)
     jac_e = jac[np.ix_(ev, ev)]
@@ -251,27 +247,21 @@ def cotangent_lift(nabla: WeightVectorField) -> WeightVectorField:
 
 def _span_contains(D: Distribution, Y: VectorField,
                    policy: EqualityPolicy) -> bool:
-    """Pointwise span membership at the policy's sampled body points, decided
-    exactly when every coefficient has exact body values."""
+    """Pointwise span membership at the policy's sampled body points."""
     chart = D.chart
     split = len(D.generators) * chart.dim
     plans = [Plan(c) for X in D.generators + (Y,) for c in X.coefficients]
-    exact = all(p.exact for p in plans)
     for p in sample_body_points(chart, policy.n_points, policy.seed):
-        qs, floats = body_values(plans, p)
-        vals = np.array(floats)
-        G = vals[:split].reshape(len(D.generators), chart.dim)
+        vals = body_values(plans, p)
+        rows = [vals[j:j + chart.dim] for j in range(0, split, chart.dim)]
+        # a conditioning guard: float on purpose, whatever the data
+        G = np.array(rows, dtype=float).reshape(-1, chart.dim)
         r = _linalg.float_rank(G, policy.rel_tol)
-        if r < D.rank:
+        if r < len(rows):
             raise RankCollapseError(
                 f"generators drop to rank {r} at a sample point",
                 witness={k: float(v) for k, v in p.items()})
-        if exact:
-            rows = [qs[j:j + chart.dim] for j in range(0, split, chart.dim)]
-            inside = _linalg.exact_solve_membership(rows, qs[split:]) is not None
-        else:
-            inside = _linalg.in_row_space(G, vals[split:], policy.rel_tol)[0]
-        if not inside:
+        if not _linalg.contains(rows, vals[split:], policy.rel_tol)[0]:
             return False
     return True
 

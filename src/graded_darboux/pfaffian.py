@@ -41,32 +41,40 @@ class NotClosedError(PfaffianError):
 class FlatMatrix:
     """Coefficient matrix of v -> i_v beta at a body point.
 
-    ``matrix[a][b]`` is the d(x^b)-coefficient of i_{d/dx^a} beta evaluated
-    at the point; for one-forms the extra ``alpha_row`` holds the form itself.
+    ``rows[a][b]`` is the d(x^b)-coefficient of i_{d/dx^a} beta evaluated
+    at the point; for one-forms the extra ``alpha`` holds the form itself.
+    Entries are body values (see ``body_values``); ``matrix`` and
+    ``alpha_row`` read them as floats.
     """
 
     point: Dict[str, float]
-    matrix: np.ndarray
+    rows: List[list]
     even_indices: Tuple[int, ...]
     odd_indices: Tuple[int, ...]
-    alpha_row: Optional[np.ndarray] = None
-    exact_matrix: Optional[list] = None
-    exact_alpha: Optional[list] = None
+    alpha: Optional[list] = None
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return np.array(self.rows, dtype=float)
+
+    @property
+    def alpha_row(self) -> Optional[np.ndarray]:
+        return None if self.alpha is None else np.array(self.alpha, dtype=float)
 
     @property
     def even_block(self) -> np.ndarray:
-        ix = list(self.even_indices)
-        return self.matrix[np.ix_(ix, ix)]
+        return self.matrix[np.ix_(self.even_indices, self.even_indices)]
 
     @property
     def odd_block(self) -> np.ndarray:
-        ix = list(self.odd_indices)
-        return self.matrix[np.ix_(ix, ix)]
+        return self.matrix[np.ix_(self.odd_indices, self.odd_indices)]
 
-    def rank(self, policy: EqualityPolicy = DEFAULT_POLICY) -> int:
-        if self.exact_matrix is not None:
-            return _linalg.exact_rank(self.exact_matrix)
-        return _linalg.float_rank(self.matrix, policy.rel_tol)
+    def rank(self, policy: EqualityPolicy = DEFAULT_POLICY,
+             indices: Optional[Sequence[int]] = None) -> int:
+        """Rank of the matrix, or of its block on rows and columns ``indices``."""
+        rows = self.rows if indices is None else \
+            [[self.rows[a][b] for b in indices] for a in indices]
+        return _linalg.rank(rows, policy.rel_tol)
 
 
 def _interior_rows(beta: GradedExpr) -> List[List[GradedExpr]]:
@@ -98,22 +106,16 @@ class _FlatMap:
         self.one_form = deg == 1
         self.rows = _interior_rows(beta)
         self.plans = [Plan(e) for row in self.rows + [alpha] for e in row]
-        n2 = chart.dim ** 2
-        self.exact = all(p.exact for p in self.plans[:n2])
-        self.alpha_exact = self.one_form and all(p.exact for p in self.plans[n2:])
 
     def at(self, point: Dict[str, object]) -> FlatMatrix:
         n = self.chart.dim
-        exact, floats = body_values(self.plans, point)
+        vals = body_values(self.plans, point)
         return FlatMatrix(
             point={k: float(v) for k, v in point.items()},
-            matrix=np.array(floats[:n * n]).reshape(n, n),
+            rows=[vals[a * n:(a + 1) * n] for a in range(n)],
             even_indices=self.chart.even_indices,
             odd_indices=self.chart.odd_indices,
-            alpha_row=np.array(floats[n * n:]) if self.one_form else None,
-            exact_matrix=[exact[a * n:(a + 1) * n] for a in range(n)]
-            if self.exact else None,
-            exact_alpha=exact[n * n:] if self.alpha_exact else None,
+            alpha=vals[n * n:] if self.one_form else None,
         )
 
 
@@ -167,13 +169,7 @@ def characteristic_class(alpha: GradedExpr,
             evidence.append({"point": fm.point, "rank": 0, "case": "closed"})
             continue
         r = fm.rank(policy)
-        if fm.exact_matrix is not None and fm.exact_alpha is not None:
-            contained = _linalg.exact_solve_membership(
-                fm.exact_matrix, fm.exact_alpha) is not None
-            residual = 0.0 if contained else None
-        else:
-            contained, residual = _linalg.in_row_space(fm.matrix, fm.alpha_row,
-                                                       policy.rel_tol)
+        contained, residual = _linalg.contains(fm.rows, fm.alpha, policy.rel_tol)
         cls = r if contained else r + 1
         outcomes.add((r, contained))
         evidence.append({"point": fm.point, "rank": r,
@@ -198,7 +194,6 @@ def characteristic_class(alpha: GradedExpr,
 
 @dataclass
 class PresymplecticReport:
-    closed: bool
     constant_rank: bool
     rank: Optional[int]
     even_rank: Optional[int]
@@ -207,7 +202,7 @@ class PresymplecticReport:
     evidence: List[dict] = field(default_factory=list)
 
     def __bool__(self):
-        return self.closed and self.constant_rank
+        return self.constant_rank
 
 
 def presymplectic_check(omega: GradedExpr,
@@ -237,8 +232,8 @@ def presymplectic_check(omega: GradedExpr,
         r = fm.rank(policy)
         entry = {"point": fm.point, "rank": r}
         if par == EVEN:
-            entry["even_rank"] = _linalg.float_rank(fm.even_block, policy.rel_tol)
-            entry["odd_rank"] = _linalg.float_rank(fm.odd_block, policy.rel_tol)
+            entry["even_rank"] = fm.rank(policy, fm.even_indices)
+            entry["odd_rank"] = fm.rank(policy, fm.odd_indices)
         ranks.add((r, entry.get("even_rank"), entry.get("odd_rank")))
         evidence.append(entry)
         if kernel is None:
@@ -248,7 +243,7 @@ def presymplectic_check(omega: GradedExpr,
         r, er, orank = ranks.pop()
     else:
         r = er = orank = None
-    return PresymplecticReport(True, constant, r, er, orank, kernel, evidence)
+    return PresymplecticReport(constant, r, er, orank, kernel, evidence)
 
 
 # -- Reeb and Liouville fields ---------------------------------------------------
@@ -313,8 +308,8 @@ def liouville(omega: GradedExpr, alpha: GradedExpr,
 
 def _form_nonzero_at(w: GradedExpr, point: Dict[str, object]) -> bool:
     plans = [Plan(c) for c in w.diff_components().values()]
-    return not all(_linalg.negligible(v, DEFAULT_POLICY.rel_tol)
-                   for v in body_values(plans, point)[1])
+    vals = np.array(body_values(plans, point), dtype=float)
+    return not all(_linalg.negligible(v, DEFAULT_POLICY.rel_tol) for v in vals)
 
 
 def darboux_class_oracle(alpha: GradedExpr, point: Dict[str, object]) -> int:

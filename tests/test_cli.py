@@ -173,6 +173,19 @@ def test_degree_mode_randomized_when_residual_is_sampled():
     assert out["mode"] == "randomized"
 
 
+def test_linear_darboux_follows_tol():
+    """The congruence residual (about 1.2e-7, rounding at scale 1e9) passes
+    under rel_tol 1e-6 and fails under the default."""
+    c = chart(("a", 0, 0), ("b", 0, 0), ("e", 0, 0), ("f", 0, 0))
+    ws = Workspace(charts={"M": c}, forms={"w": parse_expr(
+        "1000000000*d(a)*d(b) + 3*d(a)*d(e) + 7*d(b)*d(f) + 5*d(e)*d(f)", c)})
+    task = {"cmd": "linear-darboux", "args": {"form": "w"}}
+    loose = run_task(task, ws, EqualityPolicy(rel_tol=1e-6))
+    assert 1e-9 < loose["residual"] < 1e-6
+    assert loose["status"] == "pass"
+    assert run_task(task, ws, EqualityPolicy())["status"] == "fail"
+
+
 def test_report_exprs_reparse(tmp_path):
     out = tmp_path / "theta.json"
     assert run(str(MANIFESTS / "theta.json"), json_out=str(out),

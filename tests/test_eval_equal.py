@@ -1,5 +1,6 @@
 """Grassmann evaluation and the two-mode equality service."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -8,10 +9,10 @@ import pytest
 
 from graded_darboux import (EqualityPolicy, apply_func, chart, const, coord,
                             diff, equal, eval_body_exact, eval_numeric, gdiv,
-                            gmul, one, parse_expr, substitute)
+                            gmul, one, parse_expr, substitute, zero)
 from graded_darboux.grexpr import grassmann
 from graded_darboux.grexpr.expr import EvaluationError
-from graded_darboux.grexpr.grassmann import Plan
+from graded_darboux.grexpr.grassmann import Plan, body_values
 from helpers import random_chart, random_expr
 
 
@@ -136,6 +137,17 @@ class TestPlan:
                                       else const(c, point[n])
                                       for n in c.names}).constant_value()
                 assert plan.exact_body(xq) == eval_body_exact(e, point) == want
+
+    def test_body_values_exact_where_the_plan_is(self):
+        c = chart(("x", 0, 0), ("y", 0, 0), ("t", 1, 0))
+        exprs = [parse_expr("x^2/3 + y", c), parse_expr("t*y", c), zero(c),
+                 coord(c, "x") * 0.5, parse_expr("sin(x)", c)]
+        plans = [Plan(e) for e in exprs]
+        vals = body_values(plans, {"x": Fraction(1, 2), "y": 2})
+        assert vals[:3] == [Fraction(25, 12), 0, 0]
+        assert [type(v) for v in vals] == [Fraction] * 3 + [float] * 2
+        assert [p.exact for p in plans] == [True] * 3 + [False] * 2
+        assert vals[3:] == [0.25, math.sin(0.5)]
 
     def test_coefficient_beyond_float_range(self):
         c = chart(("x", 0, 0))

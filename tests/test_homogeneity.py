@@ -255,7 +255,10 @@ class TestDistributions:
         # [nabla, d/dx] = x d/dx + (x/10^12) d/dy: a residual below rel_tol,
         # but exact
         ({"x": "-x^2/2", "y": "-x^2/(2*10^12)"}, False),
-    ], ids=["inside", "outside", "tiny-exact-residual"])
+        # [nabla, d/dx] = x d/dx + (sinh(x)/10^12) d/dy: as small, but a
+        # float entry sends the decision to least squares, within rel_tol
+        ({"x": "-x^2/2", "y": "-cosh(x)/10^12"}, True),
+    ], ids=["inside", "outside", "tiny-exact-residual", "tiny-float-residual"])
     def test_exact_membership_verdicts(self, nabla, inside):
         c = chart(("x", 0, 0), ("y", 0, 0))
         D = Distribution(c, (vector_field(c, {"x": "1"}),))

@@ -147,6 +147,13 @@ class TestPresymplectic:
         rep = presymplectic_check(parse_expr("d(p)*d(q) + d(t1)*d(t1)", c))
         assert rep.even_rank == 2 and rep.odd_rank == 1 and rep.rank == 3
 
+    def test_block_ranks_exact_like_the_total(self):
+        # a pair 10^10 times weaker than the other: exact data keep it
+        c = chart(("p", 0, 0), ("q", 0, 0), ("u", 0, 0), ("v", 0, 0))
+        rep = presymplectic_check(
+            parse_expr("d(p)*d(q) + 1/10000000000*d(u)*d(v)", c))
+        assert rep.rank == rep.even_rank == 4 and rep.odd_rank == 0
+
 
 class TestReeb:
     def test_canonical(self):

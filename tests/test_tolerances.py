@@ -1,7 +1,10 @@
 """Numeric thresholds have one owner: ``grexpr/equality.py`` defines them and
 ``_linalg.py`` makes the float zero, rank and membership decisions, so no
 other module holds a tolerance literal of its own.  Sampling has one carrier:
-the sample count and seed of a decision travel in its ``EqualityPolicy``."""
+the sample count and seed of a decision travel in its ``EqualityPolicy``.
+The exact-or-float choice has one owner: ``_linalg.rank`` and
+``_linalg.contains`` take the exact path when every body value is a
+Fraction, and only ``grexpr/grassmann.py`` asks a plan whether it is exact."""
 
 import ast
 from pathlib import Path
@@ -44,4 +47,26 @@ def test_no_sampling_parameter_outside_the_policy():
             names = {x.arg for x in a.posonlyargs + a.args + a.kwonlyargs}
             if names & SAMPLING_PARAMS and (rel, node.name) not in SAMPLING_OWNERS:
                 found.append((rel, node.lineno, node.name))
+    assert found == []
+
+
+# the exact-only and float-only membership and rank routines, reached from
+# outside only through _linalg.rank and _linalg.contains
+PATH_ROUTINES = {"exact_rank", "exact_solve_membership", "in_row_space"}
+
+
+def test_one_chooser_of_the_exact_or_float_path():
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and rel != "_linalg.py":
+                fn = node.func
+                name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
+                if name in PATH_ROUTINES:
+                    found.append((rel, node.lineno, name))
+            elif (isinstance(node, ast.Attribute) and node.attr == "exact"
+                  and isinstance(node.ctx, ast.Load)
+                  and rel != "grexpr/grassmann.py"):
+                found.append((rel, node.lineno, ".exact"))
     assert found == []
