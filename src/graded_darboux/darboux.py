@@ -33,7 +33,8 @@ from .grexpr.expr import (GradedExpr, apply_func, const, coord, diff, gdiv,
                           gmul, partial, substitute, zero)
 from .grexpr.integrate import NonIntegrable, integrate_univariate
 from .grexpr.grassmann import Plan, body_values
-from .homogeneity import WeightVectorField, degree_of, weight_field_of_chart
+from .homogeneity import (DegreeReport, WeightVectorField, degree_of,
+                          weight_field_of_chart)
 from .pfaffian import PfaffianError, characteristic_class, flat_matrix
 
 
@@ -574,8 +575,9 @@ def one_form_darboux(alpha: GradedExpr, presymp_chart: ChartMap,
     # weights of the new coordinates
     decls = []
     weights: Dict[str, object] = {}
+    coord_reps: Dict[str, DegreeReport] = {}
     for name, img in zip(new_names, new_images):
-        drep = degree_of(img, nabla, policy)
+        drep = coord_reps[name] = degree_of(img, nabla, policy)
         if drep.homogeneous and drep.degree is not None:
             wgt = drep.degree.weight
         else:
@@ -587,7 +589,7 @@ def one_form_darboux(alpha: GradedExpr, presymp_chart: ChartMap,
                                     wgt if isinstance(wgt, Fraction) else 0))
     new_chart = ChartSpec(tuple(decls), default_box=chart.default_box)
     phi_out = ChartMap(chart, new_chart, dict(zip(new_names, new_images)))
-    report = verify_normal_form(alpha, phi_out, out_spec, nabla, policy)
+    report = _verify_normal_form(alpha, phi_out, out_spec, rep, coord_reps, policy)
     status = "ok" if report.passed else "verification-only"
     return DarbouxResult(status, phi_out, out_spec, report, weights, notes)
 
@@ -618,8 +620,18 @@ def verify_normal_form(alpha: GradedExpr, phi: ChartMap, spec: NormalFormSpec,
     is homogeneous, (3) the recorded weights are consistent with the degree
     of the form.  Failures become report entries, never exceptions.
     """
-    chart = alpha.chart
-    nabla = nabla or weight_field_of_chart(chart)
+    nabla = nabla or weight_field_of_chart(alpha.chart)
+    return _verify_normal_form(
+        alpha, phi, spec, degree_of(alpha, nabla, policy),
+        {name: degree_of(phi.images[name], nabla, policy)
+         for name in phi.target.names}, policy)
+
+
+def _verify_normal_form(alpha: GradedExpr, phi: ChartMap, spec: NormalFormSpec,
+                        wdeg: DegreeReport, coord_reps: Dict[str, DegreeReport],
+                        policy: EqualityPolicy) -> VerificationReport:
+    """``verify_normal_form`` given the degree reports of the form and of
+    each new coordinate's image."""
     entries: List[CheckEntry] = []
 
     canonical = canonical_expr(spec, phi.target)
@@ -629,14 +641,13 @@ def verify_normal_form(alpha: GradedExpr, phi: ChartMap, spec: NormalFormSpec,
     mode = res.mode
 
     roles = spec.coordinate_roles(phi.target)
-    wdeg = degree_of(alpha, nabla, policy)
     w = wdeg.degree.weight if (wdeg.homogeneous and wdeg.degree) else None
     entries.append(CheckEntry("form-homogeneous", wdeg.homogeneous,
                               f"degree {wdeg.degree}" if wdeg.degree else wdeg.note))
 
     coord_weights: Dict[str, object] = {}
     for name in phi.target.names:
-        rep = degree_of(phi.images[name], nabla, policy)
+        rep = coord_reps[name]
         ok = rep.homogeneous
         coord_weights[name] = rep.degree.weight if (ok and rep.degree) else None
         entries.append(CheckEntry(f"coordinate-{name}-homogeneous", ok,

@@ -14,11 +14,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, List, Optional
+
+import numpy as np
 
 from .chart import ChartSpec, EVEN
 from .expr import EvaluationError, GradedExpr
-from .grassmann import DivisorFloorError, GrassmannValue, Plan, grassmann_point
+from .grassmann import FAILURES, GrassmannValue, Plan, _blade
 
 
 @dataclass(frozen=True)
@@ -50,9 +52,10 @@ RK4_STEP = 1e-3             # flow time per RK4 step of straightening
 DOMAIN_LIMIT = 1e6          # a flow leaving |x| <= this has diverged
 
 
-def threshold(tol: float, scale: float = 0.0) -> float:
-    """``tol`` relative to ``scale``, and absolute below scale 1."""
-    return tol * max(1.0, scale)
+def threshold(tol: float, scale=0.0):
+    """``tol`` relative to ``scale``, and absolute below scale 1; elementwise
+    for an array of scales."""
+    return tol * np.maximum(1.0, scale)
 
 
 @dataclass
@@ -67,33 +70,79 @@ class EqualityResult:
         return self.equal
 
 
-def _sample_point(chart: ChartSpec, rng: random.Random) -> Dict[str, object]:
-    point: Dict[str, object] = {}
-    ngens = len(chart.odd_indices)
-    g = 0
-    for i, c in enumerate(chart.coords):
-        if c.parity == EVEN:
-            lo, hi = chart.box_for(i)
-            point[c.name] = rng.uniform(lo, hi)
-        else:
-            point[c.name] = GrassmannValue.generator(g, ngens,
-                                                     scale=rng.uniform(0.5, 1.5))
-            g += 1
-    return point
+ODD_SCALES = (0.5, 1.5)     # an odd coordinate is a generator scaled from here
 
 
-def _close(a: float, b: float, rel_tol: float) -> bool:
-    return abs(a - b) <= threshold(rel_tol, max(abs(a), abs(b)))
+def _draw_points(chart: ChartSpec, rng: random.Random, n: int) -> List[list]:
+    """n sample points, in draw order: even coordinates uniform in their
+    boxes, odd ones the scale of their generator."""
+    boxes = [chart.box_for(i) if c.parity == EVEN else ODD_SCALES
+             for i, c in enumerate(chart.coords)]
+    return [[rng.uniform(lo, hi) for lo, hi in boxes] for _ in range(n)]
+
+
+def _coordinates(chart: ChartSpec, points: List[list]) -> List[np.ndarray]:
+    """Per-coordinate values of a batch of points (see ``Plan.grassmann``)."""
+    cols = np.array(points, dtype=float).T.copy()
+    x = list(cols)
+    for g, i in enumerate(chart.odd_indices):
+        x[i] = np.zeros((len(points), 1 << len(chart.odd_indices)))
+        x[i][:, 1 << g] = cols[i]
+    return x
+
+
+def _close(a, b, rel_tol: float):
+    return np.abs(a - b) <= threshold(rel_tol, np.maximum(np.abs(a), np.abs(b)))
+
+
+def _outcomes(plans, chart: ChartSpec, points: List[list], rel_tol: float) -> list:
+    """Each point's outcome, decided as if the points were checked one at a
+    time: components in order, lhs evaluated before rhs, and the first
+    component that fails to evaluate or differs decides.  None: the point
+    passes; a string: why it failed; a dict: the witness of a difference,
+    at the first blade, in bitmask order, where the sides differ."""
+    x = _coordinates(chart, points)
+    out: list = [None] * len(points)
+    undecided = np.ones(len(points), dtype=bool)
+    for pat, plan_a, plan_b in plans:
+        va = plan_a.grassmann(x, DIVISOR_FLOOR)
+        vb = plan_b.grassmann(x, DIVISOR_FLOOR)
+        failure = np.where(va.failure != 0, va.failure, vb.failure)
+        with np.errstate(all="ignore"):
+            differ = ~_close(va.values, vb.values, rel_tol)
+        decided = undecided & ((failure != 0) | differ.any(axis=1))
+        for i in np.flatnonzero(decided).tolist():
+            if failure[i]:
+                out[i] = FAILURES[failure[i]]
+                continue
+            m = int(np.argmax(differ[i]))
+            out[i] = {
+                "point": {c.name: (v if c.parity == EVEN
+                                   else repr(GrassmannValue(xc[i])))
+                          for c, v, xc in zip(chart.coords, points[i], x)},
+                "component": pat,
+                "generators": _blade(m),
+                # + 0.0 reads a negative zero as the 0.0 of an absent blade
+                "lhs": float(va.values[i, m]) + 0.0,
+                "rhs": float(vb.values[i, m]) + 0.0,
+            }
+        undecided &= ~decided
+        if not undecided.any():
+            break
+    return out
 
 
 def equal(a: GradedExpr, b: GradedExpr,
           policy: EqualityPolicy = DEFAULT_POLICY) -> EqualityResult:
     """Decide a == b; exact when possible, else randomized per the policy.
 
-    A sample point whose evaluation fails is redrawn; ``redraws`` counts the
-    redraws by reason: ``divisor-floor`` (a divisor body under
-    ``DIVISOR_FLOOR``), ``evaluation`` (another ``EvaluationError``) or
-    ``arithmetic`` (an ``ArithmeticError`` such as an overflow)."""
+    The sample points are drawn, and each plan evaluated, a batch at a
+    time; a point whose evaluation fails is replaced by the next draw.
+    ``redraws`` counts the failed draws by reason: ``divisor-floor`` (a
+    divisor body under ``DIVISOR_FLOOR``), ``evaluation`` (another
+    ``EvaluationError``) or ``arithmetic`` (an ``ArithmeticError`` such as
+    an overflow).  The verdict, witness and counts are those of checking
+    the points one at a time in draw order."""
     if a.chart != b.chart:
         raise ValueError("cannot compare expressions over different charts")
     chart = a.chart
@@ -121,38 +170,19 @@ def equal(a: GradedExpr, b: GradedExpr,
     checked = 0
     redraws: Dict[str, int] = {}
     while checked < policy.n_points:
-        if checked + sum(redraws.values()) > MAX_REDRAWS * policy.n_points:
-            raise EvaluationError(
-                "could not sample a valid evaluation point "
-                "(check chart boxes against singularities)")
-        point = _sample_point(chart, rng)
-        values = grassmann_point(chart, point)
-        try:
-            for pat, plan_a, plan_b in plans:
-                # a divisor body under the floor raises: redraw off the pole
-                va = plan_a.grassmann(values, DIVISOR_FLOOR)
-                vb = plan_b.grassmann(values, DIVISOR_FLOOR)
-                keys = set(va.data) | set(vb.data)
-                for k in keys:
-                    x, y = va.data.get(k, 0.0), vb.data.get(k, 0.0)
-                    if not _close(x, y, policy.rel_tol):
-                        witness = {
-                            "point": {n: (v if not isinstance(v, GrassmannValue)
-                                          else repr(v)) for n, v in point.items()},
-                            "component": pat,
-                            "generators": k,
-                            "lhs": x,
-                            "rhs": y,
-                        }
-                        return EqualityResult(False, "randomized", witness,
-                                              redraws=redraws)
-        except (EvaluationError, ArithmeticError) as exc:
-            reason = ("divisor-floor" if isinstance(exc, DivisorFloorError)
-                      else "evaluation" if isinstance(exc, EvaluationError)
-                      else "arithmetic")
-            redraws[reason] = redraws.get(reason, 0) + 1
-            continue
-        checked += 1
+        points = _draw_points(chart, rng, policy.n_points - checked)
+        for outcome in _outcomes(plans, chart, points, policy.rel_tol):
+            if checked + sum(redraws.values()) > MAX_REDRAWS * policy.n_points:
+                raise EvaluationError(
+                    "could not sample a valid evaluation point "
+                    "(check chart boxes against singularities)")
+            if outcome is None:
+                checked += 1
+            elif isinstance(outcome, str):
+                redraws[outcome] = redraws.get(outcome, 0) + 1
+            else:
+                return EqualityResult(False, "randomized", outcome,
+                                      redraws=redraws)
     return EqualityResult(True, "randomized",
                           detail=f"{checked} points, rel_tol={policy.rel_tol}",
                           redraws=redraws)

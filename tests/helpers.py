@@ -221,3 +221,51 @@ def leibniz_walk_oracle(e: GradedExpr, op_p: int, op_s: int, image) -> GradedExp
             if (op_p * p + op_s * s) % 2:
                 sign = -sign
     return total
+
+
+# -- dict-keyed Grassmann product (oracle) -------------------------------------------
+
+
+def _merge_indices(a, b):
+    """Concatenate two sorted index words; None if a generator repeats."""
+    if not a:
+        return b, 1
+    if not b:
+        return a, 1
+    if set(a) & set(b):
+        return None, 0
+    sign = 1
+    for x in b:
+        # x crosses every generator of a greater than it
+        sign *= (-1) ** sum(1 for y in a if y > x)
+    merged = tuple(sorted(a + b))
+    return merged, sign
+
+
+def grassmann_mul_oracle(u: dict, v: dict) -> dict:
+    """Product of two Grassmann values held as {sorted generator tuple:
+    coefficient}, pair by pair, merging index words one at a time."""
+    data = {}
+    for k1, v1 in u.items():
+        for k2, v2 in v.items():
+            merged, sign = _merge_indices(k1, k2)
+            if merged is None:
+                continue
+            data[merged] = data.get(merged, 0.0) + sign * v1 * v2
+    return {k: x for k, x in data.items() if x != 0.0}
+
+
+def grassmann_series_oracle(u: dict, derivs, ngens: int) -> dict:
+    """sum_k derivs(k)/k! * soul^k, the powers taken with the oracle product."""
+    soul = {k: x for k, x in u.items() if k}
+    out = {(): derivs(0)}
+    power = {(): 1.0}
+    fact = 1.0
+    for k in range(1, ngens + 1):
+        power = grassmann_mul_oracle(power, soul)
+        if not power:
+            break
+        fact *= k
+        for blade, x in power.items():
+            out[blade] = out.get(blade, 0.0) + derivs(k) / fact * x
+    return out

@@ -9,6 +9,7 @@ import pytest
 
 from graded_darboux import (chart, coord, eval_body_exact, one, parse_expr,
                             partial, zero, NonIntegrable)
+from graded_darboux import darboux
 from graded_darboux.cartan import (ChartMap, basis_field, exterior_d,
                                    vector_field)
 from graded_darboux.darboux import (NormalFormSpec, StraighteningError,
@@ -265,6 +266,47 @@ class TestOneFormDarboux:
         assert res.chart_map.images["z"] == \
             parse_expr("exp(z)*cos(x*y) - 1", c)
         assert res.new_weights["z"] == 0
+
+    def test_eta_reuses_its_degree_reports(self, monkeypatch):
+        # one_form_darboux hands the degree reports of the form and of the
+        # new coordinates to its verification: 4 degree_of calls, not 8
+        c = chart(("x", 0, 1), ("y", 0, -1), ("z", 0, 0), default_box=(-0.6, 0.6))
+        eta = parse_expr(
+            "y*(1 + sin(z) + cos(x*y)*(1+sin(z)) - sin(x*y)*(exp(z)"
+            " + x*y*(1+sin(z))))*d(x) - x*sin(x*y)*(x*y*(sin(z)+1)"
+            " + exp(z))*d(y) + exp(z)*cos(x*y)*d(z)", c)
+        t = chart(("q", 0, 1), ("p", 0, -1), ("K", 0, 0))
+        phi = ChartMap(c, t, {"q": parse_expr("x*(1+cos(x*y))", c),
+                              "p": parse_expr("y*(1+sin(z))", c),
+                              "K": parse_expr("z", c)})
+        calls = []
+        original = darboux.degree_of
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(darboux, "degree_of", counting)
+        res = one_form_darboux(eta, phi, r=1)
+        assert len(calls) == 4
+        assert res.status == "ok" and res.spec.variant == "contact"
+        assert res.new_weights == {"q": 1, "p": -1, "z": 0}
+        assert res.notes == []
+        # the public verifier derives its own reports and agrees entry by entry
+        calls.clear()
+        again = verify_normal_form(eta, res.chart_map, res.spec)
+        assert len(calls) == 4
+        assert again == res.verification
+        assert res.verification.mode == "exact"
+        assert [(e.name, e.passed, e.detail) for e in res.verification.entries] == [
+            ("pullback-matches-form", True, "exact"),
+            ("form-homogeneous", True,
+             "degree Degree(parity=0, weight=Fraction(0, 1))"),
+            ("coordinate-q-homogeneous", True, "weight 1"),
+            ("coordinate-p-homogeneous", True, "weight -1"),
+            ("coordinate-z-homogeneous", True, "weight 0"),
+            ("pair-weight-q-p", True, "w(q)+w(p) = 0, expected 0"),
+            ("z-weight", True, "w(z) = 0, expected 0")]
 
     def test_guard_weight_field_in_characteristic_space(self):
         c = chart(("xx", 0, 0), ("yy", 0, 0), ("tt", 0, 0),

@@ -10,7 +10,7 @@ import pytest
 from graded_darboux import (EqualityPolicy, apply_func, chart, const, coord,
                             diff, equal, eval_body_exact, eval_numeric, gdiv,
                             gmul, one, parse_expr, substitute, zero)
-from graded_darboux.grexpr import grassmann
+from graded_darboux.grexpr import equality, grassmann
 from graded_darboux.grexpr.expr import EvaluationError
 from graded_darboux.grexpr.grassmann import Plan, body_values
 from helpers import random_chart, random_expr
@@ -249,3 +249,102 @@ class TestEqual:
         x = coord(c, "x")
         with pytest.raises(error, match="planted evaluator bug"):
             equal(x, x, EqualityPolicy(mode="randomized", n_points=4))
+
+
+def _pole_draws(seed, box, n):
+    """Replay equal()'s draws on a one-coordinate chart: each draw with
+    whether the divisor x + x^2 of "(1 + x)/(x + x^2)*x" clears the floor."""
+    rng = random.Random(seed)
+    xs = [rng.uniform(*box) for _ in range(n)]
+    return [(x, abs(x + x * x) >= equality.DIVISOR_FLOOR) for x in xs]
+
+
+class _ScriptedRandom:
+    """A stand-in for equal()'s generator that draws a fixed script."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def uniform(self, lo, hi):
+        return next(self.values)
+
+
+class TestBatchedDecisions:
+    """Batched evaluation decides as if the points were checked one at a time
+    in draw order."""
+
+    POLE = "(1 + x)/(x + x^2)*x"
+
+    def test_pole_redraws_match_hand_counted_draws(self):
+        box = (-1e-5, 1e-5)
+        c = chart(("x", 0, 1), default_box=box)
+        draws = _pole_draws(0, box, 200)
+        accepted = [i for i, (_, ok) in enumerate(draws) if ok][:32]
+        failed = accepted[-1] + 1 - 32
+        assert failed > 0
+        r = equal(parse_expr(self.POLE, c), parse_expr("1", c))
+        assert r and r.detail == "32 points, rel_tol=1e-09"
+        assert r.redraws == {"divisor-floor": failed}
+
+    def test_earlier_difference_beats_later_failure(self):
+        # d(y) sorts before d(x): at each point the d(y) components differ
+        # before the d(x) components hit the pole at y = 0
+        c = chart(("x", 0, 0, (0.5, 1.0)), ("y", 0, 0, (-1e-7, 1e-7)))
+        r = equal(parse_expr("x*d(y) + 1/y*d(x)", c),
+                  parse_expr("2*x*d(y) + 1/y*d(x)", c))
+        assert not r and r.mode == "randomized"
+        assert r.witness["component"] == (0, 1) and r.redraws == {}
+        # the later component alone fails at every point
+        with pytest.raises(EvaluationError, match="could not sample"):
+            equal(parse_expr("1/y*d(x)", c), parse_expr("2/y*d(x)", c))
+
+    def test_redraws_before_the_witness_only(self):
+        box = (-1.25e-6, 1.25e-6)
+        c = chart(("x", 0, 1), default_box=box)
+        draws = _pole_draws(1, box, 32)
+        first = [ok for _, ok in draws].index(True)
+        # failed draws follow the witness point in the same batch too
+        assert first > 0 and not all(ok for _, ok in draws[first:])
+        r = equal(parse_expr(self.POLE, c), parse_expr("2", c),
+                  EqualityPolicy(seed=1))
+        assert not r
+        assert r.redraws == {"divisor-floor": first}
+        assert r.witness["point"] == {"x": draws[first][0]}
+        assert r.witness["lhs"] == pytest.approx(1.0) and r.witness["rhs"] == 2.0
+
+    @pytest.mark.parametrize("failures, raises", [(397, False), (398, True)])
+    def test_redraw_cap_at_the_sequential_draw_count(self, monkeypatch,
+                                                     failures, raises):
+        # 4 points: the cap is 400 draws beyond the checked points; three
+        # good draws, then ``failures`` draws at the pole, then good ones
+        script = [0.5] * 3 + [0.0] * failures + [0.5] * 8
+        monkeypatch.setattr(equality.random, "Random",
+                            lambda seed: _ScriptedRandom(script))
+        c = chart(("x", 0, 1))
+        policy = EqualityPolicy(n_points=4)
+        assert equality.MAX_REDRAWS * policy.n_points == 400
+        lhs, rhs = parse_expr(self.POLE, c), parse_expr("1", c)
+        if raises:
+            with pytest.raises(EvaluationError, match="could not sample"):
+                equal(lhs, rhs, policy)
+        else:
+            r = equal(lhs, rhs, policy)
+            assert r and r.redraws == {"divisor-floor": failures}
+
+    def test_one_evaluation_per_plan_and_batch(self, monkeypatch):
+        c = chart(("x", 0, 0), ("y", 0, 0), ("t", 1, 0), ("s", 1, 0))
+        lhs = parse_expr("(sin(x + t*s)^2 + cos(x + t*s)^2)*d(x)"
+                         " + exp(x)*exp(y + t*s)*d(y)", c)
+        rhs = parse_expr("d(x) + exp(x + y + t*s)*d(y)", c)
+        calls = []
+        original = grassmann.Plan.grassmann
+
+        def counting(self, x, floor=0.0):
+            calls.append(np.shape(x[0])[:1])
+            return original(self, x, floor)
+
+        monkeypatch.setattr(grassmann.Plan, "grassmann", counting)
+        r = equal(lhs, rhs)
+        assert r and r.mode == "randomized" and r.redraws == {}
+        # two differential components, each side evaluated once at 32 points
+        assert calls == [(32,)] * 4
