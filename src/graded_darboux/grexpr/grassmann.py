@@ -250,6 +250,11 @@ class _Kernel:
             def derivative(k, where):
                 return self.elementwise(_log_derivative(k), body, where)
         else:
+            if kind in ("sin", "cos"):
+                # a float product overflows to inf silently, and math.sin and
+                # math.cos raise ValueError there
+                self.fail(np.isinf(body),
+                          OverflowError(f"{kind} of an overflowed argument"))
             cycle = _DERIVATIVE_CYCLES[kind]
             base = {}
             for g, _ in cycle:

@@ -306,25 +306,22 @@ def liouville(omega: GradedExpr, alpha: GradedExpr,
 # -- wedge-power class oracle (purely even charts) --------------------------------
 
 
-def _form_nonzero_at(w: GradedExpr, point: Dict[str, object],
-                     policy: EqualityPolicy) -> bool:
+def _form_nonzero_at(w: GradedExpr, point: Dict[str, object]) -> bool:
     plans = [Plan(c) for c in w.diff_components().values()]
     vals = np.array(body_values(plans, point), dtype=float)
-    return not all(_linalg.negligible(v, policy.rel_tol) for v in vals)
+    return not all(_linalg.negligible(v, DEFAULT_POLICY.rel_tol) for v in vals)
 
 
-def darboux_class_oracle(alpha: GradedExpr, point: Dict[str, object],
-                         policy: EqualityPolicy = DEFAULT_POLICY) -> int:
+def darboux_class_oracle(alpha: GradedExpr, point: Dict[str, object]) -> int:
     """Class by wedge powers: the largest s with alpha /\\ (d alpha)^s != 0
-    at the point decides 2s+1 or 2s+2; a component counts as nonzero above
-    the policy's tolerance.  Undefined on super charts, where top powers of
-    odd differentials never vanish."""
+    at the point decides 2s+1 or 2s+2.  Undefined on super charts, where top
+    powers of odd differentials never vanish."""
     chart = alpha.chart
     if not chart.is_purely_even():
         raise PfaffianError("wedge-power class oracle needs a purely even chart")
     if alpha.form_degree() != 1:
         raise PfaffianError("class oracle expects a one-form")
-    if not _form_nonzero_at(alpha, point, policy):
+    if not _form_nonzero_at(alpha, point):
         raise PfaffianError("form vanishes at the point", witness=point)
 
     dalpha = exterior_d(alpha)
@@ -340,11 +337,11 @@ def darboux_class_oracle(alpha: GradedExpr, point: Dict[str, object],
         if s + 1 >= len(powers):
             break
         w = gmul(alpha, powers[s + 1])
-        if w.is_zero() or not _form_nonzero_at(w, point, policy):
+        if w.is_zero() or not _form_nonzero_at(w, point):
             break
         s += 1
 
     next_power = powers[s + 1] if s + 1 < len(powers) else zero(chart)
-    if next_power.is_zero() or not _form_nonzero_at(next_power, point, policy):
+    if next_power.is_zero() or not _form_nonzero_at(next_power, point):
         return 2 * s + 1
     return 2 * s + 2

@@ -348,3 +348,20 @@ class TestBatchedDecisions:
         assert r and r.mode == "randomized" and r.redraws == {}
         # two differential components, each side evaluated once at 32 points
         assert calls == [(32,)] * 4
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize("inner", ["exp(x)*exp(x)", "exp(2*x)"])
+    def test_overflowed_trig_argument_is_an_arithmetic_redraw(self, seed, inner):
+        # exp(x)^2 overflows to inf above x ~ 354.9, exp(2*x) raises there;
+        # sin and cos of the overflowed argument fail the point, not the call
+        box = (300.0, 400.0)
+        c = chart(("x", 0, 0), default_box=box)
+        rng = random.Random(seed)
+        xs = [rng.uniform(*box) for _ in range(32)]
+        failed = [math.isinf(math.exp(x) * math.exp(x)) for x in xs].index(False)
+        assert failed > 0
+        r = equal(parse_expr(f"sin({inner})", c),
+                  parse_expr("cos(exp(x)*exp(x))", c), EqualityPolicy(seed=seed))
+        assert not r and r.mode == "randomized"
+        assert r.redraws == {"arithmetic": failed}
+        assert r.witness["point"] == {"x": xs[failed]}

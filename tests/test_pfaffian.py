@@ -244,15 +244,6 @@ class TestOracle:
         with pytest.raises(PfaffianError):
             darboux_class_oracle(parse_expr("d(x)", c), {"x": 0.1})
 
-    def test_policy_tolerance_reaches_the_wedge_test(self, cyl):
-        # alpha ^ d(alpha) has the single component 1e-6: it counts at the
-        # default tolerance and vanishes under rel_tol = 1e-3
-        alpha = parse_expr("d(z) - 1/1000000*p*d(q)", cyl)
-        point = {"z": 0.1, "p": 0.2, "q": 0.3}
-        assert darboux_class_oracle(alpha, point) == 3
-        assert darboux_class_oracle(alpha, point,
-                                    EqualityPolicy(rel_tol=1e-3)) == 1
-
 
 class TestCharacteristicInvariance:
     def test_flat_kernel_generators(self):
