@@ -15,20 +15,19 @@ import json
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from . import _linalg
 from .cartan import ChartMap, VectorField, exterior_d, vector_field
-from .grexpr.chart import ChartError, ChartSpec, CoordinateDecl, as_parity
+from .grexpr.chart import ChartSpec, CoordinateDecl, as_parity
 from .grexpr.equality import DEFAULT_POLICY, EqualityPolicy, equal
-from .grexpr.expr import GradedExpr, ParityError
-from .grexpr.parser import ParseError, format_expr, parse_expr
+from .grexpr.expr import GradedExpr
+from .grexpr.parser import format_expr, parse_expr
 from .homogeneity import (Distribution, WeightVectorField, degree_of,
                           distribution_homogeneous, involutive_check,
                           tangent_lift, cotangent_lift, verify_weight_chart,
                           weight_field_of_chart)
-from .pfaffian import (PfaffianError, characteristic_class, liouville,
-                       presymplectic_check, reeb)
+from .pfaffian import characteristic_class, liouville, presymplectic_check, reeb
 from .darboux import (NormalFormSpec, homog_solve_pde,
                       linear_darboux, log_primitive, one_form_darboux,
                       poincare_primitive, straighten_commuting,
@@ -149,18 +148,13 @@ def _render(v):
     return v
 
 
-def _degree_payload(rep):
-    if not rep.homogeneous or rep.degree is None:
-        return None
-    return {"parity": "odd" if rep.degree.parity else "even",
-            "weight": str(rep.degree.weight)}
-
-
 # -- expectation matching ---------------------------------------------------------
 
 
 def _match_expect(expect: dict, outcome: dict, vfield: Optional[VectorField],
-                  policy: EqualityPolicy) -> Tuple[bool, List[str]]:
+                  policy: EqualityPolicy) -> List[str]:
+    """The mismatches between ``expect`` and the rendered ``outcome``; the
+    ``field`` key compares against ``vfield``, the field before rendering."""
     problems = []
     for key, want in expect.items():
         got = outcome.get(key)
@@ -174,7 +168,7 @@ def _match_expect(expect: dict, outcome: dict, vfield: Optional[VectorField],
             ok = str(want) == str(got)
         if not ok:
             problems.append(f"{key}: expected {want!r}, got {got!r}")
-    return not problems, problems
+    return problems
 
 
 def _match_field(want: dict, got: Optional[VectorField],
@@ -190,187 +184,192 @@ def _match_field(want: dict, got: Optional[VectorField],
         for n in want)
 
 
-# -- task execution ----------------------------------------------------------------
+# -- task handlers -----------------------------------------------------------------
+# handler(args, ws, policy) -> (fields of library objects, status), the status
+# "pass", "fail" or "indeterminate"; run_task renders, matches and writes it.
+
+
+def _nabla(args, ws: Workspace, chart: ChartSpec) -> WeightVectorField:
+    """The declared weight field ``nabla``, else the canonical one of chart."""
+    if "nabla" not in args:
+        return weight_field_of_chart(chart)
+    f = ws.vfield(args["nabla"])
+    return WeightVectorField(f, canonical=verify_weight_chart(f, f.chart))
+
+
+def _check_chart(args, ws, policy):
+    f = ws.vfield(args["nabla"])
+    chart = ws.chart(args["chart"]) if "chart" in args else f.chart
+    ok = verify_weight_chart(f, chart)
+    return {"canonical": ok}, "pass" if ok else "fail"
+
+
+def _degree(args, ws, policy):
+    target = args["of"]
+    obj = ws.forms.get(target) or ws.fields.get(target)
+    if obj is None:
+        raise ManifestError(f"unknown form or field {target!r}")
+    rep = degree_of(obj, _nabla(args, ws, obj.chart), policy)
+    out = {"homogeneous": rep.homogeneous, "degree": None, "mode": rep.mode}
+    if rep.degree is not None:
+        deg = {"parity": "odd" if rep.degree.parity else "even",
+               "weight": str(rep.degree.weight)}
+        out.update(deg, degree=deg if rep.homogeneous else None)
+    return out, "pass" if rep.homogeneous else "fail"
+
+
+def _lift(args, ws, policy):
+    chart = (ws.chart(args["chart"]) if "chart" in args
+             else ws.vfield(args["nabla"]).chart)
+    nab = _nabla(args, ws, chart)
+    kind = args.get("kind", "tangent")
+    lifted = tangent_lift(nab) if kind == "tangent" else cotangent_lift(nab)
+    return {"chart": [[c.name, "odd" if c.parity else "even", str(c.weight)]
+                      for c in lifted.chart.coords],
+            "output_exprs": lifted.field}, "pass"
+
+
+def _classify(args, ws, policy):
+    rep = characteristic_class(ws.form(args["form"]), policy=policy)
+    return ({"class": rep.class_, "case": rep.case, "kind": rep.kind,
+             "witness": rep.evidence[:2], "mode": "randomized"},
+            "pass" if rep.kind != "irregular" else "indeterminate")
+
+
+def _presymplectic(args, ws, policy):
+    rep = presymplectic_check(ws.form(args["form"]), policy=policy)
+    return ({"rank": rep.rank, "even_rank": rep.even_rank,
+             "odd_rank": rep.odd_rank, "constant_rank": rep.constant_rank,
+             "kernel": rep.kernel.T if rep.kernel is not None else None},
+            "pass" if rep.constant_rank else "indeterminate")
+
+
+def _reeb(args, ws, policy):
+    return {"field": reeb(ws.form(args["form"]), policy)}, "pass"
+
+
+def _liouville(args, ws, policy):
+    alpha = ws.form(args["alpha"])
+    omega = ws.form(args["omega"]) if "omega" in args else exterior_d(alpha)
+    return {"field": liouville(omega, alpha, policy)}, "pass"
+
+
+def _poincare(args, ws, policy):
+    form = ws.form(args["form"])
+    prim = poincare_primitive(form, _nabla(args, ws, form.chart))
+    return {"output_exprs": [prim]}, "pass"
+
+
+def _log_primitive(args, ws, policy):
+    form = ws.form(args["form"])
+    c, g = log_primitive(form, _nabla(args, ws, form.chart), policy)
+    return {"constant": c, "output_exprs": [g]}, "pass"
+
+
+def _pde_solve(args, ws, policy):
+    form = ws.form(args["g"])
+    f = homog_solve_pde(form, args["y1"], _nabla(args, ws, form.chart))
+    return {"output_exprs": [f]}, "pass"
+
+
+def _linear_darboux(args, ws, policy):
+    res = linear_darboux(ws.form(args["form"]))
+    return ({"r": res.spec.r, "s": res.spec.s, "eps": list(res.spec.eps),
+             "residual": res.residual, "output_exprs": res.chart_map.images},
+            "pass" if _linalg.negligible(res.residual, policy.rel_tol)
+            else "fail")
+
+
+def _darboux(args, ws, policy):
+    form = ws.form(args["form"])
+    res = one_form_darboux(form, ws.cmap(args["map"]), int(args.get("r", 0)),
+                           int(args.get("s", 0)), tuple(args.get("eps", [])),
+                           _nabla(args, ws, form.chart), args.get("base"),
+                           policy)
+    # An expectation on "status" reads the construction's status; the task
+    # status replaces it in the report.
+    out: Dict[str, Any] = {"status": res.status, "notes": res.notes}
+    if res.spec is not None:
+        out["variant"] = res.spec.variant
+    if res.chart_map is not None:
+        out["output_exprs"] = res.chart_map.images
+        out["weights"] = {k: (str(v) if v is not None else None)
+                          for k, v in res.new_weights.items()}
+    if res.verification is not None:
+        out["mode"] = res.verification.mode
+    return out, "pass" if res.status == "ok" else "indeterminate"
+
+
+def _straighten(args, ws, policy):
+    fields_ = [ws.vfield(n) for n in args["fields"]]
+    if not fields_:
+        raise ManifestError("straighten needs at least one field")
+    grid = straighten_commuting(
+        fields_, args.get("base", [0.0] * fields_[0].chart.dim),
+        box=float(args.get("box", 0.5)),
+        nodes_per_axis=int(args.get("nodes", 5)),
+        policy=policy)
+    out = {"max_error": grid.max_error, "certified": grid.certified,
+           "mode": "numeric"}
+    if "csv" in args:
+        grid.to_csv(args["csv"])
+        out["csv"] = args["csv"]
+    return out, "pass" if grid.certified else "fail"
+
+
+def _verify_darboux(args, ws, policy):
+    form = ws.form(args["form"])
+    spec_args = args.get("spec", {})
+    nf = NormalFormSpec(spec_args.get("variant", "contact"),
+                        int(spec_args.get("r", 0)),
+                        int(spec_args.get("s", 0)),
+                        tuple(spec_args.get("eps", [])),
+                        int(spec_args.get("residual", 0)))
+    rep = verify_normal_form(form, ws.cmap(args["map"]), nf,
+                             _nabla(args, ws, form.chart), policy)
+    return ({"checks": [{"name": e.name, "passed": e.passed, "detail": e.detail}
+                        for e in rep.entries],
+             "mode": rep.mode},
+            "pass" if rep.passed else "fail")
+
+
+def _dist(args, ws, policy):
+    kind = args.get("kind", "involutive")
+    gens = tuple(ws.vfield(n) for n in args["generators"])
+    if not gens:
+        raise ManifestError("dist needs at least one generator")
+    D = Distribution(gens[0].chart, gens)
+    if kind == "homogeneous":
+        ok = distribution_homogeneous(D, _nabla(args, ws, gens[0].chart), policy)
+    elif kind == "involutive":
+        ok = involutive_check(D, policy)
+    else:
+        raise ManifestError(f"unknown dist kind {kind!r}")
+    return {kind: ok, "mode": "randomized"}, "pass" if ok else "fail"
+
+
+_HANDLERS: Dict[str, Callable[..., Tuple[Dict[str, Any], str]]] = {
+    "check-chart": _check_chart, "degree": _degree, "lift": _lift,
+    "classify": _classify, "presymplectic": _presymplectic, "reeb": _reeb,
+    "liouville": _liouville, "poincare": _poincare,
+    "log-primitive": _log_primitive, "pde-solve": _pde_solve,
+    "linear-darboux": _linear_darboux, "darboux": _darboux,
+    "straighten": _straighten, "verify-darboux": _verify_darboux,
+    "dist": _dist,
+}
 
 
 def run_task(task: dict, ws: Workspace, policy: EqualityPolicy) -> dict:
     cmd = task.get("cmd")
-    args = _TaskArgs(task.get("args", {}))
-    out: Dict[str, Any] = {"task": cmd, "seed": policy.seed, "mode": "exact"}
-    status = "pass"
-    vfield: Optional[VectorField] = None      # the field an expectation reads
-
-    def nabla_arg(default_chart=None):
-        if "nabla" in args or default_chart is None:
-            f = ws.vfield(args["nabla"])
-            canonical = verify_weight_chart(f, f.chart)
-            return WeightVectorField(f, canonical=canonical)
-        return weight_field_of_chart(default_chart)
-
-    if cmd == "check-chart":
-        f = ws.vfield(args["nabla"])
-        chart = ws.chart(args["chart"]) if "chart" in args else f.chart
-        ok = verify_weight_chart(f, chart)
-        out["canonical"] = ok
-        status = "pass" if ok else "fail"
-
-    elif cmd == "degree":
-        target = args["of"]
-        obj = ws.forms.get(target) or ws.fields.get(target)
-        if obj is None:
-            raise ManifestError(f"unknown form or field {target!r}")
-        chart = obj.chart
-        rep = degree_of(obj, nabla_arg(chart), policy)
-        out["homogeneous"] = rep.homogeneous
-        out["degree"] = _degree_payload(rep)
-        if rep.degree is not None:
-            out["parity"] = "odd" if rep.degree.parity else "even"
-            out["weight"] = str(rep.degree.weight)
-        out["mode"] = rep.mode
-        status = "pass" if rep.homogeneous else "fail"
-
-    elif cmd == "lift":
-        kind = args.get("kind", "tangent")
-        nab = nabla_arg(ws.chart(args["chart"]) if "chart" in args else None)
-        lifted = tangent_lift(nab) if kind == "tangent" else cotangent_lift(nab)
-        out["chart"] = [[c.name, "odd" if c.parity else "even", str(c.weight)]
-                        for c in lifted.chart.coords]
-        out["output_exprs"] = _render(lifted.field)
-
-    elif cmd == "classify":
-        form = ws.form(args["form"])
-        rep = characteristic_class(form, policy=policy)
-        out["class"] = rep.class_
-        out["case"] = rep.case
-        out["kind"] = rep.kind
-        out["witness"] = rep.evidence[:2]
-        out["mode"] = "randomized"
-        status = "pass" if rep.kind != "irregular" else "indeterminate"
-
-    elif cmd == "presymplectic":
-        form = ws.form(args["form"])
-        rep = presymplectic_check(form, policy=policy)
-        out["rank"] = rep.rank
-        out["even_rank"] = rep.even_rank
-        out["odd_rank"] = rep.odd_rank
-        out["constant_rank"] = rep.constant_rank
-        out["kernel"] = _render(rep.kernel.T) if rep.kernel is not None else None
-        status = "pass" if rep.constant_rank else "indeterminate"
-
-    elif cmd == "reeb":
-        form = ws.form(args["form"])
-        vfield = reeb(form, policy)
-        out["field"] = _render(vfield)
-
-    elif cmd == "liouville":
-        alpha = ws.form(args["alpha"])
-        omega = ws.form(args["omega"]) if "omega" in args else exterior_d(alpha)
-        vfield = liouville(omega, alpha, policy)
-        out["field"] = _render(vfield)
-
-    elif cmd == "poincare":
-        form = ws.form(args["form"])
-        prim = poincare_primitive(form, nabla_arg(form.chart))
-        out["output_exprs"] = [format_expr(prim)]
-
-    elif cmd == "log-primitive":
-        form = ws.form(args["form"])
-        c, g = log_primitive(form, nabla_arg(form.chart), policy)
-        out["constant"] = format_expr(c)
-        out["output_exprs"] = [format_expr(g)]
-
-    elif cmd == "pde-solve":
-        form = ws.form(args["g"])
-        f = homog_solve_pde(form, args["y1"], nabla_arg(form.chart))
-        out["output_exprs"] = [format_expr(f)]
-
-    elif cmd == "linear-darboux":
-        form = ws.form(args["form"])
-        res = linear_darboux(form)
-        out["r"] = res.spec.r
-        out["s"] = res.spec.s
-        out["eps"] = list(res.spec.eps)
-        out["residual"] = res.residual
-        out["output_exprs"] = {n: format_expr(e)
-                               for n, e in res.chart_map.images.items()}
-        status = ("pass" if _linalg.negligible(res.residual, policy.rel_tol)
-                  else "fail")
-
-    elif cmd == "darboux":
-        form = ws.form(args["form"])
-        phi = ws.cmap(args["map"])
-        res = one_form_darboux(form, phi, int(args.get("r", 0)),
-                               int(args.get("s", 0)),
-                               tuple(args.get("eps", [])),
-                               nabla_arg(form.chart),
-                               args.get("base"), policy)
-        out["status"] = res.status
-        out["notes"] = res.notes
-        if res.spec is not None:
-            out["variant"] = res.spec.variant
-        if res.chart_map is not None:
-            out["output_exprs"] = {n: format_expr(e)
-                                   for n, e in res.chart_map.images.items()}
-            out["weights"] = {k: (str(v) if v is not None else None)
-                              for k, v in res.new_weights.items()}
-        if res.verification is not None:
-            out["mode"] = res.verification.mode
-        status = ("pass" if res.status == "ok" else "indeterminate")
-
-    elif cmd == "straighten":
-        fields_ = [ws.vfield(n) for n in args["fields"]]
-        if not fields_:
-            raise ManifestError("straighten needs at least one field")
-        grid = straighten_commuting(
-            fields_, args.get("base", [0.0] * fields_[0].chart.dim),
-            box=float(args.get("box", 0.5)),
-            nodes_per_axis=int(args.get("nodes", 5)),
-            policy=policy)
-        out["max_error"] = grid.max_error
-        out["certified"] = grid.certified
-        if "csv" in args:
-            grid.to_csv(args["csv"])
-            out["csv"] = args["csv"]
-        out["mode"] = "numeric"
-        status = "pass" if grid.certified else "fail"
-
-    elif cmd == "verify-darboux":
-        form = ws.form(args["form"])
-        phi = ws.cmap(args["map"])
-        spec_args = args.get("spec", {})
-        nf = NormalFormSpec(spec_args.get("variant", "contact"),
-                            int(spec_args.get("r", 0)),
-                            int(spec_args.get("s", 0)),
-                            tuple(spec_args.get("eps", [])),
-                            int(spec_args.get("residual", 0)))
-        rep = verify_normal_form(form, phi, nf, nabla_arg(form.chart), policy)
-        out["checks"] = [{"name": e.name, "passed": e.passed, "detail": e.detail}
-                         for e in rep.entries]
-        out["mode"] = rep.mode
-        status = "pass" if rep.passed else "fail"
-
-    elif cmd == "dist":
-        kind = args.get("kind", "involutive")
-        gens = tuple(ws.vfield(n) for n in args["generators"])
-        if not gens:
-            raise ManifestError("dist needs at least one generator")
-        D = Distribution(gens[0].chart, gens)
-        if kind == "homogeneous":
-            ok = distribution_homogeneous(D, nabla_arg(gens[0].chart), policy)
-        elif kind == "involutive":
-            ok = involutive_check(D, policy)
-        else:
-            raise ManifestError(f"unknown dist kind {kind!r}")
-        out[kind] = ok
-        out["mode"] = "randomized"
-        status = "pass" if ok else "fail"
-
-    else:
+    handler = _HANDLERS.get(cmd) if isinstance(cmd, str) else None
+    if handler is None:
         raise ManifestError(f"unknown command {cmd!r}")
-
+    fields, status = handler(_TaskArgs(task.get("args", {})), ws, policy)
+    out = _render({"task": cmd, "seed": policy.seed, "mode": "exact", **fields})
     if "expect" in task:
-        ok, problems = _match_expect(task["expect"], out, vfield, policy)
-        status = "pass" if ok else "fail"
+        problems = _match_expect(task["expect"], out, fields.get("field"),
+                                 policy)
+        status = "fail" if problems else "pass"
         if problems:
             out["expect_failures"] = problems
     out["status"] = status
@@ -395,8 +394,7 @@ def run(manifest_path: str, json_out: Optional[str] = None, seed: int = 0,
     policy = EqualityPolicy(n_points=max(samples, 8), rel_tol=tol, seed=seed)
     try:
         ws, tasks = load_manifest(payload)
-    except (ManifestError, ChartError, ParityError, ParseError, KeyError,
-            TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         print(f"error: bad manifest: {exc}", file=sys.stderr)
         return 2
 
@@ -407,8 +405,7 @@ def run(manifest_path: str, json_out: Optional[str] = None, seed: int = 0,
         except ManifestError as exc:
             print(f"error: task {i}: {exc}", file=sys.stderr)
             return 2
-        except (PfaffianError, ParityError, ChartError, ValueError,
-                RuntimeError) as exc:
+        except (ValueError, OverflowError, RuntimeError) as exc:
             entry = {"task": task.get("cmd"), "seed": seed,
                      "status": "fail", "error": str(exc)}
         results.append(entry)
@@ -424,7 +421,7 @@ def run(manifest_path: str, json_out: Optional[str] = None, seed: int = 0,
               else "fail"}
     if json_out:
         with open(json_out, "w") as fh:
-            json.dump(report, fh, sort_keys=True, indent=1, default=_render)
+            json.dump(report, fh, sort_keys=True, indent=1)
             fh.write("\n")
     return 0 if report["status"] == "pass" else 1
 
@@ -443,11 +440,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     runp.add_argument("--samples", type=int, default=16)
     runp.add_argument("--tol", type=float, default=DEFAULT_POLICY.rel_tol,
                       help="relative tolerance of every numeric decision")
-    ns = parser.parse_args(argv)
-    if ns.command == "run":
-        return run(ns.manifest, ns.json_out, ns.seed, ns.samples, ns.tol)
-    parser.error("unknown command")
-    return 2
+    ns = parser.parse_args(argv)      # "run" is the only command
+    return run(ns.manifest, ns.json_out, ns.seed, ns.samples, ns.tol)
 
 
 if __name__ == "__main__":

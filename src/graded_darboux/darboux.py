@@ -693,9 +693,12 @@ class StraighteningError(RuntimeError):
 
 
 def _batch(plans: Sequence[Plan], x: np.ndarray) -> np.ndarray:
-    """Float bodies of the plans at every row of x, one column per plan."""
-    return np.column_stack([np.broadcast_to(p.float_body(x.T), len(x))
-                            for p in plans])
+    """Float bodies of the plans at every row of x, one column per plan; a
+    constant plan's scalar body fills its column."""
+    out = np.empty((len(x), len(plans)))
+    for j, p in enumerate(plans):
+        out[:, j] = p.float_body(x.T)
+    return out
 
 
 def _rk4_flow(plans: Sequence[Plan], jac_plans: Sequence[Plan], x: np.ndarray,

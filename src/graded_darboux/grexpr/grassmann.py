@@ -29,7 +29,7 @@ from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, U
 import numpy as np
 
 from .chart import EVEN, ChartSpec
-from .expr import EvaluationError, GradedExpr
+from .expr import EvaluationError, GradedExpr, _crossings
 
 
 class DivisorFloorError(EvaluationError):
@@ -39,12 +39,6 @@ class DivisorFloorError(EvaluationError):
 def _blade(b: int) -> Tuple[int, ...]:
     """The sorted generator indices of blade bitmask ``b``."""
     return tuple(i for i in range(b.bit_length()) if b >> i & 1)
-
-
-def _crossings(a: int, b: int) -> int:
-    """Transpositions that sort the word a·b: each generator of b crosses
-    every generator of a greater than it."""
-    return sum(bin(a >> (x + 1)).count("1") for x in _blade(b))
 
 
 @functools.lru_cache(maxsize=None)
@@ -489,8 +483,9 @@ def body_values(plans: Sequence[Plan], point: Mapping[str, object]
 
 def sample_body_points(chart: ChartSpec, n_points: int,
                        seed: int) -> List[Dict[str, Fraction]]:
-    """Dyadic-rational body points inside the chart boxes (exactly float-
-    representable, so the exact and float paths see the same points)."""
+    """Body points inside the chart boxes: each coordinate takes one of 65
+    evenly spaced values, rounded once to the nearest float, so that the
+    exact and float paths see the same point."""
     rng = random.Random(seed)
     pts = []
     for _ in range(n_points):
@@ -498,8 +493,8 @@ def sample_body_points(chart: ChartSpec, n_points: int,
         for i in chart.even_indices:
             lo, hi = chart.box_for(i)
             t = Fraction(rng.randint(0, 64), 64)
-            p[chart.coords[i].name] = (Fraction(lo)
-                                       + (Fraction(hi) - Fraction(lo)) * t)
+            exact = Fraction(lo) + (Fraction(hi) - Fraction(lo)) * t
+            p[chart.coords[i].name] = Fraction(float(exact))
         pts.append(p)
     return pts
 

@@ -119,11 +119,10 @@ class _FlatMap:
         )
 
 
-def flat_matrix(form: GradedExpr, point: Dict[str, object],
-                two_form: Optional[GradedExpr] = None) -> FlatMatrix:
+def flat_matrix(form: GradedExpr, point: Dict[str, object]) -> FlatMatrix:
     """Flat matrix at a body point: of d(form) for 1-forms (with the form
     appended as an extra row), of the form itself for 2-forms."""
-    return _FlatMap(form, two_form).at(point)
+    return _FlatMap(form).at(point)
 
 
 # -- classification -------------------------------------------------------------

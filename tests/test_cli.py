@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from graded_darboux import apply_func, chart, coord, equal, parse_expr
+from graded_darboux import cli
 from graded_darboux.cli import Workspace, load_manifest, main, run, run_task
 from graded_darboux.grexpr.equality import EqualityPolicy
 
@@ -94,6 +95,10 @@ def test_exit_two_on_bad_expression(tmp_path):
     ({"charts": {"M": {"coords": [["x", "even", "1"]]}},
       "tasks": [{"cmd": "dist", "args": {"generators": []}}]},
      "error: task 0: dist needs at least one generator"),
+    ({"charts": {}, "tasks": [{"cmd": ["classify"]}]},
+     "error: task 0: unknown command ['classify']"),
+    ({"charts": {}, "tasks": [{"cmd": "lift", "args": {"kind": "tangent"}}]},
+     "error: task 0: missing argument 'nabla'"),
 ])
 def test_exit_two_on_malformed_manifest(tmp_path, capsys, payload, message):
     m = tmp_path / "malformed.json"
@@ -184,6 +189,43 @@ def test_linear_darboux_follows_tol():
     assert 1e-9 < loose["residual"] < 1e-6
     assert loose["status"] == "pass"
     assert run_task(task, ws, EqualityPolicy())["status"] == "fail"
+
+
+OVERFLOWING = {
+    "classify": {
+        "charts": {"M": {"coords": [["x", "even", "0"], ["y", "even", "0"]],
+                         "box": [800, 900]}},
+        "forms": {"a": {"chart": "M", "expr": "d(y) + exp(x)*d(x)"}},
+        "tasks": [{"cmd": "classify", "args": {"form": "a"}}]},
+    "straighten": {
+        "charts": {"M": {"coords": [["x", "even", "0"], ["y", "even", "0"]]}},
+        "fields": {"X": {"chart": "M", "coeffs": {"x": "1", "y": "exp(x)"}}},
+        "tasks": [{"cmd": "straighten",
+                   "args": {"fields": ["X"], "base": [800, 0]}}]},
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(OVERFLOWING))
+def test_float_overflow_fails_the_task(tmp_path, cmd):
+    """exp(800) overflows in float evaluation: the task fails with the
+    error, and the run goes on to its report."""
+    m = tmp_path / "overflow.json"
+    m.write_text(json.dumps(OVERFLOWING[cmd]))
+    out = tmp_path / "rep.json"
+    assert run(str(m), json_out=str(out), stream=open(os.devnull, "w")) == 1
+    (task,) = json.loads(out.read_text())["tasks"]
+    assert task == {"task": cmd, "seed": 0, "status": "fail",
+                    "error": "math range error"}
+
+
+def test_arithmetic_bug_in_a_handler_raises(tmp_path, monkeypatch):
+    """Only evaluation errors fail a task; a ZeroDivisionError is a bug."""
+    def broken(args, ws, policy):
+        return {"x": 1 / 0}, "pass"
+
+    monkeypatch.setitem(cli._HANDLERS, "reeb", broken)
+    with pytest.raises(ZeroDivisionError):
+        run(str(MANIFESTS / "cylinder.json"), stream=open(os.devnull, "w"))
 
 
 def test_report_exprs_reparse(tmp_path):

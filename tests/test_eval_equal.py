@@ -138,6 +138,18 @@ class TestPlan:
                                       for n in c.names}).constant_value()
                 assert plan.exact_body(xq) == eval_body_exact(e, point) == want
 
+    @pytest.mark.parametrize("box", [(-0.7, 0.7), (0.3, 0.9), (0.1, 1e5)])
+    def test_sample_points_are_floats_inside_the_box(self, box):
+        """The exact and float paths see the same point only if every
+        sampled value is a float, also where the box ends are not dyadic."""
+        c = chart(("x", 0, 0), ("y", 0, 1), ("t", 1, 0), default_box=box)
+        for seed in range(3):
+            for p in grassmann.sample_body_points(c, 16, seed):
+                assert set(p) == {"x", "y"}
+                for v in p.values():
+                    assert Fraction(float(v)) == v
+                    assert box[0] <= v <= box[1]
+
     def test_body_values_exact_where_the_plan_is(self):
         c = chart(("x", 0, 0), ("y", 0, 0), ("t", 1, 0))
         exprs = [parse_expr("x^2/3 + y", c), parse_expr("t*y", c), zero(c),
