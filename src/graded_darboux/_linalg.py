@@ -1,6 +1,7 @@
 """Small dense linear algebra helpers: exact rational and float paths.
 Every float zero, rank and membership decision of the package is made here,
-and ``rank`` and ``contains`` alone choose between the two paths."""
+and ``rank``, ``contains`` and ``nullspace`` alone choose between the two
+paths."""
 
 from __future__ import annotations
 
@@ -104,9 +105,21 @@ def contains(rows: Sequence[Sequence[Union[Fraction, float]]],
     return in_row_space(mat, np.array(vec, dtype=float), tol)
 
 
-def nullspace(mat: np.ndarray, tol: float) -> np.ndarray:
-    """Orthonormal basis of the kernel (columns)."""
-    u, s, vt = np.linalg.svd(mat)
+def nullspace(rows: Sequence[Sequence[Union[Fraction, float]]],
+              tol: float) -> np.ndarray:
+    """Basis of the kernel of a matrix of body values, as float columns: one
+    vector per free column of the rational RREF when every entry is a
+    Fraction, an orthonormal basis from the singular vectors otherwise."""
+    if _exact(rows):
+        m = [list(r) for r in rows]
+        pivots = _rref(m, len(m[0]))
+        free = [j for j in range(len(m[0])) if j not in pivots]
+        basis = np.zeros((len(m[0]), len(free)))
+        for col, j in enumerate(free):
+            basis[j, col] = 1.0
+            basis[pivots, col] = [float(-m[r][j]) for r in range(len(pivots))]
+        return basis
+    u, s, vt = np.linalg.svd(np.array(rows, dtype=float))
     return vt[_rank(s, tol):].T
 
 

@@ -2,14 +2,16 @@
 
 Every operator sign is derived from the single bidegree rule: swapping
 adjacent factors of bidegrees (p, s) and (q, t) costs (-1)**(p*q + s*t),
-with d of bidegree (1, 0) and i_X of bidegree (-1, parity(X)).  For the
-generators this fixes the convention table
+with d of bidegree (1, 0), i_X of bidegree (-1, parity(X)) and L_X of
+bidegree (0, parity(X)).  For the generators this fixes the convention table
 
     i_X d(y) = X^y                    (coefficient of X along y)
+    L_X y = X^y,  L_X d(y) = d(X^y)   (L_X commutes with d)
     i_X (w1 w2) = i_X(w1) w2 + (-1)**(p1 + parity(X)*s1) w1 i_X(w2)
     d(w1 w2)   = d(w1) w2 + (-1)**p1 w1 d(w2)
 
-and in particular i_X is left C-infinity-linear in X.
+and in particular i_X is left C-infinity-linear in X.  L_X is the
+derivation walk of ``grexpr.expr.derivation``; X(f) is L_X on a function.
 """
 
 from __future__ import annotations
@@ -17,10 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Union
 
-from .grexpr.chart import ChartError, ChartSpec, EVEN, ODD
+from .grexpr.chart import ChartError, ChartSpec, EVEN
 from .grexpr.equality import equal
-from .grexpr.expr import (GradedExpr, ParityError, atom_chain, coord, diff,
-                          gmul, leibniz_walk, one, partial, substitute, zero)
+from .grexpr.expr import (GradedExpr, ParityError, atom_chain, coord,
+                          derivation, diff, leibniz_walk, one, substitute, zero)
 from .grexpr.parser import parse_expr
 
 
@@ -48,14 +50,6 @@ class VectorField:
 
     def coefficient(self, name: str) -> GradedExpr:
         return self.coefficients[self.chart.index(name)]
-
-    def apply(self, f: GradedExpr) -> GradedExpr:
-        """X(f) for a form-degree-0 function (coefficients act from the left)."""
-        out = zero(self.chart)
-        for i, c in enumerate(self.coefficients):
-            if not c.is_zero():
-                out = out + gmul(c, partial(f, self.chart.coords[i].name))
-        return out
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coefficients)
@@ -119,10 +113,8 @@ def exterior_d(w: GradedExpr) -> GradedExpr:
         if tag == "coord":
             i, k = payload
             name = chart.coords[i].name
-            if chart.parity(i) == ODD:
-                return diff(chart, name)
             d1 = diff(chart, name)
-            if k == 1:
+            if k == 1:      # so every odd coordinate, as xi*xi = 0
                 return d1
             return (coord(chart, name) ** (k - 1)) * k * d1
         if tag == "atom":
@@ -158,21 +150,14 @@ def interior(X: VectorField, w: GradedExpr) -> GradedExpr:
 
 
 def lie_derivative(X: VectorField, T):
-    """L_X: Cartan formula on forms, graded bracket on vector fields.
-
-    For mixed-degree expressions d(i_X .) is applied to the part of form
-    degree >= 1 only (the contraction of a function is undefined).
-    """
+    """L_X: the derivation of bidegree (0, parity(X)) with L_X x = X^x and
+    L_X d(x) = d(X^x) on forms, so X(f) on functions; the graded bracket
+    on vector fields."""
     if isinstance(T, VectorField):
         return lie_bracket(X, T)
-    chart = T.chart
-    zero_pat = (0,) * chart.dim
-    w = GradedExpr.from_terms(chart,
-                              [m for m in T.terms if m.dexp != zero_pat])
-    out = interior(X, exterior_d(T))
-    if not w.is_zero():
-        out = out + exterior_d(interior(X, w))
-    return out
+    if X.chart != T.chart:
+        raise ChartError("Lie derivative across charts")
+    return derivation(T, X.coefficients, X.parity, exterior_d)
 
 
 def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
@@ -180,7 +165,7 @@ def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
     if X.chart != Y.chart:
         raise ChartError("bracket across charts")
     sign = -1 if (X.parity * Y.parity) % 2 else 1
-    coeffs = tuple(X.apply(cy) - sign * Y.apply(cx)
+    coeffs = tuple(lie_derivative(X, cy) - sign * lie_derivative(Y, cx)
                    for cx, cy in zip(X.coefficients, Y.coefficients))
     return VectorField(X.chart, (X.parity + Y.parity) % 2, coeffs)
 
@@ -253,6 +238,6 @@ def pushforward_vf(phi: ChartMap, X: VectorField) -> VectorField:
     inv = dict(phi.inverse_images)
     coeffs = []
     for name in phi.target.names:
-        applied = X.apply(phi.images[name])       # in source variables
+        applied = lie_derivative(X, phi.images[name])  # in source variables
         coeffs.append(substitute(applied, inv))   # rewritten in target variables
     return VectorField(phi.target, X.parity, tuple(coeffs))

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _linalg
 from .cartan import (ChartMap, VectorField, exterior_d, interior,
-                     lie_bracket, pullback)
+                     lie_bracket, lie_derivative, pullback)
 from .grexpr.chart import (ChartError, ChartSpec, CoordinateDecl, EVEN, ODD)
 from .grexpr.equality import (COEFF_DROP, DEFAULT_POLICY, DOMAIN_LIMIT,
                               GRID_CERTIFICATE, NOISE_FLOOR, RK4_STEP,
@@ -523,7 +523,7 @@ def one_form_darboux(alpha: GradedExpr, presymp_chart: ChartMap,
         if z_img is None:
             return DarbouxResult("verification-only", notes=notes)
         if log_branch:
-            if nabla.field.apply(z_img).constant_value() is None:
+            if lie_derivative(nabla.field, z_img).constant_value() is None:
                 notes.append("weight field applied to the primitive is not "
                              "constant: cannot form the exponential coordinate")
                 return DarbouxResult("verification-only", notes=notes)

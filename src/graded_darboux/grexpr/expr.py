@@ -27,7 +27,7 @@ from fractions import Fraction
 from operator import add
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
-from .chart import ChartSpec, ChartError, EVEN, ODD
+from .chart import ChartSpec, ChartError, EVEN
 
 Number = Union[int, Fraction, float]
 
@@ -358,9 +358,12 @@ class GradedExpr:
 
     def coefficient_of_diff(self, name: str) -> "GradedExpr":
         """Left coefficient of d(name) in a 1-form."""
+        n = self.chart.dim
         i = self.chart.index(name)
-        pat = tuple(1 if j == i else 0 for j in range(self.chart.dim))
-        return self.diff_components().get(pat, zero(self.chart))
+        pat = tuple(1 if j == i else 0 for j in range(n))
+        return GradedExpr.from_terms(
+            self.chart, [Monomial(m.coeff, m.atoms, m.cexp, (0,) * n)
+                         for m in self.terms if m.dexp == pat])
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -692,29 +695,42 @@ def atom_chain(a: Atom, darg: GradedExpr) -> GradedExpr:
     return gmul(head, darg)
 
 
+def derivation(e: GradedExpr, coeffs: Tuple[GradedExpr, ...], parity: int,
+               d: Optional[Callable] = None) -> GradedExpr:
+    """The derivation of bidegree (0, parity) with x^i -> coeffs[i] that
+    commutes with d: x^k -> k*c*x^(k-1), d(x)^k -> k*d(c)*d(x)^(k-1) (the k
+    Leibniz terms of an odd d(xi)^k reorder to one word), atoms by the chain
+    rule.  Only a nonconstant coefficient needs the exterior derivative
+    ``d``; each d(c) is taken at most once per call."""
+    chart = e.chart
+    dcoeffs = [None] * chart.dim
+
+    def image(tag, payload):
+        if tag == "atom":
+            darg = derivation(payload.arg, coeffs, parity)
+            return atom_chain(payload, darg) if darg.terms else None
+        i, k = payload
+        c = coeffs[i]
+        if tag == "diff":
+            if c.constant_value() is not None:
+                return None
+            if dcoeffs[i] is None:
+                dcoeffs[i] = d(c)
+            c = dcoeffs[i]
+        if k == 1 or not c.terms:
+            return c
+        return c * k * _single_factor_expr(chart, tag, (i, k - 1))
+
+    return leibniz_walk(e, 0, parity, image)
+
+
 def partial(a: GradedExpr, name: str) -> GradedExpr:
     """Left partial derivative along a coordinate; differentials are constants."""
     chart = a.chart
     xi = chart.index(name)
-    sx = chart.parity(xi)
-
-    def image(tag, payload):
-        if tag == "coord":
-            i, k = payload
-            if i != xi:
-                return None
-            if chart.parity(i) == ODD:
-                return one(chart)
-            if k == 1:
-                return one(chart)
-            return const(chart, k) * _single_factor_expr(chart, "coord", (i, k - 1))
-        if tag == "atom":
-            if not payload.arg.depends_on(name):
-                return None
-            return atom_chain(payload, partial(payload.arg, name))
-        return None
-
-    return leibniz_walk(a, 0, sx, image)
+    coeffs = tuple(one(chart) if i == xi else zero(chart)
+                   for i in range(chart.dim))
+    return derivation(a, coeffs, chart.parity(xi))
 
 
 def canonicalize(a: GradedExpr) -> GradedExpr:

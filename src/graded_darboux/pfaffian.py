@@ -236,7 +236,7 @@ def presymplectic_check(omega: GradedExpr,
         ranks.add((r, entry.get("even_rank"), entry.get("odd_rank")))
         evidence.append(entry)
         if kernel is None:
-            kernel = _linalg.nullspace(fm.matrix, policy.rel_tol)
+            kernel = _linalg.nullspace(fm.rows, policy.rel_tol)
     constant = len(ranks) == 1
     if constant:
         r, er, orank = ranks.pop()

@@ -6,7 +6,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from graded_darboux import apply_func, chart, coord, diff, gmul, one, zero
+from graded_darboux import (apply_func, chart, coord, diff, gmul, one, partial,
+                            zero)
 from graded_darboux.grexpr.chart import ChartSpec, CoordinateDecl, EVEN, ODD
 from graded_darboux.grexpr.expr import ATOM_KINDS, GradedExpr, Monomial, const
 from graded_darboux.cartan import VectorField
@@ -181,6 +182,28 @@ def random_atomic_monomial(c: ChartSpec, rng: random.Random, floats=False,
     for _ in range(form_degree):
         e = gmul(e, diff(c, rng.choice(c.names)))
     return e
+
+
+def random_atomic_field(c: ChartSpec, rng: random.Random, parity: int,
+                        floats=False) -> VectorField:
+    """A field whose coefficients are atomic monomials of the right parity,
+    each kept with probability 0.7."""
+    coeffs = []
+    for cd in c.coords:
+        m = random_atomic_monomial(c, rng, floats)
+        keep = m.parity() == (parity + cd.parity) % 2
+        coeffs.append(m if keep and rng.random() < 0.7 else zero(c))
+    return VectorField(c, parity, tuple(coeffs))
+
+
+def apply_oracle(X: VectorField, f: GradedExpr) -> GradedExpr:
+    """X(f) as the sum of X^i * (partial f / partial x^i), one partial walk
+    and one left product per coordinate."""
+    out = zero(X.chart)
+    for i, c in enumerate(X.coefficients):
+        if not c.is_zero():
+            out = out + gmul(c, partial(f, X.chart.coords[i].name))
+    return out
 
 
 # -- factor-by-factor Leibniz walk (oracle) ------------------------------------------

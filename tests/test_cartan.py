@@ -12,8 +12,9 @@ from graded_darboux.cartan import (ChartMap, VectorField, basis_field,
 from graded_darboux import cartan
 from graded_darboux.grexpr import expr
 from graded_darboux.grexpr.chart import ChartError, EVEN, ODD
-from helpers import (leibniz_walk_oracle, random_atomic_monomial, random_chart,
-                     random_expr, random_field)
+from helpers import (apply_oracle, leibniz_walk_oracle, random_atomic_field,
+                     random_atomic_monomial, random_chart, random_expr,
+                     random_field)
 
 
 @pytest.fixture
@@ -189,7 +190,7 @@ class TestLie:
         Q = vector_field(c, {"x": "t", "t": "x"}, parity=ODD)
         sq = lie_bracket(Q, Q)
         half = lie_derivative(Q, lie_derivative(Q, coord(c, "x"))) * 2
-        assert sq.apply(coord(c, "x")) == half
+        assert lie_derivative(sq, coord(c, "x")) == half
 
 
 class TestChartMaps:
@@ -329,13 +330,8 @@ class TestLeibnizOracle:
                 w = w + random_atomic_monomial(c, rng, floats, fdeg)
             f = random_atomic_monomial(c, rng, floats) + \
                 random_atomic_monomial(c, rng, floats)
-            coeffs = []
             parity = rng.randint(0, 1)
-            for cd in c.coords:
-                m = random_atomic_monomial(c, rng, floats)
-                keep = m.parity() == (parity + cd.parity) % 2
-                coeffs.append(m if keep and rng.random() < 0.7 else zero(c))
-            yield c, w, f, VectorField(c, parity, tuple(coeffs))
+            yield c, w, f, random_atomic_field(c, rng, parity, floats)
 
     @staticmethod
     def _outputs(cases):
@@ -364,3 +360,63 @@ class TestLeibnizOracle:
         assert any(k >= 2 and c.parity(i) == ODD for c, w, _, _ in cases
                    for m in w.terms for i, k in enumerate(m.dexp))
         assert sum(not e.is_zero() for e in got) > len(got) // 2
+
+
+class TestDerivationWalk:
+    """L_X and X(f) come from one derivation walk; these check it against
+    the Cartan calculus and the coordinate formula on exact atomic forms
+    (atoms with powers, repeated odd differentials), with odd and even X."""
+
+    @staticmethod
+    def _cases(seed, n):
+        rng = random.Random(seed)
+        for _ in range(n):
+            c = random_chart(rng, max_even=3, max_odd=2)
+            w = random_atomic_monomial(c, rng, form_degree=rng.randint(1, 2))
+            X = random_atomic_field(c, rng, rng.randint(0, 1))
+            yield c, w, X, rng
+
+    def test_cartan_formula(self):
+        for c, w, X, _ in self._cases(61, 60):
+            assert lie_derivative(X, w) == \
+                interior(X, exterior_d(w)) + exterior_d(interior(X, w))
+
+    def test_commutes_with_d(self):
+        for c, w, X, rng in self._cases(62, 50):
+            f = random_atomic_monomial(c, rng)
+            for e in (w, f):
+                assert lie_derivative(X, exterior_d(e)) == \
+                    exterior_d(lie_derivative(X, e))
+
+    def test_commutator_with_interior(self):
+        for c, w, X, rng in self._cases(63, 40):
+            Y = random_atomic_field(c, rng, rng.randint(0, 1))
+            sign = (-1) ** (X.parity * Y.parity)
+            lhs = lie_derivative(X, interior(Y, w)) - \
+                interior(Y, lie_derivative(X, w)) * sign
+            assert lhs == interior(lie_bracket(X, Y), w)
+
+    def test_function_against_partials(self):
+        seen = 0
+        for c, _, X, rng in self._cases(64, 80):
+            f = random_atomic_monomial(c, rng) + random_atomic_monomial(c, rng)
+            got = lie_derivative(X, f)
+            assert got == apply_oracle(X, f)
+            seen += not got.is_zero()
+        assert seen > 40
+
+    def test_inputs_reach_atom_powers_and_odd_differential_powers(self):
+        cases = list(self._cases(61, 40))
+        assert any(a.power >= 2 for _, w, _, _ in cases
+                   for m in w.terms for a in m.atoms)
+        assert any(k >= 2 and c.parity(i) == ODD for c, w, _, _ in cases
+                   for m in w.terms for i, k in enumerate(m.dexp))
+        assert {X.parity for _, _, X, _ in cases} == {EVEN, ODD}
+
+    def test_across_charts(self):
+        a = chart(("x", 0, 1))
+        b = chart(("u", 0, 1))
+        X = basis_field(a, "x")
+        for T in (coord(b, "u"), diff(b, "u"), parse_expr("u*d(u)", b)):
+            with pytest.raises(ChartError):
+                lie_derivative(X, T)

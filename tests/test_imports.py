@@ -1,7 +1,9 @@
 """Package layout: imports sit at module level, so the import graph is the
-module graph and a cycle shows up at import time."""
+module graph and a cycle shows up at import time; every function the
+benchmark's tracer wraps by name exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "graded_darboux"
@@ -37,3 +39,29 @@ def test_only_the_printer_imports_inside_a_function():
               for hit in _nested_imports(path)}
     assert nested == ALLOWED
 
+
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def _wrapped_names():
+    """The ``WRAPPED`` table of the benchmark's tracer, read without
+    importing it: metric prefix -> (module, attribute)."""
+    for node in ast.parse(TRACING.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "WRAPPED"
+                for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("no WRAPPED table in bench/tracing.py")
+
+
+def test_every_traced_name_resolves():
+    # a renamed or deleted function breaks only the benchmark's traced run
+    missing = []
+    for prefix, (modname, attr) in sorted(_wrapped_names().items()):
+        obj = importlib.import_module(modname)
+        for part in attr.split("."):
+            obj = getattr(obj, part, None)
+        if not callable(obj):
+            missing.append((prefix, modname, attr))
+    assert missing == []

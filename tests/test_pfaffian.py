@@ -154,6 +154,18 @@ class TestPresymplectic:
             parse_expr("d(p)*d(q) + 1/10000000000*d(u)*d(v)", c))
         assert rep.rank == rep.even_rank == 4 and rep.odd_rank == 0
 
+    def test_kernel_exact_like_the_rank(self):
+        # the weak pair keeps the kernel empty, as it keeps the rank 4
+        c = chart(("p", 0, 0), ("q", 0, 0), ("u", 0, 0), ("v", 0, 0))
+        rep = presymplectic_check(
+            parse_expr("d(p)*d(q) + 1/10000000000*d(u)*d(v)", c))
+        assert rep.kernel.shape == (4, 4 - rep.rank)
+        # one vector per free column of the reduced echelon form
+        c = chart(("p", 0, 0), ("q", 0, 0), ("u", 0, 0))
+        rep = presymplectic_check(parse_expr("d(p)*d(q) + d(p)*d(u)", c))
+        assert rep.rank == 2
+        assert rep.kernel.tolist() == [[0.0], [-1.0], [1.0]]
+
 
 class TestReeb:
     def test_canonical(self):

@@ -2,9 +2,10 @@
 ``_linalg.py`` makes the float zero, rank and membership decisions, so no
 other module holds a tolerance literal of its own.  Sampling has one carrier:
 the sample count and seed of a decision travel in its ``EqualityPolicy``.
-The exact-or-float choice has one owner: ``_linalg.rank`` and
-``_linalg.contains`` take the exact path when every body value is a
-Fraction, and only ``grexpr/grassmann.py`` asks a plan whether it is exact."""
+The exact-or-float choice has one owner: ``_linalg.rank``,
+``_linalg.contains`` and ``_linalg.nullspace`` take the exact path when every
+body value is a Fraction, and only ``grexpr/grassmann.py`` asks a plan
+whether it is exact."""
 
 import ast
 from pathlib import Path
