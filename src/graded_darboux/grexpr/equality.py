@@ -20,7 +20,7 @@ import numpy as np
 
 from .chart import ChartSpec, EVEN
 from .expr import EvaluationError, GradedExpr
-from .grassmann import FAILURES, GrassmannValue, Plan, _blade
+from .grassmann import FAILURES, GrassmannValue, Plan, _blade, _coordinates
 
 
 @dataclass(frozen=True)
@@ -79,16 +79,6 @@ def _draw_points(chart: ChartSpec, rng: random.Random, n: int) -> List[list]:
     boxes = [chart.box_for(i) if c.parity == EVEN else ODD_SCALES
              for i, c in enumerate(chart.coords)]
     return [[rng.uniform(lo, hi) for lo, hi in boxes] for _ in range(n)]
-
-
-def _coordinates(chart: ChartSpec, points: List[list]) -> List[np.ndarray]:
-    """Per-coordinate values of a batch of points (see ``Plan.grassmann``)."""
-    cols = np.array(points, dtype=float).T.copy()
-    x = list(cols)
-    for g, i in enumerate(chart.odd_indices):
-        x[i] = np.zeros((len(points), 1 << len(chart.odd_indices)))
-        x[i][:, 1 << g] = cols[i]
-    return x
 
 
 def _close(a, b, rel_tol: float):

@@ -3,8 +3,10 @@
 Each odd coordinate of a chart is assigned one nilpotent generator; values
 are elements of the exterior algebra over those generators with float
 coefficients.  The body is the generator-free part; the soul is nilpotent,
-so transcendental functions evaluate by a finite Taylor series around the
-body and inverses by a terminating geometric series.
+so every atom, the inverse included, is its finite Taylor series around the
+body.  Each atom kind states its rules in one table, ``_ATOMS``: where it
+has no value and the typed error it raises there, and its derivatives.
+Float bodies read the same table.
 
 Grassmann values are dense and batched: a value at N points is an
 (N, 2^k) float array over k generators, whose column b holds the blade of
@@ -24,11 +26,12 @@ import math
 import operator
 import random
 from fractions import Fraction
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
-from .chart import EVEN, ChartSpec
+from .chart import ChartSpec
 from .expr import EvaluationError, GradedExpr, _crossings
 
 
@@ -84,10 +87,6 @@ class GrassmannValue:
         self.row = np.asarray(row, dtype=float)
 
     @property
-    def ngens(self) -> int:
-        return self.row.size.bit_length() - 1
-
-    @property
     def body(self) -> float:
         return float(self.row[0])
 
@@ -131,21 +130,58 @@ def _failure_code(exc: Exception) -> int:
             else 2 if isinstance(exc, EvaluationError) else 3)
 
 
-# f^(k)(body) = sign * g(body) for (g, sign) = cycle[k % len(cycle)]; every
-# g of a cycle is evaluated, as each may overflow
-_DERIVATIVE_CYCLES = {
-    "sin": ((math.sin, 1.0), (math.cos, 1.0), (math.sin, -1.0), (math.cos, -1.0)),
-    "cos": ((math.cos, 1.0), (math.sin, -1.0), (math.cos, -1.0), (math.sin, 1.0)),
-    "exp": ((math.exp, 1.0),),
-    "sinh": ((math.sinh, 1.0), (math.cosh, 1.0)),
-    "cosh": ((math.cosh, 1.0), (math.sinh, 1.0)),
-}
+class _Atom(NamedTuple):
+    """One atom kind's rules.  ``derivative(k)`` is (g, sign) with
+    f^(k)(body) = sign * g(body), g a ``math`` function or a rational
+    function of the body that also takes arrays; ``value`` is f itself, the
+    g of k = 0.  ``undefined(body)``, on a float or elementwise on an array,
+    marks where the kind has no value, and ``error()`` is the typed error
+    raised there."""
+
+    derivative: Callable[[int], Tuple[Callable[[float], float], float]]
+    value: Callable[[float], float]
+    undefined: Optional[Callable] = None
+    error: Optional[Callable[[], Exception]] = None
 
 
-def _log_derivative(k: int):
+def _atom(derivative, *domain) -> _Atom:
+    return _Atom(derivative, derivative(0)[0], *domain)
+
+
+def _cycle(*cycle):
+    return lambda k: cycle[k % len(cycle)]
+
+
+@functools.lru_cache(maxsize=None)
+def _inv_derivative(k: int):
+    """(-1)^k k!/b^(k+1)."""
     if k == 0:
-        return math.log
-    return lambda b: (-1.0) ** (k - 1) * math.factorial(k - 1) / b ** k
+        return (lambda b: 1.0 / b), 1.0
+    fact = float(math.factorial(k))
+    return (lambda b: fact / b ** (k + 1)), (-1.0) ** k
+
+
+def _overflowed(body):
+    # a float product overflows to inf silently, and math.sin and math.cos
+    # raise ValueError there
+    return abs(body) == math.inf
+
+
+_ATOMS = {
+    "sin": _atom(_cycle((math.sin, 1.0), (math.cos, 1.0), (math.sin, -1.0), (math.cos, -1.0)),
+                 _overflowed, functools.partial(OverflowError, "sin of an overflowed argument")),
+    "cos": _atom(_cycle((math.cos, 1.0), (math.sin, -1.0), (math.cos, -1.0), (math.sin, 1.0)),
+                 _overflowed, functools.partial(OverflowError, "cos of an overflowed argument")),
+    "exp": _atom(_cycle((math.exp, 1.0))),
+    "sinh": _atom(_cycle((math.sinh, 1.0), (math.cosh, 1.0))),
+    "cosh": _atom(_cycle((math.cosh, 1.0), (math.sinh, 1.0))),
+    "log": _atom(lambda k: _inv_derivative(k - 1) if k else (math.log, 1.0),
+                 lambda body: body <= 0.0,
+                 functools.partial(EvaluationError, "log of a value with nonpositive body")),
+    "inv": _atom(_inv_derivative, lambda body: body == 0.0,
+                 functools.partial(EvaluationError, "division by a value with zero body")),
+}
+_MATH_FUNCTION = type(math.sin)     # what _Kernel.apply runs point by point
 
 
 class GrassmannBatch(NamedTuple):
@@ -220,49 +256,46 @@ class _Kernel:
             return u * v[:, None]
         return u * v
 
-    def elementwise(self, f, body: np.ndarray, where: np.ndarray) -> np.ndarray:
-        """f(body) through ``math``, point by point, at the points of
-        ``where``; a point where f raises an evaluation or arithmetic error
-        fails.  Other points read 0."""
+    def apply(self, g, body: np.ndarray, where: np.ndarray) -> np.ndarray:
+        """g(body) at the points of ``where``; other points read 0.  A
+        ``math`` function goes point by point, and a point where it raises
+        an evaluation or arithmetic error fails.  Any other g is a rational
+        derivative of inv or log and takes the whole array at once; a point
+        where it overflows fails as arithmetic."""
+        b = np.where(where, body, 1.0)
+        if not isinstance(g, _MATH_FUNCTION):
+            vals = g(b)
+            overflowed = np.isinf(vals)
+            if overflowed.any():
+                self.fail(overflowed, OverflowError("a power of 1/body overflowed"))
+            return np.where(where, vals, 0.0)
         vals = []
-        for i, x in enumerate(np.where(where, body, 1.0).tolist()):
+        for i, x in enumerate(b.tolist()):
             try:
-                vals.append(f(x))
+                vals.append(g(x))
             except (EvaluationError, ArithmeticError) as exc:
                 self.fail(np.arange(self.n) == i, exc)
                 vals.append(0.0)
         return np.where(where, vals, 0.0)
 
     def atom(self, kind: str, v):
-        if kind == "inv":
-            return self.inverse(v)
+        """f(v) = sum_k f^(k)(body)/k! soul^k for the atom kind f, summed at
+        each point while soul^k is nonzero there: the soul is nilpotent."""
+        rule = _ATOMS[kind]
         body = v if v.ndim < 2 else v[:, 0]
-        if kind == "log":
-            self.fail(body <= 0.0,
-                      EvaluationError("log of a value with nonpositive body"))
+        if kind == "inv":
+            self.fail(np.abs(body) < self.floor,
+                      DivisorFloorError("divisor body below the sampling floor"))
+        if rule.undefined is not None:
+            self.fail(rule.undefined(body), rule.error())
+        values = {}     # each g once, at the points that still need it
 
-            def derivative(k, where):
-                return self.elementwise(_log_derivative(k), body, where)
-        else:
-            if kind in ("sin", "cos"):
-                # a float product overflows to inf silently, and math.sin and
-                # math.cos raise ValueError there
-                self.fail(np.isinf(body),
-                          OverflowError(f"{kind} of an overflowed argument"))
-            cycle = _DERIVATIVE_CYCLES[kind]
-            base = {}
-            for g, _ in cycle:
-                if g not in base:
-                    base[g] = self.elementwise(g, body, self.failure == 0)
+        def derivative(k, where):
+            g, sign = rule.derivative(k)
+            if g not in values:
+                values[g] = self.apply(g, body, where)
+            return values[g] if sign > 0 else -values[g]
 
-            def derivative(k, where):
-                g, sign = cycle[k % len(cycle)]
-                return base[g] if sign > 0 else -base[g]
-        return self.series(v, derivative)
-
-    def series(self, v, derivative):
-        """f(v) = sum_k f^(k)(body)/k! soul^k, summed at each point while
-        soul^k is nonzero there: the soul is nilpotent."""
         out = derivative(0, self.failure == 0)
         if v.ndim < 2:
             return out
@@ -282,46 +315,17 @@ class _Kernel:
             out = out + np.where(alive[:, None], term, 0.0)
         return out
 
-    def inverse(self, v):
-        """1/v = (1/b) sum_k (-soul/b)^k, summed at each point while the
-        term is nonzero there."""
-        body = v if v.ndim < 2 else v[:, 0]
-        self.fail(np.abs(body) < self.floor,
-                  DivisorFloorError("divisor body below the sampling floor"))
-        self.fail(body == 0.0, EvaluationError("division by a value with zero body"))
-        b = np.where(self.failure == 0, body, 1.0)
-        inv = 1.0 / b
-        if v.ndim < 2:
-            return inv
-        out = self.dense(inv)
-        soul = v.copy()
-        soul[:, 0] = 0.0
-        step = -1.0 / b
-        term, alive = inv, self.failure == 0
-        for _ in range(self.ngens):
-            term = self.mul(term, soul) * step[:, None]
-            alive &= term.any(axis=1)
-            if not alive.any():
-                break
-            out = out + np.where(alive[:, None], term, 0.0)
-        return out
-
-
-_BODY_FUNCS = {"sin": math.sin, "cos": math.cos, "exp": math.exp,
-               "log": math.log, "sinh": math.sinh, "cosh": math.cosh}
-
 
 def _body_atom(kind: str, body):
     # element by element, so that batched and per-point bodies agree bit for bit
+    rule = _ATOMS[kind]
     if isinstance(body, np.ndarray):
-        return np.array([_body_atom(kind, b) for b in body.tolist()])
-    if kind == "inv":
-        if body == 0.0:
-            raise EvaluationError("division by a value with zero body")
-        return 1.0 / body
-    if kind == "log" and body <= 0.0:
-        raise EvaluationError("log of a value with nonpositive body")
-    return _BODY_FUNCS[kind](body)
+        if rule.undefined is not None and rule.undefined(body).any():
+            raise rule.error()
+        return np.array([rule.value(b) for b in body.tolist()])
+    if rule.undefined is not None and rule.undefined(body):
+        raise rule.error()
+    return rule.value(body)
 
 
 def _power(v, k: int, mul):
@@ -412,59 +416,49 @@ class Plan:
         return total
 
 
-PointValue = Union[float, int, Fraction, GrassmannValue]
+def _coordinates(chart: ChartSpec, points: List[list]) -> List[np.ndarray]:
+    """Per-coordinate values of a batch of points (see ``Plan.grassmann``):
+    each point holds one float per coordinate, and an odd coordinate's float
+    scales its own generator."""
+    cols = np.array(points, dtype=float).T.copy()
+    x = list(cols)
+    for g, i in enumerate(chart.odd_indices):
+        x[i] = np.zeros((len(points), 1 << len(chart.odd_indices)))
+        x[i][:, 1 << g] = cols[i]
+    return x
 
 
-def grassmann_point(chart: ChartSpec, point: Mapping[str, PointValue]) -> List[np.ndarray]:
-    """Per-coordinate values of one point, as a batch of one (see
-    ``Plan.grassmann``).
-
-    Even coordinates take real values; odd coordinates take odd Grassmann
-    values (missing odd coordinates default to their own unit generator).
-    """
-    odd = chart.odd_indices
-    ngens = len(odd)
-    gen_of = {chart.coords[i].name: g for g, i in enumerate(odd)}
-
-    values: List[np.ndarray] = []
-    for c in chart.coords:
-        v = point.get(c.name)
-        if isinstance(v, GrassmannValue):
-            if c.parity != EVEN and v.ngens != ngens:
-                raise EvaluationError("odd assignment has wrong generator count")
-            values.append(v.row[None])
-        elif c.parity == EVEN:
-            if v is None:
-                raise EvaluationError(f"no value for coordinate {c.name!r}")
-            values.append(np.array([float(v)]))
-        else:
-            row = np.zeros((1, 1 << ngens))
-            row[0, 1 << gen_of[c.name]] = 1.0 if v is None else float(v)
-            values.append(row)
-    return values
-
-
-def eval_numeric(a: GradedExpr, point: Mapping[str, PointValue]) -> GrassmannValue:
-    """Evaluate a form-degree-0 expression at a point (see grassmann_point)."""
-    batch = Plan(a).grassmann(grassmann_point(a.chart, point))
-    if batch.error is not None:
-        raise batch.error
-    return GrassmannValue(batch.values[0])
-
-
-def _body_point(plans: Sequence[Plan], point: Mapping[str, object]) -> List[Fraction]:
-    """Exact per-coordinate values of a body point: odd coordinates, and
-    even ones that no plan reads, are zero."""
+def _body_point(plans: Sequence[Plan], point: Mapping[str, object],
+                number=Fraction) -> list:
+    """Per-coordinate values of a body point, as ``number``: odd coordinates,
+    and even ones that no plan reads, are zero."""
     chart = plans[0].chart
     reads = set().union(*(p.reads for p in plans))
-    x = [Fraction(0)] * chart.dim
+    x = [number(0)] * chart.dim
     for i in chart.even_indices:
         name = chart.coords[i].name
         if name in point:
-            x[i] = Fraction(point[name])
+            x[i] = number(point[name])
         elif i in reads:
             raise EvaluationError(f"no value for coordinate {name!r}")
     return x
+
+
+def eval_numeric(a: GradedExpr, point: Mapping[str, object]) -> GrassmannValue:
+    """Evaluate a form-degree-0 expression at one point.
+
+    Even coordinates take real values; only those the expression reads need
+    one.  An odd coordinate is its own generator, scaled by its value in
+    ``point`` (1 when absent).
+    """
+    plan = Plan(a)
+    x = _body_point([plan], point, float)
+    for i in a.chart.odd_indices:
+        x[i] = float(point.get(a.chart.coords[i].name, 1.0))
+    batch = plan.grassmann(_coordinates(a.chart, [x]))
+    if batch.error is not None:
+        raise batch.error
+    return GrassmannValue(batch.values[0])
 
 
 def body_values(plans: Sequence[Plan], point: Mapping[str, object]

@@ -40,6 +40,21 @@ class TestEvalNumeric:
         with pytest.raises(EvaluationError):
             eval_numeric(e, {"x": 0.0})
 
+    def test_overflowed_inverse_series_raises(self):
+        # 1/b^2 overflows at b = 1e-200; the soul term must not read nan
+        c = chart(("x", 0, 0), ("a", 1, 0), ("b", 1, 0))
+        e = parse_expr("1/(x + a*b)", c)
+        with pytest.raises(OverflowError):
+            eval_numeric(e, {"x": 1e-200})
+        v = eval_numeric(e, {"x": 1e-150}).data
+        assert v == pytest.approx({(): 1e150, (0, 1): -1e300}, rel=1e-12)
+
+    def test_only_the_coordinates_read_need_a_value(self):
+        c = chart(("x", 0, 1), ("y", 0, 1))
+        assert eval_numeric(parse_expr("x^2", c), {"x": 3}).body == 9.0
+        with pytest.raises(EvaluationError, match="no value for coordinate 'y'"):
+            eval_numeric(parse_expr("x*y", c), {"x": 3})
+
     def test_log_nonpositive_body(self):
         c = chart(("x", 0, 0))
         with pytest.raises(EvaluationError):
@@ -160,6 +175,23 @@ class TestPlan:
         assert [type(v) for v in vals] == [Fraction] * 3 + [float] * 2
         assert [p.exact for p in plans] == [True] * 3 + [False] * 2
         assert vals[3:] == [0.25, math.sin(0.5)]
+
+    def test_overflowed_trig_argument_on_every_path(self):
+        """x*y overflows to inf silently; the float and Grassmann paths both
+        raise the typed error of the atom table there."""
+        c = chart(("x", 0, 0), ("y", 0, 0))
+        plan = Plan(parse_expr("cos(x*y)", c))
+        big = np.array([1.0, 1e200])
+        with pytest.raises(OverflowError, match="^cos of an overflowed argument$"):
+            plan.float_body([1e200, 1e200])
+        with np.errstate(over="ignore"), \
+                pytest.raises(OverflowError, match="^cos of an overflowed argument$"):
+            plan.float_body([big, big])
+        with pytest.raises(OverflowError, match="^cos of an overflowed argument$"):
+            eval_numeric(parse_expr("cos(x*y)", c), {"x": 1e200, "y": 1e200})
+        batch = plan.grassmann([big, big])
+        assert [grassmann.FAILURES[f] for f in batch.failure] == [None, "arithmetic"]
+        assert str(batch.error) == "cos of an overflowed argument"
 
     def test_coefficient_beyond_float_range(self):
         c = chart(("x", 0, 0))

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from graded_darboux import chart
-from graded_darboux.grexpr.grassmann import (FAILURES, GrassmannValue, _Kernel,
-                                             _blade, _pair_table, _product)
+from graded_darboux.grexpr import expr
+from graded_darboux.grexpr.grassmann import (_ATOMS, FAILURES, GrassmannValue,
+                                             _Kernel, _blade, _pair_table, _product)
 from helpers import (brute_force_reorder, grassmann_mul_oracle,
                      grassmann_series_oracle)
 
@@ -79,7 +80,12 @@ def _derivs(kind, b):
     return lambda k: cycle[k % len(cycle)](b)
 
 
-@pytest.mark.parametrize("kind", ["inv", "sin", "cos", "exp", "log", "sinh", "cosh"])
+def test_every_atom_kind_has_one_rule_and_one_derivative():
+    assert set(_ATOMS) == set(expr.ATOM_KINDS)
+    assert set(expr._DERIV_TABLE) == set(expr.ATOM_KINDS)
+
+
+@pytest.mark.parametrize("kind", expr.ATOM_KINDS)
 def test_atoms_match_the_oracle_series(kind):
     for ngens in range(7):
         rng = random.Random(ngens)
@@ -91,6 +97,21 @@ def test_atoms_match_the_oracle_series(kind):
             want = grassmann_series_oracle(_as_dict(u[i]), _derivs(kind, u[i, 0]),
                                            ngens)
             _assert_matches(got[i], want)
+
+
+@pytest.mark.parametrize("ngens", range(7))
+def test_inverse_and_log_satisfy_their_identities(ngens):
+    """Independent of the derivative formulas: u * inv(u) is the unit and
+    exp(log(u)) is u, blade by blade."""
+    rng = random.Random(200 + ngens)
+    u = _random_rows(rng, ngens, body=(0.5, 1.5))
+    kern = _Kernel(N_POINTS, ngens, 0.0)
+    unit = _product(kern.atom("inv", u), u)
+    back = kern.atom("exp", kern.atom("log", u))
+    assert kern.failure.tolist() == [0] * N_POINTS
+    for i in range(N_POINTS):
+        _assert_matches(unit[i], {(): 1.0})
+        _assert_matches(back[i], _as_dict(u[i]))
 
 
 def test_failures_are_recorded_per_point():
