@@ -5,6 +5,7 @@ paths."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -13,32 +14,45 @@ import numpy as np
 from .grexpr.equality import EIGEN_CLUSTER, EIGENSPACE_TOL, threshold
 
 
-def _rref(m: List[List[Fraction]], ncols: int) -> List[int]:
-    """Reduce ``m`` in place to reduced row echelon form over its first
-    ``ncols`` columns; returns the pivot columns."""
+def _rref(rows: Sequence[Sequence[Fraction]],
+          ncols: int) -> Tuple[List[List[int]], List[int]]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22,
+    1968) over the first ``ncols`` columns of ``rows``.
+
+    Each row is first cleared of its denominators, which leaves its row
+    space alone; every step then divides by the previous pivot exactly.
+    Returns the integer matrix ``m`` and its pivot columns: for r <
+    ``len(pivots)``, row r is row r of the reduced row echelon form times
+    ``m[r][pivots[r]]``, and every later row is zero in the first ``ncols``
+    columns and a nonzero multiple of the rational elimination's row."""
+    m = []
+    for row in rows:
+        den = math.lcm(*(v.denominator for v in row))
+        m.append([v.numerator * (den // v.denominator) for v in row])
     pivots: List[int] = []
+    prev = 1
     for col in range(ncols):
         r = len(pivots)
         if r == len(m):
             break
-        piv = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        piv = next((i for i in range(r, len(m)) if m[i][col]), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        inv = Fraction(1) / m[r][col]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        top = m[r]
+        p = top[col]
+        for i, row in enumerate(m):
+            if i != r:
+                f = row[col]
+                m[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
         pivots.append(col)
-    return pivots
+        prev = p
+    return m, pivots
 
 
 def exact_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank of a matrix of Fractions by Gaussian elimination."""
-    m = [list(map(Fraction, r)) for r in rows]
-    return len(_rref(m, len(m[0]))) if m else 0
+    """Rank of a matrix of Fractions by fraction-free elimination."""
+    return len(_rref(rows, len(rows[0]))[1]) if rows else 0
 
 
 def exact_solve_membership(rows: Sequence[Sequence[Fraction]],
@@ -46,10 +60,9 @@ def exact_solve_membership(rows: Sequence[Sequence[Fraction]],
     """Whether ``target`` is a combination of ``rows``."""
     k = len(rows)
     # eliminate on the augmented (ncols x k+1) system rows^T c = target
-    aug = [[Fraction(rows[j][i]) for j in range(k)] + [Fraction(target[i])]
-           for i in range(len(target))]
-    pivots = _rref(aug, k)
-    return all(aug[i][k] == 0 for i in range(len(pivots), len(aug)))
+    aug, pivots = _rref([[r[i] for r in rows] + [t]
+                         for i, t in enumerate(target)], k)
+    return not any(row[k] for row in aug[len(pivots):])
 
 
 def negligible(x: float, tol: float, scale: float = 0.0) -> bool:
@@ -108,16 +121,19 @@ def contains(rows: Sequence[Sequence[Union[Fraction, float]]],
 def nullspace(rows: Sequence[Sequence[Union[Fraction, float]]],
               tol: float) -> np.ndarray:
     """Basis of the kernel of a matrix of body values, as float columns: one
-    vector per free column of the rational RREF when every entry is a
-    Fraction, an orthonormal basis from the singular vectors otherwise."""
+    vector per free column of the reduced row echelon form when every entry
+    is a Fraction, an orthonormal basis from the singular vectors
+    otherwise."""
     if _exact(rows):
-        m = [list(r) for r in rows]
-        pivots = _rref(m, len(m[0]))
+        m, pivots = _rref(rows, len(rows[0]))
         free = [j for j in range(len(m[0])) if j not in pivots]
         basis = np.zeros((len(m[0]), len(free)))
         for col, j in enumerate(free):
             basis[j, col] = 1.0
-            basis[pivots, col] = [float(-m[r][j]) for r in range(len(pivots))]
+            # int true division rounds the rational entry correctly, as
+            # Fraction.__float__ does; + 0.0 reads -0.0 as 0.0
+            basis[pivots, col] = [-m[r][j] / m[r][piv] + 0.0
+                                  for r, piv in enumerate(pivots)]
         return basis
     u, s, vt = np.linalg.svd(np.array(rows, dtype=float))
     return vt[_rank(s, tol):].T

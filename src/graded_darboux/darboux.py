@@ -442,7 +442,7 @@ def _jacobian_nonsingular(images: Sequence[GradedExpr], chart: ChartSpec,
     if len(images) != n:
         return False
     plans = [Plan(partial(img, name)) for img in images for name in chart.names]
-    J = np.array(body_values(plans, base), dtype=float).reshape(n, n)
+    J = np.array(body_values(plans, [base])[0], dtype=float).reshape(n, n)
     return not _linalg.negligible(float(np.linalg.det(J)), policy.rel_tol)
 
 
@@ -473,7 +473,7 @@ def one_form_darboux(alpha: GradedExpr, presymp_chart: ChartMap,
 
     # guard: nabla(base) nonzero and inside the characteristic space
     nvec = np.array(body_values([Plan(c) for c in nabla.field.coefficients],
-                                base), dtype=float)
+                                [base])[0], dtype=float)
     nabla_vanishes = _linalg.vanishes(nvec, policy.rel_tol)
     if not nabla_vanishes:
         fm = flat_matrix(alpha, base)
@@ -750,6 +750,9 @@ class StraighteningGrid:
                                 + [f"{v:.12g}" for v in x])
 
 
+# an overflowed float body fails the domain check, or raises the typed error
+# of its atom, so numpy's overflow warnings would only reach stderr
+@np.errstate(all="ignore")
 def straighten_commuting(fields: Sequence[VectorField],
                          base: Sequence[float],
                          box: float = 0.5,

@@ -71,6 +71,7 @@ class EqualityResult:
 
 
 ODD_SCALES = (0.5, 1.5)     # an odd coordinate is a generator scaled from here
+ARITHMETIC = FAILURES.index("arithmetic")
 
 
 def _draw_points(chart: ChartSpec, rng: random.Random, n: int) -> List[list]:
@@ -98,6 +99,9 @@ def _outcomes(plans, chart: ChartSpec, points: List[list], rel_tol: float) -> li
         va = plan_a.grassmann(x, DIVISOR_FLOOR)
         vb = plan_b.grassmann(x, DIVISOR_FLOOR)
         failure = np.where(va.failure != 0, va.failure, vb.failure)
+        # a value that overflowed to inf or nan proves no difference
+        failure[(failure == 0) & ~(np.isfinite(va.values).all(axis=1)
+                                   & np.isfinite(vb.values).all(axis=1))] = ARITHMETIC
         with np.errstate(all="ignore"):
             differ = ~_close(va.values, vb.values, rel_tol)
         decided = undecided & ((failure != 0) | differ.any(axis=1))
@@ -131,8 +135,8 @@ def equal(a: GradedExpr, b: GradedExpr,
     ``redraws`` counts the failed draws by reason: ``divisor-floor`` (a
     divisor body under ``DIVISOR_FLOOR``), ``evaluation`` (another
     ``EvaluationError``) or ``arithmetic`` (an ``ArithmeticError`` such as
-    an overflow).  The verdict, witness and counts are those of checking
-    the points one at a time in draw order."""
+    an overflow, or a value that is inf or nan).  The verdict, witness and
+    counts are those of checking the points one at a time in draw order."""
     if a.chart != b.chart:
         raise ValueError("cannot compare expressions over different charts")
     chart = a.chart

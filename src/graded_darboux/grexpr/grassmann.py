@@ -461,36 +461,109 @@ def eval_numeric(a: GradedExpr, point: Mapping[str, object]) -> GrassmannValue:
     return GrassmannValue(batch.values[0])
 
 
-def body_values(plans: Sequence[Plan], point: Mapping[str, object]
-                ) -> List[Union[Fraction, float]]:
-    """Bodies of compiled expressions at one body point.
+class BodyBatch:
+    """Bodies of compiled expressions at a batch of body points.
 
-    Odd coordinates are zero.  Exact plans evaluate to Fractions, the others
-    to floats.
+    ``batch[i]`` is point i's list of values, one per plan: a Fraction where
+    the plan is exact, a float otherwise.  At a point where a plan failed it
+    raises the error of the first failing plan, in plan order, so a caller
+    that walks the points in order meets each error where evaluating one
+    point at a time would have raised it."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: List[Union[list, Exception]]):
+        self.rows = rows        # a point's values, or its error
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i: int) -> list:
+        row = self.rows[i]
+        if isinstance(row, Exception):
+            raise row
+        return row
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+
+def _as_float(v) -> float:
+    # float(Fraction(v)), without the Fraction where v is a finite float (a
+    # plan's sum starts from 0.0, so a -0.0 never reaches its value)
+    return v if type(v) is float and math.isfinite(v) else float(Fraction(v))
+
+
+def body_values(plans: Sequence[Plan],
+                points: Sequence[Mapping[str, object]]) -> BodyBatch:
+    """Bodies of compiled expressions at a batch of body points.
+
+    Odd coordinates are zero.  Exact plans evaluate to Fractions, point by
+    point.  Each float plan runs once over per-coordinate arrays of the
+    points, which ``Plan.float_body`` evaluates bit for bit as it does one
+    point, and point by point only where that raises.  Any error is kept
+    with its point, so that each point raises what evaluating it alone
+    would have raised.
     """
+    n = len(points)
     if not plans:
-        return []
-    xq = _body_point(plans, point)
-    xf = [float(v) for v in xq]
-    return [p.exact_body(xq) if p.exact else p.float_body(xf) for p in plans]
+        return BodyBatch([[] for _ in range(n)])
+    some_exact = any(p.exact for p in plans)
+    some_float = not all(p.exact for p in plans)
+    rows: List[Union[list, Exception, None]] = [None] * n
+    xq: List[Optional[list]] = [None] * n
+    xf: List[Optional[list]] = [None] * n
+    for i, point in enumerate(points):
+        try:
+            if some_exact:
+                xq[i] = _body_point(plans, point)
+            if some_float:
+                xf[i] = _body_point(plans, point, _as_float)
+        except Exception as exc:
+            rows[i] = exc
+    alive = [i for i in range(n) if rows[i] is None]
+    cols = np.array([xf[i] for i in alive]).T if some_float else None
+    columns = []
+    with np.errstate(all="ignore"):
+        for plan in plans:
+            if plan.exact:
+                columns.append([_call(plan.exact_body, xq[i]) for i in alive])
+                continue
+            try:
+                vals = np.broadcast_to(plan.float_body(cols), len(alive)).tolist()
+            except Exception:
+                vals = [_call(plan.float_body, xf[i]) for i in alive]
+            columns.append(vals)
+    for i, row in zip(alive, zip(*columns)):
+        rows[i] = next((v for v in row if isinstance(v, Exception)), list(row))
+    return BodyBatch(rows)
+
+
+def _call(f, x):
+    try:
+        return f(x)
+    except Exception as exc:
+        return exc
 
 
 def sample_body_points(chart: ChartSpec, n_points: int,
-                       seed: int) -> List[Dict[str, Fraction]]:
+                       seed: int) -> List[Dict[str, float]]:
     """Body points inside the chart boxes: each coordinate takes one of 65
-    evenly spaced values, rounded once to the nearest float, so that the
-    exact and float paths see the same point."""
+    evenly spaced values, lo + (hi - lo)·k/64, rounded once to the nearest
+    float, so that the exact and float paths see the same point.  The value
+    is an integer ratio, rounded by int true division as
+    ``Fraction.__float__`` rounds it."""
     rng = random.Random(seed)
-    pts = []
-    for _ in range(n_points):
-        p: Dict[str, Fraction] = {}
-        for i in chart.even_indices:
-            lo, hi = chart.box_for(i)
-            t = Fraction(rng.randint(0, 64), 64)
-            exact = Fraction(lo) + (Fraction(hi) - Fraction(lo)) * t
-            p[chart.coords[i].name] = Fraction(float(exact))
-        pts.append(p)
-    return pts
+    coords = []
+    for i in chart.even_indices:
+        lo, hi = chart.box_for(i)
+        a, b = Fraction(lo).as_integer_ratio()
+        c, d = Fraction(hi).as_integer_ratio()
+        # lo + (hi - lo)·k/64 = (64·a·d + (c·b - a·d)·k) / (64·b·d)
+        coords.append((chart.coords[i].name, 64 * a * d, c * b - a * d, 64 * b * d))
+    return [{name: (base + step * rng.randint(0, 64)) / den
+             for name, base, step, den in coords}
+            for _ in range(n_points)]
 
 
 def eval_body_exact(a: GradedExpr, point: Mapping[str, Union[int, Fraction]]) -> Fraction:

@@ -118,7 +118,7 @@ def linearization_at_zero(nabla: VectorField,
     if nabla.parity != EVEN:
         raise ValueError("linearization expects an even field")
     chart = nabla.chart
-    vals = np.array(body_values([Plan(c) for c in nabla.coefficients], point),
+    vals = np.array(body_values([Plan(c) for c in nabla.coefficients], [point])[0],
                     dtype=float)
     if not all(_linalg.negligible(v, NOISE_FLOOR) for v in vals):
         return LinearizationReport(
@@ -128,7 +128,7 @@ def linearization_at_zero(nabla: VectorField,
     n = chart.dim
     plans = [Plan(partial(c, name)) for c in nabla.coefficients
              for name in chart.names]
-    jac = np.array(body_values(plans, point), dtype=float).reshape(n, n)
+    jac = np.array(body_values(plans, [point])[0], dtype=float).reshape(n, n)
     ev = list(chart.even_indices)
     od = list(chart.odd_indices)
     jac_e = jac[np.ix_(ev, ev)]
@@ -251,8 +251,8 @@ def _span_contains(D: Distribution, Y: VectorField,
     chart = D.chart
     split = len(D.generators) * chart.dim
     plans = [Plan(c) for X in D.generators + (Y,) for c in X.coefficients]
-    for p in sample_body_points(chart, policy.n_points, policy.seed):
-        vals = body_values(plans, p)
+    points = sample_body_points(chart, policy.n_points, policy.seed)
+    for p, vals in zip(points, body_values(plans, points)):
         rows = [vals[j:j + chart.dim] for j in range(0, split, chart.dim)]
         # a conditioning guard: float on purpose, whatever the data
         G = np.array(rows, dtype=float).reshape(-1, chart.dim)

@@ -11,7 +11,7 @@ the image of flat (transversal case) and rank(flat) when it is contained.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -107,22 +107,26 @@ class _FlatMap:
         self.rows = _interior_rows(beta)
         self.plans = [Plan(e) for row in self.rows + [alpha] for e in row]
 
-    def at(self, point: Dict[str, object]) -> FlatMatrix:
+    def at(self, points: Sequence[Dict[str, object]]) -> Iterator[FlatMatrix]:
+        """The flat matrix at each point, in order, from one batch
+        evaluation; a point that failed to evaluate raises its error when
+        it is reached."""
         n = self.chart.dim
-        vals = body_values(self.plans, point)
-        return FlatMatrix(
-            point={k: float(v) for k, v in point.items()},
-            rows=[vals[a * n:(a + 1) * n] for a in range(n)],
-            even_indices=self.chart.even_indices,
-            odd_indices=self.chart.odd_indices,
-            alpha=vals[n * n:] if self.one_form else None,
-        )
+        points = list(points)
+        for point, vals in zip(points, body_values(self.plans, points)):
+            yield FlatMatrix(
+                point={k: float(v) for k, v in point.items()},
+                rows=[vals[a * n:(a + 1) * n] for a in range(n)],
+                even_indices=self.chart.even_indices,
+                odd_indices=self.chart.odd_indices,
+                alpha=vals[n * n:] if self.one_form else None,
+            )
 
 
 def flat_matrix(form: GradedExpr, point: Dict[str, object]) -> FlatMatrix:
     """Flat matrix at a body point: of d(form) for 1-forms (with the form
     appended as an extra row), of the form itself for 2-forms."""
-    return _FlatMap(form).at(point)
+    return next(_FlatMap(form).at([point]))
 
 
 # -- classification -------------------------------------------------------------
@@ -159,8 +163,7 @@ def characteristic_class(alpha: GradedExpr,
     closed = bool(equal(dalpha, zero(chart), policy))
     evidence = []
     outcomes = set()
-    for p in points:
-        fm = fmap.at(p)
+    for fm in fmap.at(points):
         if _linalg.vanishes(fm.alpha_row, policy.rel_tol):
             raise PfaffianError("form vanishes at a sample point",
                                 witness=fm.point)
@@ -226,8 +229,7 @@ def presymplectic_check(omega: GradedExpr,
     evidence = []
     ranks = set()
     kernel = None
-    for p in points:
-        fm = fmap.at(p)
+    for fm in fmap.at(points):
         r = fm.rank(policy)
         entry = {"point": fm.point, "rank": r}
         if par == EVEN:
@@ -284,8 +286,7 @@ def liouville(omega: GradedExpr, alpha: GradedExpr,
     if not equal(exterior_d(alpha), omega, policy):
         raise PfaffianError("one-form is not a potential of the two-form")
     fmap = _FlatMap(omega)
-    for p in sample_body_points(chart, 3, seed=policy.seed):
-        fm = fmap.at(p)
+    for fm in fmap.at(sample_body_points(chart, 3, seed=policy.seed)):
         if fm.rank(policy) < chart.dim:
             raise PfaffianError("degenerate two-form: flat map is singular",
                                 witness=fm.point)
@@ -307,7 +308,7 @@ def liouville(omega: GradedExpr, alpha: GradedExpr,
 
 def _form_nonzero_at(w: GradedExpr, point: Dict[str, object]) -> bool:
     plans = [Plan(c) for c in w.diff_components().values()]
-    vals = np.array(body_values(plans, point), dtype=float)
+    vals = np.array(body_values(plans, [point])[0], dtype=float)
     return not all(_linalg.negligible(v, DEFAULT_POLICY.rel_tol) for v in vals)
 
 

@@ -1,0 +1,192 @@
+"""The batched numeric stage of sampled checks: the integer sampler, batched
+body evaluation, and the per-point replay of its callers."""
+
+import math
+import random
+import warnings
+from fractions import Fraction
+
+import pytest
+
+from graded_darboux import EqualityPolicy, chart, parse_expr
+from graded_darboux.cartan import basis_field, vector_field
+from graded_darboux.darboux import straighten_commuting
+from graded_darboux.grexpr import grassmann
+from graded_darboux.grexpr.expr import EvaluationError
+from graded_darboux.grexpr.grassmann import Plan, body_values, sample_body_points
+from graded_darboux.homogeneity import Distribution, _span_contains
+from graded_darboux.pfaffian import PfaffianError, characteristic_class
+from helpers import random_chart, random_expr
+
+
+def _fraction_sampler(chart_, n_points, seed):
+    """The sampler as a formula on Fractions: lo + (hi - lo)·k/64 for a
+    drawn k, rounded once to the nearest float."""
+    rng = random.Random(seed)
+    pts = []
+    for _ in range(n_points):
+        p = {}
+        for i in chart_.even_indices:
+            lo, hi = chart_.box_for(i)
+            t = Fraction(rng.randint(0, 64), 64)
+            exact = Fraction(lo) + (Fraction(hi) - Fraction(lo)) * t
+            p[chart_.coords[i].name] = Fraction(float(exact))
+        pts.append(p)
+    return pts
+
+
+BOXES = [(-1.0, 1.0), (0.1, 0.8), (-3, 5), (0, 1), (1e-3, 1e5),
+         (-1e300, 1e300), (1.0, 1.0 + 2.0 ** -40), (0.1, 0.1 + 1e-15),
+         (5e-324, 1e-320), (-7.3, -7.2999999)]
+
+
+@pytest.mark.parametrize("box", BOXES, ids=str)
+@pytest.mark.parametrize("n_points", [1, 8, 32])
+def test_sampler_matches_the_fraction_formula(box, n_points):
+    rng = random.Random(f"{box}-{n_points}")
+    for _ in range(4):
+        c = random_chart(rng)
+        c = type(c)(c.coords, default_box=box)
+        for seed in range(5):
+            got = sample_body_points(c, n_points, seed)
+            want = _fraction_sampler(c, n_points, seed)
+            assert [{k: float(v).hex() for k, v in p.items()} for p in got] == \
+                [{k: float(v).hex() for k, v in p.items()} for p in want]
+            assert all(type(v) is float for p in got for v in p.values())
+
+
+def test_sampler_reads_each_coordinates_own_box():
+    c = chart(("x", 0, 0, (0.1, 0.8)), ("t", 1, 0), ("y", 0, 0, (-3, 5)),
+              ("z", 0, 0), default_box=(2, 3))
+    for seed in range(10):
+        assert sample_body_points(c, 8, seed) == _fraction_sampler(c, 8, seed)
+
+
+def _one_at_a_time(plans, point):
+    """Each plan's body at one point, in plan order, as a plan is evaluated
+    alone; the first failure raises."""
+    xq = grassmann._body_point(plans, point)
+    return [p.exact_body(xq) if p.exact else p.float_body([float(v) for v in xq])
+            for p in plans]
+
+
+def test_batch_matches_per_point_evaluation():
+    rng = random.Random(7)
+    for _ in range(60):
+        c = random_chart(rng, max_even=3, max_odd=2)
+        x0 = c.coords[c.even_indices[0]].name
+        exprs = [random_expr(c, rng, n_terms=2),
+                 parse_expr(f"sin({x0}) + 1/3", c),
+                 parse_expr(f"exp({x0})*cos({x0}^2)/(2 + {x0}^2)", c),
+                 parse_expr("2/7", c),                 # reads no coordinate
+                 parse_expr("0.5", c),                 # reads no coordinate
+                 parse_expr("sin(2)*cosh(1)", c),      # reads no coordinate
+                 random_expr(c, rng, n_terms=3) * 0.25]
+        plans = [Plan(e) for e in exprs]
+        points = sample_body_points(c, 9, rng.randrange(100))
+        batch = body_values(plans, points)
+        assert len(batch) == len(points)
+        for point, vals in zip(points, batch):
+            assert [type(v) for v in vals] == \
+                [Fraction if p.exact else float for p in plans]
+            want = [p.exact_body(grassmann._body_point(plans, point)) if p.exact
+                    else p.float_body(grassmann._body_point(plans, point, float))
+                    for p in plans]
+            assert [v if p.exact else v.hex() for p, v in zip(plans, vals)] == \
+                [v if p.exact else v.hex() for p, v in zip(plans, want)]
+
+
+def test_each_point_keeps_the_error_of_its_first_failing_plan():
+    c = chart(("x", 0, 0), ("y", 0, 0))
+    plans = [Plan(parse_expr("log(y)", c)), Plan(parse_expr("x^2", c)),
+             Plan(parse_expr("1/x", c))]
+    points = [{"x": 1.0, "y": 2.0},     # evaluates
+              {"x": 0.0, "y": 2.0},     # 1/x fails
+              {"x": 1.0, "y": -1.0},    # log(y) fails
+              {"x": 0.0, "y": 0.0},     # both fail; log(y) comes first
+              {"x": 2.0, "y": 1.0}]     # evaluates
+    zero_body = "^division by a value with zero body$"
+    nonpositive = "^log of a value with nonpositive body$"
+    errors = {1: zero_body, 2: nonpositive, 3: nonpositive}
+    batch = body_values(plans, points)
+    for i, point in enumerate(points):
+        if i in errors:
+            for evaluate in (lambda: _one_at_a_time(plans, point), lambda: batch[i]):
+                with pytest.raises(EvaluationError, match=errors[i]):
+                    evaluate()
+        else:
+            assert batch[i] == _one_at_a_time(plans, point)
+    with pytest.raises(EvaluationError, match=zero_body):
+        list(batch)     # walking the points meets point 1 first
+    assert batch[4] == [0.0, 4.0, 0.5]
+
+
+def test_points_missing_a_coordinate_fail_alone():
+    c = chart(("x", 0, 0), ("y", 0, 0))
+    batch = body_values([Plan(parse_expr("x*y", c))],
+                        [{"x": 1.0, "y": 3.0}, {"x": 2.0}, {"x": 1.0, "y": 0.5}])
+    assert batch[0] == [3.0] and batch[2] == [0.5]
+    with pytest.raises(EvaluationError, match="no value for coordinate 'y'"):
+        batch[1]
+    assert len(body_values([], [{}, {}])) == 2
+
+
+def test_classification_raises_the_first_point_error_in_sample_order():
+    c = chart(("z", 0, 0), ("q", 0, 0), ("x", 0, 0))
+    alpha = parse_expr("d(z) - (1/x)*d(q)", c)
+    fine = {"z": 0.5, "q": 0.5, "x": 0.5}
+    pole = {"z": 0.5, "q": 0.5, "x": 0.0}
+    with pytest.raises(EvaluationError, match="^division by a value with zero body$"):
+        characteristic_class(alpha, [fine, pole, fine])
+    # a point where the form vanishes comes first, so its error decides
+    beta = parse_expr("z*d(z) - (1/x)*d(q)", c)
+    gone = {"z": 0.0, "q": 0.5, "x": 1e300}
+    with pytest.raises(PfaffianError, match="form vanishes"):
+        characteristic_class(beta, [fine, gone, pole])
+
+
+def _outside_then_failing(points):
+    # log(x) != 0 at the first point, and log(x) fails at a later one
+    xs = [p["x"] for p in points]
+    return 0 < xs[0] != 1 and min(xs) <= 0
+
+
+def test_span_check_keeps_its_false_before_a_point_that_fails():
+    c = chart(("x", 0, 0), ("y", 0, 0))
+    D = Distribution(c, (basis_field(c, "x"),))
+    Y = vector_field(c, {"y": "log(x)"})
+    policy = next(EqualityPolicy(seed=s) for s in range(100)
+                  if _outside_then_failing(sample_body_points(c, 32, s)))
+    assert _span_contains(D, Y, policy) is False
+    with pytest.raises(EvaluationError):
+        _span_contains(D, vector_field(c, {"x": "log(x)"}), policy)
+
+
+def test_batch_is_silent_when_a_float_body_overflows():
+    c = chart(("x", 0, 0), ("y", 0, 0))
+    plans = [Plan(parse_expr("x*y", c)), Plan(parse_expr("cos(x*y)", c))]
+    points = [{"x": 1.0, "y": 2.0}, {"x": 1e200, "y": 1e200}]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = body_values(plans, points)
+    # a warning raised as an error would only send the batch point by point;
+    # recorded, it shows whether numpy warned at all
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        again = body_values(plans, points)
+    assert caught == []
+    for b in (batch, again):
+        assert b[0] == [2.0, math.cos(2.0)]
+        with pytest.raises(OverflowError, match="^cos of an overflowed argument$"):
+            b[1]
+
+
+def test_straightening_is_silent_and_typed_on_an_overflowed_argument():
+    c = chart(("x", 0, 0), ("y", 0, 0))
+    X = vector_field(c, {"x": "cos(x*y)"})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(OverflowError, match="^cos of an overflowed argument$"):
+            straighten_commuting([X], [1e200, 1e200])
+    assert caught == []
+

@@ -170,7 +170,7 @@ class TestPlan:
         exprs = [parse_expr("x^2/3 + y", c), parse_expr("t*y", c), zero(c),
                  coord(c, "x") * 0.5, parse_expr("sin(x)", c)]
         plans = [Plan(e) for e in exprs]
-        vals = body_values(plans, {"x": Fraction(1, 2), "y": 2})
+        vals = body_values(plans, [{"x": Fraction(1, 2), "y": 2}])[0]
         assert vals[:3] == [Fraction(25, 12), 0, 0]
         assert [type(v) for v in vals] == [Fraction] * 3 + [float] * 2
         assert [p.exact for p in plans] == [True] * 3 + [False] * 2
@@ -275,6 +275,23 @@ class TestEqual:
         assert r and r.mode == "randomized"
         assert r.detail == "32 points, rel_tol=1e-09"
         assert list(r.redraws) == [reason] and r.redraws[reason] > 0
+
+    def test_overflowed_value_is_a_redraw_not_a_difference(self):
+        # exp(x)*exp(x) is inf above x = 354.9, and inf - inf reads nan there
+        lhs, rhs = "exp(x)*exp(x) - exp(x - 1)*exp(x + 1) + 1", "1"
+        policy = EqualityPolicy(mode="randomized")
+        c = chart(("x", 0, 0), default_box=(360, 380))
+        with pytest.raises(EvaluationError, match="could not sample"):
+            equal(parse_expr(lhs, c), parse_expr(rhs, c), policy)
+        # nor is an inf close to a finite value
+        with pytest.raises(EvaluationError, match="could not sample"):
+            equal(parse_expr("exp(x)*exp(x)*exp(-x)", c), parse_expr("5", c))
+
+    def test_overflowed_points_are_redrawn(self):
+        c = chart(("x", 0, 0), default_box=(340, 370))
+        r = equal(parse_expr("exp(x)*exp(x)*exp(-x)", c), parse_expr("exp(x)", c))
+        assert r and r.mode == "randomized"
+        assert list(r.redraws) == ["arithmetic"] and r.redraws["arithmetic"] > 0
 
     def test_forms_compared_componentwise(self):
         c = chart(("p", 0, 1), ("q", 0, -1))
