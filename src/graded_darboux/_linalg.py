@@ -56,13 +56,13 @@ def exact_rank(rows: Sequence[Sequence[Fraction]]) -> int:
 
 
 def exact_solve_membership(rows: Sequence[Sequence[Fraction]],
-                           target: Sequence[Fraction]) -> bool:
-    """Whether ``target`` is a combination of ``rows``."""
+                           target: Sequence[Fraction]) -> Tuple[int, bool]:
+    """Rank of ``rows`` and whether ``target`` is a combination of them."""
     k = len(rows)
     # eliminate on the augmented (ncols x k+1) system rows^T c = target
     aug, pivots = _rref([[r[i] for r in rows] + [t]
                          for i, t in enumerate(target)], k)
-    return not any(row[k] for row in aug[len(pivots):])
+    return len(pivots), not any(row[k] for row in aug[len(pivots):])
 
 
 def negligible(x: float, tol: float, scale: float = 0.0) -> bool:
@@ -85,11 +85,13 @@ def float_rank(mat: np.ndarray, tol: float) -> int:
     return _rank(np.linalg.svd(mat, compute_uv=False), tol)
 
 
-def in_row_space(mat: np.ndarray, vec: np.ndarray, tol: float) -> Tuple[bool, float]:
-    """Least-squares membership of ``vec`` in the row space of ``mat``."""
-    sol, *_ = np.linalg.lstsq(mat.T, vec, rcond=None)
+def in_row_space(mat: np.ndarray, vec: np.ndarray,
+                 tol: float) -> Tuple[int, bool, float]:
+    """Rank of ``mat`` and least-squares membership of ``vec`` in its row
+    space, with the residual."""
+    sol, _, _, s = np.linalg.lstsq(mat.T, vec, rcond=None)
     res = float(np.linalg.norm(mat.T @ sol - vec))
-    return negligible(res, tol, float(np.linalg.norm(vec))), res
+    return _rank(s, tol), negligible(res, tol, float(np.linalg.norm(vec))), res
 
 
 def _exact(*mats: Sequence[Sequence]) -> bool:
@@ -107,15 +109,17 @@ def rank(rows: Sequence[Sequence[Union[Fraction, float]]], tol: float) -> int:
 
 def contains(rows: Sequence[Sequence[Union[Fraction, float]]],
              vec: Sequence[Union[Fraction, float]],
-             tol: float) -> Tuple[bool, Optional[float]]:
-    """Membership of ``vec`` in the row space of ``rows`` and its residual:
-    exact (residual 0.0, or None outside) when every entry is a Fraction,
-    by least squares otherwise."""
+             tol: float) -> Tuple[int, bool, Optional[float]]:
+    """Rank of ``rows``, membership of ``vec`` in their row space and its
+    residual, from one elimination: exact (residual 0.0, or None outside)
+    when every entry is a Fraction, by least squares otherwise; exact rows
+    keep their exact rank."""
     if _exact(rows, [vec]):
-        inside = exact_solve_membership(rows, vec)
-        return inside, 0.0 if inside else None
+        r, inside = exact_solve_membership(rows, vec)
+        return r, inside, 0.0 if inside else None
     mat = np.array(rows, dtype=float).reshape(len(rows), len(vec))
-    return in_row_space(mat, np.array(vec, dtype=float), tol)
+    r, inside, res = in_row_space(mat, np.array(vec, dtype=float), tol)
+    return (exact_rank(rows) if _exact(rows) else r), inside, res
 
 
 def nullspace(rows: Sequence[Sequence[Union[Fraction, float]]],

@@ -391,7 +391,11 @@ def run(manifest_path: str, json_out: Optional[str] = None, seed: int = 0,
               f"column {exc.colno}): {exc.msg}", file=sys.stderr)
         return 2
 
-    policy = EqualityPolicy(n_points=max(samples, 8), rel_tol=tol, seed=seed)
+    try:
+        policy = EqualityPolicy(n_points=max(samples, 8), rel_tol=tol, seed=seed)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         ws, tasks = load_manifest(payload)
     except (KeyError, TypeError, ValueError) as exc:

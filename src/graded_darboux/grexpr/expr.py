@@ -440,17 +440,11 @@ def one(chart: ChartSpec) -> GradedExpr:
 
 
 def coord(chart: ChartSpec, name: str) -> GradedExpr:
-    i = chart.index(name)
-    n = chart.dim
-    cexp = tuple(1 if j == i else 0 for j in range(n))
-    return GradedExpr(chart, (Monomial(Fraction(1), (), cexp, (0,) * n),))
+    return _single_factor_expr(chart, "coord", (chart.index(name), 1))
 
 
 def diff(chart: ChartSpec, name: str) -> GradedExpr:
-    i = chart.index(name)
-    n = chart.dim
-    dexp = tuple(1 if j == i else 0 for j in range(n))
-    return GradedExpr(chart, (Monomial(Fraction(1), (), (0,) * n, dexp),))
+    return _single_factor_expr(chart, "diff", (chart.index(name), 1))
 
 
 def apply_func(kind: str, arg: GradedExpr) -> GradedExpr:
@@ -771,54 +765,37 @@ def substitute(a: GradedExpr,
         if not img.is_zero() and img.parity() != src.parity(i):
             raise ParityError(f"image of {name} does not preserve parity")
 
-    def coord_image(i: int) -> GradedExpr:
+    def image(tag: str, i: int) -> GradedExpr:
+        """The image of x_i (tag 'coord') or of d(x_i) (tag 'diff')."""
         name = src.coords[i].name
-        if name in images:
-            return images[name]
-        if target == src:
-            return coord(src, name)
-        if name in target.names and target.parity(target.index(name)) == src.parity(i):
-            return coord(target, name)
-        raise ChartError(f"no image declared for coordinate {name!r}")
-
-    def diff_image(i: int) -> GradedExpr:
-        name = src.coords[i].name
-        if name in d_images:
+        if tag == "diff" and name in d_images:
             return d_images[name]
         if name in images:
+            if tag == "coord":
+                return images[name]
             raise ChartError(f"no image declared for d({name}) "
                              "(coordinate itself is remapped)")
-        if target == src:
-            return diff(src, name)
         if name in target.names and target.parity(target.index(name)) == src.parity(i):
-            return diff(target, name)
-        raise ChartError(f"no image declared for d({name})")
+            return _single_factor_expr(target, tag, (target.index(name), 1))
+        raise ChartError("no image declared for "
+                         + (f"d({name})" if tag == "diff" else f"coordinate {name!r}"))
 
-    total = zero(target)
+    def factors(m: Monomial):
+        """Each factor's image and power, computed only when reached."""
+        for at in m.atoms:
+            yield apply_func(at.kind, substitute(at.arg, images, d_images)), at.power
+        for tag, exps in (("coord", m.cexp), ("diff", m.dexp)):
+            for i, k in enumerate(exps):
+                if k:
+                    yield image(tag, i), k
+
+    out: List[Monomial] = []
     for m in a.terms:
         term = const(target, m.coeff)
-        for a_ in m.atoms:
-            arg2 = substitute(a_.arg, images, d_images)
-            if a_.kind == "inv":
-                val = gdiv(one(target), arg2)
-            else:
-                val = apply_func(a_.kind, arg2)
-            term = gmul(term, val ** a_.power)
+        for img, k in factors(m):
+            # a vanished term reads no further image
+            term = gmul(term, img ** k)
             if term.is_zero():
                 break
-        if term.is_zero():
-            continue
-        for i, k in enumerate(m.cexp):
-            if k:
-                term = gmul(term, coord_image(i) ** k)
-                if term.is_zero():
-                    break
-        if term.is_zero():
-            continue
-        for i, k in enumerate(m.dexp):
-            if k:
-                term = gmul(term, diff_image(i) ** k)
-                if term.is_zero():
-                    break
-        total = total + term
-    return total
+        out.extend(term.terms)
+    return GradedExpr.from_terms(target, out)

@@ -261,7 +261,7 @@ def _span_contains(D: Distribution, Y: VectorField,
             raise RankCollapseError(
                 f"generators drop to rank {r} at a sample point",
                 witness={k: float(v) for k, v in p.items()})
-        if not _linalg.contains(rows, vals[split:], policy.rel_tol)[0]:
+        if not _linalg.contains(rows, vals[split:], policy.rel_tol)[1]:
             return False
     return True
 

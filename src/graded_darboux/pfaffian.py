@@ -170,8 +170,8 @@ def characteristic_class(alpha: GradedExpr,
         if closed:
             evidence.append({"point": fm.point, "rank": 0, "case": "closed"})
             continue
-        r = fm.rank(policy)
-        contained, residual = _linalg.contains(fm.rows, fm.alpha, policy.rel_tol)
+        r, contained, residual = _linalg.contains(fm.rows, fm.alpha,
+                                                  policy.rel_tol)
         cls = r if contained else r + 1
         outcomes.add((r, contained))
         evidence.append({"point": fm.point, "rank": r,

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 from pathlib import Path
 
@@ -147,6 +148,18 @@ def test_samples_below_eight_sample_eight_points(tmp_path):
     assert run(str(MANIFESTS / "cylinder.json"), json_out=str(out), samples=0,
                stream=open(os.devnull, "w")) == 0
     assert json.loads(out.read_text())["samples"] == 8
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
+def test_exit_two_on_a_tolerance_that_is_not_positive_and_finite(
+        tmp_path, capsys, tol):
+    """A bad ``--tol`` is one error line, not a wrong class or a failed task."""
+    out = tmp_path / "cylinder.json"
+    assert run(str(MANIFESTS / "cylinder.json"), json_out=str(out), tol=tol,
+               stream=open(os.devnull, "w")) == 2
+    assert capsys.readouterr().err == \
+        f"error: tolerance must be a positive finite number, not {tol!r}\n"
+    assert not out.exists()
 
 
 def test_degree_mode_exact_when_inhomogeneous(tmp_path):

@@ -8,9 +8,11 @@ import pytest
 from graded_darboux import (apply_func, canonicalize, chart, coord, diff,
                             equal, gdiv, gmul, one, parse_expr, partial,
                             substitute, zero, ParseError, ParityError)
-from graded_darboux.grexpr.chart import ODD
+from graded_darboux.cartan import exterior_d
+from graded_darboux.grexpr.chart import ODD, ChartError
 from graded_darboux.grexpr.expr import GradedExpr, Monomial, _mul_monomials
-from helpers import brute_force_reorder, random_chart, random_monomial, word_to_expr
+from helpers import (brute_force_reorder, random_atomic_monomial, random_chart,
+                     random_monomial, word_to_expr)
 
 
 @pytest.fixture
@@ -285,6 +287,64 @@ class TestSubstitute:
             b = random_monomial(c, rng)
             assert substitute(gmul(a, b), images) == \
                 gmul(substitute(a, images), substitute(b, images))
+
+
+    def test_homomorphism_on_atomic_forms_of_super_charts(self):
+        """Atoms, differentials and odd coordinates: d(x) goes to d of the
+        image of x, and a product goes to the product of the images."""
+        rng = random.Random(14)
+        nonzero = 0
+        for _ in range(40):
+            c = random_chart(rng, max_even=3, max_odd=2)
+            images = {}
+            for cd in c.coords:
+                if rng.random() < 0.3:
+                    continue
+                m = random_monomial(c, rng, 2)
+                if cd.parity == ODD:
+                    images[cd.name] = m if m.parity() == ODD else zero(c)
+                elif m.parity() == ODD:
+                    images[cd.name] = coord(c, cd.name) + 1
+                else:
+                    # one monomial cannot cancel both x and 1, so every
+                    # atom argument keeps a nonzero body
+                    images[cd.name] = coord(c, cd.name) + 1 + m
+            d_images = {name: exterior_d(img) for name, img in images.items()}
+            a = random_atomic_monomial(c, rng, form_degree=rng.randint(0, 2))
+            b = random_atomic_monomial(c, rng)
+            lhs = substitute(gmul(a, b), images, d_images)
+            rhs = gmul(substitute(a, images, d_images),
+                       substitute(b, images, d_images))
+            assert equal(lhs, rhs)
+            assert equal(exterior_d(substitute(a, images, d_images)),
+                         substitute(exterior_d(a), images, d_images))
+            nonzero += not lhs.is_zero()
+        assert nonzero >= 20
+
+    @pytest.mark.parametrize("form, images, message", [
+        ("x*y", {"y": "u"}, "no image declared for coordinate 'x'"),
+        ("d(x)", {"x": "u"},
+         "no image declared for d(x) (coordinate itself is remapped)"),
+        ("d(x)", {"y": "u"}, "no image declared for d(x)"),
+    ])
+    def test_undeclared_images(self, form, images, message):
+        c = chart(("x", 0, 1), ("y", 0, 1))
+        u = chart(("u", 0, 1))
+        imgs = {k: parse_expr(v, u) for k, v in images.items()}
+        with pytest.raises(ChartError) as err:
+            substitute(parse_expr(form, c), imgs)
+        assert str(err.value) == message
+
+    def test_vanished_term_reads_no_further_image(self):
+        """A term that is already zero skips the factors after it, so a
+        missing image there is never looked up."""
+        c = chart(("x", 0, 1), ("y", 0, 1))
+        u = chart(("u", 0, 1))
+        images = {"y": zero(u)}
+        assert substitute(parse_expr("sin(y)*x*d(x)", c), images) == zero(u)
+        with pytest.raises(ChartError,
+                           match="no image declared for coordinate 'x'"):
+            substitute(parse_expr("cos(y)*x*d(x)", c), images)
 
 
 class TestCanonicalize:

@@ -1,5 +1,6 @@
 """``_linalg.rank`` and ``_linalg.contains`` choose the exact path when every
-body value is a Fraction, and the float path as soon as one entry is a float."""
+body value is a Fraction, and the float path as soon as one entry is a float;
+``contains`` returns the rank of the rows from its one elimination."""
 
 import random
 from fractions import Fraction
@@ -17,17 +18,25 @@ def test_rank_exact_unless_an_entry_is_float():
 
 
 def test_contains_exact_path():
-    assert _linalg.contains([[ONE, ZERO]], [ONE * 2, ZERO], 1e-9) == (True, 0.0)
-    assert _linalg.contains([[ONE, ZERO]], [ZERO, TINY], 1e-9) == (False, None)
-    assert _linalg.contains([], [ZERO, ZERO], 1e-9) == (True, 0.0)
+    assert _linalg.contains([[ONE, ZERO]], [ONE * 2, ZERO], 1e-9) == (1, True, 0.0)
+    assert _linalg.contains([[ONE, ZERO]], [ZERO, TINY], 1e-9) == (1, False, None)
+    assert _linalg.contains([], [ZERO, ZERO], 1e-9) == (0, True, 0.0)
 
 
 def test_contains_one_float_entry_takes_the_float_path():
-    inside, residual = _linalg.contains([[ONE, ZERO]], [ZERO, float(TINY)], 1e-9)
-    assert inside is True
+    r, inside, residual = _linalg.contains([[ONE, ZERO]], [ZERO, float(TINY)], 1e-9)
+    assert r == 1 and inside is True
     assert type(residual) is float and abs(residual - 1e-12) < 1e-24
-    inside, residual = _linalg.contains([[ONE, 0.0]], [ZERO, TINY], 1e-15)
-    assert inside is False and type(residual) is float
+    r, inside, residual = _linalg.contains([[ONE, 0.0]], [ZERO, TINY], 1e-15)
+    assert r == 1 and inside is False and type(residual) is float
+
+
+def test_contains_keeps_the_exact_rank_of_exact_rows():
+    # the float rank of these rows is 1; only the target is float
+    rows = [[ONE, ZERO], [ZERO, TINY]]
+    assert _linalg.contains(rows, [ONE, 0.0], 1e-9)[:2] == (2, True)
+    assert _linalg.contains([[ONE, ZERO], [ZERO, float(TINY)]],
+                            [ONE, 0.0], 1e-9)[:2] == (1, True)
 
 
 def _reference_rref(rows):
@@ -101,6 +110,7 @@ def test_exact_elimination_matches_a_reference_rref():
                    [Fraction(0)] * ncols]
         for target in targets:
             inside = len(_reference_rref(rows + [target])[1]) == len(pivots)
-            assert _linalg.exact_solve_membership(rows, target) is inside
+            assert _linalg.exact_solve_membership(rows, target) == \
+                (len(pivots), inside)
             assert _linalg.contains(rows, target, 1e-9) == \
-                ((True, 0.0) if inside else (False, None))
+                ((len(pivots), True, 0.0) if inside else (len(pivots), False, None))

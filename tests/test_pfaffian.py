@@ -8,7 +8,7 @@ import pytest
 
 from graded_darboux import (EqualityPolicy, chart, coord, diff, equal, gmul,
                             one, parse_expr, zero)
-from graded_darboux import pfaffian
+from graded_darboux import _linalg, pfaffian
 from graded_darboux.cartan import (basis_field, exterior_d, interior,
                                    lie_bracket, lie_derivative, vector_field)
 from graded_darboux.homogeneity import degree_of, weight_field_of_chart
@@ -58,6 +58,18 @@ class TestClassification:
         assert rep.class_ == 3 and rep.kind == "contact"
         assert rep.case == "transversal"
         assert rep.class_ == cyl_alpha.chart.dim  # class parity link
+
+    def test_one_elimination_per_exact_point(self, cyl, monkeypatch):
+        """Rank and membership at an exact point come from one ``_rref``."""
+        calls = []
+        rref = _linalg._rref
+        monkeypatch.setattr(_linalg, "_rref",
+                            lambda *args: calls.append(1) or rref(*args))
+        alpha = parse_expr("d(z) - p*d(q)", cyl)
+        rep = characteristic_class(alpha, policy=EqualityPolicy(n_points=5))
+        assert rep.kind == "contact"
+        assert [e["residual"] for e in rep.evidence] == [None] * 5
+        assert len(calls) == 5
 
     def test_theta_symplectic_potential(self):
         w = chart(("x", 0, 1), ("y", 0, -1), default_box=(0.1, 0.8))

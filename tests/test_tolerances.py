@@ -8,11 +8,25 @@ body value is a Fraction, and only ``grexpr/grassmann.py`` asks a plan
 whether it is exact."""
 
 import ast
+import math
 from pathlib import Path
+
+import pytest
+
+from graded_darboux.grexpr.equality import EqualityPolicy
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "graded_darboux"
 
 OWNERS = {"grexpr/equality.py", "_linalg.py"}
+
+# each one gave a wrong verdict or an unrelated failure instead of an error
+BAD_TOLERANCES = [math.nan, -1.0, 0.0, math.inf]
+
+
+@pytest.mark.parametrize("tol", BAD_TOLERANCES)
+def test_policy_rejects_a_tolerance_that_is_not_positive_and_finite(tol):
+    with pytest.raises(ValueError, match="tolerance must be a positive finite number"):
+        EqualityPolicy(rel_tol=tol)
 
 
 def _small_float_literals(path: Path):
