@@ -17,6 +17,7 @@ derivation walk of ``grexpr.expr.derivation``; X(f) is L_X on a function.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, partial
 from typing import Dict, Optional, Tuple, Union
 
 from .grexpr.chart import ChartError, ChartSpec, EVEN
@@ -105,8 +106,30 @@ def basis_field(chart: ChartSpec, name: str) -> VectorField:
 # -- operators ----------------------------------------------------------------
 
 
-def exterior_d(w: GradedExpr) -> GradedExpr:
-    """Exterior derivative: bidegree (1, 0), squares to zero."""
+class Memo(dict):
+    """Derivations already taken in one scope: one library call, or one
+    ``cli.run``.  An entry is keyed by the operator, ``id`` of the chart
+    and the expression's key, and holds the chart, so no id is reused while
+    the memo lives.  Results are the ones an unmemoized call returns."""
+
+    def take(self, op, e: GradedExpr, fn, *args):
+        """``fn(*args)``, the operator ``op`` at ``e``, computed once."""
+        key = (op, id(e.chart), e.key())
+        hit = self.get(key)
+        if hit is None:
+            hit = self[key] = (e.chart, fn(*args))
+        return hit[1]
+
+
+def exterior_d(w: GradedExpr, *, memo: Optional[Memo] = None) -> GradedExpr:
+    """Exterior derivative: bidegree (1, 0), squares to zero.  Without a
+    ``memo``, d(arg) is still taken once per call for repeated atoms."""
+    if memo is None:
+        return _exterior_d(w, Memo())
+    return memo.take("d", w, _exterior_d, w, memo)
+
+
+def _exterior_d(w: GradedExpr, memo: Memo) -> GradedExpr:
     chart = w.chart
 
     def image(tag, payload):
@@ -118,7 +141,7 @@ def exterior_d(w: GradedExpr) -> GradedExpr:
                 return d1
             return (coord(chart, name) ** (k - 1)) * k * d1
         if tag == "atom":
-            return atom_chain(payload, exterior_d(payload.arg))
+            return atom_chain(payload, exterior_d(payload.arg, memo=memo))
         return None  # d(d(x)) = 0
 
     return leibniz_walk(w, 1, 0, image)
@@ -149,23 +172,29 @@ def interior(X: VectorField, w: GradedExpr) -> GradedExpr:
     return leibniz_walk(w, 1, X.parity, image)
 
 
-def lie_derivative(X: VectorField, T):
+def lie_derivative(X: VectorField, T, *, memo: Optional[Memo] = None):
     """L_X: the derivation of bidegree (0, parity(X)) with L_X x = X^x and
     L_X d(x) = d(X^x) on forms, so X(f) on functions; the graded bracket
     on vector fields."""
     if isinstance(T, VectorField):
-        return lie_bracket(X, T)
+        return lie_bracket(X, T, memo=memo)
     if X.chart != T.chart:
         raise ChartError("Lie derivative across charts")
-    return derivation(T, X.coefficients, X.parity, exterior_d)
+    if memo is None:
+        return derivation(T, X.coefficients, X.parity, exterior_d)
+    op = ("L", X.parity, tuple(c.key() for c in X.coefficients))
+    return memo.take(op, T, derivation, T, X.coefficients, X.parity,
+                     partial(exterior_d, memo=memo))
 
 
-def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
+def lie_bracket(X: VectorField, Y: VectorField, *,
+                memo: Optional[Memo] = None) -> VectorField:
     """Graded commutator [X, Y]; parity is the sum of parities."""
     if X.chart != Y.chart:
         raise ChartError("bracket across charts")
     sign = -1 if (X.parity * Y.parity) % 2 else 1
-    coeffs = tuple(lie_derivative(X, cy) - sign * lie_derivative(Y, cx)
+    coeffs = tuple(lie_derivative(X, cy, memo=memo)
+                   - sign * lie_derivative(Y, cx, memo=memo)
                    for cx, cy in zip(X.coefficients, Y.coefficients))
     return VectorField(X.chart, (X.parity + Y.parity) % 2, coeffs)
 
@@ -207,8 +236,12 @@ class ChartMap:
                         raise ChartError(
                             f"declared inverse fails round-trip on {name!r}")
 
+    @cached_property
     def d_images(self) -> Dict[str, GradedExpr]:
-        return {name: exterior_d(img) for name, img in self.images.items()}
+        """d of each image, taken once per map."""
+        memo = Memo()
+        return {name: exterior_d(img, memo=memo)
+                for name, img in self.images.items()}
 
     @staticmethod
     def identity(chart: ChartSpec) -> "ChartMap":
@@ -226,7 +259,7 @@ def pullback(phi: ChartMap, w: GradedExpr) -> GradedExpr:
     """Pullback of a form over the target chart; commutes with d."""
     if w.chart != phi.target:
         raise ChartError("pullback expects a form over the target chart")
-    return substitute(w, dict(phi.images), phi.d_images())
+    return substitute(w, dict(phi.images), phi.d_images)
 
 
 def pushforward_vf(phi: ChartMap, X: VectorField) -> VectorField:

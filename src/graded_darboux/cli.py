@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from . import _linalg
-from .cartan import ChartMap, VectorField, exterior_d, vector_field
+from .cartan import ChartMap, Memo, VectorField, exterior_d, vector_field
 from .grexpr.chart import ChartSpec, CoordinateDecl, as_parity
 from .grexpr.equality import DEFAULT_POLICY, EqualityPolicy, equal
 from .grexpr.expr import GradedExpr
@@ -51,6 +51,8 @@ class Workspace:
     fields: Dict[str, VectorField] = field(default_factory=dict)
     forms: Dict[str, GradedExpr] = field(default_factory=dict)
     maps: Dict[str, ChartMap] = field(default_factory=dict)
+    # derivations shared by the tasks of one run; a run loads a new workspace
+    memo: Memo = field(default_factory=Memo)
 
     def chart(self, name):
         return self._get(self.charts, name, "chart")
@@ -209,7 +211,7 @@ def _degree(args, ws, policy):
     obj = ws.forms.get(target) or ws.fields.get(target)
     if obj is None:
         raise ManifestError(f"unknown form or field {target!r}")
-    rep = degree_of(obj, _nabla(args, ws, obj.chart), policy)
+    rep = degree_of(obj, _nabla(args, ws, obj.chart), policy, memo=ws.memo)
     out = {"homogeneous": rep.homogeneous, "degree": None, "mode": rep.mode}
     if rep.degree is not None:
         deg = {"parity": "odd" if rep.degree.parity else "even",
@@ -230,14 +232,16 @@ def _lift(args, ws, policy):
 
 
 def _classify(args, ws, policy):
-    rep = characteristic_class(ws.form(args["form"]), policy=policy)
+    rep = characteristic_class(ws.form(args["form"]), policy=policy,
+                               memo=ws.memo)
     return ({"class": rep.class_, "case": rep.case, "kind": rep.kind,
              "witness": rep.evidence[:2], "mode": "randomized"},
             "pass" if rep.kind != "irregular" else "indeterminate")
 
 
 def _presymplectic(args, ws, policy):
-    rep = presymplectic_check(ws.form(args["form"]), policy=policy)
+    rep = presymplectic_check(ws.form(args["form"]), policy=policy,
+                              memo=ws.memo)
     return ({"rank": rep.rank, "even_rank": rep.even_rank,
              "odd_rank": rep.odd_rank, "constant_rank": rep.constant_rank,
              "kernel": rep.kernel.T if rep.kernel is not None else None},
@@ -245,13 +249,14 @@ def _presymplectic(args, ws, policy):
 
 
 def _reeb(args, ws, policy):
-    return {"field": reeb(ws.form(args["form"]), policy)}, "pass"
+    return {"field": reeb(ws.form(args["form"]), policy, memo=ws.memo)}, "pass"
 
 
 def _liouville(args, ws, policy):
     alpha = ws.form(args["alpha"])
-    omega = ws.form(args["omega"]) if "omega" in args else exterior_d(alpha)
-    return {"field": liouville(omega, alpha, policy)}, "pass"
+    omega = (ws.form(args["omega"]) if "omega" in args
+             else exterior_d(alpha, memo=ws.memo))
+    return {"field": liouville(omega, alpha, policy, memo=ws.memo)}, "pass"
 
 
 def _poincare(args, ws, policy):
@@ -285,7 +290,7 @@ def _darboux(args, ws, policy):
     res = one_form_darboux(form, ws.cmap(args["map"]), int(args.get("r", 0)),
                            int(args.get("s", 0)), tuple(args.get("eps", [])),
                            _nabla(args, ws, form.chart), args.get("base"),
-                           policy)
+                           policy, memo=ws.memo)
     # An expectation on "status" reads the construction's status; the task
     # status replaces it in the report.
     out: Dict[str, Any] = {"status": res.status, "notes": res.notes}
@@ -326,7 +331,8 @@ def _verify_darboux(args, ws, policy):
                         tuple(spec_args.get("eps", [])),
                         int(spec_args.get("residual", 0)))
     rep = verify_normal_form(form, ws.cmap(args["map"]), nf,
-                             _nabla(args, ws, form.chart), policy)
+                             _nabla(args, ws, form.chart), policy,
+                             memo=ws.memo)
     return ({"checks": [{"name": e.name, "passed": e.passed, "detail": e.detail}
                         for e in rep.entries],
              "mode": rep.mode},

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import _linalg
-from .cartan import (ChartMap, VectorField, exterior_d, interior,
+from .cartan import (ChartMap, Memo, VectorField, exterior_d, interior,
                      lie_bracket, lie_derivative, pullback)
 from .grexpr.chart import (ChartError, ChartSpec, CoordinateDecl, EVEN, ODD)
 from .grexpr.equality import (COEFF_DROP, DEFAULT_POLICY, DOMAIN_LIMIT,
@@ -450,7 +450,8 @@ def one_form_darboux(alpha: GradedExpr, presymp_chart: ChartMap,
                      r: int, s: int = 0, eps: Tuple[int, ...] = (),
                      nabla: Optional[WeightVectorField] = None,
                      base_point: Optional[Dict[str, object]] = None,
-                     policy: EqualityPolicy = DEFAULT_POLICY) -> DarbouxResult:
+                     policy: EqualityPolicy = DEFAULT_POLICY, *,
+                     memo: Optional[Memo] = None) -> DarbouxResult:
     """Assemble a homogeneous normal form for a regular one-form, given a
     chart map that canonicalizes its differential.
 
@@ -465,6 +466,7 @@ def one_form_darboux(alpha: GradedExpr, presymp_chart: ChartMap,
     if presymp_chart.source != chart:
         raise ChartError("chart map must start at the form's chart")
     nabla = nabla or weight_field_of_chart(chart)
+    memo = Memo() if memo is None else memo
     base = {c.name: 0 for c in chart.coords}
     if base_point:
         base.update(base_point)
@@ -476,7 +478,7 @@ def one_form_darboux(alpha: GradedExpr, presymp_chart: ChartMap,
                                 [base])[0], dtype=float)
     nabla_vanishes = _linalg.vanishes(nvec, policy.rel_tol)
     if not nabla_vanishes:
-        fm = flat_matrix(alpha, base)
+        fm = flat_matrix(alpha, base, memo=memo)
         if (_linalg.negligible(float(nvec @ fm.alpha_row), policy.rel_tol)
                 and _linalg.vanishes(nvec @ fm.matrix, policy.rel_tol)):
             return DarbouxResult(
@@ -488,7 +490,7 @@ def one_form_darboux(alpha: GradedExpr, presymp_chart: ChartMap,
     target = presymp_chart.target
     pre_spec = NormalFormSpec("presymplectic", r, s, tuple(eps),
                               residual=target.dim - 2 * r - s)
-    dalpha = exterior_d(alpha)
+    dalpha = exterior_d(alpha, memo=memo)
     if not equal(dalpha, pullback(presymp_chart, canonical_expr(pre_spec, target)),
                  policy):
         raise PfaffianError("the supplied chart does not canonicalize the "
@@ -497,16 +499,17 @@ def one_form_darboux(alpha: GradedExpr, presymp_chart: ChartMap,
     potential = canonical_expr(NormalFormSpec("potential", r, s, pre_spec.eps),
                                target)
     alpha_prime = alpha - pullback(presymp_chart, potential)
-    if not equal(exterior_d(alpha_prime), zero(chart), policy):
+    if not equal(exterior_d(alpha_prime, memo=memo), zero(chart), policy):
         raise PfaffianError("residual one-form is not closed")
 
-    rep = degree_of(alpha, nabla, policy)
+    rep = degree_of(alpha, nabla, policy, memo=memo)
     w = rep.degree.weight if (rep.homogeneous and rep.degree is not None) else None
     if not rep.homogeneous:
         notes.append("input form is not homogeneous: weight-law checks "
                      "will be reported as failures")
 
-    cls = characteristic_class(alpha, policy=replace(policy, n_points=8))
+    cls = characteristic_class(alpha, policy=replace(policy, n_points=8),
+                               memo=memo)
     if cls.kind == "irregular":
         raise PfaffianError("form has no constant class on the sample box")
     contact_like = cls.kind in ("contact", "precontact", "closed")
@@ -523,7 +526,8 @@ def one_form_darboux(alpha: GradedExpr, presymp_chart: ChartMap,
         if z_img is None:
             return DarbouxResult("verification-only", notes=notes)
         if log_branch:
-            if lie_derivative(nabla.field, z_img).constant_value() is None:
+            if lie_derivative(nabla.field, z_img,
+                              memo=memo).constant_value() is None:
                 notes.append("weight field applied to the primitive is not "
                              "constant: cannot form the exponential coordinate")
                 return DarbouxResult("verification-only", notes=notes)
@@ -577,7 +581,7 @@ def one_form_darboux(alpha: GradedExpr, presymp_chart: ChartMap,
     weights: Dict[str, object] = {}
     coord_reps: Dict[str, DegreeReport] = {}
     for name, img in zip(new_names, new_images):
-        drep = coord_reps[name] = degree_of(img, nabla, policy)
+        drep = coord_reps[name] = degree_of(img, nabla, policy, memo=memo)
         if drep.homogeneous and drep.degree is not None:
             wgt = drep.degree.weight
         else:
@@ -612,8 +616,8 @@ def _closed_primitive(beta: GradedExpr, base: Dict[str, object],
 
 def verify_normal_form(alpha: GradedExpr, phi: ChartMap, spec: NormalFormSpec,
                        nabla: Optional[WeightVectorField] = None,
-                       policy: EqualityPolicy = DEFAULT_POLICY
-                       ) -> VerificationReport:
+                       policy: EqualityPolicy = DEFAULT_POLICY, *,
+                       memo: Optional[Memo] = None) -> VerificationReport:
     """Certificate check of a candidate normal-form chart.
 
     (1) the canonical form pulls back to the form, (2) every new coordinate
@@ -621,9 +625,10 @@ def verify_normal_form(alpha: GradedExpr, phi: ChartMap, spec: NormalFormSpec,
     of the form.  Failures become report entries, never exceptions.
     """
     nabla = nabla or weight_field_of_chart(alpha.chart)
+    memo = Memo() if memo is None else memo
     return _verify_normal_form(
-        alpha, phi, spec, degree_of(alpha, nabla, policy),
-        {name: degree_of(phi.images[name], nabla, policy)
+        alpha, phi, spec, degree_of(alpha, nabla, policy, memo=memo),
+        {name: degree_of(phi.images[name], nabla, policy, memo=memo)
          for name in phi.target.names}, policy)
 
 

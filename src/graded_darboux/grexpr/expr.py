@@ -758,12 +758,15 @@ def substitute(a: GradedExpr,
     if target is None:
         target = src
 
-    for name, img in images.items():
+    # (name, label, image, form degree); a zero d-image has any degree
+    checks = [(n, n, e, 0) for n, e in images.items()] + \
+        [(n, f"d({n})", e, 1) for n, e in d_images.items() if e.terms]
+    for name, label, img, deg in checks:
         i = src.index(name)
-        if img.form_degree() != 0:
-            raise ParityError(f"image of {name} must have form degree 0")
+        if img.form_degree() != deg:
+            raise ParityError(f"image of {label} must have form degree {deg}")
         if not img.is_zero() and img.parity() != src.parity(i):
-            raise ParityError(f"image of {name} does not preserve parity")
+            raise ParityError(f"image of {label} does not preserve parity")
 
     def image(tag: str, i: int) -> GradedExpr:
         """The image of x_i (tag 'coord') or of d(x_i) (tag 'diff')."""

@@ -9,7 +9,7 @@ from typing import Dict, Optional, Tuple, Union
 import numpy as np
 
 from . import _linalg
-from .cartan import VectorField, lie_bracket, lie_derivative
+from .cartan import Memo, VectorField, lie_bracket, lie_derivative
 from .grexpr.chart import ChartError, ChartSpec, CoordinateDecl, EVEN
 from .grexpr.equality import DEFAULT_POLICY, NOISE_FLOOR, EqualityPolicy, equal
 from .grexpr.expr import coord, partial, zero
@@ -166,11 +166,12 @@ def _match_ratio(pairs, is_exact: bool, tol: float):
 
 
 def degree_of(T, nabla: WeightVectorField,
-              policy: EqualityPolicy = DEFAULT_POLICY) -> DegreeReport:
+              policy: EqualityPolicy = DEFAULT_POLICY, *,
+              memo: Optional[Memo] = None) -> DegreeReport:
     """Homogeneity degree via coefficient matching of L_nabla T against w*T."""
     nf = nabla.field if isinstance(nabla, WeightVectorField) else nabla
     if isinstance(T, VectorField):
-        L = lie_bracket(nf, T)
+        L = lie_bracket(nf, T, memo=memo)
         parity, pairs = T.parity, list(zip(T.coefficients, L.coefficients))
     else:
         if T.is_zero():
@@ -178,7 +179,7 @@ def degree_of(T, nabla: WeightVectorField,
         parity = T.parity()
         if parity is None:
             return DegreeReport(False, None, T, "mixed parity")
-        L = lie_derivative(nf, T)
+        L = lie_derivative(nf, T, memo=memo)
         pairs = [(T, L)]
 
     # monomial coefficients of each (input, derivative) component pair

@@ -16,7 +16,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import _linalg
-from .cartan import VectorField, basis_field, exterior_d, interior
+from .cartan import Memo, VectorField, basis_field, exterior_d, interior
 from .grexpr.chart import EVEN
 from .grexpr.equality import DEFAULT_POLICY, EqualityPolicy, equal
 from .grexpr.expr import GradedExpr, gmul, one, zero
@@ -91,20 +91,21 @@ def _interior_rows(beta: GradedExpr) -> List[List[GradedExpr]]:
 class _FlatMap:
     """The flat map of a form, derived once and evaluated at many points:
     of d(form) for 1-forms, with the form itself as an extra row, of the
-    form itself for 2-forms."""
+    form itself for 2-forms.  ``memo.take("flat", form, _FlatMap, form,
+    memo)`` derives it once per memo."""
 
-    def __init__(self, form: GradedExpr, two_form: Optional[GradedExpr] = None):
+    def __init__(self, form: GradedExpr, memo: Memo):
         chart = self.chart = form.chart
         deg = form.form_degree()
         if deg == 1:
-            beta = two_form if two_form is not None else exterior_d(form)
+            beta = exterior_d(form, memo=memo)
             alpha = [form.coefficient_of_diff(name) for name in chart.names]
         elif deg == 2:
             beta, alpha = form, []
         else:
             raise PfaffianError("flat_matrix expects a 1-form or a 2-form")
         self.one_form = deg == 1
-        self.rows = _interior_rows(beta)
+        self.rows = memo.take("rows", beta, _interior_rows, beta)
         self.plans = [Plan(e) for row in self.rows + [alpha] for e in row]
 
     def at(self, points: Sequence[Dict[str, object]]) -> Iterator[FlatMatrix]:
@@ -123,10 +124,12 @@ class _FlatMap:
             )
 
 
-def flat_matrix(form: GradedExpr, point: Dict[str, object]) -> FlatMatrix:
+def flat_matrix(form: GradedExpr, point: Dict[str, object], *,
+                memo: Optional[Memo] = None) -> FlatMatrix:
     """Flat matrix at a body point: of d(form) for 1-forms (with the form
     appended as an extra row), of the form itself for 2-forms."""
-    return next(_FlatMap(form).at([point]))
+    memo = Memo() if memo is None else memo
+    return next(memo.take("flat", form, _FlatMap, form, memo).at([point]))
 
 
 # -- classification -------------------------------------------------------------
@@ -146,7 +149,8 @@ class ClassificationReport:
 
 def characteristic_class(alpha: GradedExpr,
                          points: Optional[Sequence[Dict[str, object]]] = None,
-                         policy: EqualityPolicy = DEFAULT_POLICY
+                         policy: EqualityPolicy = DEFAULT_POLICY, *,
+                         memo: Optional[Memo] = None
                          ) -> ClassificationReport:
     """Class and kind of a nowhere-vanishing one-form at the given body
     points, or at the policy's sampled ones."""
@@ -158,8 +162,9 @@ def characteristic_class(alpha: GradedExpr,
     if points is None:
         points = sample_body_points(chart, policy.n_points, policy.seed)
 
-    dalpha = exterior_d(alpha)
-    fmap = _FlatMap(alpha, dalpha)
+    memo = Memo() if memo is None else memo
+    dalpha = exterior_d(alpha, memo=memo)
+    fmap = memo.take("flat", alpha, _FlatMap, alpha, memo)
     closed = bool(equal(dalpha, zero(chart), policy))
     evidence = []
     outcomes = set()
@@ -209,7 +214,8 @@ class PresymplecticReport:
 
 def presymplectic_check(omega: GradedExpr,
                         points: Optional[Sequence[Dict[str, object]]] = None,
-                        policy: EqualityPolicy = DEFAULT_POLICY
+                        policy: EqualityPolicy = DEFAULT_POLICY, *,
+                        memo: Optional[Memo] = None
                         ) -> PresymplecticReport:
     """Closedness plus constant-rank verdict for a 2-form of definite parity,
     at the given body points or at the policy's sampled ones."""
@@ -219,13 +225,14 @@ def presymplectic_check(omega: GradedExpr,
     par = omega.parity()
     if par is None:
         raise PfaffianError("expected a form of definite parity")
-    domega = exterior_d(omega)
+    memo = Memo() if memo is None else memo
+    domega = exterior_d(omega, memo=memo)
     if not equal(domega, zero(chart), policy):
         raise NotClosedError("form is not closed", witness=str(domega))
     if points is None:
         points = sample_body_points(chart, policy.n_points, policy.seed)
 
-    fmap = _FlatMap(omega)
+    fmap = memo.take("flat", omega, _FlatMap, omega, memo)
     evidence = []
     ranks = set()
     kernel = None
@@ -250,14 +257,15 @@ def presymplectic_check(omega: GradedExpr,
 # -- Reeb and Liouville fields ---------------------------------------------------
 
 
-def reeb(alpha: GradedExpr,
-         policy: EqualityPolicy = DEFAULT_POLICY) -> VectorField:
+def reeb(alpha: GradedExpr, policy: EqualityPolicy = DEFAULT_POLICY, *,
+         memo: Optional[Memo] = None) -> VectorField:
     """The unique field with i_R alpha = 1 and i_R d(alpha) = 0."""
     chart = alpha.chart
     if alpha.form_degree() != 1:
         raise PfaffianError("Reeb field of a one-form only")
-    dalpha = exterior_d(alpha)
-    K = _interior_rows(dalpha)
+    memo = Memo() if memo is None else memo
+    dalpha = exterior_d(alpha, memo=memo)
+    K = memo.take("rows", dalpha, _interior_rows, dalpha)
     A = [interior(basis_field(chart, name), alpha) for name in chart.names]
 
     n = chart.dim
@@ -278,14 +286,16 @@ def reeb(alpha: GradedExpr,
 
 
 def liouville(omega: GradedExpr, alpha: GradedExpr,
-              policy: EqualityPolicy = DEFAULT_POLICY) -> VectorField:
+              policy: EqualityPolicy = DEFAULT_POLICY, *,
+              memo: Optional[Memo] = None) -> VectorField:
     """Solve i_X omega = alpha for the field X (omega symplectic)."""
     chart = omega.chart
     if omega.form_degree() != 2 or alpha.form_degree() != 1:
         raise PfaffianError("liouville expects a two-form and a one-form")
-    if not equal(exterior_d(alpha), omega, policy):
+    memo = Memo() if memo is None else memo
+    if not equal(exterior_d(alpha, memo=memo), omega, policy):
         raise PfaffianError("one-form is not a potential of the two-form")
-    fmap = _FlatMap(omega)
+    fmap = memo.take("flat", omega, _FlatMap, omega, memo)
     for fm in fmap.at(sample_body_points(chart, 3, seed=policy.seed)):
         if fm.rank(policy) < chart.dim:
             raise PfaffianError("degenerate two-form: flat map is singular",

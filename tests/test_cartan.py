@@ -218,7 +218,7 @@ class TestChartMaps:
                                "r": parse_expr("u*t", b)})
         from graded_darboux import substitute
         comp = ChartMap(a, cc, {n: substitute(img, dict(psi.images),
-                                              psi.d_images())
+                                              psi.d_images)
                                 for n, img in phi.images.items()})
         for _ in range(40):
             w = random_expr(cc, rng, n_terms=2, form_degree=rng.randint(0, 2))
@@ -420,3 +420,38 @@ class TestDerivationWalk:
         for T in (coord(b, "u"), diff(b, "u"), parse_expr("u*d(u)", b)):
             with pytest.raises(ChartError):
                 lie_derivative(X, T)
+
+
+class TestMemo:
+    """A memo shares derivations within its scope and changes no result."""
+
+    def test_memoized_operators_agree_with_unmemoized(self):
+        """One memo across 500 forms on random charts; the charts reuse
+        coordinate names, so equal expression keys meet on different
+        charts, and the second call of each pair reads the memo."""
+        rng = random.Random(151)
+        memo = cartan.Memo()
+        super_charts = 0
+        for i in range(500):
+            c = random_chart(rng, max_even=3, max_odd=0 if i % 2 else 2)
+            super_charts += not c.is_purely_even()
+            w = random_atomic_monomial(c, rng, floats=i % 3 == 0,
+                                       form_degree=rng.randint(0, 2))
+            X = random_atomic_field(c, rng, rng.randint(0, 1))
+            want_d, want_l = exterior_d(w).key(), lie_derivative(X, w).key()
+            for _ in range(2):
+                assert exterior_d(w, memo=memo).key() == want_d
+                assert lie_derivative(X, w, memo=memo).key() == want_l
+        assert super_charts > 150
+
+    def test_repeated_atom_argument_derived_once(self, monkeypatch):
+        c = chart(("x", 0, 0), ("y", 0, 0), ("z", 0, 0))
+        walked = []
+        walk = expr.leibniz_walk
+        monkeypatch.setattr(cartan, "leibniz_walk",
+                            lambda e, *a: walked.append(str(e)) or walk(e, *a))
+        w = parse_expr("sin(x*y)*cos(x*y)*d(z)", c)
+        got = exterior_d(w)
+        assert walked == [str(w), "x*y"]
+        assert equal(got, parse_expr(
+            "(cos(x*y)^2 - sin(x*y)^2)*(y*d(x) + x*d(y))*d(z)", c))

@@ -277,6 +277,25 @@ class TestSubstitute:
         with pytest.raises(ParityError):
             substitute(coord(sup, "x"), {"x": coord(sup, "xi")})
 
+    @pytest.mark.parametrize("d_image, message", [
+        ("y", r"image of d\(x\) must have form degree 1"),
+        ("d(y)*d(t)", r"image of d\(x\) must have form degree 1"),
+        ("d(a)", r"image of d\(x\) does not preserve parity"),
+    ])
+    def test_d_image_is_a_one_form_of_the_coordinate_parity(self, d_image,
+                                                            message):
+        """d(x) * d(x) = 0 for an even x, so d(x) may not go to the 0-form y,
+        whose square is not 0."""
+        c = chart(("x", 0, 0), ("y", 0, 0), ("t", 0, 0), ("a", 1, 0))
+        with pytest.raises(ParityError, match=message):
+            substitute(diff(c, "x"), {"x": coord(c, "y")},
+                       {"x": parse_expr(d_image, c)})
+        # d of the image, and a vanishing one, are accepted
+        y = coord(c, "y")
+        assert substitute(diff(c, "x"), {"x": y}, {"x": diff(c, "y")}) == \
+            diff(c, "y")
+        assert substitute(diff(c, "x"), {"x": y}, {"x": zero(c)}).is_zero()
+
     def test_homomorphism(self):
         rng = random.Random(5)
         c = chart(("x", 0, 1), ("y", 0, 1), ("t", 1, 1))

@@ -1,14 +1,18 @@
 """Classification through the characteristic distribution, Reeb/Liouville
 fields, and the wedge-power oracle."""
 
+import io
+import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from graded_darboux import (EqualityPolicy, chart, coord, diff, equal, gmul,
                             one, parse_expr, zero)
-from graded_darboux import _linalg, pfaffian
+from graded_darboux import _linalg, cartan, cli, pfaffian
+from graded_darboux.grexpr import expr
 from graded_darboux.cartan import (basis_field, exterior_d, interior,
                                    lie_bracket, lie_derivative, vector_field)
 from graded_darboux.homogeneity import degree_of, weight_field_of_chart
@@ -16,6 +20,7 @@ from graded_darboux.pfaffian import (NotClosedError, PfaffianError,
                                      characteristic_class, darboux_class_oracle,
                                      flat_matrix, liouville, presymplectic_check,
                                      reeb)
+from helpers import random_atomic_monomial, random_chart
 
 
 @pytest.fixture
@@ -323,3 +328,46 @@ class TestWeightMembership:
             rep = degree_of(alpha, weight_field_of_chart(c))
             assert rep.homogeneous
             assert rep.degree.weight in weights
+
+
+class TestMemo:
+    def test_interior_rows_agree_with_unmemoized(self):
+        """One memo across 500 forms of degree 1 and 2 on random even and
+        super charts that reuse coordinate names."""
+        rng = random.Random(152)
+        memo = pfaffian.Memo()
+        for i in range(500):
+            c = random_chart(rng, max_even=3, max_odd=0 if i % 2 else 2)
+            beta = random_atomic_monomial(c, rng, floats=i % 3 == 0,
+                                          form_degree=rng.randint(1, 2))
+            want = [[e.key() for e in row]
+                    for row in pfaffian._interior_rows(beta)]
+            for _ in range(2):
+                got = memo.take("rows", beta, pfaffian._interior_rows, beta)
+                assert [[e.key() for e in row] for row in got] == want
+
+    def test_a_run_derives_each_form_once_and_keeps_nothing(self, monkeypatch):
+        """theta's four tasks take d(theta) once; a second run walks as much
+        as the first, so no entry outlives its run."""
+        path = Path(pfaffian.__file__).parent / "manifests" / "theta.json"
+        theta = str(cli.load_manifest(json.loads(path.read_text()))[0]
+                    .form("theta"))
+        walk, d = expr.leibniz_walk, cartan._exterior_d
+        walks, derived = [], []
+
+        def counted(e, *args):
+            walks.append(1)
+            return walk(e, *args)
+
+        monkeypatch.setattr(cartan, "leibniz_walk", counted)
+        monkeypatch.setattr(expr, "leibniz_walk", counted)
+        monkeypatch.setattr(cartan, "_exterior_d",
+                            lambda w, memo: derived.append(str(w)) or d(w, memo))
+        counts = []
+        for _ in range(2):
+            walks.clear()
+            derived.clear()
+            assert cli.run(str(path), stream=io.StringIO()) == 0
+            counts.append(len(walks))
+            assert derived.count(theta) == 1
+        assert counts[0] == counts[1]

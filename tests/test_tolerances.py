@@ -85,3 +85,49 @@ def test_one_chooser_of_the_exact_or_float_path():
                   and rel != "grexpr/grassmann.py"):
                 found.append((rel, node.lineno, ".exact"))
     assert found == []
+
+
+# derivations are shared only through an explicit memo that lives for one
+# call or one cli.run; a cache bound in the module would outlive the run
+MEMO_FREE = ("cartan.py", "pfaffian.py", "homogeneity.py", "darboux.py")
+CACHE_CALLS = {"dict", "defaultdict", "OrderedDict", "ContextVar", "lru_cache",
+               "cache"}
+
+
+def _name(node):
+    """The called or referenced name of a node, else None."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return getattr(node, "id", None)
+
+
+def _module_caches(source: str):
+    """(line, what) of every module-level dict, ContextVar or lru_cache."""
+    tree = ast.parse(source)
+    found = [(node.lineno, "decorator " + _name(dec))
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef))
+             for dec in node.decorator_list
+             if _name(dec) in {"lru_cache", "cache"}]
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign)) and stmt.value:
+            found += [(stmt.lineno, type(v).__name__ if not
+                       isinstance(v, ast.Call) else _name(v))
+                      for v in ast.walk(stmt.value)
+                      if isinstance(v, (ast.Dict, ast.DictComp))
+                      or (isinstance(v, ast.Call) and _name(v) in CACHE_CALLS)]
+    return found
+
+
+def test_no_module_level_cache_in_the_derivation_modules():
+    for bad in ("_SEEN = {}", "_SEEN: dict = dict()", "T = {k: 1 for k in ()}",
+                "M = contextvars.ContextVar('memo')",
+                "@functools.lru_cache(maxsize=None)\ndef f(x):\n    return x",
+                "class A:\n    @cache\n    def f(self):\n        return 1"):
+        assert _module_caches(bad), bad
+    found = [(name, hit) for name in MEMO_FREE
+             for hit in _module_caches((SRC / name).read_text())]
+    assert found == []
