@@ -11,7 +11,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .grexpr.equality import EIGEN_CLUSTER, EIGENSPACE_TOL, threshold
+from .grexpr.equality import threshold
 
 
 def _rref(rows: Sequence[Sequence[Fraction]],
@@ -142,27 +142,3 @@ def nullspace(rows: Sequence[Sequence[Union[Fraction, float]]],
     u, s, vt = np.linalg.svd(np.array(rows, dtype=float))
     return vt[_rank(s, tol):].T
 
-
-def diagonalizable_real(mat: np.ndarray) -> Tuple[bool, List[float]]:
-    """Necessary-condition check: real spectrum and full eigenspaces."""
-    n = mat.shape[0]
-    if n == 0:
-        return True, []
-    eigvals = np.linalg.eigvals(mat)
-    if np.any(np.abs(eigvals.imag)
-              > threshold(EIGEN_CLUSTER, float(np.max(np.abs(eigvals))))):
-        return False, [complex(v) for v in eigvals]
-    vals = sorted(float(v.real) for v in eigvals)
-    # cluster equal eigenvalues and compare algebraic vs geometric multiplicity
-    clusters: List[List[float]] = []
-    for v in vals:
-        if clusters and negligible(v - clusters[-1][-1], EIGEN_CLUSTER, abs(v)):
-            clusters[-1].append(v)
-        else:
-            clusters.append([v])
-    for cl in clusters:
-        lam = sum(cl) / len(cl)
-        geo = nullspace(mat - lam * np.eye(n), EIGENSPACE_TOL).shape[1]
-        if geo < len(cl):
-            return False, vals
-    return True, vals

@@ -17,7 +17,7 @@ derivation walk of ``grexpr.expr.derivation``; X(f) is L_X on a function.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from typing import Dict, Optional, Tuple, Union
 
 from .grexpr.chart import ChartError, ChartSpec, EVEN
@@ -236,13 +236,6 @@ class ChartMap:
                         raise ChartError(
                             f"declared inverse fails round-trip on {name!r}")
 
-    @cached_property
-    def d_images(self) -> Dict[str, GradedExpr]:
-        """d of each image, taken once per map."""
-        memo = Memo()
-        return {name: exterior_d(img, memo=memo)
-                for name, img in self.images.items()}
-
     @staticmethod
     def identity(chart: ChartSpec) -> "ChartMap":
         imgs = {c.name: coord(chart, c.name) for c in chart.coords}
@@ -255,11 +248,15 @@ class ChartMap:
                         dict(self.images), check_inverse=False)
 
 
-def pullback(phi: ChartMap, w: GradedExpr) -> GradedExpr:
+def pullback(phi: ChartMap, w: GradedExpr, *,
+             memo: Optional[Memo] = None) -> GradedExpr:
     """Pullback of a form over the target chart; commutes with d."""
     if w.chart != phi.target:
         raise ChartError("pullback expects a form over the target chart")
-    return substitute(w, dict(phi.images), phi.d_images)
+    memo = Memo() if memo is None else memo
+    return substitute(w, dict(phi.images),
+                      {name: exterior_d(img, memo=memo)
+                       for name, img in phi.images.items()})
 
 
 def pushforward_vf(phi: ChartMap, X: VectorField) -> VectorField:

@@ -491,14 +491,14 @@ def one_form_darboux(alpha: GradedExpr, presymp_chart: ChartMap,
     pre_spec = NormalFormSpec("presymplectic", r, s, tuple(eps),
                               residual=target.dim - 2 * r - s)
     dalpha = exterior_d(alpha, memo=memo)
-    if not equal(dalpha, pullback(presymp_chart, canonical_expr(pre_spec, target)),
-                 policy):
+    if not equal(dalpha, pullback(presymp_chart, canonical_expr(pre_spec, target),
+                                  memo=memo), policy):
         raise PfaffianError("the supplied chart does not canonicalize the "
                             "differential of the form")
 
     potential = canonical_expr(NormalFormSpec("potential", r, s, pre_spec.eps),
                                target)
-    alpha_prime = alpha - pullback(presymp_chart, potential)
+    alpha_prime = alpha - pullback(presymp_chart, potential, memo=memo)
     if not equal(exterior_d(alpha_prime, memo=memo), zero(chart), policy):
         raise PfaffianError("residual one-form is not closed")
 
@@ -559,7 +559,7 @@ def one_form_darboux(alpha: GradedExpr, presymp_chart: ChartMap,
                 notes.append("nonzero residual one-form and no inverse images "
                              "to absorb it: construction downgraded")
                 return DarbouxResult("verification-only", notes=notes)
-            ap_t = pullback(presymp_chart.inverse(), alpha_prime)
+            ap_t = pullback(presymp_chart.inverse(), alpha_prime, memo=memo)
             zt = _closed_primitive(ap_t, {n: 0 for n in target.names}, notes)
             if zt is None:
                 return DarbouxResult("verification-only", notes=notes)
@@ -593,7 +593,8 @@ def one_form_darboux(alpha: GradedExpr, presymp_chart: ChartMap,
                                     wgt if isinstance(wgt, Fraction) else 0))
     new_chart = ChartSpec(tuple(decls), default_box=chart.default_box)
     phi_out = ChartMap(chart, new_chart, dict(zip(new_names, new_images)))
-    report = _verify_normal_form(alpha, phi_out, out_spec, rep, coord_reps, policy)
+    report = _verify_normal_form(alpha, phi_out, out_spec, rep, coord_reps,
+                                 policy, memo)
     status = "ok" if report.passed else "verification-only"
     return DarbouxResult(status, phi_out, out_spec, report, weights, notes)
 
@@ -629,18 +630,18 @@ def verify_normal_form(alpha: GradedExpr, phi: ChartMap, spec: NormalFormSpec,
     return _verify_normal_form(
         alpha, phi, spec, degree_of(alpha, nabla, policy, memo=memo),
         {name: degree_of(phi.images[name], nabla, policy, memo=memo)
-         for name in phi.target.names}, policy)
+         for name in phi.target.names}, policy, memo)
 
 
 def _verify_normal_form(alpha: GradedExpr, phi: ChartMap, spec: NormalFormSpec,
                         wdeg: DegreeReport, coord_reps: Dict[str, DegreeReport],
-                        policy: EqualityPolicy) -> VerificationReport:
+                        policy: EqualityPolicy, memo: Memo) -> VerificationReport:
     """``verify_normal_form`` given the degree reports of the form and of
     each new coordinate's image."""
     entries: List[CheckEntry] = []
 
     canonical = canonical_expr(spec, phi.target)
-    res = equal(pullback(phi, canonical), alpha, policy)
+    res = equal(pullback(phi, canonical, memo=memo), alpha, policy)
     entries.append(CheckEntry("pullback-matches-form", bool(res),
                               res.mode if res else f"witness: {res.witness}"))
     mode = res.mode

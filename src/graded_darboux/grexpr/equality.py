@@ -48,8 +48,6 @@ MAX_REDRAWS = 100           # sample draws per requested point before giving up
 DIVISOR_FLOOR = 1e-6        # a divisor body this close to 0 is a pole: redraw
 NOISE_FLOOR = 1e-12         # a pivot, determinant or field value this small is 0
 COEFF_DROP = 1e-15          # a float coefficient this small is left out of a chart map
-EIGEN_CLUSTER = 1e-8        # eigenvalues this close are one (imaginary parts: 0)
-EIGENSPACE_TOL = 1e-7       # looser than EIGEN_CLUSTER: the shift by a cluster mean
 GRID_CERTIFICATE = 1e-6     # push-forward error a straightening grid may keep
 RK4_STEP = 1e-3             # flow time per RK4 step of straightening
 DOMAIN_LIMIT = 1e6          # a flow leaving |x| <= this has diverged

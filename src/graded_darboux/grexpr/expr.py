@@ -695,13 +695,18 @@ def derivation(e: GradedExpr, coeffs: Tuple[GradedExpr, ...], parity: int,
     commutes with d: x^k -> k*c*x^(k-1), d(x)^k -> k*d(c)*d(x)^(k-1) (the k
     Leibniz terms of an odd d(xi)^k reorder to one word), atoms by the chain
     rule.  Only a nonconstant coefficient needs the exterior derivative
-    ``d``; each d(c) is taken at most once per call."""
+    ``d``; each d(c), and the derivation of each distinct atom argument, is
+    taken at most once per call."""
     chart = e.chart
     dcoeffs = [None] * chart.dim
+    dargs: Dict[tuple, GradedExpr] = {}
 
     def image(tag, payload):
         if tag == "atom":
-            darg = derivation(payload.arg, coeffs, parity)
+            key = payload.arg.key()
+            if key not in dargs:
+                dargs[key] = leibniz_walk(payload.arg, 0, parity, image)
+            darg = dargs[key]
             return atom_chain(payload, darg) if darg.terms else None
         i, k = payload
         c = coeffs[i]

@@ -96,20 +96,6 @@ class GrassmannValue:
         tuple indexes the body."""
         return {_blade(b): v for b, v in enumerate(self.row.tolist()) if v != 0.0}
 
-    def _other(self, other: "GrassmannValue") -> np.ndarray:
-        if other.row.shape != self.row.shape:
-            raise ValueError("mixed generator counts")
-        return other.row
-
-    def __add__(self, other):
-        return GrassmannValue(self.row + self._other(other))
-
-    def __sub__(self, other):
-        return GrassmannValue(self.row - self._other(other))
-
-    def __mul__(self, other):
-        return GrassmannValue(_product(self.row[None], self._other(other)[None])[0])
-
     def __repr__(self):
         data = self.data
         if not data:

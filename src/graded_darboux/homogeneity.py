@@ -4,15 +4,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
 from . import _linalg
 from .cartan import Memo, VectorField, lie_bracket, lie_derivative
 from .grexpr.chart import ChartError, ChartSpec, CoordinateDecl, EVEN
-from .grexpr.equality import DEFAULT_POLICY, NOISE_FLOOR, EqualityPolicy, equal
-from .grexpr.expr import coord, partial, zero
+from .grexpr.equality import DEFAULT_POLICY, EqualityPolicy, equal
+from .grexpr.expr import coord, zero
 from .grexpr.grassmann import Plan, body_values, sample_body_points
 
 
@@ -92,54 +92,6 @@ def verify_weight_chart(nabla: VectorField, chart: ChartSpec) -> bool:
         return False
     want = weight_field_of_chart(chart).field
     return all(a == b for a, b in zip(nabla.coefficients, want.coefficients))
-
-
-@dataclass
-class LinearizationReport:
-    vanishes: bool
-    verdict: str
-    matrix_even: Optional[np.ndarray] = None
-    matrix_odd: Optional[np.ndarray] = None
-    eigenvalues_even: Optional[list] = None
-    eigenvalues_odd: Optional[list] = None
-    diagonalizable: Optional[bool] = None
-
-
-def linearization_at_zero(nabla: VectorField,
-                          point: Dict[str, object]) -> LinearizationReport:
-    """Differential of an even field at a body zero, block-split by parity.
-
-    At a zero the Jacobian of the coefficients is well defined; real
-    diagonalizability of both blocks is a necessary condition for the field
-    to define homogeneous coordinates around the point.  If the field does
-    not vanish at the point, no linearization is needed: nonvanishing even
-    fields always define homogeneity structures.
-    """
-    if nabla.parity != EVEN:
-        raise ValueError("linearization expects an even field")
-    chart = nabla.chart
-    vals = np.array(body_values([Plan(c) for c in nabla.coefficients], [point])[0],
-                    dtype=float)
-    if not all(_linalg.negligible(v, NOISE_FLOOR) for v in vals):
-        return LinearizationReport(
-            vanishes=False,
-            verdict="nonvanishing at the point: weight vector field")
-
-    n = chart.dim
-    plans = [Plan(partial(c, name)) for c in nabla.coefficients
-             for name in chart.names]
-    jac = np.array(body_values(plans, [point])[0], dtype=float).reshape(n, n)
-    ev = list(chart.even_indices)
-    od = list(chart.odd_indices)
-    jac_e = jac[np.ix_(ev, ev)]
-    jac_o = jac[np.ix_(od, od)]
-    ok_e, eig_e = _linalg.diagonalizable_real(jac_e)
-    ok_o, eig_o = _linalg.diagonalizable_real(jac_o)
-    ok = ok_e and ok_o
-    verdict = ("linearization diagonalizable over R (necessary condition holds)"
-               if ok else "linearization not real-diagonalizable: "
-                          "not a weight vector field")
-    return LinearizationReport(True, verdict, jac_e, jac_o, eig_e, eig_o, ok)
 
 
 # -- degrees ------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Characteristic distribution, class of a Pfaffian form, Reeb and Liouville
-fields, and the purely-even wedge-power class oracle.
+"""Characteristic distribution, class of a Pfaffian form, and Reeb and
+Liouville fields.
 
 Rank decisions happen at body points (odd coordinates set to zero), where
 the coefficient matrix of a 2-form splits into an even-even and an odd-odd
@@ -11,7 +11,7 @@ the image of flat (transversal case) and rank(flat) when it is contained.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from . import _linalg
 from .cartan import Memo, VectorField, basis_field, exterior_d, interior
 from .grexpr.chart import EVEN
 from .grexpr.equality import DEFAULT_POLICY, EqualityPolicy, equal
-from .grexpr.expr import GradedExpr, gmul, one, zero
+from .grexpr.expr import GradedExpr, one, zero
 from .grexpr.grassmann import Plan, body_values, sample_body_points
 from .symsolve import SingularSystemError, solve_left_linear
 
@@ -49,8 +49,6 @@ class FlatMatrix:
 
     point: Dict[str, float]
     rows: List[list]
-    even_indices: Tuple[int, ...]
-    odd_indices: Tuple[int, ...]
     alpha: Optional[list] = None
 
     @property
@@ -60,14 +58,6 @@ class FlatMatrix:
     @property
     def alpha_row(self) -> Optional[np.ndarray]:
         return None if self.alpha is None else np.array(self.alpha, dtype=float)
-
-    @property
-    def even_block(self) -> np.ndarray:
-        return self.matrix[np.ix_(self.even_indices, self.even_indices)]
-
-    @property
-    def odd_block(self) -> np.ndarray:
-        return self.matrix[np.ix_(self.odd_indices, self.odd_indices)]
 
     def rank(self, policy: EqualityPolicy = DEFAULT_POLICY,
              indices: Optional[Sequence[int]] = None) -> int:
@@ -118,8 +108,6 @@ class _FlatMap:
             yield FlatMatrix(
                 point={k: float(v) for k, v in point.items()},
                 rows=[vals[a * n:(a + 1) * n] for a in range(n)],
-                even_indices=self.chart.even_indices,
-                odd_indices=self.chart.odd_indices,
                 alpha=vals[n * n:] if self.one_form else None,
             )
 
@@ -240,8 +228,8 @@ def presymplectic_check(omega: GradedExpr,
         r = fm.rank(policy)
         entry = {"point": fm.point, "rank": r}
         if par == EVEN:
-            entry["even_rank"] = fm.rank(policy, fm.even_indices)
-            entry["odd_rank"] = fm.rank(policy, fm.odd_indices)
+            entry["even_rank"] = fm.rank(policy, chart.even_indices)
+            entry["odd_rank"] = fm.rank(policy, chart.odd_indices)
         ranks.add((r, entry.get("even_rank"), entry.get("odd_rank")))
         evidence.append(entry)
         if kernel is None:
@@ -312,46 +300,3 @@ def liouville(omega: GradedExpr, alpha: GradedExpr,
         raise PfaffianError("liouville system solved but verification failed")
     return X
 
-
-# -- wedge-power class oracle (purely even charts) --------------------------------
-
-
-def _form_nonzero_at(w: GradedExpr, point: Dict[str, object]) -> bool:
-    plans = [Plan(c) for c in w.diff_components().values()]
-    vals = np.array(body_values(plans, [point])[0], dtype=float)
-    return not all(_linalg.negligible(v, DEFAULT_POLICY.rel_tol) for v in vals)
-
-
-def darboux_class_oracle(alpha: GradedExpr, point: Dict[str, object]) -> int:
-    """Class by wedge powers: the largest s with alpha /\\ (d alpha)^s != 0
-    at the point decides 2s+1 or 2s+2.  Undefined on super charts, where top
-    powers of odd differentials never vanish."""
-    chart = alpha.chart
-    if not chart.is_purely_even():
-        raise PfaffianError("wedge-power class oracle needs a purely even chart")
-    if alpha.form_degree() != 1:
-        raise PfaffianError("class oracle expects a one-form")
-    if not _form_nonzero_at(alpha, point):
-        raise PfaffianError("form vanishes at the point", witness=point)
-
-    dalpha = exterior_d(alpha)
-    powers = [one(chart)]
-    while True:
-        nxt = gmul(powers[-1], dalpha)
-        powers.append(nxt)
-        if nxt.is_zero() or 2 * len(powers) > chart.dim + 2:
-            break
-
-    s = 0
-    while True:
-        if s + 1 >= len(powers):
-            break
-        w = gmul(alpha, powers[s + 1])
-        if w.is_zero() or not _form_nonzero_at(w, point):
-            break
-        s += 1
-
-    next_power = powers[s + 1] if s + 1 < len(powers) else zero(chart)
-    if next_power.is_zero() or not _form_nonzero_at(next_power, point):
-        return 2 * s + 1
-    return 2 * s + 2

@@ -5,12 +5,19 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import Dict
 
+import numpy as np
+
+from graded_darboux import _linalg
 from graded_darboux import (apply_func, chart, coord, diff, gmul, one, partial,
                             zero)
 from graded_darboux.grexpr.chart import ChartSpec, CoordinateDecl, EVEN, ODD
 from graded_darboux.grexpr.expr import ATOM_KINDS, GradedExpr, Monomial, const
-from graded_darboux.cartan import VectorField
+from graded_darboux.cartan import VectorField, exterior_d
+from graded_darboux.grexpr.equality import DEFAULT_POLICY
+from graded_darboux.grexpr.grassmann import Plan, body_values
+from graded_darboux.pfaffian import PfaffianError
 
 
 def random_chart(rng: random.Random, max_even=4, max_odd=3,
@@ -292,3 +299,47 @@ def grassmann_series_oracle(u: dict, derivs, ngens: int) -> dict:
         for blade, x in power.items():
             out[blade] = out.get(blade, 0.0) + derivs(k) / fact * x
     return out
+
+
+# -- wedge-power class oracle (purely even charts) --------------------------------
+
+
+def _form_nonzero_at(w: GradedExpr, point: Dict[str, object]) -> bool:
+    plans = [Plan(c) for c in w.diff_components().values()]
+    vals = np.array(body_values(plans, [point])[0], dtype=float)
+    return not all(_linalg.negligible(v, DEFAULT_POLICY.rel_tol) for v in vals)
+
+
+def darboux_class_oracle(alpha: GradedExpr, point: Dict[str, object]) -> int:
+    """Class by wedge powers: the largest s with alpha /\\ (d alpha)^s != 0
+    at the point decides 2s+1 or 2s+2.  Undefined on super charts, where top
+    powers of odd differentials never vanish."""
+    chart = alpha.chart
+    if not chart.is_purely_even():
+        raise PfaffianError("wedge-power class oracle needs a purely even chart")
+    if alpha.form_degree() != 1:
+        raise PfaffianError("class oracle expects a one-form")
+    if not _form_nonzero_at(alpha, point):
+        raise PfaffianError("form vanishes at the point", witness=point)
+
+    dalpha = exterior_d(alpha)
+    powers = [one(chart)]
+    while True:
+        nxt = gmul(powers[-1], dalpha)
+        powers.append(nxt)
+        if nxt.is_zero() or 2 * len(powers) > chart.dim + 2:
+            break
+
+    s = 0
+    while True:
+        if s + 1 >= len(powers):
+            break
+        w = gmul(alpha, powers[s + 1])
+        if w.is_zero() or not _form_nonzero_at(w, point):
+            break
+        s += 1
+
+    next_power = powers[s + 1] if s + 1 < len(powers) else zero(chart)
+    if next_power.is_zero() or not _form_nonzero_at(next_power, point):
+        return 2 * s + 1
+    return 2 * s + 2

@@ -27,10 +27,9 @@ from graded_darboux.darboux import (NormalFormSpec, homotopy, linear_darboux,
                                     verify_normal_form)
 from graded_darboux.homogeneity import degree_of, weight_field_of_chart
 from graded_darboux.pfaffian import (PfaffianError, characteristic_class,
-                                     darboux_class_oracle, liouville,
-                                     presymplectic_check)
-from helpers import (brute_force_reorder, random_chart, random_expr,
-                     random_field, random_monomial, word_to_expr)
+                                     liouville, presymplectic_check)
+from helpers import (brute_force_reorder, darboux_class_oracle, random_chart,
+                     random_expr, random_field, random_monomial, word_to_expr)
 
 MANIFESTS = Path(__file__).resolve().parents[1] / "src" / "graded_darboux" / "manifests"
 

@@ -216,9 +216,7 @@ class TestChartMaps:
         phi = ChartMap(b, cc, {"m": parse_expr("u*v", b),
                                "n": parse_expr("v", b),
                                "r": parse_expr("u*t", b)})
-        from graded_darboux import substitute
-        comp = ChartMap(a, cc, {n: substitute(img, dict(psi.images),
-                                              psi.d_images)
+        comp = ChartMap(a, cc, {n: pullback(psi, img)
                                 for n, img in phi.images.items()})
         for _ in range(40):
             w = random_expr(cc, rng, n_terms=2, form_degree=rng.randint(0, 2))
@@ -455,3 +453,24 @@ class TestMemo:
         assert walked == [str(w), "x*y"]
         assert equal(got, parse_expr(
             "(cos(x*y)^2 - sin(x*y)^2)*(y*d(x) + x*d(y))*d(z)", c))
+
+    def test_repeated_atom_argument_walked_once_by_lie_derivative(
+            self, monkeypatch):
+        """L_X walks x*y once for sin(x*y) and cos(x*y), memo or not; with
+        X = x d/dx - y d/dy it is 0 on x*y, so L_X of the form is 0."""
+        c = chart(("x", 0, 0), ("y", 0, 0), ("z", 0, 0))
+        walked = []
+        walk = expr.leibniz_walk
+
+        def counted(e, *args):
+            walked.append(str(e))
+            return walk(e, *args)
+
+        monkeypatch.setattr(expr, "leibniz_walk", counted)
+        monkeypatch.setattr(cartan, "leibniz_walk", counted)
+        X = vector_field(c, {"x": "x", "y": "-y"})
+        w = parse_expr("sin(x*y)*cos(x*y)*d(z)", c)
+        for memo in (None, cartan.Memo()):
+            walked.clear()
+            assert lie_derivative(X, w, memo=memo).is_zero()
+            assert walked == [str(w), "x*y"]

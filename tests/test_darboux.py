@@ -1,15 +1,18 @@
 """Normal-form construction and verification."""
 
+import io
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from graded_darboux import (chart, coord, eval_body_exact, one, parse_expr,
                             partial, zero, NonIntegrable)
-from graded_darboux import darboux
+from graded_darboux import cartan, cli, darboux
 from graded_darboux.cartan import (ChartMap, basis_field, exterior_d,
                                    vector_field)
 from graded_darboux.darboux import (NormalFormSpec, StraighteningError,
@@ -307,6 +310,26 @@ class TestOneFormDarboux:
             ("coordinate-z-homogeneous", True, "weight 0"),
             ("pair-weight-q-p", True, "w(q)+w(p) = 0, expected 0"),
             ("z-weight", True, "w(z) = 0, expected 0")]
+
+    def test_theta_run_derives_each_kept_image_once(self, monkeypatch,
+                                                    tmp_path):
+        """theta's darboux task keeps the images of its map; their
+        differentials come from the run's memo, where the verify-darboux
+        task put them, so a run takes d of each image once."""
+        path = Path(darboux.__file__).parent / "manifests" / "theta.json"
+        ws, _ = cli.load_manifest(json.loads(path.read_text()))
+        images = {n: str(img) for n, img in ws.cmap("phi").images.items()}
+        derived = []
+        d = cartan._exterior_d
+        monkeypatch.setattr(cartan, "_exterior_d",
+                            lambda w, memo: derived.append(str(w)) or d(w, memo))
+        out = tmp_path / "theta.json"
+        assert cli.run(str(path), json_out=str(out), stream=io.StringIO()) == 0
+        task = next(t for t in json.loads(out.read_text())["tasks"]
+                    if t["task"] == "darboux")
+        assert task["output_exprs"] == images
+        assert {n: derived.count(img) for n, img in images.items()} == \
+            {n: 1 for n in images}
 
     def test_guard_weight_field_in_characteristic_space(self):
         c = chart(("xx", 0, 0), ("yy", 0, 0), ("tt", 0, 0),

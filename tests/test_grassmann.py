@@ -10,8 +10,8 @@ import pytest
 
 from graded_darboux import chart
 from graded_darboux.grexpr import expr
-from graded_darboux.grexpr.grassmann import (_ATOMS, FAILURES, GrassmannValue,
-                                             _Kernel, _blade, _pair_table, _product)
+from graded_darboux.grexpr.grassmann import (_ATOMS, FAILURES, _Kernel, _blade,
+                                             _pair_table, _product)
 from helpers import (brute_force_reorder, grassmann_mul_oracle,
                      grassmann_series_oracle)
 
@@ -47,8 +47,6 @@ def test_products_match_the_dict_oracle(ngens):
     for i in range(N_POINTS):
         want = grassmann_mul_oracle(_as_dict(u[i]), _as_dict(v[i]))
         _assert_matches(got[i], want)
-        _assert_matches((GrassmannValue(u[i]) * GrassmannValue(v[i])).row, want)
-        assert ((GrassmannValue(u[i]) - GrassmannValue(v[i])).row == u[i] - v[i]).all()
 
 
 @pytest.mark.parametrize("ngens", range(6))

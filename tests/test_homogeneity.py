@@ -11,8 +11,8 @@ from graded_darboux.cartan import basis_field, vector_field
 from graded_darboux.homogeneity import (Distribution, RankCollapseError,
                                         WeightVectorField, cotangent_lift,
                                         degree_of, distribution_homogeneous,
-                                        involutive_check, linearization_at_zero,
-                                        tangent_lift, verify_weight_chart,
+                                        involutive_check, tangent_lift,
+                                        verify_weight_chart,
                                         weight_field_of_chart)
 from graded_darboux.grexpr.chart import EVEN, ODD, weights_consistent
 from helpers import random_chart, random_monomial
@@ -56,37 +56,6 @@ class TestWeightField:
         c = chart(("u", 0, 1), ("v", 0, 1))
         assert weights_consistent(a, b)
         assert not weights_consistent(a, c)
-
-
-class TestLinearization:
-    def test_linear(self):
-        c = chart(("x", 0, 1))
-        r = linearization_at_zero(vector_field(c, {"x": "x"}), {"x": 0})
-        assert r.vanishes and r.diagonalizable
-        assert r.eigenvalues_even == [1.0]
-
-    def test_degenerate_passes_necessary_condition(self):
-        c = chart(("x", 0, 1))
-        r = linearization_at_zero(vector_field(c, {"x": "x^2"}), {"x": 0})
-        assert r.vanishes and r.diagonalizable
-        assert r.eigenvalues_even == [0.0]
-
-    def test_upper_triangular(self):
-        c = chart(("x", 0, 1), ("y", 0, 1))
-        r = linearization_at_zero(vector_field(c, {"x": "x+y"}), {"x": 0, "y": 0})
-        assert r.diagonalizable
-        assert r.eigenvalues_even == [0.0, 1.0]
-
-    def test_nilpotent_jordan_block_fails(self):
-        c = chart(("x", 0, 1), ("y", 0, 1))
-        r = linearization_at_zero(vector_field(c, {"x": "y"}), {"x": 0, "y": 0})
-        assert r.vanishes and r.diagonalizable is False
-
-    def test_nonvanishing_shortcut(self):
-        c = chart(("x", 0, 1), ("y", 0, 1))
-        r = linearization_at_zero(vector_field(c, {"x": "1"}), {"x": 0, "y": 0})
-        assert not r.vanishes
-        assert "weight vector field" in r.verdict
 
 
 class TestDegree:

@@ -17,10 +17,9 @@ from graded_darboux.cartan import (basis_field, exterior_d, interior,
                                    lie_bracket, lie_derivative, vector_field)
 from graded_darboux.homogeneity import degree_of, weight_field_of_chart
 from graded_darboux.pfaffian import (NotClosedError, PfaffianError,
-                                     characteristic_class, darboux_class_oracle,
-                                     flat_matrix, liouville, presymplectic_check,
-                                     reeb)
-from helpers import random_atomic_monomial, random_chart
+                                     characteristic_class, flat_matrix,
+                                     liouville, presymplectic_check, reeb)
+from helpers import darboux_class_oracle, random_atomic_monomial, random_chart
 
 
 @pytest.fixture
@@ -39,7 +38,8 @@ class TestFlatMatrix:
         fm = flat_matrix(parse_expr("d(p)*d(q)", c), {"q": 0, "p": 0, "z": 0})
         assert fm.rank() == 2
         # even-even block is antisymmetric
-        assert np.allclose(fm.even_block, -fm.even_block.T)
+        even = fm.matrix[np.ix_(c.even_indices, c.even_indices)]
+        assert np.allclose(even, -even.T)
 
     def test_closed_one_form(self, cyl):
         fm = flat_matrix(parse_expr("d(z)", cyl), {"z": 0, "p": 0, "q": 0})
@@ -54,7 +54,8 @@ class TestFlatMatrix:
     def test_odd_block_symmetric(self):
         c = chart(("t1", 1, 0), ("t2", 1, 0))
         fm = flat_matrix(parse_expr("d(t1)*d(t2)", c), {})
-        assert np.allclose(fm.odd_block, fm.odd_block.T)
+        odd = fm.matrix[np.ix_(c.odd_indices, c.odd_indices)]
+        assert np.allclose(odd, odd.T)
 
 
 class TestClassification:
@@ -161,6 +162,13 @@ class TestPresymplectic:
 
     def test_even_rank_split(self):
         c = chart(("q", 0, 0), ("p", 0, 0), ("t1", 1, 0))
+        rep = presymplectic_check(parse_expr("d(p)*d(q) + d(t1)*d(t1)", c))
+        assert rep.even_rank == 2 and rep.odd_rank == 1 and rep.rank == 3
+
+    def test_block_ranks_on_an_interleaved_chart(self):
+        # the blocks are taken on the chart's even and odd indices, (0, 2)
+        # and (1,), not on leading and trailing ones
+        c = chart(("q", 0, 0), ("t1", 1, 0), ("p", 0, 0))
         rep = presymplectic_check(parse_expr("d(p)*d(q) + d(t1)*d(t1)", c))
         assert rep.even_rank == 2 and rep.odd_rank == 1 and rep.rank == 3
 
