@@ -92,13 +92,16 @@ def _outcomes(plans, chart: ChartSpec, points: List[list], rel_tol: float) -> li
     time: components in order, lhs evaluated before rhs, and the first
     component that fails to evaluate or differs decides.  None: the point
     passes; a string: why it failed; a dict: the witness of a difference,
-    at the first blade, in bitmask order, where the sides differ."""
+    at the first blade, in bitmask order, where the sides differ.  The list
+    ends at the first difference, where ``equal()`` stops reading."""
     x = _coordinates(chart, points)
+    values: dict = {}       # the value table every plan shares at x
     out: list = [None] * len(points)
     undecided = np.ones(len(points), dtype=bool)
+    first = len(points)     # the first point where the sides differ
     for pat, plan_a, plan_b in plans:
-        va = plan_a.grassmann(x, DIVISOR_FLOOR)
-        vb = plan_b.grassmann(x, DIVISOR_FLOOR)
+        va = plan_a.grassmann(x, DIVISOR_FLOOR, values)
+        vb = plan_b.grassmann(x, DIVISOR_FLOOR, values)
         failure = np.where(va.failure != 0, va.failure, vb.failure)
         # a value that overflowed to inf or nan proves no difference
         failure[(failure == 0) & ~(np.isfinite(va.values).all(axis=1)
@@ -106,10 +109,11 @@ def _outcomes(plans, chart: ChartSpec, points: List[list], rel_tol: float) -> li
         with np.errstate(all="ignore"):
             differ = ~_close(va.values, vb.values, rel_tol)
         decided = undecided & ((failure != 0) | differ.any(axis=1))
-        for i in np.flatnonzero(decided).tolist():
-            if failure[i]:
-                out[i] = FAILURES[failure[i]]
-                continue
+        for i in np.flatnonzero(decided & (failure != 0)).tolist():
+            out[i] = FAILURES[failure[i]]
+        differs = np.flatnonzero(decided & (failure == 0))
+        if differs.size and differs[0] < first:
+            i = first = int(differs[0])
             m = int(np.argmax(differ[i]))
             out[i] = {
                 "point": {c.name: (v if c.parity == EVEN
@@ -122,9 +126,10 @@ def _outcomes(plans, chart: ChartSpec, points: List[list], rel_tol: float) -> li
                 "rhs": float(vb.values[i, m]) + 0.0,
             }
         undecided &= ~decided
+        undecided[first:] = False
         if not undecided.any():
             break
-    return out
+    return out[:first + 1]
 
 
 def equal(a: GradedExpr, b: GradedExpr,
@@ -158,7 +163,9 @@ def equal(a: GradedExpr, b: GradedExpr,
     comps_a = a.diff_components()
     comps_b = b.diff_components()
     z = GradedExpr(chart, ())
-    plans = [(pat, Plan(comps_a.get(pat, z)), Plan(comps_b.get(pat, z)))
+    compiled: dict = {}     # one compile table for every plan of the check
+    plans = [(pat, Plan(comps_a.get(pat, z), compiled),
+              Plan(comps_b.get(pat, z), compiled))
              for pat in sorted(set(comps_a) | set(comps_b))]
     rng = random.Random(policy.seed)
 

@@ -17,6 +17,12 @@ array.  Products go through one pair table per k.
 Every numeric evaluation goes through one compiled ``Plan`` per expression:
 the expression tree is walked once, and the plan is then called at many
 points, in exact ``Fraction`` bodies, float bodies or Grassmann values.
+Plans can share two tables, passed explicitly: a compile table, so that
+each distinct atom argument is compiled once, and a value table per point
+batch, so that each distinct atom value, atom power and coordinate power
+is computed once.  An atom value is shared only between evaluations whose
+points have failed alike, and only if computing it failed no new point;
+so every value, failure and error is the one an unshared evaluation gives.
 """
 
 from __future__ import annotations
@@ -334,6 +340,12 @@ _EXACT_COEFF = operator.itemgetter(0)
 _FLOAT_COEFF = operator.itemgetter(1)
 
 
+def _no_failure_state():
+    # float and exact bodies raise where the Grassmann kernel records a
+    # failure, so no value they compute depends on earlier failures
+    return None
+
+
 class Plan:
     """Compiled evaluation of one form-degree-0 expression.
 
@@ -342,27 +354,36 @@ class Plan:
     order.  All three number kinds share one operation order: coefficient,
     then atoms, then coordinate powers by repeated multiplication, summed
     term by term from zero.  ``exact`` is True for polynomials with exact
-    coefficients, the only plans with an exact body.
+    coefficients, the only plans with an exact body.  ``compiled``, the
+    compile table, maps an atom's ``merge_key()`` to its kind and compiled
+    argument, for every plan that shares it.
     """
 
     __slots__ = ("chart", "terms", "exact", "reads")
 
-    def __init__(self, e: GradedExpr):
+    def __init__(self, e: GradedExpr, compiled: Optional[dict] = None):
+        compiled = {} if compiled is None else compiled
         terms = []
         reads = set()       # indices of the coordinates the plan reads
         for m in e.terms:
             if any(m.dexp):
                 raise EvaluationError("evaluation expects form degree 0; "
                                       "evaluate form components instead")
-            atoms = tuple((at.kind, Plan(at.arg), at.power) for at in m.atoms)
+            atoms = []
+            for at in m.atoms:
+                node = compiled.get(at.merge_key())
+                if node is None:
+                    node = compiled[at.merge_key()] = (at.kind, Plan(at.arg, compiled))
+                atoms.append((node, at.power))
+                reads |= node[1].reads
             powers = tuple((i, k) for i, k in enumerate(m.cexp) if k)
-            terms.append(((m.coeff, _float_coeff(m.coeff)), atoms, powers))
+            terms.append(((m.coeff, _float_coeff(m.coeff)), tuple(atoms), powers))
             reads.update(i for i, _ in powers)
-            for _, arg, _ in atoms:
-                reads |= arg.reads
         self.chart = e.chart
         self.terms = tuple(terms)
-        self.exact = e.is_polynomial() and e.is_exact()
+        # a polynomial is a plan without atoms
+        self.exact = all(not atoms and isinstance(coeff[0], Fraction)
+                         for coeff, atoms, _ in self.terms)
         self.reads = reads
 
     def exact_body(self, x: Sequence[Fraction]) -> Fraction:
@@ -370,34 +391,57 @@ class Plan:
         if not self.exact:
             raise EvaluationError("exact body evaluation needs a polynomial "
                                   "expression with exact coefficients")
-        return self._run(x, Fraction(0), _EXACT_COEFF, None)
+        return self._run(x, Fraction(0), _EXACT_COEFF, None, {})
 
     def float_body(self, x: Sequence):
         """Float body; ``x`` holds floats, zero at odd coordinates, or one
         float array per coordinate for an array of bodies (or a float)."""
-        return self._run(x, 0.0, _FLOAT_COEFF, _body_atom)
+        return self._run(x, 0.0, _FLOAT_COEFF, _body_atom, {})
 
-    def grassmann(self, x: Sequence[np.ndarray], floor: float = 0.0) -> GrassmannBatch:
+    def grassmann(self, x: Sequence[np.ndarray], floor: float = 0.0,
+                  values: Optional[dict] = None) -> GrassmannBatch:
         """Grassmann values at N points at once.  ``x`` holds, per
         coordinate, N bodies (shape (N,)) or N dense values (shape
         (N, 2^k)).  A divisor whose body is smaller than ``floor`` in
         magnitude fails its point, so that sampling can move off a
-        singularity."""
+        singularity.  ``values``, the value table, is shared by plans
+        evaluated at the same ``x`` and ``floor``; without one the plan gets
+        a fresh one."""
         n = len(x[0])
         kern = _Kernel(n, len(self.chart.odd_indices), floor)
         with np.errstate(all="ignore"):
-            v = self._run(x, np.zeros(n), kern.lift, kern.atom, kern.mul, kern.add)
+            v = self._run(x, np.zeros(n), kern.lift, kern.atom,
+                          {} if values is None else values, kern.failure.tobytes,
+                          kern.mul, kern.add)
         return GrassmannBatch(kern.dense(v), kern.failure, kern.error)
 
-    def _run(self, x, zero, lift, atom, mul=operator.mul, add=operator.add):
+    def _run(self, x, zero, lift, atom, values, state=_no_failure_state,
+             mul=operator.mul, add=operator.add):
+        """The one evaluation walk.  ``values`` shares only what the walk
+        computes by the same operations wherever it occurs: an atom, its
+        powers and the powers of a coordinate, never a partial product.  An
+        atom's value depends on the points that have already failed, which
+        ``state()`` reads, so it is kept under that state, and only if
+        computing it failed no further point."""
         total = zero
         for coeff, atoms, powers in self.terms:
             v = lift(coeff)
-            for kind, arg, p in atoms:
-                a = atom(kind, arg._run(x, zero, lift, atom, mul, add))
-                v = mul(v, a if p == 1 else _power(a, p, mul))
+            for node, p in atoms:
+                s = state()
+                known = values.get((node, s))
+                if known is None:
+                    kind, arg = node
+                    known = {1: atom(kind, arg._run(x, zero, lift, atom, values,
+                                                    state, mul, add))}
+                    if state() == s:
+                        values[node, s] = known
+                if p not in known:
+                    known[p] = _power(known[1], p, mul)
+                v = mul(v, known[p])
             for i, k in powers:
-                v = mul(v, x[i] if k == 1 else _power(x[i], k, mul))
+                if k > 1 and (i, k) not in values:
+                    values[i, k] = _power(x[i], k, mul)
+                v = mul(v, x[i] if k == 1 else values[i, k])
             total = add(total, v)
         return total
 

@@ -304,7 +304,7 @@ class TestEqual:
 
     @pytest.mark.parametrize("error", [ValueError, TypeError])
     def test_evaluator_bug_propagates(self, monkeypatch, error):
-        def broken(self, x, floor=0.0):
+        def broken(self, x, floor=0.0, values=None):
             raise error("planted evaluator bug")
 
         monkeypatch.setattr(grassmann.Plan, "grassmann", broken)
@@ -402,9 +402,9 @@ class TestBatchedDecisions:
         calls = []
         original = grassmann.Plan.grassmann
 
-        def counting(self, x, floor=0.0):
+        def counting(self, x, floor=0.0, values=None):
             calls.append(np.shape(x[0])[:1])
-            return original(self, x, floor)
+            return original(self, x, floor, values)
 
         monkeypatch.setattr(grassmann.Plan, "grassmann", counting)
         r = equal(lhs, rhs)
@@ -428,3 +428,154 @@ class TestBatchedDecisions:
         assert not r and r.mode == "randomized"
         assert r.redraws == {"arithmetic": failed}
         assert r.witness["point"] == {"x": xs[failed]}
+
+
+def _replay(seed, boxes, outcome, n_points=32):
+    """Replay equal()'s draws one point at a time: ``outcome(point)`` is None
+    for a point that passes, the reason it fails, or True where the sides
+    differ.  Returns (redraws by reason, the differing point or None)."""
+    rng = random.Random(seed)
+    redraws, checked = {}, 0
+    while checked < n_points:
+        point = [rng.uniform(*box) for box in boxes]
+        got = outcome(point)
+        if got is None:
+            checked += 1
+        elif got is True:
+            return redraws, point
+        else:
+            redraws[got] = redraws.get(got, 0) + 1
+    return redraws, None
+
+
+def _shared(exprs, x, floor):
+    """Each expression's batch, all compiled with one compile table and
+    evaluated in order with one value table."""
+    compiled, values = {}, {}
+    return [Plan(e, compiled).grassmann(x, floor, values) for e in exprs]
+
+
+def _assert_bit_identical(shared, exprs, x, floor):
+    # each plan compiled and evaluated alone, with fresh tables
+    for s, e in zip(shared, exprs):
+        a = Plan(e).grassmann(x, floor)
+        assert s.values.tobytes() == a.values.tobytes()
+        assert s.failure.tobytes() == a.failure.tobytes()
+        assert repr(s.error) == repr(a.error)
+
+
+class TestSharedTables:
+    """One compile table and one value table per check: each distinct atom
+    argument is compiled once, and each atom value computed once per batch
+    where no failure tells the evaluations apart."""
+
+    def test_shared_atom_is_compiled_and_evaluated_once_per_batch(self, monkeypatch):
+        c = chart(("x", 0, 0), ("y", 0, 0), ("t", 1, 0), ("s", 1, 0))
+        lhs = parse_expr("sin(x + t*s)*d(x) + 2*sin(x + t*s)*d(y)", c)
+        rhs = parse_expr("sin(x + t*s)*d(x) + (sin(x + t*s) + sin(x + t*s)*cos(y)^2"
+                         " + sin(x + t*s)*sin(y)^2)*d(y)", c)
+        arg = parse_expr("x + t*s", c).key()
+        compiled, atoms = [], []
+        init, atom = Plan.__init__, grassmann._Kernel.atom
+
+        def counting_init(self, e, compiled_=None):
+            compiled.append(e.key())
+            init(self, e, compiled_)
+
+        def counting_atom(self, kind, v):
+            atoms.append((kind, v.ndim))
+            return atom(self, kind, v)
+
+        monkeypatch.setattr(Plan, "__init__", counting_init)
+        monkeypatch.setattr(grassmann._Kernel, "atom", counting_atom)
+        r = equal(lhs, rhs)
+        assert r and r.mode == "randomized" and r.redraws == {}
+        assert compiled.count(arg) == 1
+        # one batch of 32 points: sin(x + t*s) has a dense argument, and
+        # cos(y) and sin(y) read a body alone
+        assert sorted(atoms) == [("cos", 1), ("sin", 1), ("sin", 2)]
+
+    @pytest.mark.parametrize("x_box", [(0.5, 2.0), (-0.5, 2.0)])
+    @pytest.mark.parametrize("rhs_dx", ["log(x)/y", "2*log(x)/y"])
+    def test_failing_shared_atom_matches_a_one_point_replay(self, monkeypatch,
+                                                          x_box, rhs_dx):
+        # d(y) sorts before d(x).  log(x) fails where x <= 0; in the d(x)
+        # component the unshared factor 1/y has already failed the points
+        # near y = 0 before log(x) is reached, so log(x) must not be taken
+        # from the d(y) component there
+        y_box = (-4e-6, 4e-6)
+        c = chart(("x", 0, 0, x_box), ("y", 0, 0, y_box))
+        lhs = parse_expr("log(x)*d(y) + log(x)/y*d(x)", c)
+        rhs = parse_expr(f"log(x)*d(y) + {rhs_dx}*d(x)", c)
+        logs = []
+        atom = grassmann._Kernel.atom
+
+        def counting_atom(self, kind, v):
+            logs.append(kind == "log")
+            return atom(self, kind, v)
+
+        def outcome(point):
+            x, y = point
+            if x <= 0:
+                return "evaluation"
+            if abs(y) < equality.DIVISOR_FLOOR:
+                return "divisor-floor"
+            return None if rhs_dx == "log(x)/y" else True
+
+        monkeypatch.setattr(grassmann._Kernel, "atom", counting_atom)
+        for seed in range(4):
+            logs.clear()
+            r = equal(lhs, rhs, EqualityPolicy(mode="randomized", seed=seed))
+            redraws, differs = _replay(seed, [x_box, y_box], outcome)
+            assert r.equal is (differs is None)
+            assert r.redraws == redraws
+            if differs is None:
+                assert r.detail == "32 points, rel_tol=1e-09"
+            else:
+                x, y = differs
+                assert r.witness["point"] == {"x": x, "y": y}
+                assert r.witness["component"] == (1, 0)
+                assert r.witness["lhs"] == pytest.approx(math.log(x) / y)
+                assert r.witness["rhs"] == pytest.approx(2 * math.log(x) / y)
+        points = equality._draw_points(c, random.Random(0), 64)
+        assert any(abs(y) < equality.DIVISOR_FLOOR for _, y in points)
+        x = grassmann._coordinates(c, points)
+        exprs = [side.diff_components()[pat] for pat in [(0, 1), (1, 0)]
+                 for side in (lhs, rhs)]
+        logs.clear()
+        shared = _shared(exprs, x, equality.DIVISOR_FLOOR)
+        if x_box[0] > 0:
+            # once clean, for d(y); once after 1/y failed, for the lhs of
+            # d(x), whose value the rhs of d(x) reads
+            assert sum(logs) == 2
+        _assert_bit_identical(shared, exprs, x, equality.DIVISOR_FLOOR)
+
+    def test_shared_values_are_bit_identical_to_unshared(self):
+        """Plans of random super charts with 1 to 4 odd generators share
+        atoms that fail at some points: a log, and a quotient under a
+        divisor floor of 0.2."""
+        rng = random.Random(17)
+        failed = set()
+        for _ in range(40):
+            c = random_chart(rng, max_even=2, max_odd=4)
+            while not c.odd_indices:
+                c = random_chart(rng, max_even=2, max_odd=4)
+            den = _even_part(c, rng)
+            while all(any(m.cexp[i] for i in c.odd_indices) for m in den.terms):
+                den = _even_part(c, rng)        # a divisor needs a body
+            pool = [apply_func(rng.choice(["sin", "exp", "cosh"]), _even_part(c, rng)),
+                    apply_func("log", _even_part(c, rng)), gdiv(one(c), den)]
+            exprs = []
+            for _ in range(4):
+                e = zero(c)
+                for _ in range(rng.randint(1, 3)):
+                    factor = random_expr(c, rng, n_terms=2)
+                    for _ in range(rng.randint(1, 2)):
+                        factor = gmul(factor, rng.choice(pool))
+                    e = e + factor
+                exprs.append(e)
+            x = grassmann._coordinates(c, equality._draw_points(c, rng, 24))
+            shared = _shared(exprs, x, 0.2)
+            _assert_bit_identical(shared, exprs, x, 0.2)
+            failed.update(b.failure.any() for b in shared)
+        assert failed == {True, False}
