@@ -17,8 +17,10 @@ Generator bidegrees:
     d(x), x even           (1, 0)   d(x)*d(x) = 0
     d(xi), xi odd          (1, 1)   d(xi)*d(xi) != 0
 
-Coefficients are exact rationals by default; floats are allowed and taint
-the expression into "inexact" mode (randomized equality only).
+Coefficients are exact rationals by default: an integral coefficient is a
+Python ``int``, and a ``Fraction`` appears only where a denominator does.
+Floats are allowed and taint the expression into "inexact" mode (randomized
+equality only); "exact" means "not a float" wherever it is read.
 """
 
 from __future__ import annotations
@@ -43,22 +45,34 @@ class EvaluationError(ValueError):
     pass
 
 
-_ONE = Fraction(1)
-
-
 def _cnum(v: Number):
-    """Normalize a scalar coefficient: ints become Fractions, floats stay."""
+    """Normalize a scalar coefficient: an int, or a Fraction with an integral
+    value, becomes an int; other Fractions and floats stay."""
     if isinstance(v, bool):
         raise TypeError("bool is not a coefficient")
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, (Fraction, float)):
+    if isinstance(v, (int, float)):
         return v
+    if isinstance(v, Fraction):
+        return v.numerator if v.denominator == 1 else v
     raise TypeError(f"cannot use {v!r} as a coefficient")
 
 
+def is_exact_coeff(c) -> bool:
+    """An exact coefficient is an int or a Fraction: anything but a float."""
+    return not isinstance(c, float)
+
+
+def _quotient(a, b):
+    """``a / b`` for coefficients: exact when both are (a Fraction, an int
+    where integral), never by int true division; a float otherwise."""
+    if is_exact_coeff(a) and is_exact_coeff(b):
+        return _cnum(Fraction(a, b))
+    return a / b
+
+
 def _coeff_key(c):
-    if isinstance(c, Fraction):
+    if is_exact_coeff(c):
+        # an int and a Fraction of equal value share a key
         return ("q", c.numerator, c.denominator)
     return ("f", repr(c))
 
@@ -159,7 +173,7 @@ class Monomial:
         return self.masks(chart)[3].bit_count() & 1
 
     def is_exact(self) -> bool:
-        if not isinstance(self.coeff, Fraction):
+        if not is_exact_coeff(self.coeff):
             return False
         return all(a.arg.is_exact() for a in self.atoms)
 
@@ -329,13 +343,15 @@ class GradedExpr:
         return False
 
     def constant_value(self):
-        """The scalar value if the expression is a constant, else None."""
+        """The scalar value if the expression is a constant, else None; an
+        exact constant is a Fraction, whatever its coefficient's type."""
         if not self.terms:
             return Fraction(0)
         if len(self.terms) == 1:
             m = self.terms[0]
             if not m.atoms and not any(m.cexp) and not any(m.dexp):
-                return m.coeff
+                c = m.coeff
+                return Fraction(c) if is_exact_coeff(c) else c
         return None
 
     def max_abs_coeff(self) -> float:
@@ -512,7 +528,7 @@ def _divide_monomial(m: Monomial, d: Monomial, chart: ChartSpec) -> Optional[Mon
     if any(d.dexp):
         return None
     cand = Monomial(
-        Fraction(1),
+        1,
         tuple(sorted(atoms.values(), key=Atom.full_key)),
         tuple(cexp),
         m.dexp,
@@ -521,7 +537,7 @@ def _divide_monomial(m: Monomial, d: Monomial, chart: ChartSpec) -> Optional[Mon
     back = _mul_monomials(cand, d, chart)
     if back is None:
         return None
-    return Monomial(m.coeff / back.coeff, cand.atoms, cand.cexp, cand.dexp)
+    return Monomial(_quotient(m.coeff, back.coeff), cand.atoms, cand.cexp, cand.dexp)
 
 
 def gdiv(a: GradedExpr, b: GradedExpr) -> GradedExpr:
@@ -549,7 +565,8 @@ def gdiv(a: GradedExpr, b: GradedExpr) -> GradedExpr:
             raise ZeroDivisionError("division by zero")
         return GradedExpr(
             a.chart,
-            tuple(Monomial(m.coeff / cval, m.atoms, m.cexp, m.dexp) for m in a.terms),
+            tuple(Monomial(_quotient(m.coeff, cval), m.atoms, m.cexp, m.dexp)
+                  for m in a.terms),
         )
 
     if len(b.terms) == 1:
@@ -564,8 +581,7 @@ def gdiv(a: GradedExpr, b: GradedExpr) -> GradedExpr:
             return GradedExpr.from_terms(a.chart, out)
         # factor-by-factor symbolic inverse of the single monomial, so that
         # partial cancellations (x * 1/x^2 -> 1/x) keep working
-        acc = a * (Fraction(1) / d.coeff if isinstance(d.coeff, Fraction)
-                   else 1.0 / d.coeff)
+        acc = a * _quotient(1, d.coeff)
         for i, k in enumerate(d.cexp):
             if k:
                 ci = coord(a.chart, a.chart.coords[i].name)
@@ -584,11 +600,11 @@ def gdiv(a: GradedExpr, b: GradedExpr) -> GradedExpr:
     lead = b.terms[0].coeff
     bn = GradedExpr(
         b.chart,
-        tuple(Monomial(m.coeff / lead, m.atoms, m.cexp, m.dexp) for m in b.terms),
+        tuple(Monomial(_quotient(m.coeff, lead), m.atoms, m.cexp, m.dexp)
+              for m in b.terms),
     )
     inv_expr = _single_factor_expr(a.chart, "atom", Atom("inv", bn))
-    return gmul(a, inv_expr) * (Fraction(1) / lead if isinstance(lead, Fraction)
-                                else 1.0 / lead)
+    return gmul(a, inv_expr) * _quotient(1, lead)
 
 
 # -- Leibniz walks -------------------------------------------------------------
@@ -598,13 +614,13 @@ def _single_factor_expr(chart: ChartSpec, tag, payload) -> GradedExpr:
     n = chart.dim
     if tag == "atom":
         return GradedExpr(
-            chart, (Monomial(Fraction(1), (payload,), (0,) * n, (0,) * n),))
+            chart, (Monomial(1, (payload,), (0,) * n, (0,) * n),))
     i, k = payload
     if tag == "coord":
         cexp = tuple(k if j == i else 0 for j in range(n))
-        return GradedExpr(chart, (Monomial(Fraction(1), (), cexp, (0,) * n),))
+        return GradedExpr(chart, (Monomial(1, (), cexp, (0,) * n),))
     dexp = tuple(k if j == i else 0 for j in range(n))
-    return GradedExpr(chart, (Monomial(Fraction(1), (), (0,) * n, dexp),))
+    return GradedExpr(chart, (Monomial(1, (), (0,) * n, dexp),))
 
 
 def leibniz_walk(e: GradedExpr, op_p: int, op_s: int,
@@ -646,14 +662,14 @@ def leibniz_walk(e: GradedExpr, op_p: int, op_s: int,
             img = image("atom", a)
             if img is not None and img.terms:
                 emit(img, Monomial(c, atoms[:j], zeros, zeros, (odd, 0, 0, 0)),
-                     Monomial(_ONE, atoms[j + 1:], cexp, dexp, mk))
+                     Monomial(1, atoms[j + 1:], cexp, dexp, mk))
         for i, k in enumerate(cexp):
             if k:
                 img = image("coord", (i, k))
                 if img is not None and img.terms:
                     lm, rm = cut(mk, i)
                     emit(img, Monomial(c, atoms, cexp[:i] + zeros[i:], zeros, lm),
-                         Monomial(_ONE, (), zeros[:i + 1] + cexp[i + 1:], dexp, rm))
+                         Monomial(1, (), zeros[:i + 1] + cexp[i + 1:], dexp, rm))
                 if op_s % 2 and odd >> i & 1:
                     c = -c
         for i, k in enumerate(dexp):
@@ -662,7 +678,7 @@ def leibniz_walk(e: GradedExpr, op_p: int, op_s: int,
                 if img is not None and img.terms:
                     lm, rm = cut(mk, n + i)
                     emit(img, Monomial(c, atoms, cexp, dexp[:i] + zeros[i:], lm),
-                         Monomial(_ONE, (), zeros, zeros[:i + 1] + dexp[i + 1:], rm))
+                         Monomial(1, (), zeros, zeros[:i + 1] + dexp[i + 1:], rm))
                 if k & 1 and (op_p + op_s * (odd >> i & 1)) % 2:
                     c = -c
     return GradedExpr.from_terms(chart, out)

@@ -38,7 +38,7 @@ from typing import (Callable, Dict, List, Mapping, NamedTuple, Optional, Sequenc
 import numpy as np
 
 from .chart import ChartSpec
-from .expr import EvaluationError, GradedExpr, _crossings
+from .expr import EvaluationError, GradedExpr, _crossings, is_exact_coeff
 
 
 class DivisorFloorError(EvaluationError):
@@ -382,7 +382,7 @@ class Plan:
         self.chart = e.chart
         self.terms = tuple(terms)
         # a polynomial is a plan without atoms
-        self.exact = all(not atoms and isinstance(coeff[0], Fraction)
+        self.exact = all(not atoms and is_exact_coeff(coeff[0])
                          for coeff, atoms, _ in self.terms)
         self.reads = reads
 
@@ -528,18 +528,20 @@ def body_values(plans: Sequence[Plan],
                 points: Sequence[Mapping[str, object]]) -> BodyBatch:
     """Bodies of compiled expressions at a batch of body points.
 
-    Odd coordinates are zero.  Exact plans evaluate to Fractions, point by
-    point.  Each float plan runs once over per-coordinate arrays of the
-    points, which ``Plan.float_body`` evaluates bit for bit as it does one
-    point, and point by point only where that raises.  Any error is kept
-    with its point, so that each point raises what evaluating it alone
-    would have raised.
+    Odd coordinates are zero.  A plan that reads no coordinate runs once,
+    and its value, or its error, is every point's.  Exact plans evaluate to
+    Fractions, point by point.  Each float plan runs once over
+    per-coordinate arrays of the points, which ``Plan.float_body`` evaluates
+    bit for bit as it does one point, and point by point only where that
+    raises.  Any error is kept with its point, so that each point raises
+    what evaluating it alone would have raised.
     """
     n = len(points)
     if not plans:
         return BodyBatch([[] for _ in range(n)])
-    some_exact = any(p.exact for p in plans)
-    some_float = not all(p.exact for p in plans)
+    # the coordinate lists only plans that read a coordinate need
+    some_exact = any(p.exact and p.reads for p in plans)
+    some_float = any(not p.exact and p.reads for p in plans)
     rows: List[Union[list, Exception, None]] = [None] * n
     xq: List[Optional[list]] = [None] * n
     xf: List[Optional[list]] = [None] * n
@@ -556,14 +558,17 @@ def body_values(plans: Sequence[Plan],
     columns = []
     with np.errstate(all="ignore"):
         for plan in plans:
-            if plan.exact:
+            if not plan.reads:
+                body = plan.exact_body if plan.exact else plan.float_body
+                columns.append([_call(body, ())] * len(alive))
+            elif plan.exact:
                 columns.append([_call(plan.exact_body, xq[i]) for i in alive])
-                continue
-            try:
-                vals = np.broadcast_to(plan.float_body(cols), len(alive)).tolist()
-            except Exception:
-                vals = [_call(plan.float_body, xf[i]) for i in alive]
-            columns.append(vals)
+            else:
+                try:
+                    vals = np.broadcast_to(plan.float_body(cols), len(alive)).tolist()
+                except Exception:
+                    vals = [_call(plan.float_body, xf[i]) for i in alive]
+                columns.append(vals)
     for i, row in zip(alive, zip(*columns)):
         rows[i] = next((v for v in row if isinstance(v, Exception)), list(row))
     return BodyBatch(rows)

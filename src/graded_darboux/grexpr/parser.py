@@ -20,7 +20,7 @@ from typing import List, Tuple
 
 from .chart import ChartSpec
 from .expr import (FUNC_KINDS, GradedExpr, ParityError, apply_func, const,
-                   coord, diff, gdiv, gmul)
+                   coord, diff, gdiv, gmul, is_exact_coeff)
 
 
 class ParseError(ValueError):
@@ -151,7 +151,7 @@ def parse_expr(text: str, chart: ChartSpec) -> GradedExpr:
 
 
 def _format_number(c) -> str:
-    if isinstance(c, Fraction):
+    if is_exact_coeff(c):
         if c.denominator == 1:
             return str(c.numerator)
         return f"{c.numerator}/{c.denominator}"
@@ -177,7 +177,7 @@ def _format_monomial(m, chart: ChartSpec) -> str:
     c = abs(m.coeff)
     if not num:
         head = _format_number(c)
-    elif c == 1 and isinstance(m.coeff, Fraction):
+    elif c == 1 and is_exact_coeff(m.coeff):
         head = "*".join(num)
     else:
         head = "*".join([_format_number(c)] + num)

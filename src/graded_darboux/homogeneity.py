@@ -12,7 +12,7 @@ from . import _linalg
 from .cartan import Memo, VectorField, lie_bracket, lie_derivative
 from .grexpr.chart import ChartError, ChartSpec, CoordinateDecl, EVEN
 from .grexpr.equality import DEFAULT_POLICY, EqualityPolicy, equal
-from .grexpr.expr import coord, zero
+from .grexpr.expr import coord, is_exact_coeff, zero
 from .grexpr.grassmann import Plan, body_values, sample_body_points
 
 
@@ -105,7 +105,7 @@ def _match_ratio(pairs, is_exact: bool, tol: float):
             if (c_l == 0) if is_exact else _linalg.negligible(c_l, tol):
                 continue
             return None
-        r = c_l / c_t if is_exact else float(c_l) / float(c_t)
+        r = Fraction(c_l) / c_t if is_exact else float(c_l) / float(c_t)
         if w is None:
             w = r
         else:
@@ -144,7 +144,7 @@ def degree_of(T, nabla: WeightVectorField,
     if set(keys_L) - set(keys_T):
         return DegreeReport(False, None, L,
                             "derivative has monomials outside the input")
-    exact = all(isinstance(c, Fraction) for c in
+    exact = all(is_exact_coeff(c) for c in
                 list(keys_T.values()) + list(keys_L.values()))
     w = _match_ratio([(keys_T[k], keys_L.get(k, 0)) for k in keys_T], exact,
                      policy.rel_tol)

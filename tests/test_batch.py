@@ -190,3 +190,41 @@ def test_straightening_is_silent_and_typed_on_an_overflowed_argument():
             straighten_commuting([X], [1e200, 1e200])
     assert caught == []
 
+
+
+def test_a_plan_that_reads_no_coordinate_runs_once_per_batch(monkeypatch):
+    c = chart(("x", 0, 0), ("y", 0, 0))
+    plans = [Plan(parse_expr(t, c)) for t in ("sin(x)*y", "3/2", "0", "x^2 + 1/3")]
+    calls = []
+    exact_body = Plan.exact_body
+
+    def counted(plan, x):
+        calls.append(plans.index(plan))
+        return exact_body(plan, x)
+
+    monkeypatch.setattr(Plan, "exact_body", counted)
+    points = sample_body_points(c, 16, 5)
+    batch = body_values(plans, points)
+    assert [calls.count(k) for k in range(len(plans))] == [0, 1, 1, 16]
+    for point, vals in zip(points, batch):
+        assert vals == _one_at_a_time(plans, point)
+        assert vals[1:3] == [Fraction(3, 2), Fraction(0)]
+        assert [type(v) for v in vals] == [float, Fraction, Fraction, Fraction]
+
+
+def test_a_failing_plan_that_reads_no_coordinate_fails_every_point():
+    c = chart(("x", 0, 0), ("y", 0, 0))
+    plans = [Plan(parse_expr(t, c)) for t in ("x*y", "0", "log(-1)", "3/2")]
+    assert not plans[2].reads and not plans[2].exact
+    points = sample_body_points(c, 16, 5)
+    points[3] = {"x": 0.5}      # fails first, on the coordinate it lacks
+    batch = body_values(plans, points)
+    met = []
+    for i, point in enumerate(points):
+        for evaluate in (lambda: _one_at_a_time(plans, point), lambda: batch[i]):
+            with pytest.raises(EvaluationError) as caught:
+                evaluate()
+            met.append(str(caught.value))
+    nonpositive = "log of a value with nonpositive body"
+    assert met == [nonpositive] * 6 + ["no value for coordinate 'y'"] * 2 \
+        + [nonpositive] * 24

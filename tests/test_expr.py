@@ -8,11 +8,12 @@ import pytest
 from graded_darboux import (apply_func, canonicalize, chart, coord, diff,
                             equal, gdiv, gmul, one, parse_expr, partial,
                             substitute, zero, ParseError, ParityError)
-from graded_darboux.cartan import exterior_d
+from graded_darboux.cartan import exterior_d, lie_derivative
 from graded_darboux.grexpr.chart import ODD, ChartError
-from graded_darboux.grexpr.expr import GradedExpr, Monomial, _mul_monomials
+from graded_darboux.grexpr.expr import GradedExpr, Monomial, _mul_monomials, const
+from graded_darboux.symsolve import solve_left_linear
 from helpers import (brute_force_reorder, random_atomic_monomial, random_chart,
-                     random_monomial, word_to_expr)
+                     random_expr, random_field, random_monomial, word_to_expr)
 
 
 @pytest.fixture
@@ -385,3 +386,57 @@ class TestCanonicalize:
     def test_idempotent(self, cyl):
         e = parse_expr("p*q + sin(p*q)*d(z)", cyl)
         assert canonicalize(e) == e
+
+
+def _coefficients(e):
+    """Every coefficient of an expression, atom arguments included."""
+    for m in e.terms:
+        yield m.coeff
+        for a in m.atoms:
+            yield from _coefficients(a.arg)
+
+
+class TestIntCoefficients:
+    """An integral exact coefficient is an int; a Fraction appears only with
+    a denominator, and no exact operation gives a float."""
+
+    def test_integral_fraction_and_int_are_one_constant(self, cyl):
+        a, b = const(cyl, Fraction(6, 2)), const(cyl, 3)
+        assert a.key() == b.key() and hash(a) == hash(b) and a == b
+        assert str(a) == str(b) == "3"
+        assert [type(m.coeff) for m in a.terms + b.terms] == [int, int]
+
+    def test_parsed_coefficients(self, cyl):
+        (m,) = parse_expr("4*p/2", cyl).terms
+        assert type(m.coeff) is int and m.coeff == 2
+        (m,) = parse_expr("p/2", cyl).terms
+        assert type(m.coeff) is Fraction and m.coeff == Fraction(1, 2)
+
+    def test_constant_value_is_a_fraction(self, cyl):
+        for text, want in (("3", 3), ("6/2", 3), ("6*p/(2*p)", 3), ("-4", -4),
+                           ("0", 0), ("3/4", Fraction(3, 4))):
+            v = parse_expr(text, cyl).constant_value()
+            assert type(v) is Fraction and v == want
+        assert type(const(cyl, 0.5).constant_value()) is float
+
+    def test_exact_operations_never_give_a_float(self):
+        rng = random.Random(18)
+        for _ in range(25):
+            c = random_chart(rng, max_even=3, max_odd=2)
+            f = random_expr(c, rng, n_terms=3)
+            w = random_expr(c, rng, n_terms=2, form_degree=1)
+            X = random_field(c, rng)
+            k = rng.choice([2, 3, -6])
+            out = [exterior_d(f), exterior_d(w), lie_derivative(X, w),
+                   lie_derivative(X, f), gdiv(f, const(c, k)), gdiv(w, const(c, k))]
+            # pivots 2 or 3 plus a monomial, off-diagonal entries in quarters
+            ev = random_chart(rng, max_even=3, max_odd=0)
+            n = ev.dim
+            M = [[one(ev) * rng.choice([2, 3]) + random_expr(ev, rng, n_terms=1)
+                  if a == b else random_expr(ev, rng, n_terms=1) * Fraction(1, 4)
+                  for b in range(n)] for a in range(n)]
+            out += solve_left_linear(M, [random_expr(ev, rng, n_terms=2)
+                                         for _ in range(n)])
+            for e in out:
+                assert e.is_exact()
+                assert not any(isinstance(v, float) for v in _coefficients(e))

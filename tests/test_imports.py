@@ -134,3 +134,50 @@ def test_every_definition_in_src_is_reached_from_src():
                              "    def __len__(self):\n        return 0\n")
     assert [qual for _, _, qual in _unreferenced(files)] == [
         "Probe", "Probe.block", "Probe._helper"]
+
+
+# the isinstance(..., Fraction) tests that read something other than an
+# expression coefficient, which is exact when it is not a float
+# (expr.is_exact_coeff); _cnum is where an integral Fraction becomes an int
+FRACTION_TESTS = {
+    ("grexpr/chart.py", "as_weight"),           # a declared weight
+    ("cli.py", "_render"),                      # a report value
+    ("_linalg.py", "_exact"),                   # a body value
+    ("darboux.py", "one_form_darboux"),         # a degree weight
+    ("grexpr/expr.py", "_cnum"),
+}
+
+
+def _fraction_tests(files):
+    """(file, enclosing function) of every isinstance(..., Fraction)."""
+    found = []
+
+    def visit(node, rel, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                inner = scope + [child.name]
+            if (isinstance(child, ast.Call)
+                    and isinstance(child.func, ast.Name)
+                    and child.func.id == "isinstance" and len(child.args) == 2):
+                types = child.args[1]
+                names = types.elts if isinstance(types, ast.Tuple) else [types]
+                if any(isinstance(t, ast.Name) and t.id == "Fraction"
+                       for t in names):
+                    found.append((rel, ".".join(scope)))
+            visit(child, rel, inner)
+
+    for rel, text in files.items():
+        visit(ast.parse(text), rel, [])
+    return found
+
+
+def test_coefficient_exactness_has_one_predicate():
+    files = {path.relative_to(SRC).as_posix(): path.read_text()
+             for path in sorted(SRC.rglob("*.py"))}
+    assert set(_fraction_tests(files)) == FRACTION_TESTS
+    files["grexpr/parser.py"] += ("\n\ndef probe(m):\n"
+                                  "    return isinstance(m.coeff, (int, Fraction))\n")
+    assert sorted(set(_fraction_tests(files)) - FRACTION_TESTS) == [
+        ("grexpr/parser.py", "probe")]
