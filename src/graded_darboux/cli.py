@@ -291,9 +291,7 @@ def _darboux(args, ws, policy):
                            int(args.get("s", 0)), tuple(args.get("eps", [])),
                            _nabla(args, ws, form.chart), args.get("base"),
                            policy, memo=ws.memo)
-    # An expectation on "status" reads the construction's status; the task
-    # status replaces it in the report.
-    out: Dict[str, Any] = {"status": res.status, "notes": res.notes}
+    out: Dict[str, Any] = {"outcome": res.status, "notes": res.notes}
     if res.spec is not None:
         out["variant"] = res.spec.variant
     if res.chart_map is not None:

@@ -698,36 +698,48 @@ class StraighteningError(RuntimeError):
     pass
 
 
-def _batch(plans: Sequence[Plan], x: np.ndarray) -> np.ndarray:
-    """Float bodies of the plans at every row of x, one column per plan; a
-    constant plan's scalar body fills its column."""
-    out = np.empty((len(x), len(plans)))
-    for j, p in enumerate(plans):
-        out[:, j] = p.float_body(x.T)
-    return out
+def _evaluator(plans: Sequence[Plan], N: int):
+    """Float bodies of the plans at N points, as a function of the (N, n)
+    points that fills one (N, len(plans)) buffer and returns it; the plans
+    of one call share one value table.  The first call evaluates every plan
+    in plan order, later ones only the plans that read a coordinate."""
+    out = np.empty((N, len(plans)))
+    todo = list(enumerate(plans))
+
+    def evaluate(x: np.ndarray) -> np.ndarray:
+        values: dict = {}
+        for j, p in todo:
+            out[:, j] = p.float_body(x.T, values)
+        todo[:] = [(j, p) for j, p in todo if p.reads]
+        return out
+    return evaluate
 
 
-def _rk4_flow(plans: Sequence[Plan], jac_plans: Sequence[Plan], x: np.ndarray,
-              J: np.ndarray, t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Fixed-step RK4 flow of the field f in ``plans`` from every row of x
-    for its own time t, in rescaled time s in [0, 1]: dx/ds = t f(x), and the
-    variational equation dJ/ds = t Df(x) J with Df row-major in ``jac_plans``.
+def _rk4_flow(plans: Sequence[Plan], x: np.ndarray, J: np.ndarray,
+              t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Fixed-step RK4 flow of a field f from every row of x for its own time
+    t, in rescaled time s in [0, 1]: dx/ds = t f(x), and the variational
+    equation dJ/ds = t Df(x) J.  ``plans`` holds Df, row-major, then f.
     One step count serves all rows."""
     N, n = x.shape
     steps = max(1, math.ceil(float(np.max(np.abs(t))) / RK4_STEP))
     dt = (t / steps)[:, None]
+    field = _evaluator(plans, N)
+    k = np.empty((4, N, n + n * n))      # the four stages' derivatives
 
-    def rhs(y):
-        Df = _batch(jac_plans, y[:, :n]).reshape(N, n, n)
-        return np.hstack([_batch(plans, y[:, :n]),
-                          (Df @ y[:, n:].reshape(N, n, n)).reshape(N, -1)])
+    def rhs(y, out):
+        v = field(y[:, :n])
+        out[:, :n] = v[:, n * n:]
+        out[:, n:] = (v[:, :n * n].reshape(N, n, n)
+                      @ y[:, n:].reshape(N, n, n)).reshape(N, -1)
+        return out
 
     y = np.hstack([x, J.reshape(N, -1)])
     for _ in range(steps):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * dt * k1)
-        k3 = rhs(y + 0.5 * dt * k2)
-        k4 = rhs(y + dt * k3)
+        k1 = rhs(y, k[0])
+        k2 = rhs(y + 0.5 * dt * k1, k[1])
+        k3 = rhs(y + 0.5 * dt * k2, k[2])
+        k4 = rhs(y + dt * k3, k[3])
         y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         if not np.max(np.abs(y[:, :n])) <= DOMAIN_LIMIT:     # also true for nan
             raise StraighteningError(
@@ -791,11 +803,14 @@ def straighten_commuting(fields: Sequence[VectorField],
     n = chart.dim
     k = len(fields)
     base = np.array([float(b) for b in base])
-    plans = [[Plan(c) for c in X.coefficients] for X in fields]
-    jac_plans = [[Plan(partial(c, name)) for c in X.coefficients
-                  for name in chart.names] for X in fields]
+    plans, jac_plans = [], []
+    for X in fields:
+        compiled: dict = {}     # one compile table per field
+        plans.append([Plan(c, compiled) for c in X.coefficients])
+        jac_plans.append([Plan(partial(c, name), compiled)
+                          for c in X.coefficients for name in chart.names])
 
-    M = np.vstack([_batch(ps, base[None]) for ps in plans])
+    M = np.vstack([_evaluator(ps, 1)(base[None]) for ps in plans])
     if _linalg.float_rank(M, policy.rel_tol) < k:
         raise StraighteningError("fields are dependent at the base point")
 
@@ -818,16 +833,17 @@ def straighten_commuting(fields: Sequence[VectorField],
     for m, ax in enumerate(slice_axes):
         x[:, ax] += U[:, k + m]
         J[:, ax, k + m] = 1.0
+    fs = [_evaluator(ps, len(combos)) for ps in plans]
     for i in reversed(range(k)):
-        x, J = _rk4_flow(plans[i], jac_plans[i], x, J, U[:, i])
-        J[:, :, i] = _batch(plans[i], x)
+        x, J = _rk4_flow(jac_plans[i] + plans[i], x, J, U[:, i])
+        J[:, :, i] = fs[i](x)
 
     nodes = [(tuple(map(float, combo)), row) for combo, row in zip(combos, x)]
     singular = [u for (u, _), det in zip(nodes, np.linalg.det(J))
                 if _linalg.negligible(det, NOISE_FLOOR)]
     if singular:
         raise StraighteningError(f"singular jacobian on the grid at u={singular[0]}")
-    F = np.stack([_batch(ps, x) for ps in plans], axis=-1)
+    F = np.stack([f(x) for f in fs], axis=-1)
     max_err = float(np.max(np.abs(np.linalg.solve(J, F) - np.eye(n)[:, :k])))
     return StraighteningGrid(base, slice_axes, nodes, list(J),
                              max_err, _linalg.negligible(max_err, GRID_CERTIFICATE))

@@ -393,10 +393,11 @@ class Plan:
                                   "expression with exact coefficients")
         return self._run(x, Fraction(0), _EXACT_COEFF, None, {})
 
-    def float_body(self, x: Sequence):
+    def float_body(self, x: Sequence, values: Optional[dict] = None):
         """Float body; ``x`` holds floats, zero at odd coordinates, or one
-        float array per coordinate for an array of bodies (or a float)."""
-        return self._run(x, 0.0, _FLOAT_COEFF, _body_atom, {})
+        float array per coordinate for an array of bodies (or a float).
+        ``values`` is a value table, as for ``grassmann``."""
+        return self._run(x, 0.0, _FLOAT_COEFF, _body_atom, {} if values is None else values)
 
     def grassmann(self, x: Sequence[np.ndarray], floor: float = 0.0,
                   values: Optional[dict] = None) -> GrassmannBatch:
@@ -460,17 +461,16 @@ def _coordinates(chart: ChartSpec, points: List[list]) -> List[np.ndarray]:
 
 def _body_point(plans: Sequence[Plan], point: Mapping[str, object],
                 number=Fraction) -> list:
-    """Per-coordinate values of a body point, as ``number``: odd coordinates,
-    and even ones that no plan reads, are zero."""
+    """Per-coordinate values of a body point, as ``number``: only the even
+    coordinates some plan reads are converted, and the others are zero."""
     chart = plans[0].chart
     reads = set().union(*(p.reads for p in plans))
     x = [number(0)] * chart.dim
-    for i in chart.even_indices:
+    for i in (i for i in chart.even_indices if i in reads):
         name = chart.coords[i].name
-        if name in point:
-            x[i] = number(point[name])
-        elif i in reads:
+        if name not in point:
             raise EvaluationError(f"no value for coordinate {name!r}")
+        x[i] = number(point[name])
     return x
 
 

@@ -191,6 +191,27 @@ def test_straightening_is_silent_and_typed_on_an_overflowed_argument():
     assert caught == []
 
 
+@pytest.mark.parametrize("coeffs", [{"x": "log(-1)"}, {"x": "1", "y": "log(-1)*x"}])
+def test_straightening_raises_the_typed_error_of_a_failing_constant(coeffs):
+    c = chart(("x", 0, 0), ("y", 0, 0))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(EvaluationError,
+                           match="^log of a value with nonpositive body$"):
+            straighten_commuting([vector_field(c, coeffs)], [0.0, 0.0])
+    assert caught == []
+
+
+@pytest.mark.parametrize("spoiled", [math.nan, math.inf, "not a number"])
+def test_a_coordinate_no_plan_reads_is_not_converted(spoiled):
+    c = chart(("x", 0, 0), ("y", 0, 0), ("z", 0, 0))
+    plans = [Plan(parse_expr(t, c)) for t in ("x^2 + 1/3", "sin(x)*z", "7")]
+    points = sample_body_points(c, 8, 3)
+    batch = list(body_values(plans, points))
+    assert list(body_values(plans, [dict(p, y=spoiled) for p in points])) == batch
+    for point, vals in zip(points, batch):
+        assert _one_at_a_time(plans, dict(point, y=spoiled)) == vals
+
 
 def test_a_plan_that_reads_no_coordinate_runs_once_per_batch(monkeypatch):
     c = chart(("x", 0, 0), ("y", 0, 0))

@@ -20,6 +20,7 @@ from graded_darboux.darboux import (NormalFormSpec, StraighteningError,
                                     linear_darboux, log_primitive,
                                     one_form_darboux, poincare_primitive,
                                     straighten_commuting, verify_normal_form)
+from graded_darboux.grexpr.equality import RK4_STEP
 from graded_darboux.grexpr.grassmann import Plan
 from graded_darboux.homogeneity import (WeightVectorField, degree_of,
                                         weight_field_of_chart)
@@ -538,9 +539,9 @@ class TestStraightening:
         calls = []
         float_body = Plan.float_body
 
-        def counting(plan, x):
+        def counting(plan, x, values=None):
             calls.append(plan)
-            return float_body(plan, x)
+            return float_body(plan, x, values)
 
         monkeypatch.setattr(Plan, "float_body", counting)
         counts = []
@@ -551,6 +552,34 @@ class TestStraightening:
             assert grid.certified and len(grid.nodes) == nodes ** 3
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0
+
+    def test_a_constant_plan_runs_once_per_flow(self, monkeypatch):
+        # a plan that reads no coordinate runs once at the base point, once
+        # per flow and once on the grid, whatever the RK4 step count; a plan
+        # that reads one runs at each of the four stages of every step
+        c = chart(("x", 0, 0), ("y", 0, 0), ("z", 0, 0))
+        pair = [basis_field(c, "x"), vector_field(c, {"y": "1", "z": "cos(y)"})]
+        calls = []
+        float_body = Plan.float_body
+
+        def counting(plan, x, values=None):
+            calls.append(plan)
+            return float_body(plan, x, values)
+
+        monkeypatch.setattr(Plan, "float_body", counting)
+        counts = []
+        for box in (0.05, 0.3):
+            calls.clear()
+            assert straighten_commuting(pair, [0, 0, 0], box=box).certified
+            counts.append([(bool(p.reads), calls.count(p))
+                           for p in dict.fromkeys(calls)])     # first-call order
+        small, large = counts
+        extra = 4 * (math.ceil(0.3 / RK4_STEP) - math.ceil(0.05 / RK4_STEP))
+        assert [r for r, _ in small] == [r for r, _ in large]
+        assert [r for r, _ in small].count(True) == 2     # cos(y), -sin(y)
+        for (reads, n_small), (_, n_large) in zip(small, large):
+            assert n_large - n_small == (extra if reads else 0)
+            assert reads or n_small in (1, 3)
 
     def test_noncommuting_rejected(self):
         c = chart(("x", 0, 0), ("y", 0, 0))

@@ -9,7 +9,8 @@ import pytest
 
 from graded_darboux import (EqualityPolicy, apply_func, chart, const, coord,
                             diff, equal, eval_body_exact, eval_numeric, gdiv,
-                            gmul, one, parse_expr, substitute, zero)
+                            gmul, one, parse_expr, partial, substitute,
+                            zero)
 from graded_darboux.grexpr import equality, grassmann
 from graded_darboux.grexpr.expr import EvaluationError
 from graded_darboux.grexpr.grassmann import (GrassmannValue, Plan, _product,
@@ -579,3 +580,32 @@ class TestSharedTables:
             _assert_bit_identical(shared, exprs, x, 0.2)
             failed.update(b.failure.any() for b in shared)
         assert failed == {True, False}
+
+    def test_shared_float_bodies_are_bit_identical_to_fresh_ones(self, monkeypatch):
+        """h = g(y)*exp(3z), dh/dy and dh/dz compiled through one table
+        evaluate exp(3z) once per value table, to the bits of a fresh
+        table, at one point and at per-coordinate arrays of points."""
+        c = chart(("x", 0, 0), ("y", 0, 0), ("z", 0, 0))
+        h = parse_expr("(7/10 + 1/10*sin(4/5*y))*exp(3*z)", c)
+        compiled = {}
+        plans = [Plan(e, compiled) for e in (h, partial(h, "y"), partial(h, "z"))]
+        atoms = []
+        body_atom = grassmann._body_atom
+
+        def counting(kind, body):
+            atoms.append(kind)
+            return body_atom(kind, body)
+
+        monkeypatch.setattr(grassmann, "_body_atom", counting)
+        rng = random.Random(3)
+        cols = [np.array([rng.uniform(-1, 1) for _ in range(16)]) for _ in range(3)]
+        for x in ([0.3, -0.2, 0.45], cols):
+            atoms.clear()
+            fresh = [np.atleast_1d(p.float_body(x)) for p in plans]
+            assert atoms.count("exp") == 3
+            atoms.clear()
+            table = {}
+            shared = [np.atleast_1d(p.float_body(x, values=table)) for p in plans]
+            assert atoms.count("exp") == 1
+            assert [[v.hex() for v in a.tolist()] for a in shared] == \
+                [[v.hex() for v in a.tolist()] for a in fresh]
