@@ -19,14 +19,13 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from . import _linalg
 from .cartan import ChartMap, Memo, VectorField, exterior_d, vector_field
-from .grexpr.chart import ChartSpec, CoordinateDecl, as_parity
+from .grexpr.chart import ChartSpec, CoordinateDecl, EVEN, as_parity
 from .grexpr.equality import DEFAULT_POLICY, EqualityPolicy, equal
 from .grexpr.expr import GradedExpr
 from .grexpr.parser import format_expr, parse_expr
-from .homogeneity import (Distribution, WeightVectorField, degree_of,
-                          distribution_homogeneous, involutive_check,
-                          tangent_lift, cotangent_lift, verify_weight_chart,
-                          weight_field_of_chart)
+from .homogeneity import (Distribution, degree_of, distribution_homogeneous,
+                          involutive_check, tangent_lift, cotangent_lift,
+                          verify_weight_chart, weight_field_of_chart)
 from .pfaffian import characteristic_class, liouville, presymplectic_check, reeb
 from .darboux import (NormalFormSpec, homog_solve_pde,
                       linear_darboux, log_primitive, one_form_darboux,
@@ -191,12 +190,14 @@ def _match_field(want: dict, got: Optional[VectorField],
 # "pass", "fail" or "indeterminate"; run_task renders, matches and writes it.
 
 
-def _nabla(args, ws: Workspace, chart: ChartSpec) -> WeightVectorField:
+def _nabla(args, ws: Workspace, chart: ChartSpec) -> VectorField:
     """The declared weight field ``nabla``, else the canonical one of chart."""
     if "nabla" not in args:
         return weight_field_of_chart(chart)
     f = ws.vfield(args["nabla"])
-    return WeightVectorField(f, canonical=verify_weight_chart(f, f.chart))
+    if f.parity != EVEN:
+        raise ValueError("weight vector fields are even")
+    return f
 
 
 def _check_chart(args, ws, policy):
@@ -228,7 +229,7 @@ def _lift(args, ws, policy):
     lifted = tangent_lift(nab) if kind == "tangent" else cotangent_lift(nab)
     return {"chart": [[c.name, "odd" if c.parity else "even", str(c.weight)]
                       for c in lifted.chart.coords],
-            "output_exprs": lifted.field}, "pass"
+            "output_exprs": lifted}, "pass"
 
 
 def _classify(args, ws, policy):

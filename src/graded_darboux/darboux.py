@@ -33,7 +33,7 @@ from .grexpr.expr import (GradedExpr, apply_func, const, coord, diff, gdiv,
                           gmul, partial, substitute, zero)
 from .grexpr.integrate import NonIntegrable, integrate_univariate
 from .grexpr.grassmann import Plan, body_values
-from .homogeneity import (DegreeReport, WeightVectorField, degree_of,
+from .homogeneity import (DegreeReport, degree_of, verify_weight_chart,
                           weight_field_of_chart)
 from .pfaffian import PfaffianError, characteristic_class, flat_matrix
 
@@ -137,7 +137,7 @@ class DarbouxResult:
 
 
 def homog_solve_pde(g: GradedExpr, y1: str,
-                    nabla: Optional[WeightVectorField] = None) -> GradedExpr:
+                    nabla: Optional[VectorField] = None) -> GradedExpr:
     """Solve df/dy1 = g by f = integral of g from 0 to y1.
 
     For homogeneous g of weight w the solution has weight w + weight(y1) and
@@ -183,7 +183,7 @@ def homotopy(w: GradedExpr) -> GradedExpr:
     return out
 
 
-def poincare_primitive(w: GradedExpr, nabla: Optional[WeightVectorField] = None,
+def poincare_primitive(w: GradedExpr, nabla: Optional[VectorField] = None,
                        center: Optional[Dict[str, object]] = None) -> GradedExpr:
     """Primitive of a closed polynomial form that preserves homogeneity.
 
@@ -194,8 +194,7 @@ def poincare_primitive(w: GradedExpr, nabla: Optional[WeightVectorField] = None,
     coordinates (the homotopy is run in translated coordinates).
     """
     chart = w.chart
-    nabla = nabla or weight_field_of_chart(chart)
-    if not nabla.canonical:
+    if nabla is not None and not verify_weight_chart(nabla, chart):
         raise ValueError("expected the canonical weight field of the chart")
     deg = w.form_degree()
     if deg is None or deg < 1:
@@ -273,7 +272,7 @@ def primitive_by_quadrature(beta: GradedExpr,
     return g
 
 
-def log_primitive(w: GradedExpr, nabla: Optional[WeightVectorField] = None,
+def log_primitive(w: GradedExpr, nabla: Optional[VectorField] = None,
                   policy: EqualityPolicy = DEFAULT_POLICY
                   ) -> Tuple[GradedExpr, GradedExpr]:
     """Split a closed weight-zero one-form as c * d(x)/x + d(g) near a point
@@ -297,7 +296,7 @@ def log_primitive(w: GradedExpr, nabla: Optional[WeightVectorField] = None,
     if not rep.homogeneous or rep.degree is None or rep.degree.weight != 0:
         raise ValueError("log primitive needs a homogeneous weight-0 one-form")
 
-    c_expr = interior(nabla.field, w)
+    c_expr = interior(nabla, w)
     cval = c_expr.constant_value()
     if cval is None:
         raise ValueError(f"i_nabla of the form is not constant: {c_expr}")
@@ -448,7 +447,7 @@ def _jacobian_nonsingular(images: Sequence[GradedExpr], chart: ChartSpec,
 
 def one_form_darboux(alpha: GradedExpr, presymp_chart: ChartMap,
                      r: int, s: int = 0, eps: Tuple[int, ...] = (),
-                     nabla: Optional[WeightVectorField] = None,
+                     nabla: Optional[VectorField] = None,
                      base_point: Optional[Dict[str, object]] = None,
                      policy: EqualityPolicy = DEFAULT_POLICY, *,
                      memo: Optional[Memo] = None) -> DarbouxResult:
@@ -474,7 +473,7 @@ def one_form_darboux(alpha: GradedExpr, presymp_chart: ChartMap,
     notes: List[str] = []
 
     # guard: nabla(base) nonzero and inside the characteristic space
-    nvec = np.array(body_values([Plan(c) for c in nabla.field.coefficients],
+    nvec = np.array(body_values([Plan(c) for c in nabla.coefficients],
                                 [base])[0], dtype=float)
     nabla_vanishes = _linalg.vanishes(nvec, policy.rel_tol)
     if not nabla_vanishes:
@@ -526,7 +525,7 @@ def one_form_darboux(alpha: GradedExpr, presymp_chart: ChartMap,
         if z_img is None:
             return DarbouxResult("verification-only", notes=notes)
         if log_branch:
-            if lie_derivative(nabla.field, z_img,
+            if lie_derivative(nabla, z_img,
                               memo=memo).constant_value() is None:
                 notes.append("weight field applied to the primitive is not "
                              "constant: cannot form the exponential coordinate")
@@ -616,7 +615,7 @@ def _closed_primitive(beta: GradedExpr, base: Dict[str, object],
 
 
 def verify_normal_form(alpha: GradedExpr, phi: ChartMap, spec: NormalFormSpec,
-                       nabla: Optional[WeightVectorField] = None,
+                       nabla: Optional[VectorField] = None,
                        policy: EqualityPolicy = DEFAULT_POLICY, *,
                        memo: Optional[Memo] = None) -> VerificationReport:
     """Certificate check of a candidate normal-form chart.
@@ -794,6 +793,13 @@ def straighten_commuting(fields: Sequence[VectorField],
     for X in fields:
         if X.parity != EVEN or X.chart != chart:
             raise StraighteningError("fields must be even and share one chart")
+    if len(base) != chart.dim:
+        raise StraighteningError(f"base has {len(base)} entries for a chart "
+                                 f"of dimension {chart.dim}")
+    if nodes_per_axis < 1:
+        raise StraighteningError("need at least one node per axis")
+    if not (math.isfinite(box) and box > 0):
+        raise StraighteningError(f"box must be positive and finite, not {box!r}")
     for i, j in combinations(range(len(fields)), 2):
         for c in lie_bracket(fields[i], fields[j]).coefficients:
             if not equal(c, zero(chart), policy):

@@ -36,6 +36,9 @@ class EqualityPolicy:
     def __post_init__(self):
         if self.n_points < 1:
             raise ValueError("a sampled decision needs at least one point")
+        if self.mode not in ("auto", "randomized"):
+            raise ValueError(f"equality mode is 'auto' or 'randomized', "
+                             f"not {self.mode!r}")
         if not 0 < self.rel_tol < np.inf:      # also rejects nan
             raise ValueError(f"tolerance must be a positive finite number, "
                              f"not {self.rel_tol!r}")

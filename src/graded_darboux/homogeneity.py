@@ -16,23 +16,6 @@ from .grexpr.expr import coord, is_exact_coeff, zero
 from .grexpr.grassmann import Plan, body_values, sample_body_points
 
 
-@dataclass(frozen=True)
-class WeightVectorField:
-    """An even vector field defining homogeneity; canonical when its
-    coefficients read weight(x) * x in the ambient chart."""
-
-    field: VectorField
-    canonical: bool = False
-
-    def __post_init__(self):
-        if self.field.parity != EVEN:
-            raise ValueError("weight vector fields are even")
-
-    @property
-    def chart(self) -> ChartSpec:
-        return self.field.chart
-
-
 @dataclass
 class Degree:
     parity: Optional[int]
@@ -75,7 +58,7 @@ class Distribution:
 # -- weight fields ------------------------------------------------------------
 
 
-def weight_field_of_chart(chart: ChartSpec) -> WeightVectorField:
+def weight_field_of_chart(chart: ChartSpec) -> VectorField:
     """The canonical field sum_i weight(x^i) * x^i d/dx^i of a chart."""
     coeffs = []
     for c in chart.coords:
@@ -83,14 +66,14 @@ def weight_field_of_chart(chart: ChartSpec) -> WeightVectorField:
             coeffs.append(zero(chart))
         else:
             coeffs.append(coord(chart, c.name) * c.weight)
-    return WeightVectorField(VectorField(chart, EVEN, tuple(coeffs)), canonical=True)
+    return VectorField(chart, EVEN, tuple(coeffs))
 
 
 def verify_weight_chart(nabla: VectorField, chart: ChartSpec) -> bool:
     """True iff the coefficient of every x^i is exactly weight(x^i) * x^i."""
     if nabla.chart != chart or nabla.parity != EVEN:
         return False
-    want = weight_field_of_chart(chart).field
+    want = weight_field_of_chart(chart)
     return all(a == b for a, b in zip(nabla.coefficients, want.coefficients))
 
 
@@ -117,13 +100,12 @@ def _match_ratio(pairs, is_exact: bool, tol: float):
     return Fraction(0) if w is None else w
 
 
-def degree_of(T, nabla: WeightVectorField,
+def degree_of(T, nabla: VectorField,
               policy: EqualityPolicy = DEFAULT_POLICY, *,
               memo: Optional[Memo] = None) -> DegreeReport:
     """Homogeneity degree via coefficient matching of L_nabla T against w*T."""
-    nf = nabla.field if isinstance(nabla, WeightVectorField) else nabla
     if isinstance(T, VectorField):
-        L = lie_bracket(nf, T, memo=memo)
+        L = lie_bracket(nabla, T, memo=memo)
         parity, pairs = T.parity, list(zip(T.coefficients, L.coefficients))
     else:
         if T.is_zero():
@@ -131,7 +113,7 @@ def degree_of(T, nabla: WeightVectorField,
         parity = T.parity()
         if parity is None:
             return DegreeReport(False, None, T, "mixed parity")
-        L = lie_derivative(nf, T, memo=memo)
+        L = lie_derivative(nabla, T, memo=memo)
         pairs = [(T, L)]
 
     # monomial coefficients of each (input, derivative) component pair
@@ -181,16 +163,16 @@ def _lifted_chart(chart: ChartSpec, prefix: str, suffix: str,
     return ChartSpec(tuple(decls), default_box=chart.default_box)
 
 
-def tangent_lift(nabla: WeightVectorField) -> WeightVectorField:
+def tangent_lift(nabla: VectorField) -> VectorField:
     """Adapted chart (x, x_dot) with the lifted field sum w (x dx + xd dxd)."""
-    if not nabla.canonical:
+    if not verify_weight_chart(nabla, nabla.chart):
         raise ValueError("tangent lift expects the canonical weight field")
     return weight_field_of_chart(_lifted_chart(nabla.chart, "", "_dot", +1))
 
 
-def cotangent_lift(nabla: WeightVectorField) -> WeightVectorField:
+def cotangent_lift(nabla: VectorField) -> VectorField:
     """Adapted chart (x, p_x); momenta carry the opposite weight."""
-    if not nabla.canonical:
+    if not verify_weight_chart(nabla, nabla.chart):
         raise ValueError("cotangent lift expects the canonical weight field")
     return weight_field_of_chart(_lifted_chart(nabla.chart, "p_", "", -1))
 
@@ -219,12 +201,11 @@ def _span_contains(D: Distribution, Y: VectorField,
     return True
 
 
-def distribution_homogeneous(D: Distribution, nabla: WeightVectorField,
+def distribution_homogeneous(D: Distribution, nabla: VectorField,
                              policy: EqualityPolicy = DEFAULT_POLICY) -> bool:
     """Whether L_nabla of every generator stays inside the span."""
-    nf = nabla.field if isinstance(nabla, WeightVectorField) else nabla
     for g in D.generators:
-        if not _span_contains(D, lie_bracket(nf, g), policy):
+        if not _span_contains(D, lie_bracket(nabla, g), policy):
             return False
     return True
 

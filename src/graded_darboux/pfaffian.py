@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _linalg
 from .cartan import Memo, VectorField, basis_field, exterior_d, interior
-from .grexpr.chart import EVEN
+from .grexpr.chart import ChartSpec, EVEN
 from .grexpr.equality import DEFAULT_POLICY, EqualityPolicy, equal
 from .grexpr.expr import GradedExpr, one, zero
 from .grexpr.grassmann import Plan, body_values, sample_body_points
@@ -135,6 +135,15 @@ class ClassificationReport:
         return self.kind != "irregular"
 
 
+def _body_points(chart: ChartSpec, points, policy: EqualityPolicy):
+    """The given body points, else the policy's sampled ones; never none."""
+    if points is None:
+        return sample_body_points(chart, policy.n_points, policy.seed)
+    if not points:
+        raise PfaffianError("a sampled decision needs at least one point")
+    return points
+
+
 def characteristic_class(alpha: GradedExpr,
                          points: Optional[Sequence[Dict[str, object]]] = None,
                          policy: EqualityPolicy = DEFAULT_POLICY, *,
@@ -147,8 +156,7 @@ def characteristic_class(alpha: GradedExpr,
         raise PfaffianError("classification expects a one-form")
     if alpha.parity() is None:
         raise PfaffianError("classification expects a form of definite parity")
-    if points is None:
-        points = sample_body_points(chart, policy.n_points, policy.seed)
+    points = _body_points(chart, points, policy)
 
     memo = Memo() if memo is None else memo
     dalpha = exterior_d(alpha, memo=memo)
@@ -217,8 +225,7 @@ def presymplectic_check(omega: GradedExpr,
     domega = exterior_d(omega, memo=memo)
     if not equal(domega, zero(chart), policy):
         raise NotClosedError("form is not closed", witness=str(domega))
-    if points is None:
-        points = sample_body_points(chart, policy.n_points, policy.seed)
+    points = _body_points(chart, points, policy)
 
     fmap = memo.take("flat", omega, _FlatMap, omega, memo)
     evidence = []

@@ -127,7 +127,7 @@ def test_criterion_04_liouville():
     assert X.coefficient("p") == coord(c, "p")
     assert X.coefficient("q").is_zero()
 
-    nab = weight_field_of_chart(c).field          # q dq - p dp
+    nab = weight_field_of_chart(c)                # q dq - p dp
     br = lie_bracket(nab, X)
     assert all(co.is_zero() for co in br.coefficients)
     _done(4, "Liouville field p*d/dp recovered exactly; commutes with the "

@@ -231,6 +231,39 @@ def test_float_overflow_fails_the_task(tmp_path, cmd):
                     "error": "math range error"}
 
 
+@pytest.mark.parametrize("args, error", [
+    ({"nodes": 0}, "need at least one node per axis"),
+    ({"base": [0.0]}, "base has 1 entries for a chart of dimension 2"),
+], ids=["no-nodes", "short-base"])
+def test_bad_straighten_arguments_fail_the_task(tmp_path, args, error):
+    """A grid that cannot be built fails its task; the run still reports."""
+    m = tmp_path / "grid.json"
+    m.write_text(json.dumps({
+        "charts": {"M": {"coords": [["x", "even", "0"], ["y", "even", "0"]]}},
+        "fields": {"X": {"chart": "M", "coeffs": {"x": "1"}}},
+        "tasks": [{"cmd": "straighten", "args": {"fields": ["X"], **args}}]}))
+    out = tmp_path / "rep.json"
+    assert run(str(m), json_out=str(out), stream=open(os.devnull, "w")) == 1
+    (task,) = json.loads(out.read_text())["tasks"]
+    assert task == {"task": "straighten", "seed": 0, "status": "fail",
+                    "error": error}
+
+
+def test_odd_weight_field_fails_the_task(tmp_path):
+    m = tmp_path / "odd.json"
+    m.write_text(json.dumps({
+        "charts": {"M": {"coords": [["x", "even", "0"], ["t", "odd", "0"]]}},
+        "fields": {"Q": {"chart": "M", "parity": "odd",
+                         "coeffs": {"x": "t"}}},
+        "forms": {"a": {"chart": "M", "expr": "d(x)"}},
+        "tasks": [{"cmd": "degree", "args": {"of": "a", "nabla": "Q"}}]}))
+    out = tmp_path / "rep.json"
+    assert run(str(m), json_out=str(out), stream=open(os.devnull, "w")) == 1
+    (task,) = json.loads(out.read_text())["tasks"]
+    assert task == {"task": "degree", "seed": 0, "status": "fail",
+                    "error": "weight vector fields are even"}
+
+
 def test_arithmetic_bug_in_a_handler_raises(tmp_path, monkeypatch):
     """Only evaluation errors fail a task; a ZeroDivisionError is a bug."""
     def broken(args, ws, policy):

@@ -22,8 +22,7 @@ from graded_darboux.darboux import (NormalFormSpec, StraighteningError,
                                     straighten_commuting, verify_normal_form)
 from graded_darboux.grexpr.equality import RK4_STEP
 from graded_darboux.grexpr.grassmann import Plan
-from graded_darboux.homogeneity import (WeightVectorField, degree_of,
-                                        weight_field_of_chart)
+from graded_darboux.homogeneity import degree_of, weight_field_of_chart
 from graded_darboux.pfaffian import PfaffianError
 from helpers import random_chart, random_expr, random_monomial
 
@@ -340,7 +339,7 @@ class TestOneFormDarboux:
         phi = ChartMap(c, t, {"q": parse_expr("yy", c),
                               "p": parse_expr("1+xx", c),
                               "K": parse_expr("tt", c)})
-        nb = WeightVectorField(basis_field(c, "tt"), canonical=False)
+        nb = basis_field(c, "tt")
         res = one_form_darboux(alpha, phi, r=1, nabla=nb)
         assert res.status == "not-guaranteed"
         assert res.chart_map is None
@@ -607,6 +606,22 @@ class TestStraightening:
         f = vector_field(c, {"x": "10 + 100*x^2"})
         with pytest.raises(StraighteningError, match="domain"):
             straighten_commuting([f], [0.0], box=0.5, nodes_per_axis=3)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"base": [0.0]}, "base has 1 entries"),
+        ({"base": [0.0, 0.0, 0.0]}, "base has 3 entries"),
+        ({"nodes_per_axis": 0}, "at least one node"),
+        ({"box": 0.0}, "positive and finite"),
+        ({"box": -0.5}, "positive and finite"),
+        ({"box": float("nan")}, "positive and finite"),
+        ({"box": float("inf")}, "positive and finite"),
+    ], ids=["short-base", "long-base", "no-nodes", "zero-box", "negative-box",
+            "nan-box", "inf-box"])
+    def test_bad_grid_arguments_rejected(self, kwargs, message):
+        c = chart(("x", 0, 0), ("y", 0, 0))
+        args = {"base": [0.0, 0.0], "box": 0.5, "nodes_per_axis": 2, **kwargs}
+        with pytest.raises(StraighteningError, match=message):
+            straighten_commuting([basis_field(c, "x")], **args)
 
     def test_csv_export(self, tmp_path):
         c = chart(("x", 0, 0))

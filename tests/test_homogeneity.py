@@ -8,9 +8,10 @@ import pytest
 from graded_darboux import (EqualityPolicy, chart, coord, diff,
                             eval_body_exact, gmul, parse_expr)
 from graded_darboux.cartan import basis_field, vector_field
+from graded_darboux.darboux import poincare_primitive
 from graded_darboux.homogeneity import (Distribution, RankCollapseError,
-                                        WeightVectorField, cotangent_lift,
-                                        degree_of, distribution_homogeneous,
+                                        cotangent_lift, degree_of,
+                                        distribution_homogeneous,
                                         involutive_check, tangent_lift,
                                         verify_weight_chart,
                                         weight_field_of_chart)
@@ -22,20 +23,20 @@ class TestWeightField:
     def test_cylinder(self):
         c = chart(("z", 0, 0), ("p", 0, 1), ("q", 0, -1))
         nab = weight_field_of_chart(c)
-        assert nab.canonical
-        assert nab.field.coefficient("z").is_zero()
-        assert nab.field.coefficient("p") == coord(c, "p")
-        assert nab.field.coefficient("q") == -coord(c, "q")
+        assert verify_weight_chart(nab, c)
+        assert nab.coefficient("z").is_zero()
+        assert nab.coefficient("p") == coord(c, "p")
+        assert nab.coefficient("q") == -coord(c, "q")
 
     def test_zero_weights(self):
         c = chart(("x", 0, 0), ("y", 0, 0))
-        assert weight_field_of_chart(c).field.is_zero()
+        assert weight_field_of_chart(c).is_zero()
 
     def test_euler(self):
         c = chart(("y1", 0, 1), ("y2", 0, 1), ("t1", 1, 1))
         nab = weight_field_of_chart(c)
         for name in c.names:
-            assert nab.field.coefficient(name) == coord(c, name)
+            assert nab.coefficient(name) == coord(c, name)
 
     def test_verify(self):
         c = chart(("x", 0, 1))
@@ -48,7 +49,7 @@ class TestWeightField:
         rng = random.Random(12)
         for _ in range(25):
             c = random_chart(rng)
-            assert verify_weight_chart(weight_field_of_chart(c).field, c)
+            assert verify_weight_chart(weight_field_of_chart(c), c)
 
     def test_weights_consistent(self):
         a = chart(("x", 0, 1), ("y", 0, -1))
@@ -67,7 +68,7 @@ class TestDegree:
 
     def test_momentum_form(self):
         c = chart(("q", 0, 0), ("p", 0, 1))
-        nab = WeightVectorField(vector_field(c, {"p": "p"}), canonical=False)
+        nab = vector_field(c, {"p": "p"})
         rep = degree_of(parse_expr("p*d(q)", c), nab)
         assert rep.homogeneous and rep.degree.weight == 1
 
@@ -120,25 +121,25 @@ class TestLifts:
         lifted = tangent_lift(weight_field_of_chart(c))
         assert lifted.chart.names == ("x", "x_dot")
         assert lifted.chart.weight(1) == 1
-        assert lifted.field.coefficient("x_dot") == coord(lifted.chart, "x_dot")
+        assert lifted.coefficient("x_dot") == coord(lifted.chart, "x_dot")
 
     def test_cotangent_sign_flip(self):
         c = chart(("x", 0, 1))
         lifted = cotangent_lift(weight_field_of_chart(c))
         assert lifted.chart.names == ("x", "p_x")
         assert lifted.chart.weight(1) == -1
-        assert lifted.field.coefficient("p_x") == -coord(lifted.chart, "p_x")
+        assert lifted.coefficient("p_x") == -coord(lifted.chart, "p_x")
 
     def test_zero_field_lifts_to_zero(self):
         c = chart(("x", 0, 0))
-        assert tangent_lift(weight_field_of_chart(c)).field.is_zero()
-        assert cotangent_lift(weight_field_of_chart(c)).field.is_zero()
+        assert tangent_lift(weight_field_of_chart(c)).is_zero()
+        assert cotangent_lift(weight_field_of_chart(c)).is_zero()
 
     def test_two_coordinate_tangent_lift(self):
         c = chart(("a", 0, 1), ("b", 0, -1))
         lifted = tangent_lift(weight_field_of_chart(c))
         nonzero = [n for n in lifted.chart.names
-                   if not lifted.field.coefficient(n).is_zero()]
+                   if not lifted.coefficient(n).is_zero()]
         assert nonzero == ["a", "b", "a_dot", "b_dot"]
 
     def test_lift_degree_consistency(self):
@@ -160,9 +161,40 @@ class TestLifts:
 
     def test_non_canonical_input_rejected(self):
         c = chart(("x", 0, 1))
-        nab = WeightVectorField(vector_field(c, {"x": "x"}), canonical=False)
+        nab = vector_field(c, {"x": "2*x"})
         with pytest.raises(ValueError):
             tangent_lift(nab)
+
+    def test_hand_built_canonical_field_accepted(self):
+        # canonicity is read off the coefficients, not declared: x d/dx is
+        # the canonical field of (x:1) however it was built
+        c = chart(("x", 0, 1))
+        nab = vector_field(c, {"x": "x"})
+        assert tangent_lift(nab) == tangent_lift(weight_field_of_chart(c))
+        assert cotangent_lift(nab) == cotangent_lift(weight_field_of_chart(c))
+        w = parse_expr("x*d(x)", c)
+        assert poincare_primitive(w, nab) == poincare_primitive(w)
+
+    @pytest.mark.parametrize("nabla", [
+        {"x": "2*x"}, {"x": "x^2"}, {"x": "x", "y": "x"}, {}],
+        ids=["doubled", "quadratic", "mixed", "zero"])
+    def test_non_canonical_field_never_lifted(self, nabla):
+        # only the chart's own weights can be lifted; any other field raises
+        # instead of lifting the chart's weights in its place
+        c = chart(("x", 0, 1), ("y", 0, 0))
+        nab = vector_field(c, nabla)
+        w = parse_expr("x*d(x)", c)
+        for op in (tangent_lift, cotangent_lift,
+                   lambda f: poincare_primitive(w, f)):
+            with pytest.raises(ValueError):
+                op(nab)
+
+    def test_field_of_another_chart_never_lifted(self):
+        c = chart(("x", 0, 1))
+        other = chart(("x", 0, 2))
+        with pytest.raises(ValueError):
+            poincare_primitive(parse_expr("x*d(x)", c),
+                               weight_field_of_chart(other))
 
     def test_name_collision_rejected(self):
         from graded_darboux.grexpr.chart import ChartError
@@ -186,9 +218,7 @@ class TestDistributions:
 
     def test_nonvanishing_transcendental_weight_field(self):
         c = chart(("q", 0, 0), ("p", 0, 0), ("z", 0, 0))
-        nab = WeightVectorField(
-            vector_field(c, {"z": "1", "q": "-sin(q)", "p": "p*cos(q)"}),
-            canonical=False)
+        nab = vector_field(c, {"z": "1", "q": "-sin(q)", "p": "p*cos(q)"})
         D = Distribution(c, (basis_field(c, "z"),))
         assert distribution_homogeneous(D, nab)
 
@@ -231,7 +261,7 @@ class TestDistributions:
     def test_exact_membership_verdicts(self, nabla, inside):
         c = chart(("x", 0, 0), ("y", 0, 0))
         D = Distribution(c, (vector_field(c, {"x": "1"}),))
-        nab = WeightVectorField(vector_field(c, nabla), canonical=False)
+        nab = vector_field(c, nabla)
         assert distribution_homogeneous(D, nab) is inside
 
     def test_rel_tol_reaches_membership(self):
@@ -239,8 +269,7 @@ class TestDistributions:
         # above the default rel_tol and below 1e-3
         c = chart(("x", 0, 0), ("y", 0, 0))
         D = Distribution(c, (basis_field(c, "x"),))
-        nab = WeightVectorField(
-            vector_field(c, {"x": "x", "y": "0.000001*exp(x)"}), canonical=False)
+        nab = vector_field(c, {"x": "x", "y": "0.000001*exp(x)"})
         assert not distribution_homogeneous(D, nab)
         assert distribution_homogeneous(D, nab, EqualityPolicy(rel_tol=1e-3))
 

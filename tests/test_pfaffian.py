@@ -192,6 +192,23 @@ class TestPresymplectic:
         assert rep.kernel.tolist() == [[0.0], [-1.0], [1.0]]
 
 
+class TestEmptySample:
+    """No points, no certificate: an empty point list is an error, not a
+    verdict."""
+
+    @pytest.mark.parametrize("text", ["d(z)", "d(z) - p*d(q)"],
+                             ids=["closed", "contact"])
+    def test_classification(self, text):
+        c = chart(("z", 0, 0), ("p", 0, 0), ("q", 0, 0))
+        with pytest.raises(PfaffianError, match="at least one point"):
+            characteristic_class(parse_expr(text, c), points=[])
+
+    def test_presymplectic(self):
+        c = chart(("p", 0, 0), ("q", 0, 0))
+        with pytest.raises(PfaffianError, match="at least one point"):
+            presymplectic_check(parse_expr("d(p)*d(q)", c), points=[])
+
+
 class TestReeb:
     def test_canonical(self):
         c = chart(("z", 0, 0), ("p", 0, 1), ("q", 0, -1))
@@ -246,7 +263,7 @@ class TestLiouville:
 
     def test_commutes_with_ambient_weight_field(self):
         c = chart(("q", 0, 1), ("p", 0, -1))
-        nab = weight_field_of_chart(c).field
+        nab = weight_field_of_chart(c)
         X = liouville(parse_expr("d(p)*d(q)", c), parse_expr("p*d(q)", c))
         br = lie_bracket(nab, X)
         assert all(co.is_zero() for co in br.coefficients)

@@ -29,6 +29,13 @@ def test_policy_rejects_a_tolerance_that_is_not_positive_and_finite(tol):
         EqualityPolicy(rel_tol=tol)
 
 
+# a misspelt mode must not pass for "auto" and take the exact shortcut
+@pytest.mark.parametrize("mode", ["Randomized", "random", "exact", ""])
+def test_policy_rejects_an_unknown_mode(mode):
+    with pytest.raises(ValueError, match="equality mode is 'auto' or 'randomized'"):
+        EqualityPolicy(mode=mode)
+
+
 def _small_float_literals(path: Path):
     """(file, line, value) of every nonzero float literal below 1e-3."""
     rel = path.relative_to(SRC).as_posix()
