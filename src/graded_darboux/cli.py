@@ -262,7 +262,9 @@ def _liouville(args, ws, policy):
 
 def _poincare(args, ws, policy):
     form = ws.form(args["form"])
-    prim = poincare_primitive(form, _nabla(args, ws, form.chart))
+    # the canonical field of the chart passes its own check: build none
+    nabla = _nabla(args, ws, form.chart) if "nabla" in args else None
+    prim = poincare_primitive(form, nabla)
     return {"output_exprs": [prim]}, "pass"
 
 

@@ -714,13 +714,25 @@ def _evaluator(plans: Sequence[Plan], N: int):
     return evaluate
 
 
+def _in_domain(x: np.ndarray) -> np.ndarray:
+    if not np.max(np.abs(x)) <= DOMAIN_LIMIT:     # also true for nan
+        raise StraighteningError(
+            "flow left the working domain; reduce the box or step")
+    return x
+
+
 def _rk4_flow(plans: Sequence[Plan], x: np.ndarray, J: np.ndarray,
               t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Fixed-step RK4 flow of a field f from every row of x for its own time
-    t, in rescaled time s in [0, 1]: dx/ds = t f(x), and the variational
-    equation dJ/ds = t Df(x) J.  ``plans`` holds Df, row-major, then f.
-    One step count serves all rows."""
+    """Flow of a field f from every row of x for its own time t, with the
+    variational equation for J; ``plans`` holds Df, row-major, then f.  A
+    field that reads no coordinate moves x to x + t f and leaves J (Df = 0);
+    the domain is convex, so checking both ends checks the path.  Any other
+    takes fixed-step RK4 in rescaled time s in [0, 1], dx/ds = t f(x) and
+    dJ/ds = t Df(x) J, with one step count for all rows."""
     N, n = x.shape
+    if not any(p.reads for p in plans):
+        f = _evaluator(plans[n * n:], N)(x)
+        return _in_domain(_in_domain(x) + t[:, None] * f), J
     steps = max(1, math.ceil(float(np.max(np.abs(t))) / RK4_STEP))
     dt = (t / steps)[:, None]
     field = _evaluator(plans, N)
@@ -740,9 +752,7 @@ def _rk4_flow(plans: Sequence[Plan], x: np.ndarray, J: np.ndarray,
         k3 = rhs(y + 0.5 * dt * k2, k[2])
         k4 = rhs(y + dt * k3, k[3])
         y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.max(np.abs(y[:, :n])) <= DOMAIN_LIMIT:     # also true for nan
-            raise StraighteningError(
-                "flow left the working domain; reduce the box or step")
+        _in_domain(y[:, :n])
     return y[:, :n], y[:, n:].reshape(N, n, n)
 
 
@@ -779,10 +789,13 @@ def straighten_commuting(fields: Sequence[VectorField],
     """Numeric straightening of commuting independent even fields.
 
     Coordinates are built by composing flows from a transversal slice, with
-    every grid node in one RK4 integration.  The variational equation
-    carries the Jacobian of the coordinate map along the same flows, and the
-    certificate checks that it pushes each field forward to the
-    corresponding coordinate derivation on every grid node.
+    every grid node in one integration per field: a field that reads no
+    coordinate flows in closed form, as a translation, and any other by
+    fixed-step RK4.  The variational equation carries the Jacobian of the
+    coordinate map along the same flows, and the certificate checks that it
+    pushes each field forward to the corresponding coordinate derivation on
+    every grid node.  The grid has ``nodes_per_axis`` nodes on each axis,
+    spanning [-box, box]; a single node is the base point.
     """
     if not fields:
         raise ValueError("need at least one field")
@@ -831,8 +844,9 @@ def straighten_commuting(fields: Sequence[VectorField],
             cur = cand
             slice_axes.append(j)
 
-    axes = [np.linspace(-box, box, nodes_per_axis) for _ in range(n)]
-    combos = list(iproduct(*axes))
+    axis = (np.linspace(-box, box, nodes_per_axis) if nodes_per_axis > 1
+            else np.zeros(1))
+    combos = list(iproduct(axis, repeat=n))
     U = np.array(combos)
     x = np.tile(base, (len(combos), 1))
     J = np.zeros((len(combos), n, n))

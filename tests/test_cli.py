@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from graded_darboux import apply_func, chart, coord, equal, parse_expr
-from graded_darboux import cli
+from graded_darboux import cli, darboux
 from graded_darboux.cli import Workspace, load_manifest, main, run, run_task
 from graded_darboux.grexpr.equality import EqualityPolicy
 
@@ -262,6 +262,40 @@ def test_odd_weight_field_fails_the_task(tmp_path):
     (task,) = json.loads(out.read_text())["tasks"]
     assert task == {"task": "degree", "seed": 0, "status": "fail",
                     "error": "weight vector fields are even"}
+
+
+@pytest.mark.parametrize("nabla, calls, status", [
+    (None, 0, "pass"), ("nab", 1, "pass"), ("twice", 1, "fail"),
+], ids=["none", "canonical", "not-canonical"])
+def test_poincare_checks_only_a_declared_weight_field(
+        tmp_path, monkeypatch, nabla, calls, status):
+    """Without ``nabla`` the task builds and checks no weight field; a
+    declared one is still checked, and a wrong one fails the task."""
+    counted = []
+    check = darboux.verify_weight_chart
+
+    def counting(f, c):
+        counted.append(f)
+        return check(f, c)
+
+    monkeypatch.setattr(darboux, "verify_weight_chart", counting)
+    args = {"form": "w"} if nabla is None else {"form": "w", "nabla": nabla}
+    m = tmp_path / "poincare.json"
+    m.write_text(json.dumps({
+        "charts": {"P": {"coords": [["a", "even", "1"], ["b", "even", "-1"]]}},
+        "fields": {"nab": {"chart": "P", "coeffs": {"a": "a", "b": "-b"}},
+                   "twice": {"chart": "P", "coeffs": {"a": "2*a", "b": "-b"}}},
+        "forms": {"w": {"chart": "P", "expr": "d(a)*d(b)"}},
+        "tasks": [{"cmd": "poincare", "args": args}]}))
+    out = tmp_path / "rep.json"
+    run(str(m), json_out=str(out), stream=open(os.devnull, "w"))
+    (task,) = json.loads(out.read_text())["tasks"]
+    assert len(counted) == calls
+    assert task["status"] == status
+    if status == "pass":
+        assert task["output_exprs"] == ["1/2*a*d(b) - 1/2*b*d(a)"]
+    else:
+        assert task["error"] == "expected the canonical weight field of the chart"
 
 
 def test_arithmetic_bug_in_a_handler_raises(tmp_path, monkeypatch):

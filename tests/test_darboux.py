@@ -20,7 +20,7 @@ from graded_darboux.darboux import (NormalFormSpec, StraighteningError,
                                     linear_darboux, log_primitive,
                                     one_form_darboux, poincare_primitive,
                                     straighten_commuting, verify_normal_form)
-from graded_darboux.grexpr.equality import RK4_STEP
+from graded_darboux.grexpr.equality import DOMAIN_LIMIT, RK4_STEP
 from graded_darboux.grexpr.grassmann import Plan
 from graded_darboux.homogeneity import degree_of, weight_field_of_chart
 from graded_darboux.pfaffian import PfaffianError
@@ -579,6 +579,57 @@ class TestStraightening:
         for (reads, n_small), (_, n_large) in zip(small, large):
             assert n_large - n_small == (extra if reads else 0)
             assert reads or n_small in (1, 3)
+
+    def test_constant_field_flows_in_closed_form(self):
+        # the flow of dx is the translation x + u1, rounded once; summing
+        # the RK4 increments of the same value rounds 50 times
+        c = chart(("x", 0, 0), ("y", 0, 0), ("z", 0, 0))
+        pair = [basis_field(c, "x"), vector_field(c, {"y": "1", "z": "cos(y)"})]
+        grid = straighten_commuting(pair, [0.1, 0.2, 0.3], box=0.3,
+                                    nodes_per_axis=3)
+        assert grid.certified
+        for u, x in grid.nodes:
+            assert x[0] == 0.1 + u[0]
+
+    def test_constant_field_never_differentiated(self, monkeypatch):
+        # every coefficient is a nonzero constant, so the plans without
+        # terms are the Jacobian entries: none runs, and the coefficients
+        # run as often whatever the flow time
+        c = chart(("x", 0, 0), ("y", 0, 0))
+        X = vector_field(c, {"x": "1", "y": "2"})
+        calls = []
+        float_body = Plan.float_body
+
+        def counting(plan, x, values=None):
+            calls.append(plan)
+            return float_body(plan, x, values)
+
+        monkeypatch.setattr(Plan, "float_body", counting)
+        counts = []
+        for box in (0.05, 0.3):
+            calls.clear()
+            assert straighten_commuting([X], [0, 0], box=box).certified
+            assert calls and all(p.terms for p in calls)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize("coeff, base", [("10000000", 0.0), ("1", 2e6)],
+                             ids=["flow-ends-outside", "base-outside"])
+    def test_constant_field_leaving_domain_rejected(self, coeff, base):
+        assert 2e6 > DOMAIN_LIMIT and 1e7 * 0.5 > DOMAIN_LIMIT
+        c = chart(("x", 0, 0))
+        X = vector_field(c, {"x": coeff})
+        with pytest.raises(StraighteningError, match="domain"):
+            straighten_commuting([X], [base], box=0.5, nodes_per_axis=3)
+
+    def test_one_node_is_the_base_point(self):
+        c = chart(("x", 0, 0), ("y", 0, 0))
+        grid = straighten_commuting([basis_field(c, "x")], [0.25, -0.5],
+                                    box=0.5, nodes_per_axis=1)
+        ((u, x),) = grid.nodes
+        assert u == (0.0, 0.0)
+        assert x.tolist() == [0.25, -0.5]
+        assert grid.certified
 
     def test_noncommuting_rejected(self):
         c = chart(("x", 0, 0), ("y", 0, 0))
