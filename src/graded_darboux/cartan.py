@@ -22,8 +22,9 @@ from typing import Dict, Optional, Tuple, Union
 
 from .grexpr.chart import ChartError, ChartSpec, EVEN
 from .grexpr.equality import equal
-from .grexpr.expr import (GradedExpr, ParityError, atom_chain, coord,
-                          derivation, diff, leibniz_walk, one, substitute, zero)
+from .grexpr.expr import (GradedExpr, Monomial, ParityError, atom_chain,
+                          coord, derivation, diff, leibniz_walk, one,
+                          substitute, zero)
 from .grexpr.parser import parse_expr
 
 
@@ -135,11 +136,12 @@ def _exterior_d(w: GradedExpr, memo: Memo) -> GradedExpr:
     def image(tag, payload):
         if tag == "coord":
             i, k = payload
-            name = chart.coords[i].name
-            d1 = diff(chart, name)
             if k == 1:      # so every odd coordinate, as xi*xi = 0
-                return d1
-            return (coord(chart, name) ** (k - 1)) * k * d1
+                return diff(chart, chart.coords[i].name)
+            # x even: d(x^k) = k*x^(k-1)*d(x), one monomial
+            unit = tuple(int(j == i) for j in range(chart.dim))
+            return GradedExpr(chart, (Monomial(
+                k, (), tuple(u * (k - 1) for u in unit), unit),))
         if tag == "atom":
             return atom_chain(payload, exterior_d(payload.arg, memo=memo))
         return None  # d(d(x)) = 0

@@ -724,14 +724,15 @@ def _in_domain(x: np.ndarray) -> np.ndarray:
 def _rk4_flow(plans: Sequence[Plan], x: np.ndarray, J: np.ndarray,
               t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Flow of a field f from every row of x for its own time t, with the
-    variational equation for J; ``plans`` holds Df, row-major, then f.  A
-    field that reads no coordinate moves x to x + t f and leaves J (Df = 0);
-    the domain is convex, so checking both ends checks the path.  Any other
-    takes fixed-step RK4 in rescaled time s in [0, 1], dx/ds = t f(x) and
-    dJ/ds = t Df(x) J, with one step count for all rows."""
+    variational equation for J; ``plans`` holds Df, row-major, then f, and
+    may leave out Df when f reads no coordinate.  Such a field moves x to
+    x + t f and leaves J (Df = 0); the domain is convex, so checking both
+    ends checks the path.  Any other takes fixed-step RK4 in rescaled time
+    s in [0, 1], dx/ds = t f(x) and dJ/ds = t Df(x) J, with one step count
+    for all rows."""
     N, n = x.shape
     if not any(p.reads for p in plans):
-        f = _evaluator(plans[n * n:], N)(x)
+        f = _evaluator(plans[-n:], N)(x)
         return _in_domain(_in_domain(x) + t[:, None] * f), J
     steps = max(1, math.ceil(float(np.max(np.abs(t))) / RK4_STEP))
     dt = (t / steps)[:, None]
@@ -826,8 +827,10 @@ def straighten_commuting(fields: Sequence[VectorField],
     for X in fields:
         compiled: dict = {}     # one compile table per field
         plans.append([Plan(c, compiled) for c in X.coefficients])
+        # a field that reads no coordinate flows in closed form, so Df = 0
         jac_plans.append([Plan(partial(c, name), compiled)
-                          for c in X.coefficients for name in chart.names])
+                          for c in X.coefficients for name in chart.names]
+                         if any(p.reads for p in plans[-1]) else [])
 
     M = np.vstack([_evaluator(ps, 1)(base[None]) for ps in plans])
     if _linalg.float_rank(M, policy.rel_tol) < k:

@@ -181,41 +181,41 @@ class Monomial:
         return not self.atoms
 
 
-def _crossings(w1: int, w2: int) -> int:
-    """``#{a in w2, b in w1 : a < b}``: the pairs that cross when w2 is
-    moved left past w1 into canonical order."""
+def _crossings(w1: int, w2: int, w3: int = 0) -> int:
+    """``#{a in w2, b in w1 : a < b} + #{a in w3, b in w2 : a < b}``: the
+    pairs that cross when w2 moves into canonical order between w1 and w3,
+    every generator of w1 preceding every generator of w3."""
     n = 0
     while w2:
         low = w2 & -w2
-        n += (w1 >> low.bit_length()).bit_count()
+        n += ((w1 >> low.bit_length()).bit_count()
+              + (w3 & (low - 1)).bit_count())
         w2 ^= low
     return n
 
 
-def _mul_monomials(m1: Monomial, m2: Monomial, chart: ChartSpec,
-                   coeff=None) -> Optional[Monomial]:
-    """Canonical product, or None on a square-zero collision.  ``coeff``,
-    when given, stands in for ``m1.coeff * m2.coeff`` (used when one side
-    has unit coefficient)."""
-    odd, zw1, pw1, sw1 = m1.masks(chart)
-    _, zw2, pw2, sw2 = m2.masks(chart)
-    if zw1 & zw2:
+def _insert(c, atoms, cexp, dexp, lo, hi, t: Monomial,
+            chart: ChartSpec) -> Optional[Monomial]:
+    """``c * L * t * R`` in canonical order, or None on a square-zero
+    collision.  The cofactor L*R has ``atoms``, ``cexp`` and ``dexp``;
+    ``lo`` and ``hi`` are the masks of L and R, and every generator of L
+    precedes every generator of R."""
+    odd, zw, pw, sw = t.masks(chart)
+    _, zl, pl, sl = lo
+    _, zr, pr, sr = hi
+    if zw & (zl | zr):
         return None
 
-    # Koszul sign: every generator of m2 crosses the generators of m1 that
-    # sit after its canonical position; a crossing costs (-1)**(p*q + s*t)
-    if coeff is None:
-        coeff = m1.coeff * m2.coeff
-    if (_crossings(pw1, pw2) + _crossings(sw1, sw2)) & 1:
+    # Koszul sign: t crosses the generators of L after its canonical
+    # position and those of R before it; a crossing costs (-1)**(p*q + s*t)
+    coeff = c * t.coeff
+    if (_crossings(pl, pw, pr) + _crossings(sl, sw, sr)) & 1:
         coeff = -coeff
-
-    if not m2.atoms:
-        atoms = m1.atoms
-    elif not m1.atoms:
-        atoms = m2.atoms
-    else:
+    if not atoms:
+        atoms = t.atoms
+    elif t.atoms:
         merged: Dict[tuple, Atom] = {}
-        for a in m1.atoms + m2.atoms:
+        for a in atoms + t.atoms:
             k = a.merge_key()
             if k in merged:
                 merged[k] = merged[k].with_power(merged[k].power + a.power)
@@ -224,9 +224,17 @@ def _mul_monomials(m1: Monomial, m2: Monomial, chart: ChartSpec,
         atoms = tuple(sorted(merged.values(), key=Atom.full_key))
 
     # powers of d(xi) add, so their parity bits do too
-    return Monomial(coeff, atoms, tuple(map(add, m1.cexp, m2.cexp)),
-                    tuple(map(add, m1.dexp, m2.dexp)),
-                    (odd, zw1 | zw2, pw1 ^ pw2, sw1 ^ sw2))
+    return Monomial(coeff, atoms, tuple(map(add, cexp, t.cexp)),
+                    tuple(map(add, dexp, t.dexp)),
+                    (odd, zl | zr | zw, pl ^ pr ^ pw, sl ^ sr ^ sw))
+
+
+def _mul_monomials(m1: Monomial, m2: Monomial,
+                   chart: ChartSpec) -> Optional[Monomial]:
+    """Canonical product ``m1 * m2``, or None on a square-zero collision:
+    the insertion of m2 after m1, with nothing to its right."""
+    return _insert(m1.coeff, m1.atoms, m1.cexp, m1.dexp, m1.masks(chart),
+                   (chart.odd_mask, 0, 0, 0), m2, chart)
 
 
 def _reduce_inverses(m: Monomial, chart: ChartSpec) -> Monomial:
@@ -629,24 +637,39 @@ def leibniz_walk(e: GradedExpr, op_p: int, op_s: int,
 
     ``image(tag, payload)`` returns the derivation's value on a single factor
     (or None for zero); tag is 'atom' (payload an Atom), 'coord' or 'diff'
-    (payload ``(index, power)``), visited in canonical order.  Crossing a
-    factor of bidegree (p, s) costs (-1)**(op_p*p + op_s*s).  The term for
-    factor f of ``m = L f R`` is ``L * image(f) * R``, with the cofactors L
-    and R (exponents and masks alike) sliced out of m.
+    (payload ``(index, power)``), visited in canonical order.  ``image``
+    must be a function of its arguments for the length of one walk: it is
+    asked once per distinct factor, an atom told apart by its full key.
+    Crossing a factor of bidegree (p, s) costs (-1)**(op_p*p + op_s*s).
+
+    The term for factor f of ``m = L f R`` is ``L * image(f) * R``, one
+    product per image term t: the cofactor L*R (m's exponents and atoms
+    without f) and the masks of L and R are sliced out of m once, t is
+    dropped when it meets a square-zero generator of L or R, and its sign
+    is the parity of the crossings of t with L and with R, summed over
+    both sign words (exact, as L's generators all precede R's).
     """
     chart = e.chart
-    n = chart.dim
     odd = chart.odd_mask
-    zeros = (0,) * n
+    n = chart.dim
+    empty = (odd, 0, 0, 0)      # the masks of a factor-free cofactor
+    images: Dict[tuple, Optional[GradedExpr]] = {}
     out: List[Monomial] = []
 
-    def emit(img, left: Monomial, right: Monomial):
+    def image_of(tag, payload):
+        """``image(tag, payload)``, asked once per distinct factor; None
+        for zero."""
+        key = (tag, payload.full_key() if tag == "atom" else payload)
+        if key not in images:
+            img = image(tag, payload)
+            images[key] = img if img is not None and img.terms else None
+        return images[key]
+
+    def emit(img, c, atoms, cexp, dexp, lo, hi):
         for t in img.terms:
-            lt = _mul_monomials(left, t, chart)
-            if lt is not None:
-                m = _mul_monomials(lt, right, chart, lt.coeff)
-                if m is not None:
-                    out.append(m)
+            m = _insert(c, atoms, cexp, dexp, lo, hi, t, chart)
+            if m is not None:
+                out.append(m)
 
     def cut(mk, pos):
         """Masks of the generators before and after bit ``pos``."""
@@ -659,26 +682,23 @@ def leibniz_walk(e: GradedExpr, op_p: int, op_s: int,
         mk = m.masks(chart)
         c = m.coeff     # carries the sign of the factors crossed so far
         for j, a in enumerate(atoms):
-            img = image("atom", a)
-            if img is not None and img.terms:
-                emit(img, Monomial(c, atoms[:j], zeros, zeros, (odd, 0, 0, 0)),
-                     Monomial(1, atoms[j + 1:], cexp, dexp, mk))
+            img = image_of("atom", a)
+            if img is not None:
+                emit(img, c, atoms[:j] + atoms[j + 1:], cexp, dexp, empty, mk)
         for i, k in enumerate(cexp):
             if k:
-                img = image("coord", (i, k))
-                if img is not None and img.terms:
-                    lm, rm = cut(mk, i)
-                    emit(img, Monomial(c, atoms, cexp[:i] + zeros[i:], zeros, lm),
-                         Monomial(1, (), zeros[:i + 1] + cexp[i + 1:], dexp, rm))
+                img = image_of("coord", (i, k))
+                if img is not None:
+                    emit(img, c, atoms, cexp[:i] + (0,) + cexp[i + 1:], dexp,
+                         *cut(mk, i))
                 if op_s % 2 and odd >> i & 1:
                     c = -c
         for i, k in enumerate(dexp):
             if k:
-                img = image("diff", (i, k))
-                if img is not None and img.terms:
-                    lm, rm = cut(mk, n + i)
-                    emit(img, Monomial(c, atoms, cexp, dexp[:i] + zeros[i:], lm),
-                         Monomial(1, (), zeros, zeros[:i + 1] + dexp[i + 1:], rm))
+                img = image_of("diff", (i, k))
+                if img is not None:
+                    emit(img, c, atoms, cexp, dexp[:i] + (0,) + dexp[i + 1:],
+                         *cut(mk, n + i))
                 if k & 1 and (op_p + op_s * (odd >> i & 1)) % 2:
                     c = -c
     return GradedExpr.from_terms(chart, out)

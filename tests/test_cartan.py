@@ -344,8 +344,48 @@ class TestLeibnizOracle:
             out.extend(expr.partial(w, name) for name in c.names)
         return out
 
+    @staticmethod
+    def _insertions(e, tag, payload, img):
+        """For each image term t of the factor in each monomial of e that
+        holds it: whether t carries an atom of the cofactor's atoms, and
+        whether t is odd with odd generators of the cofactor on both
+        sides."""
+        c, n = e.chart, e.chart.dim
+        for m in e.terms:
+            sw = m.masks(c)[3]
+            if tag == "atom":
+                key = payload.full_key()
+                if key not in [a.full_key() for a in m.atoms]:
+                    continue
+                atoms = [a for a in m.atoms if a.full_key() != key]
+                left, right = 0, sw
+            else:
+                i, k = payload
+                if (m.cexp if tag == "coord" else m.dexp)[i] != k:
+                    continue
+                atoms = m.atoms
+                bit = i if tag == "coord" else n + i
+                left, right = sw & ((1 << bit) - 1), sw >> (bit + 1)
+            keys = {a.merge_key() for a in atoms}
+            for t in img.terms:
+                yield (any(a.merge_key() in keys for a in t.atoms),
+                       t.parity(c) == ODD and bool(left) and bool(right))
+
     def test_walk_matches_oracle(self, monkeypatch):
         cases = list(self._cases())
+        seen = []
+        walk = expr.leibniz_walk
+
+        def recorded(e, op_p, op_s, image):
+            def traced(tag, payload):
+                img = image(tag, payload)
+                if img is not None:
+                    seen.extend(self._insertions(e, tag, payload, img))
+                return img
+            return walk(e, op_p, op_s, traced)
+
+        monkeypatch.setattr(expr, "leibniz_walk", recorded)
+        monkeypatch.setattr(cartan, "leibniz_walk", recorded)
         got = self._outputs(cases)
         monkeypatch.setattr(expr, "leibniz_walk", leibniz_walk_oracle)
         monkeypatch.setattr(cartan, "leibniz_walk", leibniz_walk_oracle)
@@ -358,6 +398,10 @@ class TestLeibnizOracle:
         assert any(k >= 2 and c.parity(i) == ODD for c, w, _, _ in cases
                    for m in w.terms for i, k in enumerate(m.dexp))
         assert sum(not e.is_zero() for e in got) > len(got) // 2
+        # an image atom merges into the cofactor's atoms, and an odd image
+        # term lands between odd generators of the cofactor
+        assert any(merges for merges, _ in seen)
+        assert any(between for _, between in seen)
 
 
 class TestDerivationWalk:
@@ -418,6 +462,54 @@ class TestDerivationWalk:
         for T in (coord(b, "u"), diff(b, "u"), parse_expr("u*d(u)", b)):
             with pytest.raises(ChartError):
                 lie_derivative(X, T)
+
+
+class TestWalkImages:
+    """The walk asks ``image`` once per distinct factor and builds each
+    term in one product."""
+
+    @pytest.mark.parametrize("op", ["d", "i_X", "L_X"])
+    def test_image_asked_once_per_distinct_factor(self, monkeypatch, op):
+        # x^2, y, d(y) and sin(x) each sit in two terms; with d(x), five
+        # distinct factors in nine places
+        c = chart(("x", 0, 0), ("y", 0, 0), ("a", 1, 0))
+        w = parse_expr("x^2*d(y) + sin(x)*x^2*y*d(y) + sin(x)*y*d(x)", c)
+        X = vector_field(c, {"x": "y", "y": "sin(x)", "a": "a*x"})
+        apply = {"d": exterior_d, "i_X": lambda e: interior(X, e),
+                 "L_X": lambda e: lie_derivative(X, e)}[op]
+        asked = []
+        walk = expr.leibniz_walk
+
+        def counted(e, op_p, op_s, image):
+            calls = []
+            asked.append(calls)
+
+            def counting(tag, payload):
+                calls.append((tag, payload.full_key() if tag == "atom"
+                              else payload))
+                return image(tag, payload)
+            return walk(e, op_p, op_s, counting)
+
+        for module in (expr, cartan):
+            monkeypatch.setattr(module, "leibniz_walk", counted)
+        got = apply(w)
+        assert len(asked[0]) == len(set(asked[0])) == 5
+        for module in (expr, cartan):
+            monkeypatch.setattr(module, "leibniz_walk", leibniz_walk_oracle)
+        assert got == apply(w)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_differential_of_a_power_is_one_monomial(self, k):
+        c = chart(("x", 0, 1), ("a", 1, 0))
+        x = coord(c, "x")
+        want = gmul(gmul(one(c) * k, x ** (k - 1)), diff(c, "x"))
+        got = exterior_d(x ** k)
+        assert got.key() == want.key()
+        assert type(got.terms[0].coeff) is int
+        # d has bidegree (1, 0), so it crosses the odd 0-form a unsigned
+        a = coord(c, "a")
+        assert exterior_d(a * x ** k) == \
+            gmul(diff(c, "a"), x ** k) + gmul(a, want)
 
 
 class TestMemo:

@@ -613,6 +613,26 @@ class TestStraightening:
             counts.append(len(calls))
         assert counts[0] == counts[1]
 
+    def test_only_a_field_that_reads_a_coordinate_is_differentiated(
+            self, monkeypatch):
+        # X1 = dx flows in closed form, so only X2's nine Jacobian entries
+        # are derived
+        c = chart(("x", 0, 0), ("y", 0, 0), ("z", 0, 0))
+        fields = [basis_field(c, "x"),
+                  vector_field(c, {"y": "1", "z": "1/2 + sin(y)/8 + z/10"})]
+        calls = []
+        partial = darboux.partial
+
+        def counting(e, name):
+            calls.append(name)
+            return partial(e, name)
+
+        monkeypatch.setattr(darboux, "partial", counting)
+        grid = straighten_commuting(fields, [0.1, 0.2, -0.1], box=0.05,
+                                    nodes_per_axis=2)
+        assert grid.certified
+        assert len(calls) == 9
+
     @pytest.mark.parametrize("coeff, base", [("10000000", 0.0), ("1", 2e6)],
                              ids=["flow-ends-outside", "base-outside"])
     def test_constant_field_leaving_domain_rejected(self, coeff, base):
