@@ -24,7 +24,7 @@ from .grexpr.chart import ChartError, ChartSpec, EVEN
 from .grexpr.equality import equal
 from .grexpr.expr import (GradedExpr, Monomial, ParityError, atom_chain,
                           coord, derivation, diff, leibniz_walk, one,
-                          substitute, zero)
+                          power_image, substitute, zero)
 from .grexpr.parser import parse_expr
 
 
@@ -155,20 +155,13 @@ def interior(X: VectorField, w: GradedExpr) -> GradedExpr:
         raise ChartError("contraction across charts")
     if any(m.form_degree() == 0 for m in w.terms):
         raise ValueError("interior product of a form-degree-0 expression")
-    chart = w.chart
 
     def image(tag, payload):
         if tag == "diff":
-            i, k = payload
-            c = X.coefficients[i]
-            if c.is_zero():
-                return None
-            if k == 1:
-                return c
             # d(xi)^k for odd xi: the k Leibniz terms all reorder to the same
             # word, so i_X(d(xi)^k) = k * X^xi * d(xi)^(k-1), coefficient left.
-            name = chart.coords[i].name
-            return c * k * (diff(chart, name) ** (k - 1))
+            i, k = payload
+            return power_image(X.coefficients[i], tag, i, k)
         return None
 
     return leibniz_walk(w, 1, X.parity, image)
@@ -194,9 +187,10 @@ def lie_bracket(X: VectorField, Y: VectorField, *,
     """Graded commutator [X, Y]; parity is the sum of parities."""
     if X.chart != Y.chart:
         raise ChartError("bracket across charts")
-    sign = -1 if (X.parity * Y.parity) % 2 else 1
-    coeffs = tuple(lie_derivative(X, cy, memo=memo)
-                   - sign * lie_derivative(Y, cx, memo=memo)
+    # [X, Y] = L_X Y - (-1)**(|X||Y|) L_Y X, coefficient by coefficient
+    combine = GradedExpr.__add__ if X.parity * Y.parity % 2 else GradedExpr.__sub__
+    coeffs = tuple(combine(lie_derivative(X, cy, memo=memo),
+                           lie_derivative(Y, cx, memo=memo))
                    for cx, cy in zip(X.coefficients, Y.coefficients))
     return VectorField(X.chart, (X.parity + Y.parity) % 2, coeffs)
 

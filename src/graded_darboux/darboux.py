@@ -29,8 +29,8 @@ from .grexpr.chart import (ChartError, ChartSpec, CoordinateDecl, EVEN, ODD)
 from .grexpr.equality import (COEFF_DROP, DEFAULT_POLICY, DOMAIN_LIMIT,
                               GRID_CERTIFICATE, NOISE_FLOOR, RK4_STEP,
                               EqualityPolicy, equal)
-from .grexpr.expr import (GradedExpr, apply_func, const, coord, diff, gdiv,
-                          gmul, partial, substitute, zero)
+from .grexpr.expr import (GradedExpr, Monomial, apply_func, const, coord, diff,
+                          gdiv, gmul, partial, substitute, zero)
 from .grexpr.integrate import NonIntegrable, integrate_univariate
 from .grexpr.grassmann import Plan, body_values
 from .homogeneity import (DegreeReport, degree_of, verify_weight_chart,
@@ -246,7 +246,6 @@ def primitive_by_quadrature(beta: GradedExpr,
         return zero(chart)
     if beta.form_degree() != 1:
         raise ValueError("expected a one-form")
-    sigma = beta.parity()
     base = dict(base or {})
     for c in chart.coords:
         base.setdefault(c.name, 0)
@@ -265,10 +264,11 @@ def primitive_by_quadrature(beta: GradedExpr,
         if chart.parity(i) == EVEN:
             g = g + integrate_univariate(comp, name, base[name], coord(chart, name))
         else:
-            # left coefficient of d(xi) is (-1)**(parity(beta)+1) * d f / d xi
+            # a term m*d(xi) of beta has m = (-1)**parity(m) * d f / d xi
             comp0 = substitute(comp, {name: zero(chart)})
-            sign = 1 if (sigma == ODD) else -1
-            g = g + gmul(coord(chart, name), comp0) * sign
+            g = g + gmul(coord(chart, name), GradedExpr(chart, tuple(
+                Monomial(-m.coeff if m.parity(chart) else m.coeff, m.atoms,
+                         m.cexp, m.dexp) for m in comp0.terms)))
     return g
 
 
@@ -600,10 +600,6 @@ def one_form_darboux(alpha: GradedExpr, presymp_chart: ChartMap,
 
 def _closed_primitive(beta: GradedExpr, base: Dict[str, object],
                       notes: List[str]) -> Optional[GradedExpr]:
-    if beta.is_zero():
-        return zero(beta.chart)
-    if beta.is_polynomial() and all(v == 0 for v in base.values()):
-        return homotopy(beta)
     try:
         return primitive_by_quadrature(beta, base)
     except NonIntegrable as exc:

@@ -237,9 +237,11 @@ def _mul_monomials(m1: Monomial, m2: Monomial,
                    (chart.odd_mask, 0, 0, 0), m2, chart)
 
 
-def _reduce_inverses(m: Monomial, chart: ChartSpec) -> Monomial:
+def _reduce_inverses(m: Monomial, chart: ChartSpec,
+                     spill: List[Monomial]) -> Optional[Monomial]:
     """Cancel coordinate/atom content against 1/(single monomial) factors,
-    so that x * (1/x) normalizes to 1."""
+    so that x * (1/x) normalizes to 1.  A 1/(1/g)^p that meets no 1/g is
+    g^p: its canonical terms go to ``spill``, and the result is None."""
     while True:
         progress = False
         for idx, a in enumerate(m.atoms):
@@ -257,6 +259,12 @@ def _reduce_inverses(m: Monomial, chart: ChartSpec) -> Monomial:
                 m = q
                 progress = True
                 break
+            if d.atoms and d.atoms[0].kind == "inv":
+                rest = Monomial(m.coeff, m.atoms[:idx] + m.atoms[idx + 1:],
+                                m.cexp, m.dexp)
+                g = d.atoms[0].arg ** (d.atoms[0].power * a.power)
+                spill.extend(gmul(GradedExpr(chart, (rest,)), g).terms)
+                return None
         if not progress:
             return m
 
@@ -278,11 +286,14 @@ class GradedExpr:
     @staticmethod
     def from_terms(chart: ChartSpec, terms: Iterable[Monomial]) -> "GradedExpr":
         acc: Dict[tuple, Monomial] = {}
+        spill: List[Monomial] = []
         for m in terms:
             if not m.coeff:
                 continue
             if m.atoms:
-                m = _reduce_inverses(m, chart)
+                m = _reduce_inverses(m, chart, spill)
+                if m is None:
+                    continue
             k = m.key()
             if k in acc:
                 old = acc[k]
@@ -293,6 +304,8 @@ class GradedExpr:
                     acc[k] = Monomial(c, old.atoms, old.cexp, old.dexp, old._masks)
             else:
                 acc[k] = m
+        if spill:
+            return GradedExpr.from_terms(chart, list(acc.values()) + spill)
         out = tuple(acc.values())
         if len(out) > 1:
             out = tuple(sorted(out, key=Monomial.sort_key))
@@ -549,11 +562,15 @@ def _divide_monomial(m: Monomial, d: Monomial, chart: ChartSpec) -> Optional[Mon
 
 
 def gdiv(a: GradedExpr, b: GradedExpr) -> GradedExpr:
-    """Quotient by an even, form-degree-0 expression.
+    """Quotient by an even, form-degree-0 expression with a nonzero body.
 
-    Cancels exactly when the divisor is a single monomial that divides every
-    term; otherwise the divisor is kept as a symbolic ``1/(...)`` factor
-    (with unit leading coefficient).
+    One path: divide each coefficient of ``a`` by the divisor's leading
+    coefficient c (true division for floats), then multiply by the symbolic
+    inverse of b/c, one monomial of ``inv`` atoms.  A monomial divisor is
+    inverted factor by factor (x^k to 1/(x)^k, f(u)^p to 1/(f(u))^p, even
+    (1/g)^p to 1/(1/g)^p); any other divisor becomes one 1/(b/c).
+    ``from_terms`` does every cancellation, so x^2/x is x, x/x^2 is 1/x
+    and a 1/(1/g) that meets no 1/g is g.
     """
     if a.chart != b.chart:
         raise ChartError("gdiv of expressions on different charts")
@@ -567,52 +584,26 @@ def gdiv(a: GradedExpr, b: GradedExpr) -> GradedExpr:
     if all(m.masks(b.chart)[3] & body for m in b.terms):
         raise ZeroDivisionError("division by a nilpotent (zero-body) expression")
 
-    cval = b.constant_value()
-    if cval is not None:
-        if cval == 0:
-            raise ZeroDivisionError("division by zero")
-        return GradedExpr(
-            a.chart,
-            tuple(Monomial(_quotient(m.coeff, cval), m.atoms, m.cexp, m.dexp)
-                  for m in a.terms),
-        )
+    chart, lead = a.chart, b.terms[0].coeff
 
-    if len(b.terms) == 1:
+    def scaled(e: GradedExpr) -> GradedExpr:
+        return GradedExpr(chart, tuple(
+            Monomial(_quotient(m.coeff, lead), m.atoms, m.cexp, m.dexp)
+            for m in e.terms))
+
+    if len(b.terms) > 1:
+        inverse = [Atom("inv", scaled(b))]
+    else:
         d = b.terms[0]
-        out = []
-        for m in a.terms:
-            q = _divide_monomial(m, d, a.chart)
-            if q is None:
-                break
-            out.append(q)
-        else:
-            return GradedExpr.from_terms(a.chart, out)
-        # factor-by-factor symbolic inverse of the single monomial, so that
-        # partial cancellations (x * 1/x^2 -> 1/x) keep working
-        acc = a * _quotient(1, d.coeff)
-        for i, k in enumerate(d.cexp):
-            if k:
-                ci = coord(a.chart, a.chart.coords[i].name)
-                acc = gmul(acc, _single_factor_expr(a.chart, "atom",
-                                                    Atom("inv", ci, k)))
-        for at in d.atoms:
-            if at.kind == "inv":
-                acc = gmul(acc, at.arg ** at.power)
-            else:
-                base = _single_factor_expr(a.chart, "atom", Atom(at.kind, at.arg))
-                acc = gmul(acc, _single_factor_expr(a.chart, "atom",
-                                                    Atom("inv", base, at.power)))
-        return acc
-
-    # symbolic quotient: normalize the divisor to unit leading coefficient
-    lead = b.terms[0].coeff
-    bn = GradedExpr(
-        b.chart,
-        tuple(Monomial(_quotient(m.coeff, lead), m.atoms, m.cexp, m.dexp)
-              for m in b.terms),
-    )
-    inv_expr = _single_factor_expr(a.chart, "atom", Atom("inv", bn))
-    return gmul(a, inv_expr) * _quotient(1, lead)
+        inverse = [Atom("inv", coord(chart, chart.coords[i].name), k)
+                   for i, k in enumerate(d.cexp) if k]
+        inverse += [Atom("inv", _single_factor_expr(
+            chart, "atom", at.with_power(1)), at.power) for at in d.atoms]
+    if not inverse:     # a constant divisor: its inverse is 1
+        return scaled(a)
+    n = chart.dim
+    return gmul(scaled(a), GradedExpr(chart, (Monomial(
+        1, tuple(sorted(inverse, key=Atom.full_key)), (0,) * n, (0,) * n),)))
 
 
 # -- Leibniz walks -------------------------------------------------------------
@@ -725,6 +716,18 @@ def atom_chain(a: Atom, darg: GradedExpr) -> GradedExpr:
     return gmul(head, darg)
 
 
+def power_image(c: GradedExpr, tag: str, i: int, k: int) -> GradedExpr:
+    """k*c*g^(k-1), one product, for g = x_i (tag 'coord') or d(x_i) (tag
+    'diff'): the image of g^k under a derivation that sends g to c, when
+    the k Leibniz terms reorder to one word."""
+    if k == 1 or not c.terms:
+        return c
+    n = c.chart.dim
+    word, rest = tuple(k - 1 if j == i else 0 for j in range(n)), (0,) * n
+    g = Monomial(k, (), word, rest) if tag == "coord" else Monomial(k, (), rest, word)
+    return gmul(c, GradedExpr(c.chart, (g,)))
+
+
 def derivation(e: GradedExpr, coeffs: Tuple[GradedExpr, ...], parity: int,
                d: Optional[Callable] = None) -> GradedExpr:
     """The derivation of bidegree (0, parity) with x^i -> coeffs[i] that
@@ -752,9 +755,7 @@ def derivation(e: GradedExpr, coeffs: Tuple[GradedExpr, ...], parity: int,
             if dcoeffs[i] is None:
                 dcoeffs[i] = d(c)
             c = dcoeffs[i]
-        if k == 1 or not c.terms:
-            return c
-        return c * k * _single_factor_expr(chart, tag, (i, k - 1))
+        return power_image(c, tag, i, k)
 
     return leibniz_walk(e, 0, parity, image)
 

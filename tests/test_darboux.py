@@ -19,6 +19,7 @@ from graded_darboux.darboux import (NormalFormSpec, StraighteningError,
                                     canonical_expr, homog_solve_pde, homotopy,
                                     linear_darboux, log_primitive,
                                     one_form_darboux, poincare_primitive,
+                                    primitive_by_quadrature,
                                     straighten_commuting, verify_normal_form)
 from graded_darboux.grexpr.equality import DOMAIN_LIMIT, RK4_STEP
 from graded_darboux.grexpr.grassmann import Plan
@@ -124,6 +125,24 @@ class TestPoincare:
             w = random_expr(c, rng, n_terms=2, form_degree=rng.randint(1, 2))
             lhs = exterior_d(homotopy(w)) + homotopy(exterior_d(w))
             assert lhs == w
+
+    def test_quadrature_matches_homotopy_on_exact_forms(self):
+        # the quadrature primitive of df at base 0 is the homotopy one, term
+        # for term, also when f has odd coordinates or mixed parity
+        rng = random.Random(23)
+        count = mixed = 0
+        while count < 300:
+            c = random_chart(rng, max_even=3, max_odd=3)
+            f = random_expr(c, rng, n_terms=rng.randint(1, 3))
+            w = exterior_d(f)
+            if w.is_zero():
+                continue
+            count += 1
+            mixed += w.parity() is None
+            prim = primitive_by_quadrature(w, {n: 0 for n in c.names})
+            assert prim == homotopy(w)
+            assert exterior_d(prim) == w
+        assert mixed > 50
 
     def test_primitive_of_homogeneous_closed_random(self):
         rng = random.Random(25)
@@ -484,6 +503,28 @@ class TestVerifyNormalForm:
         t2 = chart(("q", 0, 0), ("p", 0, 0), ("y1", 1, 0))
         e3 = canonical_expr(NormalFormSpec("presymplectic", 1, 1, (-1,)), t2)
         assert e3 == parse_expr("d(p)*d(q) - d(y1)*d(y1)", t2)
+
+    def test_super_contact_chart(self):
+        # (q:1, p:-1, z:0 | y:0): the odd square carries the form's weight 0
+        c = chart(("q", 0, 1), ("p", 0, -1), ("z", 0, 0), ("y", 1, 0))
+        rep = verify_normal_form(parse_expr("d(z) + p*d(q) + y*d(y)", c),
+                                 ChartMap.identity(c),
+                                 NormalFormSpec("contact", 1, 1, (1,)))
+        assert rep.passed and rep.mode == "exact"
+        assert len(rep.entries) == 9 and all(e.passed for e in rep.entries)
+        entries = {e.name: e.detail for e in rep.entries}
+        assert entries["odd-weight-y"] == "2*w(y) = 0, expected 0"
+
+    def test_super_line_contact_chart(self):
+        # R^{1|1} = (z:2 | t:1): dz + t*dt has weight 2 = 2*w(t)
+        c = chart(("z", 0, 2), ("t", 1, 1))
+        rep = verify_normal_form(parse_expr("d(z) + t*d(t)", c),
+                                 ChartMap.identity(c),
+                                 NormalFormSpec("contact", 0, 1, (1,)))
+        assert rep.passed
+        entries = {e.name: e.detail for e in rep.entries}
+        assert entries["odd-weight-t"] == "2*w(t) = 2, expected 2"
+        assert entries["z-weight"] == "w(z) = 2, expected 2"
 
     def test_eps_ordering_enforced(self):
         with pytest.raises(ValueError):

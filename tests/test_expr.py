@@ -210,6 +210,33 @@ class TestQuotient:
         assert gmul(x, gdiv(one(c), x ** 2)) == gdiv(one(c), x)
         assert gdiv(one(c), gdiv(one(c), x)) == x
 
+    @pytest.mark.parametrize("den", ["7", "7*x", "7*x^2", "7*y",
+                                     "7*x*sin(y)", "7 + y"])
+    def test_one_quotient_rule(self, den):
+        c = chart(("x", 0, 1), ("y", 0, 1))
+        x, b = coord(c, "x"), parse_expr(den, c)
+        # a float numerator is divided by the leading coefficient once, in
+        # true division, whatever the divisor's shape
+        assert [m.coeff for m in gdiv(x * 0.3, b).terms] == [0.3 / 7]
+        q = gdiv(x, b)
+        if len(b.terms) == 1:
+            assert q * b == x
+        else:
+            assert equal(q * b, x)
+        if den == "7*x^2":
+            assert q == gdiv(one(c), x) * Fraction(1, 7)
+
+    def test_inverse_of_an_inverse(self):
+        # 1/(1/g) cancels the 1/g of each term that has one and is g in
+        # each term that has none
+        c = chart(("x", 0, 1), ("y", 0, 1))
+        g = parse_expr("1/(1 + x)", c)
+        assert gdiv(one(c), g) == parse_expr("1 + x", c)
+        assert gdiv(parse_expr("x/(1 + x)", c), g) == coord(c, "x")
+        assert gdiv(parse_expr("x/(1 + x) + y", c), g) == parse_expr("x + y + x*y", c)
+        piv = parse_expr("3*exp(y)/(1 + x^2)^2", c)
+        assert gdiv(piv, piv) == one(c)
+
     def test_odd_denominator_rejected(self, sup):
         with pytest.raises(ParityError):
             gdiv(one(sup), coord(sup, "xi"))

@@ -191,6 +191,17 @@ class TestPresymplectic:
         assert rep.rank == 2
         assert rep.kernel.tolist() == [[0.0], [-1.0], [1.0]]
 
+    def test_float_kernel_spans_the_exact_one(self):
+        # float coefficients take the SVD path; the kernel it finds spans
+        # the same space as the rational-RREF kernel of the exact twin
+        c = chart(("p", 0, 0), ("q", 0, 0), ("u", 0, 0), ("v", 0, 0))
+        omega = parse_expr("d(p)*d(q) + d(p)*d(u) + 2*d(q)*d(u)", c)
+        exact = presymplectic_check(omega).kernel
+        inexact = presymplectic_check(omega * 0.5).kernel
+        assert exact.shape == inexact.shape == (4, 2)
+        assert np.allclose(inexact.T @ inexact, np.eye(2))
+        assert np.linalg.matrix_rank(np.hstack([exact, inexact]), tol=1e-9) == 2
+
 
 class TestEmptySample:
     """No points, no certificate: an empty point list is an error, not a
