@@ -1,7 +1,13 @@
 """Small dense linear algebra helpers: exact rational and float paths.
 Every float zero, rank and membership decision of the package is made here,
 and ``rank``, ``contains`` and ``nullspace`` alone choose between the two
-paths."""
+paths.
+
+Decisions take a stack: one matrix (and one vector) per sample point.  The
+exact path is chosen once per stack and eliminates point by point; the
+float path decides every point of the stack from one SVD (Golub & Van Loan,
+*Matrix Computations*, 4th ed., section 5.5), after refusing a stack that
+holds an inf or nan with ``NonFiniteError`` before any LAPACK call."""
 
 from __future__ import annotations
 
@@ -71,55 +77,124 @@ def negligible(x: float, tol: float, scale: float = 0.0) -> bool:
     return bool(abs(x) <= threshold(tol, scale))
 
 
-def vanishes(vec: np.ndarray, tol: float) -> bool:
-    """Whether the Euclidean norm of ``vec`` is negligible."""
-    return negligible(float(np.linalg.norm(vec)), tol)
+class NonFiniteError(ValueError):
+    """A float decision met inf or nan; ``index`` is the first matrix of the
+    stack that holds one."""
+
+    def __init__(self, index: int):
+        super().__init__(f"matrix {index} of the stack is not finite")
+        self.index = index
 
 
-def _rank(s: np.ndarray, tol: float) -> int:
-    """Number of singular values above ``tol`` relative to the largest."""
-    return int(np.sum(s > threshold(tol, float(s[0])))) if s.size else 0
+def _refuse_nonfinite(*stacks: np.ndarray) -> None:
+    """Raise ``NonFiniteError`` at the first point where a float stack holds
+    an inf or nan; the stacks share their leading axis, one entry a point."""
+    bad = np.zeros(len(stacks[0]), dtype=bool)
+    for a in stacks:
+        bad |= ~np.isfinite(a).all(axis=tuple(range(1, a.ndim)))
+    if bad.any():
+        raise NonFiniteError(int(bad.argmax()))
 
 
-def float_rank(mat: np.ndarray, tol: float) -> int:
-    return _rank(np.linalg.svd(mat, compute_uv=False), tol)
+def vanishes(vecs: Sequence[Sequence], tol: float) -> List[bool]:
+    """Whether the Euclidean norm of each vector of a float stack is
+    negligible; one whose squares overflow does not vanish."""
+    if not len(vecs):
+        return []
+    vecs = np.array(vecs, dtype=float)
+    _refuse_nonfinite(vecs)
+    with np.errstate(over="ignore"):
+        return (np.linalg.norm(vecs, axis=1) <= threshold(tol)).tolist()
 
 
-def in_row_space(mat: np.ndarray, vec: np.ndarray,
-                 tol: float) -> Tuple[int, bool, float]:
-    """Rank of ``mat`` and least-squares membership of ``vec`` in its row
-    space, with the residual."""
-    sol, _, _, s = np.linalg.lstsq(mat.T, vec, rcond=None)
-    res = float(np.linalg.norm(mat.T @ sol - vec))
-    return _rank(s, tol), negligible(res, tol, float(np.linalg.norm(vec))), res
+def _norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a finite float array; a row whose
+    squares overflow is divided by its largest entry first."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(a, axis=1)
+    big = np.isinf(norms)
+    if big.any():
+        top = np.abs(a[big]).max(axis=1, keepdims=True)
+        norms[big] = top[:, 0] * np.linalg.norm(a[big] / top, axis=1)
+    return norms
 
 
-def _exact(*mats: Sequence[Sequence]) -> bool:
-    return all(isinstance(v, Fraction) for m in mats for r in m for v in r)
+def _ranks(s: np.ndarray, tol: float) -> List[int]:
+    """Per matrix, the number of singular values above ``tol`` relative to
+    its largest."""
+    return np.sum(s > threshold(tol, s[:, :1]), axis=1).tolist()
 
 
-def rank(rows: Sequence[Sequence[Union[Fraction, float]]], tol: float) -> int:
-    """Rank of a matrix of body values: exact when every entry is a
-    Fraction, by singular values otherwise."""
-    if _exact(rows):
-        return exact_rank(rows)
-    # each Fraction is rounded once to the nearest float
-    return float_rank(np.array(rows, dtype=float), tol)
+def float_rank(mats: np.ndarray, tol: float) -> List[int]:
+    """Rank of each matrix of a float stack, from one SVD over the stack."""
+    _refuse_nonfinite(mats)
+    return _ranks(np.linalg.svd(mats, compute_uv=False), tol)
 
 
-def contains(rows: Sequence[Sequence[Union[Fraction, float]]],
-             vec: Sequence[Union[Fraction, float]],
-             tol: float) -> Tuple[int, bool, Optional[float]]:
-    """Rank of ``rows``, membership of ``vec`` in their row space and its
-    residual, from one elimination: exact (residual 0.0, or None outside)
-    when every entry is a Fraction, by least squares otherwise; exact rows
-    keep their exact rank."""
-    if _exact(rows, [vec]):
-        r, inside = exact_solve_membership(rows, vec)
-        return r, inside, 0.0 if inside else None
-    mat = np.array(rows, dtype=float).reshape(len(rows), len(vec))
-    r, inside, res = in_row_space(mat, np.array(vec, dtype=float), tol)
-    return (exact_rank(rows) if _exact(rows) else r), inside, res
+def float_contains(mats: np.ndarray, vecs: np.ndarray,
+                   tol: float) -> List[Tuple[int, bool, float]]:
+    """Rank of each matrix of a float stack (N, k, n), membership of the
+    matching vector of ``vecs`` (N, n) in its row space, and the residual,
+    from one SVD over the stack.  The residual is |v - U_q U_q^T v| for the
+    first q left singular vectors of the transpose, q counting the singular
+    values above lstsq's default cut eps·max(k, n)·s_max: the least-squares
+    residual."""
+    _refuse_nonfinite(mats, vecs)
+    k, n = mats.shape[1:]
+    u, s, _ = np.linalg.svd(mats.transpose(0, 2, 1), full_matrices=False)
+    cut = np.finfo(float).eps * max(k, n) * s[:, :1]
+    coef = np.einsum("pij,pi->pj", u, vecs) * (s > cut)
+    res = _norms(vecs - np.einsum("pij,pj->pi", u, coef))
+    inside = res <= threshold(tol, _norms(vecs))
+    return list(zip(_ranks(s, tol), inside.tolist(), res.tolist()))
+
+
+def before_refusal(decide, *stacks, tol: float):
+    """``decide(*stacks, tol)`` and None; or, when it refuses the point at
+    some index, the decisions of the points before it and the refusal, so
+    that a caller walking the points in order meets the refusal where it
+    comes."""
+    try:
+        return decide(*stacks, tol), None
+    except NonFiniteError as exc:
+        return decide(*(st[:exc.index] for st in stacks), tol), exc
+
+
+def _exact(*stacks: Sequence) -> bool:
+    return all(isinstance(v, Fraction)
+               for st in stacks for m in st for r in m for v in r)
+
+
+def rank(stack: Sequence[Sequence[Sequence[Union[Fraction, float]]]],
+         tol: float) -> List[int]:
+    """Rank of each matrix of a stack of body values, all k x n: exact when
+    every entry of the stack is a Fraction, else from one SVD."""
+    if _exact(stack):
+        return [exact_rank(m) for m in stack]
+    return float_rank(np.array(stack, dtype=float), tol)
+
+
+def contains(stack: Sequence[Sequence[Sequence[Union[Fraction, float]]]],
+             vecs: Sequence[Sequence[Union[Fraction, float]]],
+             tol: float) -> List[Tuple[int, bool, Optional[float]]]:
+    """Per point: rank of the k x n rows, membership of the n-vector in
+    their row space and its residual.  Exact (residual 0.0, or None
+    outside) when every entry of the stack and the vectors is a Fraction,
+    by one elimination per point; else from one SVD over the stack, where
+    exact rows keep their exact rank."""
+    if _exact(stack, [vecs]):
+        out = []
+        for rows, vec in zip(stack, vecs):
+            r, inside = exact_solve_membership(rows, vec)
+            out.append((r, inside, 0.0 if inside else None))
+        return out
+    vecs = np.array(vecs, dtype=float)
+    mats = np.array(stack, dtype=float).reshape(len(vecs), -1, vecs.shape[1])
+    out = float_contains(mats, vecs, tol)
+    if _exact(stack):
+        out = [(exact_rank(rows), inside, res)
+               for rows, (_, inside, res) in zip(stack, out)]
+    return out
 
 
 def nullspace(rows: Sequence[Sequence[Union[Fraction, float]]],
@@ -128,7 +203,7 @@ def nullspace(rows: Sequence[Sequence[Union[Fraction, float]]],
     vector per free column of the reduced row echelon form when every entry
     is a Fraction, an orthonormal basis from the singular vectors
     otherwise."""
-    if _exact(rows):
+    if _exact([rows]):
         m, pivots = _rref(rows, len(rows[0]))
         free = [j for j in range(len(m[0])) if j not in pivots]
         basis = np.zeros((len(m[0]), len(free)))
@@ -140,5 +215,4 @@ def nullspace(rows: Sequence[Sequence[Union[Fraction, float]]],
                                   for r, piv in enumerate(pivots)]
         return basis
     u, s, vt = np.linalg.svd(np.array(rows, dtype=float))
-    return vt[_rank(s, tol):].T
-
+    return vt[_ranks(s[None], tol)[0]:].T

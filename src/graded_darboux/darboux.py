@@ -475,11 +475,11 @@ def one_form_darboux(alpha: GradedExpr, presymp_chart: ChartMap,
     # guard: nabla(base) nonzero and inside the characteristic space
     nvec = np.array(body_values([Plan(c) for c in nabla.coefficients],
                                 [base])[0], dtype=float)
-    nabla_vanishes = _linalg.vanishes(nvec, policy.rel_tol)
+    nabla_vanishes = _linalg.vanishes([nvec], policy.rel_tol)[0]
     if not nabla_vanishes:
         fm = flat_matrix(alpha, base, memo=memo)
         if (_linalg.negligible(float(nvec @ fm.alpha_row), policy.rel_tol)
-                and _linalg.vanishes(nvec @ fm.matrix, policy.rel_tol)):
+                and _linalg.vanishes([nvec @ fm.matrix], policy.rel_tol)[0]):
             return DarbouxResult(
                 status="not-guaranteed",
                 notes=["weight field is nonzero at the base point and lies "
@@ -829,8 +829,11 @@ def straighten_commuting(fields: Sequence[VectorField],
                          if any(p.reads for p in plans[-1]) else [])
 
     M = np.vstack([_evaluator(ps, 1)(base[None]) for ps in plans])
-    if _linalg.float_rank(M, policy.rel_tol) < k:
-        raise StraighteningError("fields are dependent at the base point")
+    try:
+        if _linalg.float_rank(M[None], policy.rel_tol)[0] < k:
+            raise StraighteningError("fields are dependent at the base point")
+    except _linalg.NonFiniteError:
+        raise StraighteningError("fields are not finite at the base point") from None
 
     # the slices complete the fields to a basis, so the grid has n axes
     slice_axes: List[int] = []
@@ -839,7 +842,7 @@ def straighten_commuting(fields: Sequence[VectorField],
         if len(slice_axes) + k >= n:
             break
         cand = np.vstack([cur, np.eye(n)[j]])
-        if _linalg.float_rank(cand, policy.rel_tol) == len(cand):
+        if _linalg.float_rank(cand[None], policy.rel_tol)[0] == len(cand):
             cur = cand
             slice_axes.append(j)
 

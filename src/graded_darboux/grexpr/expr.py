@@ -622,6 +622,14 @@ def _single_factor_expr(chart: ChartSpec, tag, payload) -> GradedExpr:
     return GradedExpr(chart, (Monomial(1, (), (0,) * n, dexp),))
 
 
+def _cut(mk, pos: int):
+    """The masks of a monomial's generators before and after bit ``pos``,
+    from its masks ``mk``."""
+    lo, hi = (1 << pos) - 1, -(2 << pos)
+    return ((mk[0], mk[1] & lo, mk[2] & lo, mk[3] & lo),
+            (mk[0], mk[1] & hi, mk[2] & hi, mk[3] & hi))
+
+
 def leibniz_walk(e: GradedExpr, op_p: int, op_s: int,
                  image: Callable) -> GradedExpr:
     """Apply a graded derivation of bidegree (op_p, op_s) (mod 2).
@@ -662,12 +670,6 @@ def leibniz_walk(e: GradedExpr, op_p: int, op_s: int,
             if m is not None:
                 out.append(m)
 
-    def cut(mk, pos):
-        """Masks of the generators before and after bit ``pos``."""
-        lo, hi = (1 << pos) - 1, -(2 << pos)
-        return ((odd, mk[1] & lo, mk[2] & lo, mk[3] & lo),
-                (odd, mk[1] & hi, mk[2] & hi, mk[3] & hi))
-
     for m in e.terms:
         atoms, cexp, dexp = m.atoms, m.cexp, m.dexp
         mk = m.masks(chart)
@@ -681,7 +683,7 @@ def leibniz_walk(e: GradedExpr, op_p: int, op_s: int,
                 img = image_of("coord", (i, k))
                 if img is not None:
                     emit(img, c, atoms, cexp[:i] + (0,) + cexp[i + 1:], dexp,
-                         *cut(mk, i))
+                         *_cut(mk, i))
                 if op_s % 2 and odd >> i & 1:
                     c = -c
         for i, k in enumerate(dexp):
@@ -689,7 +691,7 @@ def leibniz_walk(e: GradedExpr, op_p: int, op_s: int,
                 img = image_of("diff", (i, k))
                 if img is not None:
                     emit(img, c, atoms, cexp, dexp[:i] + (0,) + dexp[i + 1:],
-                         *cut(mk, n + i))
+                         *_cut(mk, n + i))
                 if k & 1 and (op_p + op_s * (odd >> i & 1)) % 2:
                     c = -c
     return GradedExpr.from_terms(chart, out)

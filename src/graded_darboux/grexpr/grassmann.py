@@ -505,17 +505,19 @@ class BodyBatch:
     def __init__(self, rows: List[Union[list, Exception]]):
         self.rows = rows        # a point's values, or its error
 
-    def __len__(self) -> int:
-        return len(self.rows)
-
     def __getitem__(self, i: int) -> list:
         row = self.rows[i]
         if isinstance(row, Exception):
             raise row
         return row
 
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
+    def until_failure(self) -> Tuple[List[list], Optional[Exception]]:
+        """The values of the points before the first one that failed, and
+        that point's error (None when every point evaluated)."""
+        for i, row in enumerate(self.rows):
+            if isinstance(row, Exception):
+                return self.rows[:i], row
+        return self.rows, None
 
 
 def _as_float(v) -> float:

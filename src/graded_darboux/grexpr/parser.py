@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from .chart import ChartSpec
 from .expr import (FUNC_KINDS, GradedExpr, ParityError, apply_func, const,
@@ -91,22 +91,34 @@ class _Parser:
         e = self.factor()
         while self.peek()[1] in ("*", "/"):
             _, op, pos = self.next()
-            rhs = self.factor()
+            base, k = self.power()
             try:
-                e = gmul(e, rhs) if op == "*" else gdiv(e, rhs)
+                if op == "/" and (k or 0) > 1 and len(base.terms) > 1:
+                    # a/b^k for a sum b divides by b k times: a*(1/b)^k,
+                    # the same expression as a*(1/b)^k spelt that way
+                    for _ in range(k):
+                        e = gdiv(e, base)
+                else:
+                    rhs = base if k is None else base ** k
+                    e = gmul(e, rhs) if op == "*" else gdiv(e, rhs)
             except (ParityError, ZeroDivisionError) as exc:
                 raise ParseError(str(exc), pos) from exc
         return e
 
     def factor(self) -> GradedExpr:
+        base, k = self.power()
+        return base if k is None else base ** k
+
+    def power(self) -> Tuple[GradedExpr, Optional[int]]:
+        """A base and its exponent, None when none is written."""
         e = self.base()
-        if self.peek()[1] == "^":
-            self.next()
-            kind, val, pos = self.next()
-            if kind != "num" or not val.isdigit():
-                raise ParseError("exponent must be a non-negative integer", pos)
-            e = e ** int(val)
-        return e
+        if self.peek()[1] != "^":
+            return e, None
+        self.next()
+        kind, val, pos = self.next()
+        if kind != "num" or not val.isdigit():
+            raise ParseError("exponent must be a non-negative integer", pos)
+        return e, int(val)
 
     def base(self) -> GradedExpr:
         kind, val, pos = self.next()

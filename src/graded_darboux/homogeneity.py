@@ -182,22 +182,37 @@ def cotangent_lift(nabla: VectorField) -> VectorField:
 
 def _span_contains(D: Distribution, Y: VectorField,
                    policy: EqualityPolicy) -> bool:
-    """Pointwise span membership at the policy's sampled body points."""
+    """Pointwise span membership at the policy's sampled body points: at
+    each point in order, the rank-collapse guard and then membership."""
     chart = D.chart
-    split = len(D.generators) * chart.dim
+    n, k = chart.dim, len(D.generators)
     plans = [Plan(c) for X in D.generators + (Y,) for c in X.coefficients]
     points = sample_body_points(chart, policy.n_points, policy.seed)
-    for p, vals in zip(points, body_values(plans, points)):
-        rows = [vals[j:j + chart.dim] for j in range(0, split, chart.dim)]
-        # a conditioning guard: float on purpose, whatever the data
-        G = np.array(rows, dtype=float).reshape(-1, chart.dim)
-        r = _linalg.float_rank(G, policy.rel_tol)
-        if r < len(rows):
+    vals, failure = body_values(plans, points).until_failure()
+    rows = [[v[j:j + n] for j in range(0, k * n, n)] for v in vals]
+    # a conditioning guard: float on purpose, whatever the data
+    G = np.array(rows, dtype=float).reshape(len(rows), k, n)
+    ranks, _ = _linalg.before_refusal(_linalg.float_rank, G,
+                                      tol=policy.rel_tol)
+    inside, refused = _linalg.before_refusal(
+        _linalg.contains, rows, [v[k * n:] for v in vals], tol=policy.rel_tol)
+    # contains refuses no later than the guard, whose stack it holds
+    for i, r in enumerate(ranks):
+        if r < k:
             raise RankCollapseError(
                 f"generators drop to rank {r} at a sample point",
-                witness={k: float(v) for k, v in p.items()})
-        if not _linalg.contains(rows, vals[split:], policy.rel_tol)[1]:
+                witness={key: float(v) for key, v in points[i].items()})
+        if i == len(inside):
+            break
+        if not inside[i][1]:
             return False
+    if refused is not None:
+        raise RankCollapseError(
+            "generators or field are not finite at a sample point",
+            witness={key: float(v)
+                     for key, v in points[refused.index].items()})
+    if failure is not None:
+        raise failure
     return True
 
 

@@ -11,7 +11,7 @@ the image of flat (transversal case) and rank(flat) when it is contained.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -19,7 +19,8 @@ from . import _linalg
 from .cartan import Memo, VectorField, basis_field, exterior_d, interior
 from .grexpr.chart import ChartSpec, EVEN
 from .grexpr.equality import DEFAULT_POLICY, EqualityPolicy, equal
-from .grexpr.expr import GradedExpr, one, zero
+from .grexpr.expr import (GradedExpr, Monomial, _cut, _insert, one,
+                          power_image, zero)
 from .grexpr.grassmann import Plan, body_values, sample_body_points
 from .symsolve import SingularSystemError, solve_left_linear
 
@@ -59,23 +60,48 @@ class FlatMatrix:
     def alpha_row(self) -> Optional[np.ndarray]:
         return None if self.alpha is None else np.array(self.alpha, dtype=float)
 
-    def rank(self, policy: EqualityPolicy = DEFAULT_POLICY,
-             indices: Optional[Sequence[int]] = None) -> int:
-        """Rank of the matrix, or of its block on rows and columns ``indices``."""
-        rows = self.rows if indices is None else \
-            [[self.rows[a][b] for b in indices] for a in indices]
-        return _linalg.rank(rows, policy.rel_tol)
-
 
 def _interior_rows(beta: GradedExpr) -> List[List[GradedExpr]]:
-    """Rows M[a][b]: d(x^b)-coefficient of i_{d/dx^a} beta (left-linear)."""
+    """Rows M[a][b]: the d(x^b)-coefficient of i_{d/dx^a} beta (left-linear),
+    every row from one pass over beta's terms.
+
+    i_{d/dx^a} is the Leibniz walk of bidegree (-1, parity(x^a)) that sends
+    d(x^a)^k to ``power_image`` k*d(x^a)^(k-1) and every other factor to 0.
+    So a term of beta feeds row a once per differential d(x^a) it holds:
+    the image goes into the term's cofactor by the walk's ``_insert``, and
+    lands in the bin of its one remaining differential."""
     chart = beta.chart
-    rows = []
-    for a in range(chart.dim):
-        ia = interior(basis_field(chart, chart.coords[a].name), beta) \
-            if not beta.is_zero() else zero(chart)
-        rows.append([ia.coefficient_of_diff(name) for name in chart.names])
-    return rows
+    n, odd = chart.dim, chart.odd_mask
+    unit, flat = one(chart), (0,) * n
+    images: Dict[tuple, GradedExpr] = {}
+    bins: List[List[list]] = [[[] for _ in range(n)] for _ in range(n)]
+    for m in beta.terms:
+        mk = m.masks(chart)
+        # the sign of the factors crossed so far, for an even and for an
+        # odd contraction: only an odd one crosses the odd coordinates
+        c = m.coeff
+        signs = [c, -c if (mk[3] & ((1 << n) - 1)).bit_count() & 1 else c]
+        for a, k in enumerate(m.dexp):
+            if not k:
+                continue
+            par = odd >> a & 1
+            img = images.get((a, k))
+            if img is None:
+                img = images[a, k] = power_image(unit, "diff", a, k)
+            rest = m.dexp[:a] + (0,) + m.dexp[a + 1:]
+            for t in img.terms:
+                out = _insert(signs[par], m.atoms, m.cexp, rest,
+                              *_cut(mk, n + a), t, chart)
+                if out is not None and sum(out.dexp) == 1:
+                    bins[a][out.dexp.index(1)].append(
+                        Monomial(out.coeff, out.atoms, out.cexp, flat))
+            # crossing d(x^a)^k costs (-1)**(k*(1 + s*parity(x^a))) for a
+            # contraction of parity s
+            if k & 1:
+                signs[0] = -signs[0]
+                if not par:
+                    signs[1] = -signs[1]
+    return [[GradedExpr.from_terms(chart, b) for b in row] for row in bins]
 
 
 class _FlatMap:
@@ -98,18 +124,18 @@ class _FlatMap:
         self.rows = memo.take("rows", beta, _interior_rows, beta)
         self.plans = [Plan(e) for row in self.rows + [alpha] for e in row]
 
-    def at(self, points: Sequence[Dict[str, object]]) -> Iterator[FlatMatrix]:
-        """The flat matrix at each point, in order, from one batch
-        evaluation; a point that failed to evaluate raises its error when
-        it is reached."""
+    def at(self, points: Sequence[Dict[str, object]]
+           ) -> Tuple[List[FlatMatrix], Optional[Exception]]:
+        """The flat matrices at the points before the first one that failed
+        to evaluate, in order, from one batch evaluation, and that point's
+        error (None when every point evaluated)."""
         n = self.chart.dim
         points = list(points)
-        for point, vals in zip(points, body_values(self.plans, points)):
-            yield FlatMatrix(
-                point={k: float(v) for k, v in point.items()},
-                rows=[vals[a * n:(a + 1) * n] for a in range(n)],
-                alpha=vals[n * n:] if self.one_form else None,
-            )
+        batch, failure = body_values(self.plans, points).until_failure()
+        return [FlatMatrix(point={k: float(v) for k, v in point.items()},
+                           rows=[vals[a * n:(a + 1) * n] for a in range(n)],
+                           alpha=vals[n * n:] if self.one_form else None)
+                for point, vals in zip(points, batch)], failure
 
 
 def flat_matrix(form: GradedExpr, point: Dict[str, object], *,
@@ -117,7 +143,15 @@ def flat_matrix(form: GradedExpr, point: Dict[str, object], *,
     """Flat matrix at a body point: of d(form) for 1-forms (with the form
     appended as an extra row), of the form itself for 2-forms."""
     memo = Memo() if memo is None else memo
-    return next(memo.take("flat", form, _FlatMap, form, memo).at([point]))
+    fms, failure = memo.take("flat", form, _FlatMap, form, memo).at([point])
+    if failure is not None:
+        raise failure
+    return fms[0]
+
+
+def _not_finite(fm: FlatMatrix) -> PfaffianError:
+    return PfaffianError("flat matrix is not finite at a sample point",
+                         witness=fm.point)
 
 
 # -- classification -------------------------------------------------------------
@@ -162,25 +196,33 @@ def characteristic_class(alpha: GradedExpr,
     dalpha = exterior_d(alpha, memo=memo)
     fmap = memo.take("flat", alpha, _FlatMap, alpha, memo)
     closed = bool(equal(dalpha, zero(chart), policy))
-    evidence = []
-    outcomes = set()
-    for fm in fmap.at(points):
-        if _linalg.vanishes(fm.alpha_row, policy.rel_tol):
-            raise PfaffianError("form vanishes at a sample point",
-                                witness=fm.point)
-        if closed:
-            evidence.append({"point": fm.point, "rank": 0, "case": "closed"})
-            continue
-        r, contained, residual = _linalg.contains(fm.rows, fm.alpha,
-                                                  policy.rel_tol)
-        cls = r if contained else r + 1
-        outcomes.add((r, contained))
-        evidence.append({"point": fm.point, "rank": r,
-                         "case": "contained" if contained else "transversal",
-                         "class": cls, "residual": residual})
-
+    fms, failure = fmap.at(points)
+    tol = policy.rel_tol
+    alphas = [fm.alpha for fm in fms]
+    gone, refused = _linalg.before_refusal(_linalg.vanishes, alphas, tol=tol)
+    # the first point where alpha vanishes, or is refused, ends the
+    # decided points
+    stop = gone.index(True) if True in gone else len(gone)
+    try:
+        decided = [] if closed else _linalg.contains(
+            [fm.rows for fm in fms[:stop]], alphas[:stop], tol)
+    except _linalg.NonFiniteError as exc:
+        raise _not_finite(fms[exc.index]) from None
+    if stop < len(gone):
+        raise PfaffianError("form vanishes at a sample point",
+                            witness=fms[stop].point)
+    if refused is not None:
+        raise _not_finite(fms[refused.index])
+    if failure is not None:
+        raise failure
     if closed:
-        return ClassificationReport(1, "closed", "closed", evidence)
+        return ClassificationReport(1, "closed", "closed", [
+            {"point": fm.point, "rank": 0, "case": "closed"} for fm in fms])
+    evidence = [{"point": fm.point, "rank": r,
+                 "case": "contained" if contained else "transversal",
+                 "class": r if contained else r + 1, "residual": residual}
+                for fm, (r, contained, residual) in zip(fms, decided)]
+    outcomes = {(r, contained) for r, contained, _ in decided}
     if len(outcomes) != 1:
         return ClassificationReport(None, "irregular", "irregular", evidence)
     r, contained = outcomes.pop()
@@ -228,22 +270,30 @@ def presymplectic_check(omega: GradedExpr,
     points = _body_points(chart, points, policy)
 
     fmap = memo.take("flat", omega, _FlatMap, omega, memo)
+    fms, failure = fmap.at(points)
+    blocks = (chart.even_indices, chart.odd_indices) if par == EVEN else ()
+    try:
+        # a block is finite wherever the whole matrix is
+        ranks = [_linalg.rank([fm.rows for fm in fms], policy.rel_tol)] + [
+            _linalg.rank([[[fm.rows[a][b] for b in idx] for a in idx]
+                          for fm in fms], policy.rel_tol)
+            for idx in blocks]
+    except _linalg.NonFiniteError as exc:
+        raise _not_finite(fms[exc.index]) from None
+    if failure is not None:
+        raise failure
     evidence = []
-    ranks = set()
-    kernel = None
-    for fm in fmap.at(points):
-        r = fm.rank(policy)
-        entry = {"point": fm.point, "rank": r}
-        if par == EVEN:
-            entry["even_rank"] = fm.rank(policy, chart.even_indices)
-            entry["odd_rank"] = fm.rank(policy, chart.odd_indices)
-        ranks.add((r, entry.get("even_rank"), entry.get("odd_rank")))
+    for fm, rs in zip(fms, zip(*ranks)):
+        entry = {"point": fm.point, "rank": rs[0]}
+        if blocks:
+            entry["even_rank"], entry["odd_rank"] = rs[1:]
         evidence.append(entry)
-        if kernel is None:
-            kernel = _linalg.nullspace(fm.rows, policy.rel_tol)
-    constant = len(ranks) == 1
+    outcomes = {(e["rank"], e.get("even_rank"), e.get("odd_rank"))
+                for e in evidence}
+    kernel = _linalg.nullspace(fms[0].rows, policy.rel_tol)
+    constant = len(outcomes) == 1
     if constant:
-        r, er, orank = ranks.pop()
+        r, er, orank = outcomes.pop()
     else:
         r = er = orank = None
     return PresymplecticReport(constant, r, er, orank, kernel, evidence)
@@ -291,10 +341,17 @@ def liouville(omega: GradedExpr, alpha: GradedExpr,
     if not equal(exterior_d(alpha, memo=memo), omega, policy):
         raise PfaffianError("one-form is not a potential of the two-form")
     fmap = memo.take("flat", omega, _FlatMap, omega, memo)
-    for fm in fmap.at(sample_body_points(chart, 3, seed=policy.seed)):
-        if fm.rank(policy) < chart.dim:
+    fms, failure = fmap.at(sample_body_points(chart, 3, seed=policy.seed))
+    ranks, refused = _linalg.before_refusal(
+        _linalg.rank, [fm.rows for fm in fms], tol=policy.rel_tol)
+    for fm, r in zip(fms, ranks):
+        if r < chart.dim:
             raise PfaffianError("degenerate two-form: flat map is singular",
                                 witness=fm.point)
+    if refused is not None:
+        raise _not_finite(fms[refused.index])
+    if failure is not None:
+        raise failure
     rhs = [alpha.coefficient_of_diff(name) for name in chart.names]
     try:
         sol = solve_left_linear(fmap.rows, rhs, policy)

@@ -14,7 +14,7 @@ from graded_darboux import (apply_func, chart, coord, diff, gmul, one, partial,
                             zero)
 from graded_darboux.grexpr.chart import ChartSpec, CoordinateDecl, EVEN, ODD
 from graded_darboux.grexpr.expr import ATOM_KINDS, GradedExpr, Monomial, const
-from graded_darboux.cartan import VectorField, exterior_d
+from graded_darboux.cartan import VectorField, basis_field, exterior_d, interior
 from graded_darboux.grexpr.equality import DEFAULT_POLICY
 from graded_darboux.grexpr.grassmann import Plan, body_values
 from graded_darboux.pfaffian import PfaffianError
@@ -299,6 +299,35 @@ def grassmann_series_oracle(u: dict, derivs, ngens: int) -> dict:
         for blade, x in power.items():
             out[blade] = out.get(blade, 0.0) + derivs(k) / fact * x
     return out
+
+
+# -- flat-map oracles ---------------------------------------------------------------
+
+
+def walk_interior_rows(beta: GradedExpr):
+    """Rows M[a][b]: the d(x^b)-coefficient of i_{d/dx^a} beta, by one
+    ``interior`` walk per row and one ``coefficient_of_diff`` scan per
+    entry."""
+    chart = beta.chart
+    rows = []
+    for a in range(chart.dim):
+        ia = interior(basis_field(chart, chart.coords[a].name), beta) \
+            if not beta.is_zero() else zero(chart)
+        rows.append([ia.coefficient_of_diff(name) for name in chart.names])
+    return rows
+
+
+def float_decision_oracle(rows, vec, tol: float):
+    """Rank of one float matrix, least-squares membership of ``vec`` in its
+    row space and the residual, point by point: ``np.linalg.lstsq`` on the
+    transpose, the singular values it returns above tol*max(1, s_max), and
+    the residual at most tol*max(1, |vec|)."""
+    vec = np.array(vec, dtype=float)
+    mat = np.array(rows, dtype=float).reshape(len(rows), len(vec))
+    sol, _, _, s = np.linalg.lstsq(mat.T, vec, rcond=None)
+    res = float(np.linalg.norm(mat.T @ sol - vec))
+    rank = int(np.sum(s > tol * max(1.0, s[0]))) if s.size else 0
+    return rank, res <= tol * max(1.0, float(np.linalg.norm(vec))), res
 
 
 # -- wedge-power class oracle (purely even charts) --------------------------------

@@ -8,14 +8,17 @@ from fractions import Fraction
 
 import pytest
 
-from graded_darboux import EqualityPolicy, chart, parse_expr
-from graded_darboux.cartan import basis_field, vector_field
+from graded_darboux import EqualityPolicy, chart, coord, parse_expr
+from graded_darboux.cartan import VectorField, basis_field, vector_field
 from graded_darboux.darboux import straighten_commuting
 from graded_darboux.grexpr import grassmann
 from graded_darboux.grexpr.expr import EvaluationError
 from graded_darboux.grexpr.grassmann import Plan, body_values, sample_body_points
-from graded_darboux.homogeneity import Distribution, _span_contains
-from graded_darboux.pfaffian import PfaffianError, characteristic_class
+from graded_darboux.grexpr.chart import ChartSpec, CoordinateDecl
+from graded_darboux.homogeneity import (Distribution, RankCollapseError,
+                                        _span_contains)
+from graded_darboux.pfaffian import (PfaffianError, characteristic_class,
+                                     presymplectic_check)
 from helpers import random_chart, random_expr
 
 
@@ -85,7 +88,7 @@ def test_batch_matches_per_point_evaluation():
         plans = [Plan(e) for e in exprs]
         points = sample_body_points(c, 9, rng.randrange(100))
         batch = body_values(plans, points)
-        assert len(batch) == len(points)
+        assert len(batch.rows) == len(points)
         for point, vals in zip(points, batch):
             assert [type(v) for v in vals] == \
                 [Fraction if p.exact else float for p in plans]
@@ -116,8 +119,10 @@ def test_each_point_keeps_the_error_of_its_first_failing_plan():
                     evaluate()
         else:
             assert batch[i] == _one_at_a_time(plans, point)
+    # walking the points meets point 1 first
+    assert batch.until_failure()[0] == [batch[0]]
     with pytest.raises(EvaluationError, match=zero_body):
-        list(batch)     # walking the points meets point 1 first
+        raise batch.until_failure()[1]
     assert batch[4] == [0.0, 4.0, 0.5]
 
 
@@ -128,7 +133,7 @@ def test_points_missing_a_coordinate_fail_alone():
     assert batch[0] == [3.0] and batch[2] == [0.5]
     with pytest.raises(EvaluationError, match="no value for coordinate 'y'"):
         batch[1]
-    assert len(body_values([], [{}, {}])) == 2
+    assert len(body_values([], [{}, {}]).rows) == 2
 
 
 def test_classification_raises_the_first_point_error_in_sample_order():
@@ -143,6 +148,71 @@ def test_classification_raises_the_first_point_error_in_sample_order():
     gone = {"z": 0.0, "q": 0.5, "x": 1e300}
     with pytest.raises(PfaffianError, match="form vanishes"):
         characteristic_class(beta, [fine, gone, pole])
+
+
+def test_classification_raises_the_first_non_finite_or_vanishing_point():
+    """Of a point whose flat map overflowed and a point where the form
+    vanishes, the first in sample order raises; an evaluation error at a
+    later point comes only after both."""
+    c = chart(("z", 0, 0), ("y", 0, 0), ("x", 0, 0), ("w", 0, 0), ("q", 0, 0))
+    alpha = parse_expr("z*d(z) + y*exp(x)*exp(x)*d(y) + (z/w)*d(q)", c)
+    fine = {"z": 0.5, "y": 0.5, "x": 0.5, "w": 0.5, "q": 0.5}
+    huge = {**fine, "x": 358.0}         # exp(x)*exp(x) overflows
+    gone = {**fine, "z": 0.0, "y": 0.0}
+    pole = {**fine, "w": 0.0}
+    for points, match, witness in (
+            ([fine, huge, gone, pole], "not finite", huge),
+            ([fine, gone, huge, pole], "form vanishes", gone),
+            ([fine, huge, pole], "not finite", huge)):
+        with pytest.raises(PfaffianError, match=match) as exc:
+            characteristic_class(alpha, points)
+        assert exc.value.witness == witness
+    with pytest.raises(EvaluationError, match="zero body"):
+        characteristic_class(alpha, [fine, pole, huge, gone])
+
+
+def test_presymplectic_check_raises_a_non_finite_point_in_order():
+    c = chart(("x", 0, 0), ("y", 0, 0), ("w", 0, 0), ("q", 0, 0))
+    omega = parse_expr("exp(x)*exp(x)*d(x)*d(y) + (1/w)*d(w)*d(q)", c)
+    fine = {"x": 0.5, "y": 0.5, "w": 0.5, "q": 0.5}
+    huge, pole = {**fine, "x": 358.0}, {**fine, "w": 0.0}
+    with pytest.raises(PfaffianError, match="not finite") as exc:
+        presymplectic_check(omega, [fine, huge, pole])
+    assert exc.value.witness == huge
+    with pytest.raises(EvaluationError, match="zero body"):
+        presymplectic_check(omega, [fine, pole, huge])
+
+
+def _overflow_box_chart():
+    # exp(x)*exp(x) overflows for x above about 354.9
+    return ChartSpec((CoordinateDecl("x", 0, 0, box=(350, 360)),
+                      CoordinateDecl("y")))
+
+
+def _policy_whose_first_point(c, overflows: bool) -> EqualityPolicy:
+    return next(EqualityPolicy(seed=s) for s in range(100)
+                if (sample_body_points(c, 32, s)[0]["x"] > 355) == overflows
+                and any(p["x"] > 355 for p in sample_body_points(c, 32, s))
+                and any(p["x"] < 354 for p in sample_body_points(c, 32, s)))
+
+
+def test_span_check_decides_guard_then_membership_point_by_point():
+    c = _overflow_box_chart()
+    D = Distribution(c, (basis_field(c, "x"),))
+    Y = vector_field(c, {"y": "exp(x)*exp(x)"})
+    # outside the span at a finite first point, whatever overflows later
+    assert _span_contains(D, Y, _policy_whose_first_point(c, False)) is False
+    policy = _policy_whose_first_point(c, True)
+    with pytest.raises(RankCollapseError, match="not finite") as exc:
+        _span_contains(D, Y, policy)
+    assert exc.value.witness == sample_body_points(c, 32, policy.seed)[0]
+    # a generator that vanishes at the first point collapses there, before
+    # the field's membership is asked
+    first = sample_body_points(c, 32, policy.seed)[0]["x"]
+    x = coord(c, "x")
+    G = VectorField(c, 0, (x - Fraction(first), 0 * x))
+    with pytest.raises(RankCollapseError, match="drop to rank 0"):
+        _span_contains(Distribution(c, (G,)), Y, policy)
 
 
 def _outside_then_failing(points):
@@ -207,8 +277,10 @@ def test_a_coordinate_no_plan_reads_is_not_converted(spoiled):
     c = chart(("x", 0, 0), ("y", 0, 0), ("z", 0, 0))
     plans = [Plan(parse_expr(t, c)) for t in ("x^2 + 1/3", "sin(x)*z", "7")]
     points = sample_body_points(c, 8, 3)
-    batch = list(body_values(plans, points))
-    assert list(body_values(plans, [dict(p, y=spoiled) for p in points])) == batch
+    batch, failure = body_values(plans, points).until_failure()
+    assert failure is None and len(batch) == len(points)
+    assert body_values(plans, [dict(p, y=spoiled) for p in points]
+                       ).until_failure() == (batch, None)
     for point, vals in zip(points, batch):
         assert _one_at_a_time(plans, dict(point, y=spoiled)) == vals
 

@@ -237,6 +237,22 @@ class TestQuotient:
         piv = parse_expr("3*exp(y)/(1 + x^2)^2", c)
         assert gdiv(piv, piv) == one(c)
 
+    def test_a_power_of_a_sum_divides_as_the_power_of_its_inverse(self):
+        # a/b^k for a sum b parses as a*(1/b)^k, so both spellings share a
+        # key and an inverse pivot cancels against it
+        c = chart(("x", 0, 1), ("y", 0, 1))
+        assert parse_expr("1/(1 + x)^2", c).key() == \
+            parse_expr("(1/(1 + x))^2", c).key()
+        assert gdiv(parse_expr("x/(1 + x)^2", c), parse_expr("1/(1 + x)", c)) \
+            == parse_expr("x/(1 + x)", c)
+        assert parse_expr("y/(1 + x)^3", c) == \
+            parse_expr("y/(1 + x)/(1 + x)/(1 + x)", c)
+        # a monomial base, and the exponents 0 and 1, divide as before
+        assert parse_expr("y/(2*x)^2", c) == gdiv(coord(c, "y"),
+                                                  parse_expr("4*x^2", c))
+        assert parse_expr("y/(1 + x)^0", c) == coord(c, "y")
+        assert parse_expr("y/(1 + x)^1", c) == parse_expr("y/(1 + x)", c)
+
     def test_odd_denominator_rejected(self, sup):
         with pytest.raises(ParityError):
             gdiv(one(sup), coord(sup, "xi"))

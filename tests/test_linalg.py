@@ -1,42 +1,49 @@
-"""``_linalg.rank`` and ``_linalg.contains`` choose the exact path when every
-body value is a Fraction, and the float path as soon as one entry is a float;
-``contains`` returns the rank of the rows from its one elimination."""
+"""``_linalg.rank`` and ``_linalg.contains`` decide a stack of matrices, one a
+point.  They choose the exact path when every body value of the stack is a
+Fraction, and the float path, one SVD over the stack, as soon as one entry
+is a float; ``contains`` returns the rank of the rows from its one
+elimination or SVD."""
 
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
+import pytest
+
 from graded_darboux import _linalg
+from helpers import float_decision_oracle
 
 TINY = Fraction(1, 10 ** 12)
 ONE, ZERO = Fraction(1), Fraction(0)
 
 
 def test_rank_exact_unless_an_entry_is_float():
-    assert _linalg.rank([[ONE, ZERO], [ZERO, TINY]], 1e-9) == 2
-    assert _linalg.rank([[ONE, ZERO], [ZERO, float(TINY)]], 1e-9) == 1
-    assert _linalg.rank([], 1e-9) == 0
+    assert _linalg.rank([[[ONE, ZERO], [ZERO, TINY]]], 1e-9)[0] == 2
+    assert _linalg.rank([[[ONE, ZERO], [ZERO, float(TINY)]]], 1e-9)[0] == 1
+    assert _linalg.rank([[]], 1e-9)[0] == 0
 
 
 def test_contains_exact_path():
-    assert _linalg.contains([[ONE, ZERO]], [ONE * 2, ZERO], 1e-9) == (1, True, 0.0)
-    assert _linalg.contains([[ONE, ZERO]], [ZERO, TINY], 1e-9) == (1, False, None)
-    assert _linalg.contains([], [ZERO, ZERO], 1e-9) == (0, True, 0.0)
+    assert _linalg.contains([[[ONE, ZERO]]], [[ONE * 2, ZERO]], 1e-9)[0] == (1, True, 0.0)
+    assert _linalg.contains([[[ONE, ZERO]]], [[ZERO, TINY]], 1e-9)[0] == (1, False, None)
+    assert _linalg.contains([[]], [[ZERO, ZERO]], 1e-9)[0] == (0, True, 0.0)
 
 
 def test_contains_one_float_entry_takes_the_float_path():
-    r, inside, residual = _linalg.contains([[ONE, ZERO]], [ZERO, float(TINY)], 1e-9)
+    r, inside, residual = _linalg.contains([[[ONE, ZERO]]], [[ZERO, float(TINY)]], 1e-9)[0]
     assert r == 1 and inside is True
     assert type(residual) is float and abs(residual - 1e-12) < 1e-24
-    r, inside, residual = _linalg.contains([[ONE, 0.0]], [ZERO, TINY], 1e-15)
+    r, inside, residual = _linalg.contains([[[ONE, 0.0]]], [[ZERO, TINY]], 1e-15)[0]
     assert r == 1 and inside is False and type(residual) is float
 
 
 def test_contains_keeps_the_exact_rank_of_exact_rows():
     # the float rank of these rows is 1; only the target is float
     rows = [[ONE, ZERO], [ZERO, TINY]]
-    assert _linalg.contains(rows, [ONE, 0.0], 1e-9)[:2] == (2, True)
-    assert _linalg.contains([[ONE, ZERO], [ZERO, float(TINY)]],
-                            [ONE, 0.0], 1e-9)[:2] == (1, True)
+    assert _linalg.contains([rows], [[ONE, 0.0]], 1e-9)[0][:2] == (2, True)
+    assert _linalg.contains([[[ONE, ZERO], [ZERO, float(TINY)]]],
+                            [[ONE, 0.0]], 1e-9)[0][:2] == (1, True)
 
 
 def _reference_rref(rows):
@@ -90,7 +97,7 @@ def test_exact_elimination_matches_a_reference_rref():
             else (rng.randint(1, 6), rng.randint(1, 6))
         rows = _rational_matrix(rng, nrows, ncols)
         ref, pivots = _reference_rref(rows)
-        assert _linalg.exact_rank(rows) == _linalg.rank(rows, 1e-9) == len(pivots)
+        assert _linalg.exact_rank(rows) == _linalg.rank([rows], 1e-9)[0] == len(pivots)
         # the kernel: one vector per free column, the RREF entries rounded once
         free = [j for j in range(ncols) if j not in pivots]
         want = [[0.0] * len(free) for _ in range(ncols)]
@@ -112,5 +119,148 @@ def test_exact_elimination_matches_a_reference_rref():
             inside = len(_reference_rref(rows + [target])[1]) == len(pivots)
             assert _linalg.exact_solve_membership(rows, target) == \
                 (len(pivots), inside)
-            assert _linalg.contains(rows, target, 1e-9) == \
+            assert _linalg.contains([rows], [target], 1e-9)[0] == \
                 ((len(pivots), True, 0.0) if inside else (len(pivots), False, None))
+
+
+def _targets(rng, rows, ncols):
+    """A random rational vector, a combination of the rows and zero."""
+    return [[Fraction(rng.randint(-9, 9), rng.choice(DENOMINATORS))
+             for _ in range(ncols)],
+            [sum((Fraction(k, 3) * r[j] for k, r in enumerate(rows, 1)),
+                 Fraction(0)) for j in range(ncols)],
+            [Fraction(0)] * ncols]
+
+
+def test_stacked_exact_decisions_match_a_reference_rref():
+    """The exact path is chosen once per stack and decides each point as the
+    reference RREF does, stacks of no rows (k = 0) included; one float entry
+    anywhere sends the whole stack to the float path, where exact rows keep
+    their exact rank."""
+    rng = random.Random(24)
+    for trial in range(300):
+        N, k, n = rng.randint(1, 5), rng.randint(0, 4), rng.randint(1, 4)
+        stack = [_rational_matrix(rng, k, n) if k else [] for _ in range(N)]
+        targets = [rng.choice(_targets(rng, rows, n)) for rows in stack]
+        ranks = [len(_reference_rref(rows)[1]) for rows in stack]
+        inside = [len(_reference_rref(rows + [t])[1]) == r
+                  for rows, t, r in zip(stack, targets, ranks)]
+        assert _linalg.rank(stack, 1e-9) == ranks
+        assert _linalg.contains(stack, targets, 1e-9) == \
+            [(r, ins, 0.0 if ins else None) for r, ins in zip(ranks, inside)]
+        # one float entry, at a random point of the vectors
+        j = rng.randrange(N)
+        floated = [list(t) for t in targets]
+        floated[j][rng.randrange(n)] = float(floated[j][0])
+        got = _linalg.contains(stack, floated, 1e-9)
+        for rows, t, r, (gr, ins, res) in zip(stack, floated, ranks, got):
+            _, want, want_res = float_decision_oracle(rows, t, 1e-9)
+            assert gr == r and ins == want and type(res) is float
+            # rows made singular by a rational combination keep a singular
+            # value of rounding size, next to lstsq's cut, which two SVD
+            # routines may place on either side: the residuals then agree to
+            # the decision's tolerance, not to the last bits
+            assert abs(res - want_res) <= 1e-9 * max(1.0, math.hypot(*t))
+
+
+def _float_stack(rng, N, k, n):
+    """N float k x n matrices with one vector each: full rank or made rank
+    deficient by a repeated row, a row combination or a zero row; each
+    matrix scaled by a power of ten from 1e-12 to 1e8; the vectors random,
+    combinations of the rows, or zero."""
+    mats = rng.integers(-9, 10, (N, k, n)) / rng.choice([1, 2, 3, 7], (N, k, 1))
+    shape = rng.choice(["full", "full", "repeat", "combination", "zero-row"])
+    if k >= 2 and shape == "repeat":
+        mats[:, -1] = mats[:, 0]
+    elif k >= 3 and shape == "combination":
+        mats[:, -1] = mats[:, 0] / 3 - 5 * mats[:, 1] / 7
+    elif k >= 1 and shape == "zero-row":
+        mats[:, -1] = 0.0
+    if rng.random() < 0.3:
+        mats = mats + rng.standard_normal((N, k, n))
+    mats = mats * 10.0 ** rng.choice([-12, -8, 0, 0, 8], (N, 1, 1))
+    kind = rng.choice(["random", "inside", "zero"])
+    if kind == "random" or k == 0:
+        vecs = rng.standard_normal((N, n)) * 10.0 ** rng.choice([-6, 0, 6])
+    elif kind == "inside":
+        vecs = np.einsum("pk,pkn->pn", rng.integers(-3, 4, (N, k)) * 1.0, mats)
+    else:
+        vecs = np.zeros((N, n))
+    return mats, vecs
+
+
+def test_stacked_float_decisions_match_a_per_point_oracle():
+    """One SVD over the stack gives each point the rank, the membership and
+    the residual that a per-point least-squares solve gives: rank-deficient,
+    scaled and empty (k = 0) stacks of rows included."""
+    rng = np.random.default_rng(24)
+    points = 0
+    for trial in range(600):
+        N, k, n = (int(v) for v in rng.integers(1, [6, 5, 5], endpoint=True))
+        k -= 1      # from 0
+        mats, vecs = _float_stack(rng, N, k, n)
+        got = _linalg.contains(mats.tolist(), vecs.tolist(), 1e-9)
+        ranks = _linalg.rank(mats.tolist(), 1e-9) if k else [0] * N
+        assert len(got) == len(ranks) == N
+        for i in range(N):
+            r, inside, res = float_decision_oracle(mats[i], vecs[i], 1e-9)
+            scale = max(1.0, float(np.linalg.norm(vecs[i])))
+            assert got[i][:2] == (r, inside) and ranks[i] == r
+            assert abs(got[i][2] - res) <= 1e-12 * scale
+            points += 1
+    assert points > 1500
+
+
+def test_vanishing_per_point():
+    vecs = [[0.0, 0.0], [1e-10, -1e-10], [1e-9, 1e-9], [1.0, 0.0],
+            [1e200, 1e200], [Fraction(1, 10 ** 12), ZERO]]
+    want = [math.hypot(*map(float, v)) <= 1e-9 for v in vecs]
+    assert want == [True, True, False, False, False, True]
+    assert _linalg.vanishes(vecs, 1e-9) == want
+    assert _linalg.vanishes([], 1e-9) == []
+    for bad in (math.inf, math.nan):
+        with pytest.raises(_linalg.NonFiniteError) as exc:
+            _linalg.vanishes(vecs[:3] + [[0.0, bad]] + vecs, 1e-9)
+        assert exc.value.index == 3
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_a_non_finite_stack_is_refused_before_any_lapack_call(bad, monkeypatch):
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("LAPACK called on a non-finite stack")
+
+    monkeypatch.setattr(np.linalg, "svd", no_lapack)
+    rows = [[[1.0, 0.0], [0.0, 1.0]] for _ in range(4)]
+    vecs = [[1.0, 1.0] for _ in range(4)]
+    for where in ("rows", "vector"):
+        for j in range(4):
+            r = [[list(row) for row in m] for m in rows]
+            v = [list(x) for x in vecs]
+            if where == "rows":
+                r[j][1][0] = bad
+            else:
+                v[j][1] = bad
+            with pytest.raises(_linalg.NonFiniteError) as exc:
+                _linalg.contains(r, v, 1e-9)
+            assert exc.value.index == j
+            if where == "rows":
+                for decide in (_linalg.rank, _linalg.float_rank):
+                    with pytest.raises(_linalg.NonFiniteError) as exc:
+                        decide(np.array(r) if decide is _linalg.float_rank
+                               else r, 1e-9)
+                    assert exc.value.index == j
+
+
+def test_decisions_before_a_refusal():
+    stack = [[[1.0, 0.0]], [[0.0, 0.0]], [[math.nan, 1.0]], [[2.0, 2.0]]]
+    ranks, refused = _linalg.before_refusal(_linalg.rank, stack, tol=1e-9)
+    assert ranks == [1, 0] and refused.index == 2
+    assert _linalg.before_refusal(_linalg.rank, stack[:2], tol=1e-9) == \
+        ([1, 0], None)
+
+
+def test_membership_of_a_vector_whose_squares_overflow():
+    # |v|^2 overflows although v is finite, so the norms are taken scaled
+    rows = [[[1.0, 0.0]]]
+    assert _linalg.contains(rows, [[0.0, 1e305]], 1e-9)[0] == (1, False, 1e305)
+    assert _linalg.contains(rows, [[1e305, 0.0]], 1e-9)[0] == (1, True, 0.0)

@@ -74,7 +74,7 @@ def test_no_sampling_parameter_outside_the_policy():
 
 # the exact-only and float-only membership and rank routines, reached from
 # outside only through _linalg.rank and _linalg.contains
-PATH_ROUTINES = {"exact_rank", "exact_solve_membership", "in_row_space"}
+PATH_ROUTINES = {"exact_rank", "exact_solve_membership", "float_contains"}
 
 
 def test_one_chooser_of_the_exact_or_float_path():
