@@ -5,14 +5,16 @@ paths.
 
 Decisions take a stack: one matrix (and one vector) per sample point.  The
 exact path is chosen once per stack and eliminates point by point; the
-float path decides every point of the stack from one SVD (Golub & Van Loan,
-*Matrix Computations*, 4th ed., section 5.5), after refusing a stack that
-holds an inf or nan with ``NonFiniteError`` before any LAPACK call."""
+float path decides the points whose data are finite from one SVD over them
+(Golub & Van Loan, *Matrix Computations*, 4th ed., section 5.5) and returns
+None at every other point, so no inf or nan reaches LAPACK.  A caller walks
+the points once, in order, and raises at the first one it cannot decide."""
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import wraps
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -77,32 +79,32 @@ def negligible(x: float, tol: float, scale: float = 0.0) -> bool:
     return bool(abs(x) <= threshold(tol, scale))
 
 
-class NonFiniteError(ValueError):
-    """A float decision met inf or nan; ``index`` is the first matrix of the
-    stack that holds one."""
+def _finite_points(decide):
+    """``decide(*stacks, tol)`` over the points where every float stack is
+    finite, in one call, and None at every other point, so that no inf or
+    nan reaches LAPACK; the stacks share their leading axis, one entry a
+    point."""
+    @wraps(decide)
+    def at_finite(*args):
+        *stacks, tol = args
+        stacks = [np.asarray(a, dtype=float) for a in stacks]
+        bad = np.zeros(len(stacks[0]), dtype=bool)
+        for a in stacks:
+            bad |= ~np.isfinite(a).all(axis=tuple(range(1, a.ndim)))
+        if not bad.any():
+            return decide(*stacks, tol)
+        out = iter(decide(*(a[~bad] for a in stacks), tol))
+        return [None if f else next(out) for f in bad.tolist()]
+    return at_finite
 
-    def __init__(self, index: int):
-        super().__init__(f"matrix {index} of the stack is not finite")
-        self.index = index
 
-
-def _refuse_nonfinite(*stacks: np.ndarray) -> None:
-    """Raise ``NonFiniteError`` at the first point where a float stack holds
-    an inf or nan; the stacks share their leading axis, one entry a point."""
-    bad = np.zeros(len(stacks[0]), dtype=bool)
-    for a in stacks:
-        bad |= ~np.isfinite(a).all(axis=tuple(range(1, a.ndim)))
-    if bad.any():
-        raise NonFiniteError(int(bad.argmax()))
-
-
-def vanishes(vecs: Sequence[Sequence], tol: float) -> List[bool]:
+@_finite_points
+def vanishes(vecs: np.ndarray, tol: float) -> List[Optional[bool]]:
     """Whether the Euclidean norm of each vector of a float stack is
-    negligible; one whose squares overflow does not vanish."""
+    negligible, None where the vector is not finite; one whose squares
+    overflow does not vanish."""
     if not len(vecs):
         return []
-    vecs = np.array(vecs, dtype=float)
-    _refuse_nonfinite(vecs)
     with np.errstate(over="ignore"):
         return (np.linalg.norm(vecs, axis=1) <= threshold(tol)).tolist()
 
@@ -125,21 +127,22 @@ def _ranks(s: np.ndarray, tol: float) -> List[int]:
     return np.sum(s > threshold(tol, s[:, :1]), axis=1).tolist()
 
 
-def float_rank(mats: np.ndarray, tol: float) -> List[int]:
-    """Rank of each matrix of a float stack, from one SVD over the stack."""
-    _refuse_nonfinite(mats)
+@_finite_points
+def float_rank(mats: np.ndarray, tol: float) -> List[Optional[int]]:
+    """Rank of each matrix of a float stack, from one SVD over its finite
+    matrices; None at the others."""
     return _ranks(np.linalg.svd(mats, compute_uv=False), tol)
 
 
+@_finite_points
 def float_contains(mats: np.ndarray, vecs: np.ndarray,
-                   tol: float) -> List[Tuple[int, bool, float]]:
+                   tol: float) -> List[Optional[Tuple[int, bool, float]]]:
     """Rank of each matrix of a float stack (N, k, n), membership of the
     matching vector of ``vecs`` (N, n) in its row space, and the residual,
-    from one SVD over the stack.  The residual is |v - U_q U_q^T v| for the
-    first q left singular vectors of the transpose, q counting the singular
-    values above lstsq's default cut eps·max(k, n)·s_max: the least-squares
-    residual."""
-    _refuse_nonfinite(mats, vecs)
+    from one SVD over the points whose matrix and vector are finite; None
+    at the others.  The residual is |v - U_q U_q^T v| for the first q left
+    singular vectors of the transpose, q counting the singular values above
+    lstsq's default cut eps·max(k, n)·s_max: the least-squares residual."""
     k, n = mats.shape[1:]
     u, s, _ = np.linalg.svd(mats.transpose(0, 2, 1), full_matrices=False)
     cut = np.finfo(float).eps * max(k, n) * s[:, :1]
@@ -149,26 +152,16 @@ def float_contains(mats: np.ndarray, vecs: np.ndarray,
     return list(zip(_ranks(s, tol), inside.tolist(), res.tolist()))
 
 
-def before_refusal(decide, *stacks, tol: float):
-    """``decide(*stacks, tol)`` and None; or, when it refuses the point at
-    some index, the decisions of the points before it and the refusal, so
-    that a caller walking the points in order meets the refusal where it
-    comes."""
-    try:
-        return decide(*stacks, tol), None
-    except NonFiniteError as exc:
-        return decide(*(st[:exc.index] for st in stacks), tol), exc
-
-
 def _exact(*stacks: Sequence) -> bool:
     return all(isinstance(v, Fraction)
                for st in stacks for m in st for r in m for v in r)
 
 
 def rank(stack: Sequence[Sequence[Sequence[Union[Fraction, float]]]],
-         tol: float) -> List[int]:
+         tol: float) -> List[Optional[int]]:
     """Rank of each matrix of a stack of body values, all k x n: exact when
-    every entry of the stack is a Fraction, else from one SVD."""
+    every entry of the stack is a Fraction, else from one SVD, with None
+    where a matrix is not finite."""
     if _exact(stack):
         return [exact_rank(m) for m in stack]
     return float_rank(np.array(stack, dtype=float), tol)
@@ -176,12 +169,13 @@ def rank(stack: Sequence[Sequence[Sequence[Union[Fraction, float]]]],
 
 def contains(stack: Sequence[Sequence[Sequence[Union[Fraction, float]]]],
              vecs: Sequence[Sequence[Union[Fraction, float]]],
-             tol: float) -> List[Tuple[int, bool, Optional[float]]]:
+             tol: float) -> List[Optional[Tuple[int, bool, Optional[float]]]]:
     """Per point: rank of the k x n rows, membership of the n-vector in
     their row space and its residual.  Exact (residual 0.0, or None
     outside) when every entry of the stack and the vectors is a Fraction,
     by one elimination per point; else from one SVD over the stack, where
-    exact rows keep their exact rank."""
+    exact rows keep their exact rank, and None where the rows or the vector
+    are not finite."""
     if _exact(stack, [vecs]):
         out = []
         for rows, vec in zip(stack, vecs):
@@ -192,8 +186,8 @@ def contains(stack: Sequence[Sequence[Sequence[Union[Fraction, float]]]],
     mats = np.array(stack, dtype=float).reshape(len(vecs), -1, vecs.shape[1])
     out = float_contains(mats, vecs, tol)
     if _exact(stack):
-        out = [(exact_rank(rows), inside, res)
-               for rows, (_, inside, res) in zip(stack, out)]
+        out = [None if d is None else (exact_rank(rows),) + d[1:]
+               for rows, d in zip(stack, out)]
     return out
 
 

@@ -437,12 +437,15 @@ def linear_darboux(omega0: GradedExpr) -> LinearDarbouxResult:
 def _jacobian_nonsingular(images: Sequence[GradedExpr], chart: ChartSpec,
                           base: Dict[str, object],
                           policy: EqualityPolicy) -> bool:
+    """Whether the Jacobian of the images is finite and nonsingular at the
+    base point."""
     n = chart.dim
     if len(images) != n:
         return False
     plans = [Plan(partial(img, name)) for img in images for name in chart.names]
     J = np.array(body_values(plans, [base])[0], dtype=float).reshape(n, n)
-    return not _linalg.negligible(float(np.linalg.det(J)), policy.rel_tol)
+    return bool(np.isfinite(J).all()) and not _linalg.negligible(
+        float(np.linalg.det(J)), policy.rel_tol)
 
 
 def one_form_darboux(alpha: GradedExpr, presymp_chart: ChartMap,
@@ -472,19 +475,26 @@ def one_form_darboux(alpha: GradedExpr, presymp_chart: ChartMap,
 
     notes: List[str] = []
 
-    # guard: nabla(base) nonzero and inside the characteristic space
+    # guard: nabla(base) nonzero and inside the characteristic space, that
+    # is alpha(nabla) and i_nabla d(alpha) vanish there; a vanishing test
+    # is None where its vector is not finite
     nvec = np.array(body_values([Plan(c) for c in nabla.coefficients],
                                 [base])[0], dtype=float)
-    nabla_vanishes = _linalg.vanishes([nvec], policy.rel_tol)[0]
-    if not nabla_vanishes:
+    gone = _linalg.vanishes([nvec], policy.rel_tol)
+    if gone == [False]:
         fm = flat_matrix(alpha, base, memo=memo)
-        if (_linalg.negligible(float(nvec @ fm.alpha_row), policy.rel_tol)
-                and _linalg.vanishes([nvec @ fm.matrix], policy.rel_tol)[0]):
-            return DarbouxResult(
-                status="not-guaranteed",
-                notes=["weight field is nonzero at the base point and lies "
-                       "in the characteristic space: no homogeneous normal "
-                       "form is guaranteed there"])
+        gone += [_linalg.vanishes([v], policy.rel_tol)[0]
+                 for v in ([nvec @ fm.alpha_row], nvec @ fm.matrix)]
+    if None in gone:
+        raise PfaffianError("weight field or flat matrix is not finite at "
+                            "the base point", witness=base)
+    nabla_vanishes = gone[0]
+    if gone[1:] == [True, True]:
+        return DarbouxResult(
+            status="not-guaranteed",
+            notes=["weight field is nonzero at the base point and lies "
+                   "in the characteristic space: no homogeneous normal "
+                   "form is guaranteed there"])
 
     target = presymp_chart.target
     pre_spec = NormalFormSpec("presymplectic", r, s, tuple(eps),
@@ -829,11 +839,11 @@ def straighten_commuting(fields: Sequence[VectorField],
                          if any(p.reads for p in plans[-1]) else [])
 
     M = np.vstack([_evaluator(ps, 1)(base[None]) for ps in plans])
-    try:
-        if _linalg.float_rank(M[None], policy.rel_tol)[0] < k:
-            raise StraighteningError("fields are dependent at the base point")
-    except _linalg.NonFiniteError:
-        raise StraighteningError("fields are not finite at the base point") from None
+    r = _linalg.float_rank(M[None], policy.rel_tol)[0]
+    if r is None:
+        raise StraighteningError("fields are not finite at the base point")
+    if r < k:
+        raise StraighteningError("fields are dependent at the base point")
 
     # the slices complete the fields to a basis, so the grid has n axes
     slice_axes: List[int] = []

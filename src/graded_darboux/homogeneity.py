@@ -183,7 +183,10 @@ def cotangent_lift(nabla: VectorField) -> VectorField:
 def _span_contains(D: Distribution, Y: VectorField,
                    policy: EqualityPolicy) -> bool:
     """Pointwise span membership at the policy's sampled body points: at
-    each point in order, the rank-collapse guard and then membership."""
+    each evaluated point in order, the rank-collapse guard, then the
+    finiteness of the generators and the field, then membership; False at
+    the first point outside the span, and an evaluation error only after
+    every point before it was decided."""
     chart = D.chart
     n, k = chart.dim, len(D.generators)
     plans = [Plan(c) for X in D.generators + (Y,) for c in X.coefficients]
@@ -192,25 +195,19 @@ def _span_contains(D: Distribution, Y: VectorField,
     rows = [[v[j:j + n] for j in range(0, k * n, n)] for v in vals]
     # a conditioning guard: float on purpose, whatever the data
     G = np.array(rows, dtype=float).reshape(len(rows), k, n)
-    ranks, _ = _linalg.before_refusal(_linalg.float_rank, G,
-                                      tol=policy.rel_tol)
-    inside, refused = _linalg.before_refusal(
-        _linalg.contains, rows, [v[k * n:] for v in vals], tol=policy.rel_tol)
-    # contains refuses no later than the guard, whose stack it holds
-    for i, r in enumerate(ranks):
-        if r < k:
+    ranks = _linalg.float_rank(G, policy.rel_tol)
+    inside = _linalg.contains(rows, [v[k * n:] for v in vals], policy.rel_tol)
+    for point, r, d in zip(points, ranks, inside):
+        if r is not None and r < k:
             raise RankCollapseError(
                 f"generators drop to rank {r} at a sample point",
-                witness={key: float(v) for key, v in points[i].items()})
-        if i == len(inside):
-            break
-        if not inside[i][1]:
+                witness={key: float(v) for key, v in point.items()})
+        if d is None:
+            raise RankCollapseError(
+                "generators or field are not finite at a sample point",
+                witness={key: float(v) for key, v in point.items()})
+        if not d[1]:
             return False
-    if refused is not None:
-        raise RankCollapseError(
-            "generators or field are not finite at a sample point",
-            witness={key: float(v)
-                     for key, v in points[refused.index].items()})
     if failure is not None:
         raise failure
     return True

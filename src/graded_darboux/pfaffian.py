@@ -199,20 +199,18 @@ def characteristic_class(alpha: GradedExpr,
     fms, failure = fmap.at(points)
     tol = policy.rel_tol
     alphas = [fm.alpha for fm in fms]
-    gone, refused = _linalg.before_refusal(_linalg.vanishes, alphas, tol=tol)
-    # the first point where alpha vanishes, or is refused, ends the
-    # decided points
-    stop = gone.index(True) if True in gone else len(gone)
-    try:
-        decided = [] if closed else _linalg.contains(
-            [fm.rows for fm in fms[:stop]], alphas[:stop], tol)
-    except _linalg.NonFiniteError as exc:
-        raise _not_finite(fms[exc.index]) from None
-    if stop < len(gone):
-        raise PfaffianError("form vanishes at a sample point",
-                            witness=fms[stop].point)
-    if refused is not None:
-        raise _not_finite(fms[refused.index])
+    gone = _linalg.vanishes(alphas, tol)
+    decided = [] if closed else _linalg.contains(
+        [fm.rows for fm in fms], alphas, tol)
+    # the first point, in order, that cannot be decided raises
+    for i, fm in enumerate(fms):
+        if gone[i] is None:
+            raise _not_finite(fm)
+        if gone[i]:
+            raise PfaffianError("form vanishes at a sample point",
+                                witness=fm.point)
+        if not closed and decided[i] is None:
+            raise _not_finite(fm)
     if failure is not None:
         raise failure
     if closed:
@@ -272,22 +270,21 @@ def presymplectic_check(omega: GradedExpr,
     fmap = memo.take("flat", omega, _FlatMap, omega, memo)
     fms, failure = fmap.at(points)
     blocks = (chart.even_indices, chart.odd_indices) if par == EVEN else ()
-    try:
-        # a block is finite wherever the whole matrix is
-        ranks = [_linalg.rank([fm.rows for fm in fms], policy.rel_tol)] + [
-            _linalg.rank([[[fm.rows[a][b] for b in idx] for a in idx]
-                          for fm in fms], policy.rel_tol)
-            for idx in blocks]
-    except _linalg.NonFiniteError as exc:
-        raise _not_finite(fms[exc.index]) from None
-    if failure is not None:
-        raise failure
+    ranks = [_linalg.rank([fm.rows for fm in fms], policy.rel_tol)] + [
+        _linalg.rank([[[fm.rows[a][b] for b in idx] for a in idx]
+                      for fm in fms], policy.rel_tol)
+        for idx in blocks]
     evidence = []
     for fm, rs in zip(fms, zip(*ranks)):
+        # where the whole matrix is finite, so are its blocks
+        if rs[0] is None:
+            raise _not_finite(fm)
         entry = {"point": fm.point, "rank": rs[0]}
         if blocks:
             entry["even_rank"], entry["odd_rank"] = rs[1:]
         evidence.append(entry)
+    if failure is not None:
+        raise failure
     outcomes = {(e["rank"], e.get("even_rank"), e.get("odd_rank"))
                 for e in evidence}
     kernel = _linalg.nullspace(fms[0].rows, policy.rel_tol)
@@ -342,14 +339,13 @@ def liouville(omega: GradedExpr, alpha: GradedExpr,
         raise PfaffianError("one-form is not a potential of the two-form")
     fmap = memo.take("flat", omega, _FlatMap, omega, memo)
     fms, failure = fmap.at(sample_body_points(chart, 3, seed=policy.seed))
-    ranks, refused = _linalg.before_refusal(
-        _linalg.rank, [fm.rows for fm in fms], tol=policy.rel_tol)
-    for fm, r in zip(fms, ranks):
+    for fm, r in zip(fms, _linalg.rank([fm.rows for fm in fms],
+                                       policy.rel_tol)):
+        if r is None:
+            raise _not_finite(fm)
         if r < chart.dim:
             raise PfaffianError("degenerate two-form: flat map is singular",
                                 witness=fm.point)
-    if refused is not None:
-        raise _not_finite(fms[refused.index])
     if failure is not None:
         raise failure
     rhs = [alpha.coefficient_of_diff(name) for name in chart.names]

@@ -21,7 +21,9 @@ from graded_darboux.darboux import (NormalFormSpec, StraighteningError,
                                     one_form_darboux, poincare_primitive,
                                     primitive_by_quadrature,
                                     straighten_commuting, verify_normal_form)
-from graded_darboux.grexpr.equality import DOMAIN_LIMIT, RK4_STEP
+from graded_darboux.grexpr.chart import ChartSpec, CoordinateDecl
+from graded_darboux.grexpr.equality import (DOMAIN_LIMIT, RK4_STEP,
+                                            EqualityPolicy)
 from graded_darboux.grexpr.grassmann import Plan
 from graded_darboux.homogeneity import degree_of, weight_field_of_chart
 from graded_darboux.pfaffian import PfaffianError
@@ -362,6 +364,37 @@ class TestOneFormDarboux:
         res = one_form_darboux(alpha, phi, r=1, nabla=nb)
         assert res.status == "not-guaranteed"
         assert res.chart_map is None
+
+    def test_guard_refuses_a_base_point_where_the_flat_map_overflows(self):
+        # exp(x)*exp(x) overflows above x = 354.89, so alpha(nabla) is
+        # 0*inf = nan there; the guard must not read it as nonzero
+        c = ChartSpec((CoordinateDecl("x", 0, 0, box=(0.1, 1)),
+                       CoordinateDecl("y"), CoordinateDecl("t")))
+        alpha = parse_expr("exp(x)*exp(x)*d(y)", c)
+        t = chart(("q", 0, 0), ("p", 0, 0), ("K", 0, 0))
+        phi = ChartMap(c, t, {"q": parse_expr("y", c),
+                              "p": parse_expr("exp(x)*exp(x)", c),
+                              "K": parse_expr("t", c)})
+        nb = basis_field(c, "t")
+        res = one_form_darboux(alpha, phi, r=1, nabla=nb, base_point={"x": 0.3})
+        assert res.status == "not-guaranteed"
+        with pytest.raises(PfaffianError,
+                           match="^weight field or flat matrix is not finite "
+                                 "at the base point$") as exc:
+            one_form_darboux(alpha, phi, r=1, nabla=nb, base_point={"x": 358})
+        assert exc.value.witness == {"x": 358, "y": 0, "t": 0}
+
+    def test_a_non_finite_jacobian_is_not_nonsingular(self):
+        # the first image is identically 0, but inf - inf = nan at x = 358
+        c = chart(("x", 0, 0), ("y", 0, 0))
+        images = [parse_expr("exp(x)*exp(x) - exp(x - 1)*exp(x + 1)", c),
+                  parse_expr("y", c)]
+        for x in (1, 358):
+            assert darboux._jacobian_nonsingular(
+                images, c, {"x": x, "y": 0}, EqualityPolicy()) is False
+        assert darboux._jacobian_nonsingular(
+            [coord(c, "x"), coord(c, "y")], c, {"x": 358, "y": 0},
+            EqualityPolicy()) is True
 
     def test_momentum_absorption(self):
         c = chart(("q", 0, 0), ("p", 0, 0), default_box=(0.5, 1.0))
@@ -704,6 +737,13 @@ class TestStraightening:
         with pytest.raises(StraighteningError):
             straighten_commuting([basis_field(c, "x"), basis_field(c, "x")],
                                  [0, 0])
+
+    def test_fields_not_finite_at_base_rejected(self):
+        c = chart(("x", 0, 0), ("y", 0, 0))
+        with pytest.raises(StraighteningError,
+                           match="^fields are not finite at the base point$"):
+            straighten_commuting([vector_field(c, {"x": "exp(x)*exp(x)"})],
+                                 [358, 0])
 
     def test_singular_node_named(self):
         # on the slice point (0, 1) the field is parallel to the slice axis

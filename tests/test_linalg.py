@@ -211,6 +211,9 @@ def test_stacked_float_decisions_match_a_per_point_oracle():
     assert points > 1500
 
 
+NON_FINITE = (math.inf, -math.inf, math.nan)
+
+
 def test_vanishing_per_point():
     vecs = [[0.0, 0.0], [1e-10, -1e-10], [1e-9, 1e-9], [1.0, 0.0],
             [1e200, 1e200], [Fraction(1, 10 ** 12), ZERO]]
@@ -218,18 +221,25 @@ def test_vanishing_per_point():
     assert want == [True, True, False, False, False, True]
     assert _linalg.vanishes(vecs, 1e-9) == want
     assert _linalg.vanishes([], 1e-9) == []
-    for bad in (math.inf, math.nan):
-        with pytest.raises(_linalg.NonFiniteError) as exc:
-            _linalg.vanishes(vecs[:3] + [[0.0, bad]] + vecs, 1e-9)
-        assert exc.value.index == 3
+    for bad in NON_FINITE:
+        got = _linalg.vanishes(vecs[:3] + [[0.0, bad]] + vecs, 1e-9)
+        assert got == want[:3] + [None] + want
 
 
-@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
-def test_a_non_finite_stack_is_refused_before_any_lapack_call(bad, monkeypatch):
-    def no_lapack(*args, **kwargs):
-        raise AssertionError("LAPACK called on a non-finite stack")
+@pytest.fixture
+def finite_svd(monkeypatch):
+    """``np.linalg.svd`` behind a check that LAPACK sees only finite data."""
+    svd = np.linalg.svd
 
-    monkeypatch.setattr(np.linalg, "svd", no_lapack)
+    def checked(a, *args, **kwargs):
+        assert np.isfinite(a).all(), "LAPACK called on a non-finite stack"
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", checked)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_a_non_finite_point_is_none_and_never_reaches_lapack(bad, finite_svd):
     rows = [[[1.0, 0.0], [0.0, 1.0]] for _ in range(4)]
     vecs = [[1.0, 1.0] for _ in range(4)]
     for where in ("rows", "vector"):
@@ -240,23 +250,40 @@ def test_a_non_finite_stack_is_refused_before_any_lapack_call(bad, monkeypatch):
                 r[j][1][0] = bad
             else:
                 v[j][1] = bad
-            with pytest.raises(_linalg.NonFiniteError) as exc:
-                _linalg.contains(r, v, 1e-9)
-            assert exc.value.index == j
-            if where == "rows":
-                for decide in (_linalg.rank, _linalg.float_rank):
-                    with pytest.raises(_linalg.NonFiniteError) as exc:
-                        decide(np.array(r) if decide is _linalg.float_rank
-                               else r, 1e-9)
-                    assert exc.value.index == j
+            want = [None if i == j else (2, True, 0.0) for i in range(4)]
+            assert _linalg.contains(r, v, 1e-9) == want
+            ranks = [None if i == j and where == "rows" else 2
+                     for i in range(4)]
+            assert _linalg.rank(r, 1e-9) == ranks
+            assert _linalg.float_rank(np.array(r), 1e-9) == ranks
+    # exact rows keep their exact rank where the vector is finite
+    exact = [[[ONE, ZERO]], [[ONE, ZERO]]]
+    assert _linalg.contains(exact, [[bad, 0.0], [2.0, 0.0]], 1e-9) == \
+        [None, (1, True, 0.0)]
 
 
-def test_decisions_before_a_refusal():
-    stack = [[[1.0, 0.0]], [[0.0, 0.0]], [[math.nan, 1.0]], [[2.0, 2.0]]]
-    ranks, refused = _linalg.before_refusal(_linalg.rank, stack, tol=1e-9)
-    assert ranks == [1, 0] and refused.index == 2
-    assert _linalg.before_refusal(_linalg.rank, stack[:2], tol=1e-9) == \
-        ([1, 0], None)
+def test_finite_points_are_decided_as_if_alone(finite_svd):
+    """The points around a non-finite one get the decisions they get when
+    they are decided without it."""
+    rng = np.random.default_rng(25)
+    cases = 0
+    for trial in range(200):
+        N, k, n = (int(v) for v in rng.integers(1, [6, 4, 4], endpoint=True))
+        mats, vecs = _float_stack(rng, N, k, n)
+        bad = rng.random(N) < 0.4
+        for i in np.flatnonzero(bad):
+            stack = mats if rng.random() < 0.5 else vecs
+            stack[i].flat[rng.integers(stack[i].size)] = rng.choice(NON_FINITE)
+        for decide, args in ((_linalg.contains, (mats, vecs)),
+                             (_linalg.rank, (mats,)),
+                             (_linalg.vanishes, (vecs,))):
+            finite = np.logical_and.reduce(
+                [np.isfinite(a.reshape(N, -1)).all(axis=1) for a in args])
+            got = decide(*(a.tolist() for a in args), 1e-9)
+            alone = iter(decide(*(a[finite].tolist() for a in args), 1e-9))
+            assert got == [next(alone) if f else None for f in finite]
+            cases += not finite.all()
+    assert cases > 200
 
 
 def test_membership_of_a_vector_whose_squares_overflow():
