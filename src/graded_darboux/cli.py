@@ -200,6 +200,14 @@ def _nabla(args, ws: Workspace, chart: ChartSpec) -> VectorField:
     return f
 
 
+def _own_weights(args, ws: Workspace, chart: ChartSpec) -> None:
+    """Where the chart's weights are the homogeneity structure, a declared
+    ``nabla`` must be the chart's canonical field."""
+    if "nabla" in args and not verify_weight_chart(_nabla(args, ws, chart),
+                                                   chart):
+        raise ValueError("expected the canonical weight field of the chart")
+
+
 def _check_chart(args, ws, policy):
     f = ws.vfield(args["nabla"])
     chart = ws.chart(args["chart"]) if "chart" in args else f.chart
@@ -224,9 +232,9 @@ def _degree(args, ws, policy):
 def _lift(args, ws, policy):
     chart = (ws.chart(args["chart"]) if "chart" in args
              else ws.vfield(args["nabla"]).chart)
-    nab = _nabla(args, ws, chart)
+    _own_weights(args, ws, chart)
     kind = args.get("kind", "tangent")
-    lifted = tangent_lift(nab) if kind == "tangent" else cotangent_lift(nab)
+    lifted = (tangent_lift if kind == "tangent" else cotangent_lift)(chart)
     return {"chart": [[c.name, "odd" if c.parity else "even", str(c.weight)]
                       for c in lifted.chart.coords],
             "output_exprs": lifted}, "pass"
@@ -262,22 +270,21 @@ def _liouville(args, ws, policy):
 
 def _poincare(args, ws, policy):
     form = ws.form(args["form"])
-    # the canonical field of the chart passes its own check: build none
-    nabla = _nabla(args, ws, form.chart) if "nabla" in args else None
-    prim = poincare_primitive(form, nabla)
-    return {"output_exprs": [prim]}, "pass"
+    _own_weights(args, ws, form.chart)
+    return {"output_exprs": [poincare_primitive(form)]}, "pass"
 
 
 def _log_primitive(args, ws, policy):
     form = ws.form(args["form"])
-    c, g = log_primitive(form, _nabla(args, ws, form.chart), policy)
+    _own_weights(args, ws, form.chart)
+    c, g = log_primitive(form, policy)
     return {"constant": c, "output_exprs": [g]}, "pass"
 
 
 def _pde_solve(args, ws, policy):
     form = ws.form(args["g"])
-    f = homog_solve_pde(form, args["y1"], _nabla(args, ws, form.chart))
-    return {"output_exprs": [f]}, "pass"
+    _own_weights(args, ws, form.chart)
+    return {"output_exprs": [homog_solve_pde(form, args["y1"])]}, "pass"
 
 
 def _linear_darboux(args, ws, policy):

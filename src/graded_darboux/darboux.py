@@ -33,8 +33,7 @@ from .grexpr.expr import (GradedExpr, Monomial, apply_func, const, coord, diff,
                           gdiv, gmul, partial, substitute, zero)
 from .grexpr.integrate import NonIntegrable, integrate_univariate
 from .grexpr.grassmann import Plan, body_values
-from .homogeneity import (DegreeReport, degree_of, verify_weight_chart,
-                          weight_field_of_chart)
+from .homogeneity import DegreeReport, degree_of, weight_field_of_chart
 from .pfaffian import PfaffianError, characteristic_class, flat_matrix
 
 
@@ -136,19 +135,16 @@ class DarbouxResult:
 # -- the homogeneous ODE step ------------------------------------------------------
 
 
-def homog_solve_pde(g: GradedExpr, y1: str,
-                    nabla: Optional[VectorField] = None) -> GradedExpr:
+def homog_solve_pde(g: GradedExpr, y1: str) -> GradedExpr:
     """Solve df/dy1 = g by f = integral of g from 0 to y1.
 
-    For homogeneous g of weight w the solution has weight w + weight(y1) and
-    vanishes wherever the integration segment collapses (in particular at the
-    chart origin).  Non-homogeneous inputs are integrated anyway, with a
-    warning: the weight law no longer applies.
+    For g homogeneous of weight w under the chart's weights the solution
+    has weight w + weight(y1) and vanishes wherever the integration segment
+    collapses (in particular at the chart origin).  Non-homogeneous inputs
+    are integrated anyway, with a warning: the weight law no longer applies.
     """
     chart = g.chart
-    nabla = nabla or weight_field_of_chart(chart)
-    rep = degree_of(g, nabla)
-    if not rep.homogeneous:
+    if not degree_of(g, weight_field_of_chart(chart)).homogeneous:
         warnings.warn("integrand is not homogeneous: the weight claim "
                       "for the solution is dropped", stacklevel=2)
     return integrate_univariate(g, y1, 0, coord(chart, y1))
@@ -183,7 +179,7 @@ def homotopy(w: GradedExpr) -> GradedExpr:
     return out
 
 
-def poincare_primitive(w: GradedExpr, nabla: Optional[VectorField] = None,
+def poincare_primitive(w: GradedExpr,
                        center: Optional[Dict[str, object]] = None) -> GradedExpr:
     """Primitive of a closed polynomial form that preserves homogeneity.
 
@@ -194,8 +190,6 @@ def poincare_primitive(w: GradedExpr, nabla: Optional[VectorField] = None,
     coordinates (the homotopy is run in translated coordinates).
     """
     chart = w.chart
-    if nabla is not None and not verify_weight_chart(nabla, chart):
-        raise ValueError("expected the canonical weight field of the chart")
     deg = w.form_degree()
     if deg is None or deg < 1:
         raise ValueError("expected a form of definite degree >= 1")
@@ -272,18 +266,17 @@ def primitive_by_quadrature(beta: GradedExpr,
     return g
 
 
-def log_primitive(w: GradedExpr, nabla: Optional[VectorField] = None,
-                  policy: EqualityPolicy = DEFAULT_POLICY
+def log_primitive(w: GradedExpr, policy: EqualityPolicy = DEFAULT_POLICY
                   ) -> Tuple[GradedExpr, GradedExpr]:
     """Split a closed weight-zero one-form as c * d(x)/x + d(g) near a point
-    where the weight field reads x d/dx, x = 1.
+    where the chart's weight field reads x d/dx, x = 1.
 
     The chart must be in that normal form: exactly one coordinate of weight
     one (even), all others weight zero.  Returns (c, g) with c a constant
     expression and g independent of x, vanishing at the distinguished point.
     """
     chart = w.chart
-    nabla = nabla or weight_field_of_chart(chart)
+    nabla = weight_field_of_chart(chart)
     special = [i for i in range(chart.dim) if chart.weight(i) != 0]
     if (len(special) != 1 or chart.weight(special[0]) != 1
             or chart.parity(special[0]) != EVEN):
@@ -476,15 +469,18 @@ def one_form_darboux(alpha: GradedExpr, presymp_chart: ChartMap,
     notes: List[str] = []
 
     # guard: nabla(base) nonzero and inside the characteristic space, that
-    # is alpha(nabla) and i_nabla d(alpha) vanish there; a vanishing test
-    # is None where its vector is not finite
+    # is alpha(nabla) and i_nabla d(alpha) vanish there; None where not
+    # finite, and entries are tested before the products (0*inf warns)
     nvec = np.array(body_values([Plan(c) for c in nabla.coefficients],
                                 [base])[0], dtype=float)
     gone = _linalg.vanishes([nvec], policy.rel_tol)
     if gone == [False]:
         fm = flat_matrix(alpha, base, memo=memo)
-        gone += [_linalg.vanishes([v], policy.rel_tol)[0]
-                 for v in ([nvec @ fm.alpha_row], nvec @ fm.matrix)]
+        a, m = fm.alpha_row, fm.matrix
+        ok = np.isfinite(a).all() and np.isfinite(m).all()
+        with np.errstate(over="ignore"):    # an overflow is inf, so None
+            gone += [_linalg.vanishes([v], policy.rel_tol)[0]
+                     for v in ([nvec @ a], nvec @ m)] if ok else [None]
     if None in gone:
         raise PfaffianError("weight field or flat matrix is not finite at "
                             "the base point", witness=base)
@@ -867,6 +863,10 @@ def straighten_commuting(fields: Sequence[VectorField],
         J[:, ax, k + m] = 1.0
     fs = [_evaluator(ps, len(combos)) for ps in plans]
     for i in reversed(range(k)):
+        bad = ~np.isfinite(fs[i](x)).all(axis=1)    # where each flow starts
+        if bad.any():
+            raise StraighteningError("fields are not finite at the grid node "
+                                     f"u={tuple(map(float, U[bad.argmax()]))}")
         x, J = _rk4_flow(jac_plans[i] + plans[i], x, J, U[:, i])
         J[:, :, i] = fs[i](x)
 

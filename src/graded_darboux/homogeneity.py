@@ -60,21 +60,15 @@ class Distribution:
 
 def weight_field_of_chart(chart: ChartSpec) -> VectorField:
     """The canonical field sum_i weight(x^i) * x^i d/dx^i of a chart."""
-    coeffs = []
-    for c in chart.coords:
-        if c.weight == 0:
-            coeffs.append(zero(chart))
-        else:
-            coeffs.append(coord(chart, c.name) * c.weight)
-    return VectorField(chart, EVEN, tuple(coeffs))
+    return VectorField(chart, EVEN, tuple(
+        coord(chart, c.name) * c.weight if c.weight != 0 else zero(chart)
+        for c in chart.coords))
 
 
 def verify_weight_chart(nabla: VectorField, chart: ChartSpec) -> bool:
-    """True iff the coefficient of every x^i is exactly weight(x^i) * x^i."""
-    if nabla.chart != chart or nabla.parity != EVEN:
-        return False
-    want = weight_field_of_chart(chart)
-    return all(a == b for a, b in zip(nabla.coefficients, want.coefficients))
+    """True iff nabla is even, on the chart, and the coefficient of every
+    x^i is exactly weight(x^i) * x^i: the chart's canonical field."""
+    return nabla == weight_field_of_chart(chart)
 
 
 # -- degrees ------------------------------------------------------------------
@@ -163,18 +157,14 @@ def _lifted_chart(chart: ChartSpec, prefix: str, suffix: str,
     return ChartSpec(tuple(decls), default_box=chart.default_box)
 
 
-def tangent_lift(nabla: VectorField) -> VectorField:
+def tangent_lift(chart: ChartSpec) -> VectorField:
     """Adapted chart (x, x_dot) with the lifted field sum w (x dx + xd dxd)."""
-    if not verify_weight_chart(nabla, nabla.chart):
-        raise ValueError("tangent lift expects the canonical weight field")
-    return weight_field_of_chart(_lifted_chart(nabla.chart, "", "_dot", +1))
+    return weight_field_of_chart(_lifted_chart(chart, "", "_dot", +1))
 
 
-def cotangent_lift(nabla: VectorField) -> VectorField:
+def cotangent_lift(chart: ChartSpec) -> VectorField:
     """Adapted chart (x, p_x); momenta carry the opposite weight."""
-    if not verify_weight_chart(nabla, nabla.chart):
-        raise ValueError("cotangent lift expects the canonical weight field")
-    return weight_field_of_chart(_lifted_chart(nabla.chart, "p_", "", -1))
+    return weight_field_of_chart(_lifted_chart(chart, "p_", "", -1))
 
 
 # -- distributions ------------------------------------------------------------

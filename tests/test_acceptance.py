@@ -264,7 +264,7 @@ def test_criterion_08_homotopy():
             continue
         count += 1
         nab = weight_field_of_chart(c)
-        a = poincare_primitive(w, nab)
+        a = poincare_primitive(w)
         assert exterior_d(a) == w
         dw, da = degree_of(w, nab), degree_of(a, nab)
         assert da.homogeneous and da.degree.weight == dw.degree.weight

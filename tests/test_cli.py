@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from graded_darboux import apply_func, chart, coord, equal, parse_expr
-from graded_darboux import cli, darboux
+from graded_darboux import cli
 from graded_darboux.cli import Workspace, load_manifest, main, run, run_task
 from graded_darboux.grexpr.equality import EqualityPolicy
 
@@ -272,13 +272,13 @@ def test_poincare_checks_only_a_declared_weight_field(
     """Without ``nabla`` the task builds and checks no weight field; a
     declared one is still checked, and a wrong one fails the task."""
     counted = []
-    check = darboux.verify_weight_chart
+    check = cli.verify_weight_chart
 
     def counting(f, c):
         counted.append(f)
         return check(f, c)
 
-    monkeypatch.setattr(darboux, "verify_weight_chart", counting)
+    monkeypatch.setattr(cli, "verify_weight_chart", counting)
     args = {"form": "w"} if nabla is None else {"form": "w", "nabla": nabla}
     m = tmp_path / "poincare.json"
     m.write_text(json.dumps({
@@ -296,6 +296,64 @@ def test_poincare_checks_only_a_declared_weight_field(
         assert task["output_exprs"] == ["1/2*a*d(b) - 1/2*b*d(a)"]
     else:
         assert task["error"] == "expected the canonical weight field of the chart"
+
+
+# the commands whose homogeneity structure is the chart's own weights, each
+# with arguments on the chart L = (x:1, y:0)
+_OWN_WEIGHTS = {
+    "poincare": {"form": "w"},
+    "log-primitive": {"form": "log"},
+    "pde-solve": {"g": "g", "y1": "x"},
+    "lift": {"chart": "L", "kind": "cotangent"},
+}
+
+
+def _run_own_weights(tmp_path, nabla):
+    extra = {} if nabla is None else {"nabla": nabla}
+    m = tmp_path / "own.json"
+    m.write_text(json.dumps({
+        "charts": {"L": {"coords": [["x", "even", "1"], ["y", "even", "0"]],
+                         "box": [0.3, 0.9]},
+                   "O": {"coords": [["x", "even", "2"]]}},
+        "fields": {"hand": {"chart": "L", "coeffs": {"x": "x"}},
+                   "doubled": {"chart": "L", "coeffs": {"x": "2*x"}},
+                   "quadratic": {"chart": "L", "coeffs": {"x": "x^2"}},
+                   "mixed": {"chart": "L", "coeffs": {"x": "x", "y": "x"}},
+                   "zero": {"chart": "L", "coeffs": {}},
+                   "other-chart": {"chart": "O", "coeffs": {"x": "2*x"}}},
+        "forms": {"w": {"chart": "L", "expr": "x*d(x)"},
+                  "log": {"chart": "L", "expr": "3*d(x)/x + y*d(y)"},
+                  "g": {"chart": "L", "expr": "y^2"}},
+        "tasks": [{"cmd": cmd, "args": {**args, **extra}}
+                  for cmd, args in _OWN_WEIGHTS.items()]}))
+    out = tmp_path / "own_report.json"
+    run(str(m), json_out=str(out), stream=open(os.devnull, "w"))
+    return json.loads(out.read_text())["tasks"]
+
+
+@pytest.mark.parametrize("nabla", [
+    "doubled", "quadratic", "mixed", "zero", "other-chart"])
+def test_a_weight_field_not_the_charts_own_fails_the_task(tmp_path, nabla):
+    """The chart's weights are the homogeneity structure of these commands:
+    any other declared field fails each task with one message, 2x d/dx on
+    log-primitive included, where the library once reported a residual
+    d(x)-component instead."""
+    tasks = _run_own_weights(tmp_path, nabla)
+    assert [t["task"] for t in tasks] == list(_OWN_WEIGHTS)
+    for task in tasks:
+        assert task["status"] == "fail"
+        assert task["error"] == ("expected the canonical weight field of "
+                                 "the chart")
+
+
+def test_a_hand_built_canonical_field_is_the_charts_own(tmp_path):
+    """Canonicity is read off the coefficients: x d/dx built by hand gives
+    the reports of a task that declares no field."""
+    tasks = _run_own_weights(tmp_path, "hand")
+    assert [t["status"] for t in tasks] == ["pass"] * 4
+    assert tasks == _run_own_weights(tmp_path, None)
+    assert tasks[1]["constant"] == "3"
+    assert ["p_x", "even", "-1"] in tasks[3]["chart"]
 
 
 def test_arithmetic_bug_in_a_handler_raises(tmp_path, monkeypatch):

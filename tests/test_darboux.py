@@ -4,6 +4,7 @@ import io
 import json
 import math
 import random
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -59,7 +60,7 @@ class TestHomogSolvePde:
                 continue
             nab = weight_field_of_chart(c)
             rep = degree_of(g, nab)
-            f = homog_solve_pde(g, y1, nab)
+            f = homog_solve_pde(g, y1)
             if f.is_zero():
                 continue
             rf = degree_of(f, nab)
@@ -88,7 +89,7 @@ class TestPoincare:
         c = chart(("p", 0, 1), ("q", 0, -1))
         nab = weight_field_of_chart(c)
         w = parse_expr("d(p)*d(q)", c)  # weight 0
-        a = poincare_primitive(w, nab)
+        a = poincare_primitive(w)
         rep = degree_of(a, nab)
         assert rep.homogeneous and rep.degree.weight == 0
 
@@ -157,7 +158,7 @@ class TestPoincare:
                 continue
             count += 1
             nab = weight_field_of_chart(c)
-            a = poincare_primitive(w, nab)
+            a = poincare_primitive(w)
             assert exterior_d(a) == w
             dw = degree_of(w, nab)
             da = degree_of(a, nab)
@@ -383,6 +384,26 @@ class TestOneFormDarboux:
                                  "at the base point$") as exc:
             one_form_darboux(alpha, phi, r=1, nabla=nb, base_point={"x": 358})
         assert exc.value.witness == {"x": 358, "y": 0, "t": 0}
+
+    def test_guard_tests_finiteness_before_the_products(self):
+        # 0*inf in the pairing, and a pairing of finite entries that
+        # overflows, raise the typed error and print no numpy warning
+        c = ChartSpec((CoordinateDecl("x", 0, 0, box=(0.1, 1)),
+                       CoordinateDecl("y"), CoordinateDecl("t")))
+        alpha = parse_expr("exp(x)*exp(x)*d(y)", c)
+        t = chart(("q", 0, 0), ("p", 0, 0), ("K", 0, 0))
+        phi = ChartMap(c, t, {"q": parse_expr("y", c),
+                              "p": parse_expr("exp(x)*exp(x)", c),
+                              "K": parse_expr("t", c)})
+        for nb, x in [(basis_field(c, "t"), 358),
+                      (vector_field(c, {"y": "1e200"}), 300)]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(PfaffianError, match="^weight field or "
+                                   "flat matrix is not finite") as exc:
+                    one_form_darboux(alpha, phi, r=1, nabla=nb,
+                                     base_point={"x": x})
+            assert exc.value.witness == {"x": x, "y": 0, "t": 0}
 
     def test_a_non_finite_jacobian_is_not_nonsingular(self):
         # the first image is identically 0, but inf - inf = nan at x = 358
@@ -744,6 +765,17 @@ class TestStraightening:
                            match="^fields are not finite at the base point$"):
             straighten_commuting([vector_field(c, {"x": "exp(x)*exp(x)"})],
                                  [358, 0])
+
+    def test_fields_not_finite_at_a_grid_node_named(self):
+        # exp(400*x)^2 is 1 at the base point and overflows at the slice
+        # nodes x = 1, which start their flows there: the flow does not
+        # leave the domain, the field is not finite where it starts
+        c = chart(("x", 0, 0), ("y", 0, 0))
+        f = vector_field(c, {"y": "exp(400*x)*exp(400*x)"})
+        with pytest.raises(StraighteningError,
+                           match=r"^fields are not finite at the grid node "
+                                 r"u=\(-1\.0, 1\.0\)$"):
+            straighten_commuting([f], [0, 0], box=1.0, nodes_per_axis=3)
 
     def test_singular_node_named(self):
         # on the slice point (0, 1) the field is parallel to the slice axis
