@@ -7,7 +7,10 @@ Decisions take a stack: one matrix (and one vector) per sample point.  The
 exact path is chosen once per stack and eliminates point by point; the
 float path decides the points whose data are finite from one SVD over them
 (Golub & Van Loan, *Matrix Computations*, 4th ed., section 5.5) and returns
-None at every other point, so no inf or nan reaches LAPACK.  A caller walks
+None at every other point, so no inf or nan reaches LAPACK.  A finite
+matrix whose singular values overflow is decided from its SVD over its
+largest entry.  A vector vanishes where its one-row matrix has rank 0 under
+``float_rank``: for tol < 1, where its norm is at most tol.  A caller walks
 the points once, in order, and raises at the first one it cannot decide."""
 
 from __future__ import annotations
@@ -87,6 +90,8 @@ def _finite_points(decide):
     @wraps(decide)
     def at_finite(*args):
         *stacks, tol = args
+        if not len(stacks[0]):
+            return []
         stacks = [np.asarray(a, dtype=float) for a in stacks]
         bad = np.zeros(len(stacks[0]), dtype=bool)
         for a in stacks:
@@ -96,17 +101,6 @@ def _finite_points(decide):
         out = iter(decide(*(a[~bad] for a in stacks), tol))
         return [None if f else next(out) for f in bad.tolist()]
     return at_finite
-
-
-@_finite_points
-def vanishes(vecs: np.ndarray, tol: float) -> List[Optional[bool]]:
-    """Whether the Euclidean norm of each vector of a float stack is
-    negligible, None where the vector is not finite; one whose squares
-    overflow does not vanish."""
-    if not len(vecs):
-        return []
-    with np.errstate(over="ignore"):
-        return (np.linalg.norm(vecs, axis=1) <= threshold(tol)).tolist()
 
 
 def _norms(a: np.ndarray) -> np.ndarray:
@@ -121,6 +115,29 @@ def _norms(a: np.ndarray) -> np.ndarray:
     return norms
 
 
+def unit_rows(a: np.ndarray) -> np.ndarray:
+    """Each row of a float array over its Euclidean norm; a zero row stays
+    zero, and a row that is not finite stays so."""
+    with np.errstate(invalid="ignore"):     # inf/inf is nan
+        norms = _norms(a)
+        return a / np.where(norms == 0, 1.0, norms)[:, None]
+
+
+def _svd(a: np.ndarray, **kwargs):
+    """``np.linalg.svd`` of a finite stack, where a matrix whose singular
+    values overflow is taken over its largest entry: its singular vectors
+    stay, and its singular values keep their ratios."""
+    out = np.linalg.svd(a, **kwargs)
+    s = out if isinstance(out, np.ndarray) else out.S
+    big = ~np.isfinite(s).all(axis=-1)
+    if big.any():
+        top = np.abs(a[big]).max(axis=(-2, -1), keepdims=True)
+        scaled = np.linalg.svd(a[big] / top, **kwargs)
+        for whole, part in [(out, scaled)] if s is out else zip(out, scaled):
+            whole[big] = part
+    return out
+
+
 def _ranks(s: np.ndarray, tol: float) -> List[int]:
     """Per matrix, the number of singular values above ``tol`` relative to
     its largest."""
@@ -131,7 +148,7 @@ def _ranks(s: np.ndarray, tol: float) -> List[int]:
 def float_rank(mats: np.ndarray, tol: float) -> List[Optional[int]]:
     """Rank of each matrix of a float stack, from one SVD over its finite
     matrices; None at the others."""
-    return _ranks(np.linalg.svd(mats, compute_uv=False), tol)
+    return _ranks(_svd(mats, compute_uv=False), tol)
 
 
 @_finite_points
@@ -144,7 +161,7 @@ def float_contains(mats: np.ndarray, vecs: np.ndarray,
     singular vectors of the transpose, q counting the singular values above
     lstsq's default cut eps·max(k, n)·s_max: the least-squares residual."""
     k, n = mats.shape[1:]
-    u, s, _ = np.linalg.svd(mats.transpose(0, 2, 1), full_matrices=False)
+    u, s, _ = _svd(mats.transpose(0, 2, 1), full_matrices=False)
     cut = np.finfo(float).eps * max(k, n) * s[:, :1]
     coef = np.einsum("pij,pi->pj", u, vecs) * (s > cut)
     res = _norms(vecs - np.einsum("pij,pj->pi", u, coef))
@@ -208,5 +225,5 @@ def nullspace(rows: Sequence[Sequence[Union[Fraction, float]]],
             basis[pivots, col] = [-m[r][j] / m[r][piv] + 0.0
                                   for r, piv in enumerate(pivots)]
         return basis
-    u, s, vt = np.linalg.svd(np.array(rows, dtype=float))
-    return vt[_ranks(s[None], tol)[0]:].T
+    u, s, vt = _svd(np.array(rows, dtype=float)[None])
+    return vt[0, _ranks(s, tol)[0]:].T

@@ -430,15 +430,17 @@ def linear_darboux(omega0: GradedExpr) -> LinearDarbouxResult:
 def _jacobian_nonsingular(images: Sequence[GradedExpr], chart: ChartSpec,
                           base: Dict[str, object],
                           policy: EqualityPolicy) -> bool:
-    """Whether the Jacobian of the images is finite and nonsingular at the
-    base point."""
+    """Whether the Jacobian of the images at the base point is finite and of
+    full float rank, a conditioning guard like the others."""
     n = chart.dim
     if len(images) != n:
         return False
     plans = [Plan(partial(img, name)) for img in images for name in chart.names]
-    J = np.array(body_values(plans, [base])[0], dtype=float).reshape(n, n)
-    return bool(np.isfinite(J).all()) and not _linalg.negligible(
-        float(np.linalg.det(J)), policy.rel_tol)
+    vals, failure = body_values(plans, [base])
+    if failure is not None:
+        raise failure
+    J = np.array(vals, dtype=float).reshape(1, n, n)
+    return _linalg.float_rank(J, policy.rel_tol) == [n]
 
 
 def one_form_darboux(alpha: GradedExpr, presymp_chart: ChartMap,
@@ -469,23 +471,25 @@ def one_form_darboux(alpha: GradedExpr, presymp_chart: ChartMap,
     notes: List[str] = []
 
     # guard: nabla(base) nonzero and inside the characteristic space, that
-    # is alpha(nabla) and i_nabla d(alpha) vanish there; None where not
-    # finite, and entries are tested before the products (0*inf warns)
-    nvec = np.array(body_values([Plan(c) for c in nabla.coefficients],
-                                [base])[0], dtype=float)
-    gone = _linalg.vanishes([nvec], policy.rel_tol)
-    if gone == [False]:
+    # is alpha(nabla) and i_nabla d(alpha) have one-row rank 0 there; None
+    # where not finite, and entries are tested before the products (0*inf)
+    vals, failure = body_values([Plan(c) for c in nabla.coefficients], [base])
+    if failure is not None:
+        raise failure
+    nvec = np.array(vals[0], dtype=float)
+    ranks = _linalg.float_rank([[nvec]], policy.rel_tol)
+    if ranks == [1]:
         fm = flat_matrix(alpha, base, memo=memo)
         a, m = fm.alpha_row, fm.matrix
         ok = np.isfinite(a).all() and np.isfinite(m).all()
         with np.errstate(over="ignore"):    # an overflow is inf, so None
-            gone += [_linalg.vanishes([v], policy.rel_tol)[0]
-                     for v in ([nvec @ a], nvec @ m)] if ok else [None]
-    if None in gone:
+            ranks += [_linalg.float_rank([[v]], policy.rel_tol)[0]
+                      for v in ([nvec @ a], nvec @ m)] if ok else [None]
+    if None in ranks:
         raise PfaffianError("weight field or flat matrix is not finite at "
                             "the base point", witness=base)
-    nabla_vanishes = gone[0]
-    if gone[1:] == [True, True]:
+    nabla_vanishes = ranks[0] == 0
+    if ranks[1:] == [0, 0]:
         return DarbouxResult(
             status="not-guaranteed",
             notes=["weight field is nonzero at the base point and lies "
@@ -834,7 +838,9 @@ def straighten_commuting(fields: Sequence[VectorField],
                           for c in X.coefficients for name in chart.names]
                          if any(p.reads for p in plans[-1]) else [])
 
-    M = np.vstack([_evaluator(ps, 1)(base[None]) for ps in plans])
+    # rank tests on unit rows, so that the fields' scale decides nothing
+    M = _linalg.unit_rows(np.vstack([_evaluator(ps, 1)(base[None])
+                                     for ps in plans]))
     r = _linalg.float_rank(M[None], policy.rel_tol)[0]
     if r is None:
         raise StraighteningError("fields are not finite at the base point")
@@ -843,13 +849,10 @@ def straighten_commuting(fields: Sequence[VectorField],
 
     # the slices complete the fields to a basis, so the grid has n axes
     slice_axes: List[int] = []
-    cur = M         # full row rank throughout
     for j in range(n):
-        if len(slice_axes) + k >= n:
-            break
-        cand = np.vstack([cur, np.eye(n)[j]])
-        if _linalg.float_rank(cand[None], policy.rel_tol)[0] == len(cand):
-            cur = cand
+        cand = np.vstack([M, np.eye(n)[slice_axes + [j]]])
+        if (len(cand) <= n
+                and _linalg.float_rank(cand[None], policy.rel_tol)[0] == len(cand)):
             slice_axes.append(j)
 
     axis = (np.linspace(-box, box, nodes_per_axis) if nodes_per_axis > 1

@@ -491,89 +491,68 @@ def eval_numeric(a: GradedExpr, point: Mapping[str, object]) -> GrassmannValue:
     return GrassmannValue(batch.values[0])
 
 
-class BodyBatch:
-    """Bodies of compiled expressions at a batch of body points.
-
-    ``batch[i]`` is point i's list of values, one per plan: a Fraction where
-    the plan is exact, a float otherwise.  At a point where a plan failed it
-    raises the error of the first failing plan, in plan order, so a caller
-    that walks the points in order meets each error where evaluating one
-    point at a time would have raised it."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: List[Union[list, Exception]]):
-        self.rows = rows        # a point's values, or its error
-
-    def __getitem__(self, i: int) -> list:
-        row = self.rows[i]
-        if isinstance(row, Exception):
-            raise row
-        return row
-
-    def until_failure(self) -> Tuple[List[list], Optional[Exception]]:
-        """The values of the points before the first one that failed, and
-        that point's error (None when every point evaluated)."""
-        for i, row in enumerate(self.rows):
-            if isinstance(row, Exception):
-                return self.rows[:i], row
-        return self.rows, None
-
-
 def _as_float(v) -> float:
     # float(Fraction(v)), without the Fraction where v is a finite float (a
     # plan's sum starts from 0.0, so a -0.0 never reaches its value)
     return v if type(v) is float and math.isfinite(v) else float(Fraction(v))
 
 
-def body_values(plans: Sequence[Plan],
-                points: Sequence[Mapping[str, object]]) -> BodyBatch:
-    """Bodies of compiled expressions at a batch of body points.
+def body_values(plans: Sequence[Plan], points: Sequence[Mapping[str, object]]
+                ) -> Tuple[List[list], Optional[Exception]]:
+    """Bodies of compiled expressions at a batch of body points, in order.
+
+    Returns the values of the points before the first one that fails, one
+    list per point and one value per plan (a Fraction where the plan is
+    exact, a float otherwise), and the error that evaluating that point
+    alone raises: of its coordinates, else of its first failing plan, in
+    plan order (None when every point evaluates).  No point after the first
+    one whose coordinates fail to convert is evaluated.
 
     Odd coordinates are zero.  A plan that reads no coordinate runs once,
     and its value, or its error, is every point's.  Exact plans evaluate to
     Fractions, point by point.  Each float plan runs once over
     per-coordinate arrays of the points, which ``Plan.float_body`` evaluates
     bit for bit as it does one point, and point by point only where that
-    raises.  Any error is kept with its point, so that each point raises
-    what evaluating it alone would have raised.
+    raises.
     """
-    n = len(points)
     if not plans:
-        return BodyBatch([[] for _ in range(n)])
+        return [[] for _ in points], None
     # the coordinate lists only plans that read a coordinate need
     some_exact = any(p.exact and p.reads for p in plans)
     some_float = any(not p.exact and p.reads for p in plans)
-    rows: List[Union[list, Exception, None]] = [None] * n
-    xq: List[Optional[list]] = [None] * n
-    xf: List[Optional[list]] = [None] * n
-    for i, point in enumerate(points):
+    xq, xf, failure = [], [], None
+    for point in points:
         try:
-            if some_exact:
-                xq[i] = _body_point(plans, point)
-            if some_float:
-                xf[i] = _body_point(plans, point, _as_float)
+            q = _body_point(plans, point) if some_exact else None
+            f = _body_point(plans, point, _as_float) if some_float else None
         except Exception as exc:
-            rows[i] = exc
-    alive = [i for i in range(n) if rows[i] is None]
-    cols = np.array([xf[i] for i in alive]).T if some_float else None
+            failure = exc
+            break
+        xq.append(q)
+        xf.append(f)
+    n = len(xq)
+    cols = np.array(xf).T if some_float else None
     columns = []
     with np.errstate(all="ignore"):
         for plan in plans:
             if not plan.reads:
                 body = plan.exact_body if plan.exact else plan.float_body
-                columns.append([_call(body, ())] * len(alive))
+                columns.append([_call(body, ())] * n)
             elif plan.exact:
-                columns.append([_call(plan.exact_body, xq[i]) for i in alive])
+                columns.append([_call(plan.exact_body, x) for x in xq])
             else:
                 try:
-                    vals = np.broadcast_to(plan.float_body(cols), len(alive)).tolist()
+                    vals = np.broadcast_to(plan.float_body(cols), n).tolist()
                 except Exception:
-                    vals = [_call(plan.float_body, xf[i]) for i in alive]
+                    vals = [_call(plan.float_body, x) for x in xf]
                 columns.append(vals)
-    for i, row in zip(alive, zip(*columns)):
-        rows[i] = next((v for v in row if isinstance(v, Exception)), list(row))
-    return BodyBatch(rows)
+    values = []
+    for row in zip(*columns):
+        error = next((v for v in row if isinstance(v, Exception)), None)
+        if error is not None:
+            return values, error
+        values.append(list(row))
+    return values, failure
 
 
 def _call(f, x):

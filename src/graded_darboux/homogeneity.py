@@ -181,7 +181,7 @@ def _span_contains(D: Distribution, Y: VectorField,
     n, k = chart.dim, len(D.generators)
     plans = [Plan(c) for X in D.generators + (Y,) for c in X.coefficients]
     points = sample_body_points(chart, policy.n_points, policy.seed)
-    vals, failure = body_values(plans, points).until_failure()
+    vals, failure = body_values(plans, points)
     rows = [[v[j:j + n] for j in range(0, k * n, n)] for v in vals]
     # a conditioning guard: float on purpose, whatever the data
     G = np.array(rows, dtype=float).reshape(len(rows), k, n)

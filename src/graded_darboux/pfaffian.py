@@ -131,7 +131,7 @@ class _FlatMap:
         error (None when every point evaluated)."""
         n = self.chart.dim
         points = list(points)
-        batch, failure = body_values(self.plans, points).until_failure()
+        batch, failure = body_values(self.plans, points)
         return [FlatMatrix(point={k: float(v) for k, v in point.items()},
                            rows=[vals[a * n:(a + 1) * n] for a in range(n)],
                            alpha=vals[n * n:] if self.one_form else None)
@@ -199,14 +199,14 @@ def characteristic_class(alpha: GradedExpr,
     fms, failure = fmap.at(points)
     tol = policy.rel_tol
     alphas = [fm.alpha for fm in fms]
-    gone = _linalg.vanishes(alphas, tol)
+    ranks = _linalg.float_rank([[a] for a in alphas], tol)
     decided = [] if closed else _linalg.contains(
         [fm.rows for fm in fms], alphas, tol)
     # the first point, in order, that cannot be decided raises
     for i, fm in enumerate(fms):
-        if gone[i] is None:
+        if ranks[i] is None:
             raise _not_finite(fm)
-        if gone[i]:
+        if ranks[i] == 0:
             raise PfaffianError("form vanishes at a sample point",
                                 witness=fm.point)
         if not closed and decided[i] is None:

@@ -334,9 +334,13 @@ def float_decision_oracle(rows, vec, tol: float):
 
 
 def _form_nonzero_at(w: GradedExpr, point: Dict[str, object]) -> bool:
+    """Whether the component vector of ``w`` at the point has one-row rank
+    1, the package's vanishing rule."""
     plans = [Plan(c) for c in w.diff_components().values()]
-    vals = np.array(body_values(plans, [point])[0], dtype=float)
-    return not all(_linalg.negligible(v, DEFAULT_POLICY.rel_tol) for v in vals)
+    vals, failure = body_values(plans, [point])
+    if failure is not None:
+        raise failure
+    return _linalg.float_rank([vals], DEFAULT_POLICY.rel_tol) == [1]
 
 
 def darboux_class_oracle(alpha: GradedExpr, point: Dict[str, object]) -> int:

@@ -3,6 +3,7 @@ body evaluation, and the per-point replay of its callers."""
 
 import math
 import random
+import re
 import warnings
 from fractions import Fraction
 
@@ -87,8 +88,8 @@ def test_batch_matches_per_point_evaluation():
                  random_expr(c, rng, n_terms=3) * 0.25]
         plans = [Plan(e) for e in exprs]
         points = sample_body_points(c, 9, rng.randrange(100))
-        batch = body_values(plans, points)
-        assert len(batch.rows) == len(points)
+        batch, failure = body_values(plans, points)
+        assert failure is None and len(batch) == len(points)
         for point, vals in zip(points, batch):
             assert [type(v) for v in vals] == \
                 [Fraction if p.exact else float for p in plans]
@@ -111,29 +112,43 @@ def test_each_point_keeps_the_error_of_its_first_failing_plan():
     zero_body = "^division by a value with zero body$"
     nonpositive = "^log of a value with nonpositive body$"
     errors = {1: zero_body, 2: nonpositive, 3: nonpositive}
-    batch = body_values(plans, points)
     for i, point in enumerate(points):
+        values, failure = body_values(plans, [point])
         if i in errors:
-            for evaluate in (lambda: _one_at_a_time(plans, point), lambda: batch[i]):
-                with pytest.raises(EvaluationError, match=errors[i]):
-                    evaluate()
+            with pytest.raises(EvaluationError, match=errors[i]):
+                _one_at_a_time(plans, point)
+            assert values == [] and isinstance(failure, EvaluationError)
+            assert re.search(errors[i], str(failure))
         else:
-            assert batch[i] == _one_at_a_time(plans, point)
-    # walking the points meets point 1 first
-    assert batch.until_failure()[0] == [batch[0]]
-    with pytest.raises(EvaluationError, match=zero_body):
-        raise batch.until_failure()[1]
-    assert batch[4] == [0.0, 4.0, 0.5]
+            assert (values, failure) == ([_one_at_a_time(plans, point)], None)
+    # a batch stops at its first failing point, with that point's own error
+    for start, stop in ((0, 1), (1, 1), (2, 2), (3, 3)):
+        values, failure = body_values(plans, points[start:])
+        assert values == [_one_at_a_time(plans, p) for p in points[start:stop]]
+        assert re.search(errors[stop], str(failure))
+    assert body_values(plans, points[4:]) == ([[0.0, 4.0, 0.5]], None)
 
 
-def test_points_missing_a_coordinate_fail_alone():
+def test_points_missing_a_coordinate_fail_alone(monkeypatch):
+    """A point missing a coordinate fails with its own error, after the
+    points before it, and no point after it is converted or evaluated."""
     c = chart(("x", 0, 0), ("y", 0, 0))
-    batch = body_values([Plan(parse_expr("x*y", c))],
-                        [{"x": 1.0, "y": 3.0}, {"x": 2.0}, {"x": 1.0, "y": 0.5}])
-    assert batch[0] == [3.0] and batch[2] == [0.5]
-    with pytest.raises(EvaluationError, match="no value for coordinate 'y'"):
-        batch[1]
-    assert len(body_values([], [{}, {}]).rows) == 2
+    plans = [Plan(parse_expr("x*y", c))]
+    points = [{"x": 1.0, "y": 3.0}, {"x": 2.0}, {"x": 1.0, "y": 0.5}]
+    converted = []
+    body_point = grassmann._body_point
+
+    def recorded(plans, point, *args):
+        converted.append(point)
+        return body_point(plans, point, *args)
+
+    monkeypatch.setattr(grassmann, "_body_point", recorded)
+    values, failure = body_values(plans, points)
+    assert values == [[3.0]] and converted == points[:2]
+    assert isinstance(failure, EvaluationError)
+    assert str(failure) == "no value for coordinate 'y'"
+    assert body_values(plans, points[2:]) == ([[0.5]], None)
+    assert body_values([], [{}, {}]) == ([[], []], None)
 
 
 def test_classification_raises_the_first_point_error_in_sample_order():
@@ -245,10 +260,10 @@ def test_batch_is_silent_when_a_float_body_overflows():
         warnings.simplefilter("always")
         again = body_values(plans, points)
     assert caught == []
-    for b in (batch, again):
-        assert b[0] == [2.0, math.cos(2.0)]
-        with pytest.raises(OverflowError, match="^cos of an overflowed argument$"):
-            b[1]
+    for values, failure in (batch, again):
+        assert values == [[2.0, math.cos(2.0)]]
+        assert isinstance(failure, OverflowError)
+        assert str(failure) == "cos of an overflowed argument"
 
 
 def test_straightening_is_silent_and_typed_on_an_overflowed_argument():
@@ -277,10 +292,10 @@ def test_a_coordinate_no_plan_reads_is_not_converted(spoiled):
     c = chart(("x", 0, 0), ("y", 0, 0), ("z", 0, 0))
     plans = [Plan(parse_expr(t, c)) for t in ("x^2 + 1/3", "sin(x)*z", "7")]
     points = sample_body_points(c, 8, 3)
-    batch, failure = body_values(plans, points).until_failure()
+    batch, failure = body_values(plans, points)
     assert failure is None and len(batch) == len(points)
-    assert body_values(plans, [dict(p, y=spoiled) for p in points]
-                       ).until_failure() == (batch, None)
+    assert body_values(plans, [dict(p, y=spoiled) for p in points]) == \
+        (batch, None)
     for point, vals in zip(points, batch):
         assert _one_at_a_time(plans, dict(point, y=spoiled)) == vals
 
@@ -297,7 +312,8 @@ def test_a_plan_that_reads_no_coordinate_runs_once_per_batch(monkeypatch):
 
     monkeypatch.setattr(Plan, "exact_body", counted)
     points = sample_body_points(c, 16, 5)
-    batch = body_values(plans, points)
+    batch, failure = body_values(plans, points)
+    assert failure is None
     assert [calls.count(k) for k in range(len(plans))] == [0, 1, 1, 16]
     for point, vals in zip(points, batch):
         assert vals == _one_at_a_time(plans, point)
@@ -311,13 +327,15 @@ def test_a_failing_plan_that_reads_no_coordinate_fails_every_point():
     assert not plans[2].reads and not plans[2].exact
     points = sample_body_points(c, 16, 5)
     points[3] = {"x": 0.5}      # fails first, on the coordinate it lacks
-    batch = body_values(plans, points)
     met = []
     for i, point in enumerate(points):
-        for evaluate in (lambda: _one_at_a_time(plans, point), lambda: batch[i]):
-            with pytest.raises(EvaluationError) as caught:
-                evaluate()
-            met.append(str(caught.value))
+        with pytest.raises(EvaluationError) as caught:
+            _one_at_a_time(plans, point)
+        # alone, and as the first point of a batch, each point fails
+        for batch in ([point], points[i:]):
+            values, failure = body_values(plans, batch)
+            assert values == [] and str(failure) == str(caught.value)
+        met.append(str(caught.value))
     nonpositive = "log of a value with nonpositive body"
-    assert met == [nonpositive] * 6 + ["no value for coordinate 'y'"] * 2 \
-        + [nonpositive] * 24
+    assert met == [nonpositive] * 3 + ["no value for coordinate 'y'"] \
+        + [nonpositive] * 12

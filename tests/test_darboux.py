@@ -417,6 +417,16 @@ class TestOneFormDarboux:
             [coord(c, "x"), coord(c, "y")], c, {"x": 358, "y": 0},
             EqualityPolicy()) is True
 
+    def test_a_small_jacobian_is_nonsingular(self):
+        # det = 2000^-3 = 1.25e-10, but the rows are independent
+        c = chart(("x", 0, 0), ("y", 0, 0), ("z", 0, 0))
+        images = [parse_expr(f"{n}/2000", c) for n in c.names]
+        assert darboux._jacobian_nonsingular(
+            images, c, {n: 0 for n in c.names}, EqualityPolicy()) is True
+        images[2] = parse_expr("x/2000 + y/1000", c)
+        assert darboux._jacobian_nonsingular(
+            images, c, {n: 0 for n in c.names}, EqualityPolicy()) is False
+
     def test_momentum_absorption(self):
         c = chart(("q", 0, 0), ("p", 0, 0), default_box=(0.5, 1.0))
         alpha = parse_expr("(p + q^2)*d(q)", c)
@@ -758,6 +768,18 @@ class TestStraightening:
         with pytest.raises(StraighteningError):
             straighten_commuting([basis_field(c, "x"), basis_field(c, "x")],
                                  [0, 0])
+
+    def test_the_scale_of_the_fields_decides_no_rank(self):
+        # base-point rows are rank-tested at unit length, so 1e20 d/dy
+        # keeps the slice axis x and is independent of d/dx
+        c = chart(("x", 0, 0), ("y", 0, 0))
+        big = vector_field(c, {"y": "1e20"})
+        for fields, axes in (([big], [0]), ([basis_field(c, "x"), big], [])):
+            grid = straighten_commuting(fields, [0, 0], box=1e-15,
+                                        nodes_per_axis=3)
+            assert grid.slice_axes == axes and grid.certified
+        with pytest.raises(StraighteningError, match="^fields are dependent"):
+            straighten_commuting([basis_field(c, "y"), big], [0, 0])
 
     def test_fields_not_finite_at_base_rejected(self):
         c = chart(("x", 0, 0), ("y", 0, 0))

@@ -173,7 +173,8 @@ class TestPlan:
         exprs = [parse_expr("x^2/3 + y", c), parse_expr("t*y", c), zero(c),
                  coord(c, "x") * 0.5, parse_expr("sin(x)", c)]
         plans = [Plan(e) for e in exprs]
-        vals = body_values(plans, [{"x": Fraction(1, 2), "y": 2}])[0]
+        (vals,), failure = body_values(plans, [{"x": Fraction(1, 2), "y": 2}])
+        assert failure is None
         assert vals[:3] == [Fraction(25, 12), 0, 0]
         assert [type(v) for v in vals] == [Fraction] * 3 + [float] * 2
         assert [p.exact for p in plans] == [True] * 3 + [False] * 2

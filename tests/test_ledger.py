@@ -15,12 +15,15 @@ place: a change that fixes a case removes its entry and says so.
 from dataclasses import dataclass
 from typing import Callable, Tuple
 
+import numpy as np
+
 from graded_darboux import chart, parse_expr
-from graded_darboux.cartan import vector_field
+from graded_darboux.cartan import basis_field, vector_field
 from graded_darboux.darboux import StraighteningError, straighten_commuting
 from graded_darboux.grexpr.chart import ChartSpec, CoordinateDecl
 from graded_darboux.grexpr.equality import EqualityPolicy, equal
-from graded_darboux.pfaffian import PfaffianError, characteristic_class
+from graded_darboux.pfaffian import (PfaffianError, characteristic_class,
+                                     presymplectic_check)
 
 TYPED = (PfaffianError, StraighteningError)
 
@@ -51,6 +54,19 @@ def _equal(a: str, b: str, c: ChartSpec, **policy) -> bool:
                  EqualityPolicy(**policy)).equal
 
 
+def _presymplectic(expr: str, c: ChartSpec) -> Tuple[bool, object, list]:
+    """Constant-rank verdict, rank, and the kernel as one row per basis
+    vector, scaled so that its first nonzero entry is 1."""
+    rep = presymplectic_check(parse_expr(expr, c))
+    lines = [v / v[np.flatnonzero(np.round(v, 9))[0]] for v in rep.kernel.T]
+    return rep.constant_rank, rep.rank, np.round(lines, 9).tolist()
+
+
+def _straighten(fields, **kwargs) -> Tuple[list, bool]:
+    grid = straighten_commuting(fields, [0, 0], nodes_per_axis=3, **kwargs)
+    return grid.slice_axes, grid.certified
+
+
 README = chart(("z", 0, 0), ("p", 0, 1), ("q", 0, -1),
                default_box=(-0.7, 0.7))
 LINE = chart(("x", 0, 0), default_box=(340, 370))
@@ -62,6 +78,10 @@ SUPER = chart(("x", 0, 0), ("y", 0, 0), ("a", 1, 0), ("b", 1, 0),
 # T*[1]M over (x, y): odd fibre coordinates of weight 1
 T1M = chart(("x", 0, 0), ("y", 0, 0), ("u", 1, 1), ("v", 1, 1))
 PLANE = chart(("x", 0, 0), ("y", 0, 0))
+# exp(x)*exp(x) is finite up to x = 354.89, but a singular value of twice it
+# overflows
+EDGE = chart(("x", 0, 0), ("y", 0, 0), ("z", 0, 0),
+             default_box=(354.75, 354.85))
 
 CASES = {
     # item 1: small, badly scaled and cancelling values
@@ -97,13 +117,35 @@ CASES = {
         ("symplectic-potential", 4)),
     # the flow starting at x = 1 would leave y = 0 at speed exp(800): no
     # float grid exists, and the refusal names the field, not the flow
-    # (exp(x)*exp(x) at base (354.5, 0) keeps no slice axis, and its flow
-    # does leave the working domain)
     "field-overflows-at-a-node": Case(
         "finding", lambda: straighten_commuting(
             [vector_field(PLANE, {"y": "exp(400*x)*exp(400*x)"})], [0, 0],
             box=1.0, nodes_per_axis=3),
         Refused("fields are not finite at the grid node u=(-1.0, 1.0)")),
+    # the same at base (354.5, 0): the slice axis x reaches x = 355.5,
+    # where exp(x)*exp(x) overflows
+    "field-overflows-on-its-slice": Case(
+        "finding", lambda: straighten_commuting(
+            [vector_field(PLANE, {"y": "exp(x)*exp(x)"})], [354.5, 0],
+            box=1.0, nodes_per_axis=3),
+        Refused("fields are not finite at the grid node u=(-1.0, 1.0)")),
+    # omega = exp(2x) d(x) d(y + z) has rank 2 everywhere, and its kernel is
+    # spanned by d/dy - d/dz
+    "overflowing-two-form": Case(
+        "finding", lambda: _presymplectic(
+            "exp(x)*exp(x)*(d(x)*d(y) + d(x)*d(z))", EDGE),
+        (True, 2, [[0.0, 1.0, -1.0]])),
+    # a constant field is straight: its flow and the x slice are coordinates
+    "large-constant-field": Case(
+        "finding", lambda: _straighten(
+            [vector_field(PLANE, {"y": "1e20"})], box=1e-15),
+        ([0], True)),
+    # d/dx and 1e20 d/dy commute and are independent everywhere
+    "large-independent-pair": Case(
+        "finding", lambda: _straighten(
+            [basis_field(PLANE, "x"), vector_field(PLANE, {"y": "1e20"})],
+            box=1e-15),
+        ([], True)),
 }
 
 LEDGER = {

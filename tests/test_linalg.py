@@ -214,16 +214,52 @@ def test_stacked_float_decisions_match_a_per_point_oracle():
 NON_FINITE = (math.inf, -math.inf, math.nan)
 
 
+def _vanishes(vecs, tol):
+    """Per vector: whether its one-row matrix has rank 0, None where it is
+    not finite."""
+    return [None if r is None else r == 0
+            for r in _linalg.float_rank([[v] for v in vecs], tol)]
+
+
 def test_vanishing_per_point():
+    """A vector vanishes where its one-row rank is 0: for every tol < 1,
+    where its Euclidean norm is at most tol."""
     vecs = [[0.0, 0.0], [1e-10, -1e-10], [1e-9, 1e-9], [1.0, 0.0],
             [1e200, 1e200], [Fraction(1, 10 ** 12), ZERO]]
     want = [math.hypot(*map(float, v)) <= 1e-9 for v in vecs]
     assert want == [True, True, False, False, False, True]
-    assert _linalg.vanishes(vecs, 1e-9) == want
-    assert _linalg.vanishes([], 1e-9) == []
+    assert _vanishes(vecs, 1e-9) == want
+    assert _linalg.float_rank([], 1e-9) == []
     for bad in NON_FINITE:
-        got = _linalg.vanishes(vecs[:3] + [[0.0, bad]] + vecs, 1e-9)
+        got = _vanishes(vecs[:3] + [[0.0, bad]] + vecs, 1e-9)
         assert got == want[:3] + [None] + want
+    rng = np.random.default_rng(28)
+    for tol in (1e-15, 1e-9, 1e-3, 0.5, 0.999):
+        vecs = rng.standard_normal((200, 3)) * tol * rng.uniform(0.5, 1.5, (200, 1))
+        assert _vanishes(vecs.tolist(), tol) == \
+            (np.linalg.norm(vecs, axis=1) <= tol).tolist()
+
+
+def test_a_vector_whose_squares_overflow_has_rank_one():
+    # the singular value overflows to inf although every entry is finite
+    assert _linalg.float_rank([[[1.5e308, 1.5e308]]], 1e-9) == [1]
+    assert _vanishes([[1.5e308, 1.5e308], [0.0, 0.0]], 1e-9) == [False, True]
+
+
+def test_decisions_on_a_matrix_whose_singular_values_overflow():
+    """Rank, membership and kernel of a finite matrix are those of its
+    multiple over its largest entry."""
+    big = [[1.5e308, 1.5e308, 0.0], [0.0, 0.0, 1.5e308]]
+    assert _linalg.float_rank([big, [[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]],
+                              1e-9) == [2, 2]
+    assert _linalg.rank([big + [[3e307, 3e307, -1e308]]], 1e-9) == [2]
+    got = _linalg.contains([big], [[1.0, 1.0, 5.0]], 1e-9)[0]
+    assert got[:2] == (2, True) and got[2] < 1e-9
+    assert _linalg.contains([big], [[1.0, -1.0, 0.0]], 1e-9)[0][:2] == (2, False)
+    kernel = _linalg.nullspace(big + [[0.0, 0.0, 0.0]], 1e-9)
+    assert kernel.shape == (3, 1)
+    assert np.allclose(abs(kernel[:, 0]), [2 ** -0.5, 2 ** -0.5, 0.0])
+    assert kernel[0, 0] == -kernel[1, 0]
 
 
 @pytest.fixture
@@ -276,7 +312,7 @@ def test_finite_points_are_decided_as_if_alone(finite_svd):
             stack[i].flat[rng.integers(stack[i].size)] = rng.choice(NON_FINITE)
         for decide, args in ((_linalg.contains, (mats, vecs)),
                              (_linalg.rank, (mats,)),
-                             (_linalg.vanishes, (vecs,))):
+                             (_linalg.float_rank, (vecs[:, None],))):
             finite = np.logical_and.reduce(
                 [np.isfinite(a.reshape(N, -1)).all(axis=1) for a in args])
             got = decide(*(a.tolist() for a in args), 1e-9)

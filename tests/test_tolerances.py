@@ -5,7 +5,7 @@ the sample count and seed of a decision travel in its ``EqualityPolicy``.
 The exact-or-float choice has one owner: ``_linalg.rank``,
 ``_linalg.contains`` and ``_linalg.nullspace`` take the exact path when every
 body value is a Fraction, and only ``grexpr/grassmann.py`` asks a plan
-whether it is exact."""
+whether it is exact.  LAPACK has one gate: ``_linalg._finite_points``."""
 
 import ast
 import math
@@ -137,4 +137,46 @@ def test_no_module_level_cache_in_the_derivation_modules():
         assert _module_caches(bad), bad
     found = [(name, hit) for name in MEMO_FREE
              for hit in _module_caches((SRC / name).read_text())]
+    assert found == []
+
+
+# no inf or nan reaches LAPACK: _finite_points hands a float decision only
+# the finite points of its stacks, and an SVD elsewhere would skip it
+def _lapack_guard_breaches(rel: str, source: str):
+    """(module, line, what) of every ``float_*`` function of ``_linalg.py``
+    not wrapped by ``_finite_points``, and every reference to a ``svd`` of
+    a ``linalg`` module outside ``_linalg.py``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if rel == "_linalg.py":
+            if (isinstance(node, ast.FunctionDef)
+                    and node.name.startswith("float_")
+                    and "_finite_points" not in map(_name, node.decorator_list)):
+                found.append((rel, node.lineno, node.name))
+        elif (isinstance(node, ast.Attribute) and node.attr == "svd"
+              and _name(node.value) == "linalg"):
+            found.append((rel, node.lineno, "svd"))
+        elif (isinstance(node, ast.ImportFrom)
+              and (node.module or "").endswith("linalg")
+              and "svd" in (a.name for a in node.names)):
+            found.append((rel, node.lineno, "svd"))
+    return found
+
+
+def test_inf_and_nan_never_reach_lapack():
+    for rel, bad in (("_linalg.py", "def float_norm(a, tol):\n    return a"),
+                     ("_linalg.py", "@wraps(f)\ndef float_x(a, tol):\n    pass"),
+                     ("darboux.py", "s = np.linalg.svd(J, compute_uv=False)"),
+                     ("pfaffian.py", "from numpy.linalg import norm, svd")):
+        assert _lapack_guard_breaches(rel, bad), bad
+    assert _lapack_guard_breaches(
+        "_linalg.py", "@_finite_points\ndef float_x(a, tol):\n"
+                      "    return np.linalg.svd(a)") == []
+    linalg = ast.parse((SRC / "_linalg.py").read_text())
+    assert {"float_rank", "float_contains"} <= {
+        node.name for node in ast.walk(linalg)
+        if isinstance(node, ast.FunctionDef)}
+    found = [hit for path in sorted(SRC.rglob("*.py"))
+             for hit in _lapack_guard_breaches(
+                 path.relative_to(SRC).as_posix(), path.read_text())]
     assert found == []
