@@ -439,8 +439,7 @@ def run(manifest_path: str, json_out: Optional[str] = None, seed: int = 0,
               else "fail"}
     if json_out:
         with open(json_out, "w") as fh:
-            json.dump(report, fh, sort_keys=True, indent=1)
-            fh.write("\n")
+            fh.write(json.dumps(report, sort_keys=True, indent=1) + "\n")
     return 0 if report["status"] == "pass" else 1
 
 

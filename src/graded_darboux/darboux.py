@@ -874,8 +874,11 @@ def straighten_commuting(fields: Sequence[VectorField],
         J[:, :, i] = fs[i](x)
 
     nodes = [(tuple(map(float, combo)), row) for combo, row in zip(combos, x)]
-    singular = [u for (u, _), det in zip(nodes, np.linalg.det(J))
-                if _linalg.negligible(det, NOISE_FLOOR)]
+    # rank tests on unit columns, as at the base point; a Jacobian that is
+    # not finite is left to the certificate
+    cols = _linalg.unit_rows(J.transpose(0, 2, 1).reshape(-1, n)).reshape(J.shape)
+    singular = [u for (u, _), r in zip(nodes, _linalg.float_rank(cols, policy.rel_tol))
+                if r is not None and r < n]
     if singular:
         raise StraighteningError(f"singular jacobian on the grid at u={singular[0]}")
     F = np.stack([f(x) for f in fs], axis=-1)

@@ -12,7 +12,9 @@ Grassmann values are dense and batched: a value at N points is an
 (N, 2^k) float array over k generators, whose column b holds the blade of
 the generators whose bits are set in b (bit i for generator i, as in
 ``expr.py``); a value that involves no generator stays a length-N body
-array.  Products go through one pair table per k.
+array.  Multiplying by an odd coordinate moves each blade a without its
+generator g to blade a | g, with a sign; other products go through one
+pair table per k.
 
 Every numeric evaluation goes through one compiled ``Plan`` per expression:
 the expression tree is walked once, and the plan is then called at many
@@ -81,6 +83,51 @@ def _product(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     left, right, sign, starts = _pair_table(u.shape[1].bit_length() - 1)
     pairs = u.take(left, axis=1) * v.take(right, axis=1) * sign
     return np.add.reduceat(pairs, starts, axis=1)
+
+
+@functools.lru_cache(maxsize=None)
+def _shift_signs(ngens: int, g: int) -> np.ndarray:
+    """The sign of blade a times generator g, the parity of the crossings
+    as in ``_pair_table``, for each blade a without g, in bitmask order and
+    shaped (2^(ngens-1-g), 2^g) as ``_Generator.shift`` views those
+    blades."""
+    bit = 1 << g
+    sign = np.array([-1.0 if _crossings(a, bit) % 2 else 1.0
+                     for a in range(1 << ngens) if not a & bit]).reshape(-1, bit)
+    sign.flags.writeable = False        # every caller shares the cached table
+    return sign
+
+
+class _Generator:
+    """An odd coordinate at N points: its generator g, scaled by each
+    point's float.  Indexing and ``len`` read its dense (N, 2^k) value, as
+    for a dense coordinate.  ``signed`` holds each point's scale times the
+    signs of ``_shift_signs``, formed once per point batch."""
+
+    __slots__ = ("dense", "signed")
+
+    def __init__(self, g: int, ngens: int, scale: np.ndarray):
+        self.dense = np.zeros((len(scale), 1 << ngens))
+        self.dense[:, 1 << g] = scale
+        self.signed = scale[:, None, None] * _shift_signs(ngens, g)
+
+    def __len__(self):
+        return len(self.dense)
+
+    def __getitem__(self, i):
+        return self.dense[i]
+
+    def shift(self, u: np.ndarray) -> np.ndarray:
+        """u times the generator, for a finite dense u: blade a without g
+        moves to a | g.  Viewing bit g as an axis of length 2 takes those
+        blades in order.  Each product is the one nonzero pair of
+        ``_product``, (u·s)·sign, and sign = ±1 makes it u·(s·sign)
+        exactly; so the result equals the pair product as numbers, up to
+        the sign of a zero."""
+        n, hi, lo = self.signed.shape
+        out = np.zeros((n, hi, 2, lo))
+        out[:, :, 1] = u.reshape(n, hi, 2, lo)[:, :, 0] * self.signed
+        return out.reshape(n, -1)
 
 
 class GrassmannValue:
@@ -238,6 +285,14 @@ class _Kernel:
 
     @staticmethod
     def mul(u, v):
+        if type(v) is _Generator:
+            # ``_run`` multiplies an odd coordinate in on the right only,
+            # since its power is at most 1.  A finite dense value times it
+            # shifts its blades; an inf or nan takes the pair product,
+            # whose inf·0 reads nan.  A sum is finite only if every entry is.
+            if getattr(u, "ndim", 0) == 2 and math.isfinite(u.sum()):
+                return v.shift(u)
+            v = v.dense
         # a float coefficient or a body scales every blade
         du, dv = getattr(u, "ndim", 0), getattr(v, "ndim", 0)
         if du == 2 and dv == 2:
@@ -294,9 +349,13 @@ class _Kernel:
         out = self.dense(out)
         soul = v.copy()
         soul[:, 0] = 0.0
+        last = self.ngens
+        if (last > 1 and np.count_nonzero(soul.any(axis=0)) < 2
+                and math.isfinite(soul.sum())):
+            last = 1        # a finite soul on one blade squares to zero
         power, fact = soul, 1.0
         alive = self.failure == 0
-        for k in range(1, self.ngens + 1):
+        for k in range(1, last + 1):
             if k > 1:
                 power = _product(power, soul)
             alive &= power.any(axis=1)
@@ -402,8 +461,9 @@ class Plan:
     def grassmann(self, x: Sequence[np.ndarray], floor: float = 0.0,
                   values: Optional[dict] = None) -> GrassmannBatch:
         """Grassmann values at N points at once.  ``x`` holds, per
-        coordinate, N bodies (shape (N,)) or N dense values (shape
-        (N, 2^k)).  A divisor whose body is smaller than ``floor`` in
+        coordinate, N bodies (shape (N,)), N dense values (shape
+        (N, 2^k)) or, as ``_coordinates`` gives an odd coordinate, N scales
+        of its generator.  A divisor whose body is smaller than ``floor`` in
         magnitude fails its point, so that sampling can move off a
         singularity.  ``values``, the value table, is shared by plans
         evaluated at the same ``x`` and ``floor``; without one the plan gets
@@ -454,8 +514,7 @@ def _coordinates(chart: ChartSpec, points: List[list]) -> List[np.ndarray]:
     cols = np.array(points, dtype=float).T.copy()
     x = list(cols)
     for g, i in enumerate(chart.odd_indices):
-        x[i] = np.zeros((len(points), 1 << len(chart.odd_indices)))
-        x[i][:, 1 << g] = cols[i]
+        x[i] = _Generator(g, len(chart.odd_indices), cols[i])
     return x
 
 

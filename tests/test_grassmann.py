@@ -8,12 +8,14 @@ import random
 import numpy as np
 import pytest
 
-from graded_darboux import chart
-from graded_darboux.grexpr import expr
-from graded_darboux.grexpr.grassmann import (_ATOMS, FAILURES, _Kernel, _blade,
+from graded_darboux import (apply_func, chart, coord, eval_numeric, gmul,
+                            parse_expr, zero)
+from graded_darboux.grexpr import equality, expr, grassmann
+from graded_darboux.grexpr.grassmann import (_ATOMS, FAILURES, Plan, _Generator,
+                                             _Kernel, _blade, _coordinates,
                                              _pair_table, _product)
 from helpers import (brute_force_reorder, grassmann_mul_oracle,
-                     grassmann_series_oracle)
+                     grassmann_series_oracle, random_expr)
 
 N_POINTS = 4
 
@@ -127,3 +129,79 @@ def test_failures_are_recorded_per_point():
     big.atom("exp", np.array([1.0, 1000.0]))
     assert [FAILURES[f] for f in big.failure] == [None, "arithmetic"]
     assert isinstance(big.error, OverflowError)
+
+
+@pytest.mark.parametrize("ngens", range(1, 7))
+def test_odd_coordinate_products_match_the_pair_product(ngens):
+    """A finite value times an odd coordinate equals the pair product as
+    numbers; a value holding inf or nan takes the pair product itself, so
+    an overflowed blade that the generator annihilates still reads nan."""
+    rng = random.Random(300 + ngens)
+    scale = np.array([rng.uniform(0.5, 1.5) for _ in range(N_POINTS)])
+    top = (1 << ngens) - 1      # holds every generator
+    for g in range(ngens):
+        t = _Generator(g, ngens, scale)
+        u = _random_rows(rng, ngens)
+        assert np.array_equal(_Kernel.mul(u, t), _product(u, t.dense))
+        for bad in (np.inf, -np.inf, np.nan):
+            w = u.copy()
+            w[1, top] = bad
+            w[2, rng.randrange(top + 1)] = bad
+            with np.errstate(all="ignore"):
+                assert _Kernel.mul(w, t).tobytes() == _product(w, t.dense).tobytes()
+
+
+def _souled_argument(c, rng):
+    """An even atom argument whose soul has one blade or several."""
+    while True:
+        e = random_expr(c, rng, n_terms=rng.randint(1, 3), max_deg=2)
+        if e.parity() == 0:
+            return coord(c, "x0") + e
+
+
+@pytest.mark.parametrize("n_odd", range(1, 5))
+def test_plans_agree_at_generator_and_dense_coordinates(n_odd):
+    """Seeded expressions with atoms whose arguments carry souls evaluate
+    alike at the generator coordinates of ``_coordinates`` and at their
+    dense form, failures included (a divisor floor of 0.2 fails some
+    points)."""
+    rng = random.Random(400 + n_odd)
+    c = chart(("x0", 0, 0), ("x1", 0, 0), *[(f"t{g}", 1, 0) for g in range(n_odd)])
+    failed = set()
+    for _ in range(30):
+        e = zero(c)
+        for _ in range(rng.randint(1, 3)):
+            factor = random_expr(c, rng, n_terms=2)
+            for _ in range(rng.randint(0, 2)):
+                kind, arg = rng.choice(expr.ATOM_KINDS), _souled_argument(c, rng)
+                if kind == "log":
+                    arg = gmul(arg, arg) + 1
+                factor = gmul(factor, apply_func(kind, arg))
+            e = e + factor
+        x = _coordinates(c, equality._draw_points(c, rng, 16))
+        dense = [v.dense if isinstance(v, _Generator) else v for v in x]
+        a, b = Plan(e).grassmann(x, 0.2), Plan(e).grassmann(dense, 0.2)
+        assert np.array_equal(a.values, b.values, equal_nan=True)
+        assert a.failure.tobytes() == b.failure.tobytes()
+        assert repr(a.error) == repr(b.error)
+        failed.add(bool(a.failure.any()))
+    assert failed == {True, False}
+
+
+@pytest.mark.parametrize("text, n_odd, want", [
+    ("x*t0*t1*t2*t3", 4, {(0, 1, 2, 3): 0.5}),
+    # the soul t0*t1 squares to zero, so the series stops after one term
+    ("exp(x + t0*t1)", 2, {(): math.exp(0.5), (0, 1): math.exp(0.5)}),
+])
+def test_odd_coordinates_and_one_blade_souls_need_no_pair_product(
+        monkeypatch, text, n_odd, want):
+    c = chart(("x", 0, 0), *[(f"t{g}", 1, 0) for g in range(n_odd)])
+    calls = []
+
+    def counting(u, v):
+        calls.append(u.shape)
+        return _product(u, v)
+
+    monkeypatch.setattr(grassmann, "_product", counting)
+    assert eval_numeric(parse_expr(text, c), {"x": 0.5}).data == want
+    assert calls == []

@@ -146,6 +146,18 @@ CASES = {
             [basis_field(PLANE, "x"), vector_field(PLANE, {"y": "1e20"})],
             box=1e-15),
         ([], True)),
+    # a constant nonzero field is straight at every scale: the Jacobian
+    # [[0, 1], [1e-20, 0]] of its grid has full rank
+    "small-constant-field": Case(
+        "finding", lambda: _straighten(
+            [vector_field(PLANE, {"y": "1e-20"})], box=0.5),
+        ([0], True)),
+    # y d/dx vanishes on y = 0, where the grid from base (0, 0.5) ends
+    "field-vanishing-on-the-grid": Case(
+        "finding", lambda: straighten_commuting(
+            [vector_field(PLANE, {"x": "y"})], [0, 0.5], box=0.5,
+            nodes_per_axis=3),
+        Refused("singular jacobian on the grid at u=(-0.5, -0.5)")),
 }
 
 LEDGER = {
