@@ -1,5 +1,6 @@
 """Normal-form construction and verification."""
 
+import hashlib
 import io
 import json
 import math
@@ -839,3 +840,36 @@ class TestStraightening:
         assert lines[0].startswith("# base=")
         assert lines[1] == "u1,x1"
         assert len(lines) == 5
+
+    # (fields on (x, y, z) or (x, y), base, box, nodes per axis): every atom
+    # kind a float body evaluates, a field that flows in closed form and a
+    # 2-D field, at 2 and 3 nodes per axis
+    PINNED_GRIDS = [
+        ({"y": "1", "z": "3/5 + sin(7/10*y)/10 + cos(z)/10"}, [0.1, 0.2, -0.1], 0.1, 2),
+        ({"y": "1", "z": "exp(z/10)*cosh(3/10*y)"}, [-0.2, 0.1, 0.3], 0.1, 3),
+        ({"y": "1", "z": "log(2 + y) + 1/(3 + z)"}, [0.0, -0.1, 0.2], 0.05, 3),
+        ({"y": "1", "z": "1/2"}, [0.3, 0.0, -0.2], 0.2, 2),
+        ({"x": "sin(y)/3", "y": "1 + x^2/4"}, [0.1, 0.4], 0.1, 3),
+    ]
+    PINNED_DIGEST = ("82cb9e0abcd70078d0aa8e73f08e7a26"
+                     "0639ed754d73c1bf229e4f4397872933")
+
+    def test_grids_are_pinned_bit_for_bit(self):
+        """One SHA-256 over ``float.hex`` of every node, Jacobian and
+        ``max_error`` of the pinned grids: a change to the evaluation or
+        flow order that moves any of them by one bit changes it."""
+        h = hashlib.sha256()
+        for coeffs, base, box, nodes in self.PINNED_GRIDS:
+            names = ("x", "y", "z")[:len(base)]
+            c = chart(*((name, 0, 0) for name in names))
+            fields = [vector_field(c, coeffs)]
+            if len(base) == 3:
+                fields.insert(0, basis_field(c, "x"))
+            grid = straighten_commuting(fields, base, box=box,
+                                        nodes_per_axis=nodes)
+            assert grid.certified
+            for (u, x), J in zip(grid.nodes, grid.jacobians):
+                for v in (*u, *x.tolist(), *J.ravel().tolist()):
+                    h.update(float(v).hex().encode() + b",")
+            h.update(float(grid.max_error).hex().encode() + b";")
+        assert h.hexdigest() == self.PINNED_DIGEST
