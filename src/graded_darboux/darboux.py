@@ -710,18 +710,21 @@ def _evaluator(plans: Sequence[Plan], N: int):
     in plan order, later ones only the plans that read a coordinate."""
     out = np.empty((N, len(plans)))
     todo = list(enumerate(plans))
+    reading = [(j, p) for j, p in todo if p.reads]
 
     def evaluate(x: np.ndarray) -> np.ndarray:
+        nonlocal todo
         values: dict = {}
+        cols = list(x.T)
         for j, p in todo:
-            out[:, j] = p.float_body(x.T, values)
-        todo[:] = [(j, p) for j, p in todo if p.reads]
+            out[:, j] = p.float_body(cols, values)
+        todo = reading
         return out
     return evaluate
 
 
 def _in_domain(x: np.ndarray) -> np.ndarray:
-    if not np.max(np.abs(x)) <= DOMAIN_LIMIT:     # also true for nan
+    if not np.abs(x).max() <= DOMAIN_LIMIT:     # also true for nan
         raise StraighteningError(
             "flow left the working domain; reduce the box or step")
     return x
@@ -752,13 +755,14 @@ def _rk4_flow(plans: Sequence[Plan], x: np.ndarray, J: np.ndarray,
                       @ y[:, n:].reshape(N, n, n)).reshape(N, -1)
         return out
 
+    half, sixth = 0.5 * dt, dt / 6.0
     y = np.hstack([x, J.reshape(N, -1)])
     for _ in range(steps):
         k1 = rhs(y, k[0])
-        k2 = rhs(y + 0.5 * dt * k1, k[1])
-        k3 = rhs(y + 0.5 * dt * k2, k[2])
+        k2 = rhs(y + half * k1, k[1])
+        k3 = rhs(y + half * k2, k[2])
         k4 = rhs(y + dt * k3, k[3])
-        y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        y = y + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
         _in_domain(y[:, :n])
     return y[:, :n], y[:, n:].reshape(N, n, n)
 
@@ -816,6 +820,12 @@ def straighten_commuting(fields: Sequence[VectorField],
     if len(base) != chart.dim:
         raise StraighteningError(f"base has {len(base)} entries for a chart "
                                  f"of dimension {chart.dim}")
+    base = np.array([float(b) for b in base])
+    if not np.isfinite(base).all():
+        raise StraighteningError(f"base point {tuple(base.tolist())} is not finite")
+    if not isinstance(nodes_per_axis, (int, np.integer)):
+        raise StraighteningError(
+            f"nodes_per_axis must be an integer, not {nodes_per_axis!r}")
     if nodes_per_axis < 1:
         raise StraighteningError("need at least one node per axis")
     if not (math.isfinite(box) and box > 0):
@@ -828,7 +838,6 @@ def straighten_commuting(fields: Sequence[VectorField],
 
     n = chart.dim
     k = len(fields)
-    base = np.array([float(b) for b in base])
     plans, jac_plans = [], []
     for X in fields:
         compiled: dict = {}     # one compile table per field
@@ -841,6 +850,12 @@ def straighten_commuting(fields: Sequence[VectorField],
     # rank tests on unit rows, so that the fields' scale decides nothing
     M = _linalg.unit_rows(np.vstack([_evaluator(ps, 1)(base[None])
                                      for ps in plans]))
+    # only now, so that a field's own typed error at the base point, such as
+    # an atom of an overflowed argument, comes first
+    if (np.abs(base) > DOMAIN_LIMIT).any():
+        raise StraighteningError(
+            f"base point {tuple(base.tolist())} is outside the working "
+            f"domain |x| <= {DOMAIN_LIMIT:g}")
     r = _linalg.float_rank(M[None], policy.rel_tol)[0]
     if r is None:
         raise StraighteningError("fields are not finite at the base point")

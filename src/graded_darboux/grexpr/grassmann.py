@@ -305,8 +305,9 @@ class _Kernel:
 
     def apply(self, g, body: np.ndarray, where: np.ndarray) -> np.ndarray:
         """g(body) at the points of ``where``; other points read 0.  A
-        ``math`` function goes point by point, and a point where it raises
-        an evaluation or arithmetic error fails.  Any other g is a rational
+        ``math`` function maps over the points once; only where that raises
+        does it go point by point, and a point where it raises an
+        evaluation or arithmetic error fails.  Any other g is a rational
         derivative of inv or log and takes the whole array at once; a point
         where it overflows fails as arithmetic."""
         b = np.where(where, body, 1.0)
@@ -316,13 +317,17 @@ class _Kernel:
             if overflowed.any():
                 self.fail(overflowed, OverflowError("a power of 1/body overflowed"))
             return np.where(where, vals, 0.0)
-        vals = []
-        for i, x in enumerate(b.tolist()):
-            try:
-                vals.append(g(x))
-            except (EvaluationError, ArithmeticError) as exc:
-                self.fail(np.arange(self.n) == i, exc)
-                vals.append(0.0)
+        xs = b.tolist()
+        try:
+            vals = list(map(g, xs))
+        except (EvaluationError, ArithmeticError):
+            vals = []
+            for i, x in enumerate(xs):
+                try:
+                    vals.append(g(x))
+                except (EvaluationError, ArithmeticError) as exc:
+                    self.fail(np.arange(self.n) == i, exc)
+                    vals.append(0.0)
         return np.where(where, vals, 0.0)
 
     def atom(self, kind: str, v):
@@ -368,15 +373,23 @@ class _Kernel:
 
 
 def _body_atom(kind: str, body):
-    # element by element, so that batched and per-point bodies agree bit for bit
+    # one ``math`` call per element, so that batched and per-point bodies
+    # agree bit for bit.  ``math`` raises at every float body ``undefined``
+    # marks (sin and cos at an infinity, log at a body <= 0, 1/b at a zero),
+    # so an array runs the domain rule only where that raises, to raise the
+    # kind's typed error.  A scalar runs it first: a numpy float divides as
+    # numpy does, to an infinity, without raising
     rule = _ATOMS[kind]
-    if isinstance(body, np.ndarray):
-        if rule.undefined is not None and rule.undefined(body).any():
+    if not isinstance(body, np.ndarray):
+        if rule.undefined is not None and rule.undefined(body):
             raise rule.error()
-        return np.array([rule.value(b) for b in body.tolist()])
-    if rule.undefined is not None and rule.undefined(body):
-        raise rule.error()
-    return rule.value(body)
+        return rule.value(body)
+    try:
+        return np.fromiter(map(rule.value, body.tolist()), float, len(body))
+    except (ValueError, ArithmeticError):
+        if rule.undefined is not None and rule.undefined(body).any():
+            raise rule.error() from None
+        raise
 
 
 def _power(v, k: int, mul):

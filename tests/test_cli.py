@@ -234,7 +234,9 @@ def test_float_overflow_fails_the_task(tmp_path, cmd):
 @pytest.mark.parametrize("args, error", [
     ({"nodes": 0}, "need at least one node per axis"),
     ({"base": [0.0]}, "base has 1 entries for a chart of dimension 2"),
-], ids=["no-nodes", "short-base"])
+    # json reads NaN
+    ({"base": [float("nan"), 0.0]}, "base point (nan, 0.0) is not finite"),
+], ids=["no-nodes", "short-base", "nan-base"])
 def test_bad_straighten_arguments_fail_the_task(tmp_path, args, error):
     """A grid that cannot be built fails its task; the run still reports."""
     m = tmp_path / "grid.json"

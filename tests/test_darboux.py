@@ -822,8 +822,14 @@ class TestStraightening:
         ({"box": -0.5}, "positive and finite"),
         ({"box": float("nan")}, "positive and finite"),
         ({"box": float("inf")}, "positive and finite"),
+        ({"base": [float("nan"), 0.0]}, r"^base point \(nan, 0\.0\) is not finite$"),
+        ({"base": [0.0, float("-inf")]}, r"^base point \(0\.0, -inf\) is not finite$"),
+        ({"base": [0.0, 1e300]}, r"^base point \(0\.0, 1e\+300\) is outside the "
+                                 r"working domain \|x\| <= 1e\+06$"),
+        ({"nodes_per_axis": 2.0}, "^nodes_per_axis must be an integer, not 2.0$"),
     ], ids=["short-base", "long-base", "no-nodes", "zero-box", "negative-box",
-            "nan-box", "inf-box"])
+            "nan-box", "inf-box", "nan-base", "inf-base", "far-base",
+            "float-nodes"])
     def test_bad_grid_arguments_rejected(self, kwargs, message):
         c = chart(("x", 0, 0), ("y", 0, 0))
         args = {"base": [0.0, 0.0], "box": 0.5, "nodes_per_axis": 2, **kwargs}

@@ -205,3 +205,68 @@ def test_odd_coordinates_and_one_blade_souls_need_no_pair_product(
     monkeypatch.setattr(grassmann, "_product", counting)
     assert eval_numeric(parse_expr(text, c), {"x": 0.5}).data == want
     assert calls == []
+
+
+# every atom kind's value, element by element, through ``math``
+_MATH_VALUES = {"sin": math.sin, "cos": math.cos, "exp": math.exp,
+                "sinh": math.sinh, "cosh": math.cosh, "log": math.log,
+                "inv": lambda b: 1.0 / b}
+
+
+@pytest.mark.parametrize("kind, bad", [
+    ("sin", math.inf), ("sin", -math.inf), ("cos", math.inf), ("cos", -math.inf),
+    ("log", 0.0), ("log", -0.0), ("log", -1.0), ("inv", 0.0), ("inv", -0.0),
+])
+def test_an_undefined_body_in_an_array_raises_as_a_scalar_does(kind, bad):
+    with pytest.raises(Exception) as scalar:
+        grassmann._body_atom(kind, bad)
+    assert isinstance(scalar.value, (OverflowError, expr.EvaluationError))
+    for at in (0, 2, 4):
+        body = np.array([0.5, 1.5, 2.5, 3.5, 4.5])
+        body[at] = bad
+        with pytest.raises(type(scalar.value)) as batch:
+            grassmann._body_atom(kind, body)
+        assert type(batch.value) is type(scalar.value)
+        assert str(batch.value) == str(scalar.value)
+
+
+@pytest.mark.parametrize("kind", ["exp", "sinh", "cosh"])
+def test_an_overflow_in_an_array_raises_overflow_error(kind):
+    for at in (0, 1, 2):
+        body = np.array([1.0, -2.0, 0.5])
+        body[at] = 1000.0
+        with pytest.raises(OverflowError, match="math range error"):
+            grassmann._body_atom(kind, body)
+
+
+@pytest.mark.parametrize("kind", expr.ATOM_KINDS)
+def test_a_finite_array_is_math_element_by_element(kind):
+    rng = random.Random(kind)
+    body = np.array([rng.uniform(0.01, 3.0) for _ in range(16)] + [1e-300, 700.0])
+    got = grassmann._body_atom(kind, body)
+    assert got.dtype == float and len(got) == len(body)
+    assert [v.hex() for v in got.tolist()] == \
+        [_MATH_VALUES[kind](b).hex() for b in body.tolist()]
+
+
+@pytest.mark.parametrize("at", [0, 13, 31], ids=["first", "middle", "last"])
+def test_an_overflow_fails_only_its_own_point(at):
+    """exp overflows at one of 32 points: that point alone fails, as
+    arithmetic, and every other point's values are its one-point values
+    bit for bit."""
+    c = chart(("x", 0, 0), ("y", 0, 0), ("t", 1, 0))
+    e = parse_expr("exp(x + t*y) + cos(x)*t + sin(y)", c)
+    rng = random.Random(at)
+    points = [[rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(0.5, 1.5)]
+              for _ in range(32)]
+    points[at][0] = 1000.0
+    batch = Plan(e).grassmann(_coordinates(c, points))
+    assert [FAILURES[f] for f in batch.failure] == \
+        [None] * at + ["arithmetic"] + [None] * (31 - at)
+    assert isinstance(batch.error, OverflowError)
+    for i, point in enumerate(points):
+        if i != at:
+            alone = Plan(e).grassmann(_coordinates(c, [point]))
+            assert alone.failure.tolist() == [0]
+            assert [v.hex() for v in batch.values[i].tolist()] == \
+                [v.hex() for v in alone.values[0].tolist()]
