@@ -847,9 +847,9 @@ class TestStraightening:
         assert lines[1] == "u1,x1"
         assert len(lines) == 5
 
-    # (fields on (x, y, z) or (x, y), base, box, nodes per axis): every atom
-    # kind a float body evaluates, a field that flows in closed form and a
-    # 2-D field, at 2 and 3 nodes per axis
+    # (coefficients of the last field, base, box, nodes per axis); a 3-D
+    # base puts d/dx first.  Every atom kind a float body evaluates, a field
+    # that flows in closed form and a 2-D field, at 2 and 3 nodes per axis
     PINNED_GRIDS = [
         ({"y": "1", "z": "3/5 + sin(7/10*y)/10 + cos(z)/10"}, [0.1, 0.2, -0.1], 0.1, 2),
         ({"y": "1", "z": "exp(z/10)*cosh(3/10*y)"}, [-0.2, 0.1, 0.3], 0.1, 3),
