@@ -4,66 +4,90 @@ and ``rank``, ``contains`` and ``nullspace`` alone choose between the two
 paths.
 
 Decisions take a stack: one matrix (and one vector) per sample point.  The
-exact path is chosen once per stack and eliminates point by point; the
-float path decides the points whose data are finite from one SVD over them
-(Golub & Van Loan, *Matrix Computations*, 4th ed., section 5.5) and returns
-None at every other point, so no inf or nan reaches LAPACK.  A finite
-matrix whose singular values overflow is decided from its SVD over its
-largest entry.  A vector vanishes where its one-row matrix has rank 0 under
-``float_rank``: for tol < 1, where its norm is at most tol.  A caller walks
-the points once, in order, and raises at the first one it cannot decide."""
+exact path is chosen once per stack and eliminates point by point, with the
+package's one exact elimination ``eliminate`` over the integers (``symsolve``
+runs it over expressions); the float path decides the points whose data are
+finite from one SVD over them (Golub & Van Loan, *Matrix Computations*, 4th
+ed., section 5.5) and returns None at every other point, so no inf or nan
+reaches LAPACK.  A finite matrix whose singular values overflow is decided
+from its SVD over its largest entry.  A vector vanishes where its one-row
+matrix has rank 0 under ``float_rank``: for tol < 1, where its norm is at
+most tol.  A caller walks the points once, in order, and raises at the first
+one it cannot decide."""
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import wraps
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import (Callable, List, NamedTuple, Optional, Sequence, Tuple,
+                    Union)
 
 import numpy as np
 
 from .grexpr.equality import threshold
 
 
-def _rref(rows: Sequence[Sequence[Fraction]],
-          ncols: int) -> Tuple[List[List[int]], List[int]]:
-    """Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22,
-    1968) over the first ``ncols`` columns of ``rows``.
+class Ring(NamedTuple):
+    """An integral domain for ``eliminate``: ``zero(v)`` tests an entry,
+    ``pivot(rows, free_rows, free_cols)`` picks the next pivot (row, column)
+    among those not taken, or None, and ``step(rows, i, j, last)`` clears
+    column j off every other row with row i, ``last`` the pivot before."""
+    zero: Callable
+    pivot: Callable
+    step: Callable
 
-    Each row is first cleared of its denominators, which leaves its row
-    space alone; every step then divides by the previous pivot exactly.
-    Returns the integer matrix ``m`` and its pivot columns: for r <
-    ``len(pivots)``, row r is row r of the reduced row echelon form times
-    ``m[r][pivots[r]]``, and every later row is zero in the first ``ncols``
-    columns and a nonzero multiple of the rational elimination's row."""
-    m = []
-    for row in rows:
-        den = math.lcm(*(v.denominator for v in row))
-        m.append([v.numerator * (den // v.denominator) for v in row])
-    pivots: List[int] = []
-    prev = 1
-    for col in range(ncols):
-        r = len(pivots)
-        if r == len(m):
-            break
-        piv = next((i for i in range(r, len(m)) if m[i][col]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        top = m[r]
-        p = top[col]
-        for i, row in enumerate(m):
-            if i != r:
-                f = row[col]
-                m[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
-        pivots.append(col)
-        prev = p
-    return m, pivots
+
+def eliminate(rows: list, ncols: int, ring: Ring):
+    """Gauss-Jordan elimination of ``rows`` in place, with pivots in the
+    first ``ncols`` columns and the later ones carried as right-hand sides,
+    until the ring's pivot rule finds none.  Returns the pivots (row,
+    column) in the order taken and the reduced rows."""
+    pivots, free_rows, free_cols = [], list(range(len(rows))), list(range(ncols))
+    while free_rows and (found := ring.pivot(rows, free_rows, free_cols)):
+        ring.step(rows, *found, pivots[-1] if pivots else None)
+        pivots.append(found)
+        free_rows.remove(found[0])
+        free_cols.remove(found[1])
+    return pivots, rows
+
+
+def consistent(rows: list, pivots, start: int, zero: Callable) -> bool:
+    """Whether every reduced row with no pivot is zero from column ``start``
+    on: the equations it stands for are trivial."""
+    taken = {i for i, _ in pivots}
+    return all(zero(v) for i, row in enumerate(rows) if i not in taken
+               for v in row[start:])
+
+
+def _bareiss_step(m: List[List[int]], i: int, j: int, last) -> None:
+    p, prev = m[i][j], m[last[0]][last[1]] if last else 1
+    for k, row in enumerate(m):
+        if k != i:
+            f = row[j]
+            m[k] = [(p * a - f * b) // prev for a, b in zip(row, m[i])]
+
+
+# fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968) on
+# integer rows, pivots in column order: each step divides by the previous
+# pivot exactly, and a pivot row is its reduced row times its pivot
+INTEGERS = Ring(operator.not_, lambda m, rows, cols: next(
+    ((i, j) for j in cols for i in rows if m[i][j]), None), _bareiss_step)
+
+
+def _integers(rows: Sequence[Sequence[Fraction]]) -> List[List[int]]:
+    """Each row of Fractions times the lcm of its denominators, which leaves
+    the row space alone."""
+    dens = [math.lcm(*(v.denominator for v in row)) for row in rows]
+    return [[v.numerator * (d // v.denominator) for v in row]
+            for row, d in zip(rows, dens)]
 
 
 def exact_rank(rows: Sequence[Sequence[Fraction]]) -> int:
     """Rank of a matrix of Fractions by fraction-free elimination."""
-    return len(_rref(rows, len(rows[0]))[1]) if rows else 0
+    return len(eliminate(_integers(rows), len(rows[0]), INTEGERS)[0]
+               if rows else [])
 
 
 def exact_solve_membership(rows: Sequence[Sequence[Fraction]],
@@ -71,9 +95,10 @@ def exact_solve_membership(rows: Sequence[Sequence[Fraction]],
     """Rank of ``rows`` and whether ``target`` is a combination of them."""
     k = len(rows)
     # eliminate on the augmented (ncols x k+1) system rows^T c = target
-    aug, pivots = _rref([[r[i] for r in rows] + [t]
-                         for i, t in enumerate(target)], k)
-    return len(pivots), not any(row[k] for row in aug[len(pivots):])
+    pivots, aug = eliminate(_integers([[r[i] for r in rows] + [t]
+                                       for i, t in enumerate(target)]),
+                            k, INTEGERS)
+    return len(pivots), consistent(aug, pivots, k, INTEGERS.zero)
 
 
 def negligible(x: float, tol: float, scale: float = 0.0) -> bool:
@@ -215,15 +240,15 @@ def nullspace(rows: Sequence[Sequence[Union[Fraction, float]]],
     is a Fraction, an orthonormal basis from the singular vectors
     otherwise."""
     if _exact([rows]):
-        m, pivots = _rref(rows, len(rows[0]))
-        free = [j for j in range(len(m[0])) if j not in pivots]
-        basis = np.zeros((len(m[0]), len(free)))
+        pivots, m = eliminate(_integers(rows), len(rows[0]), INTEGERS)
+        taken = [j for _, j in pivots]
+        free = [j for j in range(len(rows[0])) if j not in taken]
+        basis = np.zeros((len(rows[0]), len(free)))
         for col, j in enumerate(free):
             basis[j, col] = 1.0
             # int true division rounds the rational entry correctly, as
             # Fraction.__float__ does; + 0.0 reads -0.0 as 0.0
-            basis[pivots, col] = [-m[r][j] / m[r][piv] + 0.0
-                                  for r, piv in enumerate(pivots)]
+            basis[taken, col] = [-m[i][j] / m[i][c] + 0.0 for i, c in pivots]
         return basis
     u, s, vt = _svd(np.array(rows, dtype=float)[None])
     return vt[0, _ranks(s, tol)[0]:].T

@@ -297,8 +297,8 @@ def _linear_darboux(args, ws, policy):
 
 def _darboux(args, ws, policy):
     form = ws.form(args["form"])
-    res = one_form_darboux(form, ws.cmap(args["map"]), int(args.get("r", 0)),
-                           int(args.get("s", 0)), tuple(args.get("eps", [])),
+    res = one_form_darboux(form, ws.cmap(args["map"]), args.get("r", 0),
+                           args.get("s", 0), tuple(args.get("eps", [])),
                            _nabla(args, ws, form.chart), args.get("base"),
                            policy, memo=ws.memo)
     out: Dict[str, Any] = {"outcome": res.status, "notes": res.notes}
@@ -320,7 +320,7 @@ def _straighten(args, ws, policy):
     grid = straighten_commuting(
         fields_, args.get("base", [0.0] * fields_[0].chart.dim),
         box=float(args.get("box", 0.5)),
-        nodes_per_axis=int(args.get("nodes", 5)),
+        nodes_per_axis=args.get("nodes", 5),
         policy=policy)
     out = {"max_error": grid.max_error, "certified": grid.certified,
            "mode": "numeric"}
@@ -334,10 +334,9 @@ def _verify_darboux(args, ws, policy):
     form = ws.form(args["form"])
     spec_args = args.get("spec", {})
     nf = NormalFormSpec(spec_args.get("variant", "contact"),
-                        int(spec_args.get("r", 0)),
-                        int(spec_args.get("s", 0)),
+                        spec_args.get("r", 0), spec_args.get("s", 0),
                         tuple(spec_args.get("eps", [])),
-                        int(spec_args.get("residual", 0)))
+                        spec_args.get("residual", 0))
     rep = verify_normal_form(form, ws.cmap(args["map"]), nf,
                              _nabla(args, ws, form.chart), policy,
                              memo=ws.memo)

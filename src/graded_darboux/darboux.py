@@ -40,6 +40,11 @@ from .pfaffian import PfaffianError, characteristic_class, flat_matrix
 # -- normal form descriptors -----------------------------------------------------
 
 
+def _require_integer(name: str, v) -> None:
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, not {v!r}")
+
+
 @dataclass(frozen=True)
 class NormalFormSpec:
     """Shape of a canonical form: variant, pair count r, odd count s, signs."""
@@ -54,6 +59,8 @@ class NormalFormSpec:
         if self.variant not in ("contact", "contact-log", "potential",
                                 "presymplectic"):
             raise ValueError(f"unknown variant {self.variant!r}")
+        for name in ("r", "s", "residual"):
+            _require_integer(name, getattr(self, name))
         eps = tuple(int(e) for e in self.eps)
         if len(eps) != self.s or any(e not in (1, -1) for e in eps):
             raise ValueError("eps must hold s entries of +/-1")
@@ -462,6 +469,8 @@ def one_form_darboux(alpha: GradedExpr, presymp_chart: ChartMap,
     chart = alpha.chart
     if presymp_chart.source != chart:
         raise ChartError("chart map must start at the form's chart")
+    _require_integer("r", r)
+    _require_integer("s", s)
     nabla = nabla or weight_field_of_chart(chart)
     memo = Memo() if memo is None else memo
     base = {c.name: 0 for c in chart.coords}

@@ -382,25 +382,27 @@ class GradedExpr:
         """Split a form into its differential-word components.
 
         Returns a map from differential exponent pattern to the (form-degree
-        zero) left coefficient expression.
+        zero) left coefficient expression.  The terms of one pattern are
+        canonical, sorted and distinct, and stay so with their differentials
+        dropped, so the coefficient is built from them directly.
         """
         zero_d = (0,) * self.chart.dim
         groups: Dict[Tuple[int, ...], List[Monomial]] = {}
         for m in self.terms:
             groups.setdefault(m.dexp, []).append(
                 Monomial(m.coeff, m.atoms, m.cexp, zero_d))
-        return {
-            pat: GradedExpr.from_terms(self.chart, ms) for pat, ms in groups.items()
-        }
+        return {pat: GradedExpr(self.chart, tuple(ms))
+                for pat, ms in groups.items()}
 
     def coefficient_of_diff(self, name: str) -> "GradedExpr":
-        """Left coefficient of d(name) in a 1-form."""
+        """Left coefficient of d(name) in a 1-form, built directly from its
+        terms as in ``diff_components``."""
         n = self.chart.dim
         i = self.chart.index(name)
         pat = tuple(1 if j == i else 0 for j in range(n))
-        return GradedExpr.from_terms(
-            self.chart, [Monomial(m.coeff, m.atoms, m.cexp, (0,) * n)
-                         for m in self.terms if m.dexp == pat])
+        return GradedExpr(self.chart, tuple(
+            Monomial(m.coeff, m.atoms, m.cexp, (0,) * n)
+            for m in self.terms if m.dexp == pat))
 
     # -- arithmetic ----------------------------------------------------------
 

@@ -301,7 +301,8 @@ def presymplectic_check(omega: GradedExpr,
 
 def reeb(alpha: GradedExpr, policy: EqualityPolicy = DEFAULT_POLICY, *,
          memo: Optional[Memo] = None) -> VectorField:
-    """The unique field with i_R alpha = 1 and i_R d(alpha) = 0."""
+    """The unique field with i_R alpha = 1 and i_R d(alpha) = 0; a
+    PfaffianError where there is none, or more than one."""
     chart = alpha.chart
     if alpha.form_degree() != 1:
         raise PfaffianError("Reeb field of a one-form only")
@@ -314,9 +315,12 @@ def reeb(alpha: GradedExpr, policy: EqualityPolicy = DEFAULT_POLICY, *,
     M = [[K[a][b] for b in range(n)] + [A[a]] for a in range(n)]
     rhs = [zero(chart) for _ in range(n)] + [one(chart)]
     try:
-        sol = solve_left_linear(M, rhs, policy)
+        sol, kernel = solve_left_linear(M, rhs, policy)
     except SingularSystemError as exc:
         raise PfaffianError(f"no Reeb field: {exc}") from exc
+    if kernel:
+        raise PfaffianError("no unique Reeb field: free unknowns "
+                            + ", ".join(chart.names[a] for a in kernel))
 
     par = alpha.parity()
     R = VectorField(chart, par if par is not None else EVEN, tuple(sol))
@@ -350,7 +354,8 @@ def liouville(omega: GradedExpr, alpha: GradedExpr,
         raise failure
     rhs = [alpha.coefficient_of_diff(name) for name in chart.names]
     try:
-        sol = solve_left_linear(fmap.rows, rhs, policy)
+        # the flat map has full rank, so the kernel is empty
+        sol = solve_left_linear(fmap.rows, rhs, policy)[0]
     except SingularSystemError as exc:
         raise PfaffianError(f"degenerate two-form: {exc}") from exc
     sa, so = alpha.parity(), omega.parity()

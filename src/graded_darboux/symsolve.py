@@ -1,19 +1,21 @@
 """Symbolic linear algebra over the expression algebra.
 
 Solves small left-linear systems  sum_a  R^a * M[a][b] = rhs[b]  with
-expression entries by Gaussian elimination.  Pivots must be even (even
-elements are central, so dividing by them is unambiguous); candidate pivots
-that are not obviously nonzero are screened with randomized equality.
+expression entries by the one elimination of ``_linalg``, over the
+expression ring below.  Pivots must be even (even elements are central, so
+dividing by them is unambiguous); a candidate pivot that is not obviously
+nonzero is screened with randomized equality when it is the one to be taken.
 Callers verify a solution against the equations it is meant to satisfy.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
+from ._linalg import Ring, consistent, eliminate
 from .grexpr.chart import EVEN
 from .grexpr.equality import DEFAULT_POLICY, EqualityPolicy, equal
-from .grexpr.expr import GradedExpr, gdiv, gmul, zero
+from .grexpr.expr import GradedExpr, gdiv, gmul, one, zero
 
 
 class SingularSystemError(RuntimeError):
@@ -29,86 +31,56 @@ def _pivot_quality(e: GradedExpr) -> Tuple[int, int]:
     return (2, len(e.terms))
 
 
-def _usable_pivot(e: GradedExpr, policy: EqualityPolicy) -> bool:
-    if e.is_zero():
-        return False
-    if e.parity() not in (EVEN, None):
-        return False
-    if len(e.terms) == 1:
-        return True
-    # multi-term pivot: make sure it is not secretly zero
-    return not equal(e, zero(e.chart), policy)
+def _expressions(policy: EqualityPolicy) -> Ring:
+    """The expression ring: an entry is zero when it has no terms, or several
+    that randomized equality finds zero; the pivot is the first even nonzero
+    candidate in ``_pivot_quality`` order, then row and column order; a step
+    divides the pivot row by the pivot and subtracts its multiples from the
+    other rows."""
+    def is_zero(e: GradedExpr) -> bool:
+        return e.is_zero() or (len(e.terms) > 1
+                               and bool(equal(e, zero(e.chart), policy)))
+
+    def pivot(rows, free_rows, free_cols):
+        order = sorted((_pivot_quality(rows[i][j]), i, j) for i in free_rows
+                       for j in free_cols if not rows[i][j].is_zero())
+        return next(((i, j) for _, i, j in order if rows[i][j].parity()
+                     in (EVEN, None) and not is_zero(rows[i][j])), None)
+
+    def step(rows, i, j, last):
+        top = rows[i] = [gdiv(c, rows[i][j]) for c in rows[i]]
+        top[j] = one(top[j].chart)
+        for k, row in enumerate(rows):
+            if k != i and not row[j].is_zero():
+                rows[k] = [c if t.is_zero() else c - gmul(t, row[j])
+                           for c, t in zip(row, top)]
+
+    return Ring(is_zero, pivot, step)
 
 
 def solve_left_linear(M: Sequence[Sequence[GradedExpr]],
                       rhs: Sequence[GradedExpr],
                       policy: EqualityPolicy = DEFAULT_POLICY
-                      ) -> List[GradedExpr]:
+                      ) -> Tuple[List[GradedExpr], Dict[int, List[GradedExpr]]]:
     """Solve ``sum_a R^a M[a][b] = rhs[b]`` for the R^a.
 
-    Unknowns absent from every equation are set to zero.  Raises SingularSystemError when no even nonzero pivot can
-    be found for an unknown that appears, or when a leftover equation is
-    inconsistent.
+    Returns one solution, zero at every unknown with no pivot, and the
+    kernel: for each such free unknown f, the solution of the system with
+    zero right-hand side that is 1 at f and 0 at the other free unknowns.
+    Raises SingularSystemError when an equation with no pivot is not
+    trivial: its right-hand side, or an odd coefficient, is not zero.
     """
     n = len(M)
     if n == 0:
         raise ValueError("empty system")
-    m = len(rhs)
-    chart = rhs[0].chart
-
-    # equations as (coeff per unknown, rhs)
-    eqs = [([M[a][b] for a in range(n)], rhs[b]) for b in range(m)]
-    pivot_rows: List[Tuple[int, List[GradedExpr], GradedExpr]] = []
-    remaining = set(range(n))
-    active = list(range(m))
-
-    while True:
-        best = None
-        for ei in active:
-            coeffs, _ = eqs[ei]
-            for a in remaining:
-                c = coeffs[a]
-                if c.is_zero():
-                    continue
-                q = _pivot_quality(c)
-                if best is None or q < best[0]:
-                    if _usable_pivot(c, policy):
-                        best = (q, ei, a)
-        if best is None:
-            break
-        _, ei, a = best
-        coeffs, r = eqs[ei]
-        piv = coeffs[a]
-        norm_coeffs = [gdiv(c, piv) for c in coeffs]
-        norm_rhs = gdiv(r, piv)
-        pivot_rows.append((a, norm_coeffs, norm_rhs))
-        remaining.discard(a)
-        active.remove(ei)
-        for ej in active:
-            cj, rj = eqs[ej]
-            f = cj[a]
-            if f.is_zero():
-                continue
-            newc = [c2 - gmul(cn, f) for c2, cn in zip(cj, norm_coeffs)]
-            newr = rj - gmul(norm_rhs, f)
-            eqs[ej] = (newc, newr)
-
-    # leftover equations must be trivial
-    for ei in active:
-        coeffs, r = eqs[ei]
-        nontrivial = [c for c in coeffs if not c.is_zero()]
-        if nontrivial or not r.is_zero():
-            if all(equal(c, zero(chart), policy) for c in coeffs) \
-                    and equal(r, zero(chart), policy):
-                continue
-            raise SingularSystemError("inconsistent or degenerate linear system")
-
-    sol: List[GradedExpr] = [zero(chart) for _ in range(n)]
-    for a, coeffs, r in reversed(pivot_rows):
-        acc = r
-        for a2 in range(n):
-            if a2 != a and not coeffs[a2].is_zero():
-                acc = acc - gmul(sol[a2], coeffs[a2])
-        sol[a] = acc
-    return sol
-
+    ring, chart = _expressions(policy), rhs[0].chart
+    # one row per equation b: its coefficients, then its right-hand side
+    pivots, rows = eliminate([[M[a][b] for a in range(n)] + [r]
+                              for b, r in enumerate(rhs)], n, ring)
+    if not consistent(rows, pivots, 0, ring.zero):
+        raise SingularSystemError("inconsistent or degenerate linear system")
+    row_of = {a: i for i, a in pivots}
+    sol = [rows[row_of[a]][n] if a in row_of else zero(chart) for a in range(n)]
+    return sol, {f: [-rows[row_of[a]][f] if a in row_of else
+                     one(chart) if a == f else zero(chart) for a in range(n)]
+                 for f in range(n) if f not in row_of}

@@ -236,7 +236,9 @@ def test_float_overflow_fails_the_task(tmp_path, cmd):
     ({"base": [0.0]}, "base has 1 entries for a chart of dimension 2"),
     # json reads NaN
     ({"base": [float("nan"), 0.0]}, "base point (nan, 0.0) is not finite"),
-], ids=["no-nodes", "short-base", "nan-base"])
+    # a node count is passed through, not cut down to 2
+    ({"nodes": 2.7}, "nodes_per_axis must be an integer, not 2.7"),
+], ids=["no-nodes", "short-base", "nan-base", "float-nodes"])
 def test_bad_straighten_arguments_fail_the_task(tmp_path, args, error):
     """A grid that cannot be built fails its task; the run still reports."""
     m = tmp_path / "grid.json"
@@ -249,6 +251,29 @@ def test_bad_straighten_arguments_fail_the_task(tmp_path, args, error):
     (task,) = json.loads(out.read_text())["tasks"]
     assert task == {"task": "straighten", "seed": 0, "status": "fail",
                     "error": error}
+
+
+@pytest.mark.parametrize("task, error", [
+    ({"cmd": "darboux",
+      "args": {"form": "theta", "map": "phi", "r": 1.5, "nabla": "nabla"}},
+     "r must be an integer, not 1.5"),
+    ({"cmd": "verify-darboux",
+      "args": {"form": "theta", "map": "phi",
+               "spec": {"variant": "potential", "r": 1, "residual": 0.5}}},
+     "residual must be an integer, not 0.5"),
+], ids=["darboux-r", "verify-darboux-residual"])
+def test_non_integer_counts_fail_the_task(tmp_path, task, error):
+    """A pair, odd or residual count is passed through, not cut down to an
+    integer: the normal form refuses it, and the run still reports."""
+    payload = json.loads((MANIFESTS / "theta.json").read_text())
+    payload["tasks"] = [task]
+    m = tmp_path / "counts.json"
+    m.write_text(json.dumps(payload))
+    out = tmp_path / "rep.json"
+    assert run(str(m), json_out=str(out), stream=open(os.devnull, "w")) == 1
+    (got,) = json.loads(out.read_text())["tasks"]
+    assert got == {"task": task["cmd"], "seed": 0, "status": "fail",
+                   "error": error}
 
 
 def test_odd_weight_field_fails_the_task(tmp_path):

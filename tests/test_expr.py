@@ -11,7 +11,7 @@ from graded_darboux import (apply_func, canonicalize, chart, coord, diff,
 from graded_darboux.cartan import exterior_d, lie_derivative
 from graded_darboux.grexpr.chart import ODD, ChartError
 from graded_darboux.grexpr.expr import GradedExpr, Monomial, _mul_monomials, const
-from graded_darboux.symsolve import solve_left_linear
+from graded_darboux.symsolve import SingularSystemError, solve_left_linear
 from helpers import (brute_force_reorder, random_atomic_monomial, random_chart,
                      random_expr, random_field, random_monomial, word_to_expr)
 
@@ -430,6 +430,26 @@ class TestCanonicalize:
         e = parse_expr("p*q + sin(p*q)*d(z)", cyl)
         assert canonicalize(e) == e
 
+    def test_coefficients_of_differentials_are_canonical(self):
+        """``diff_components`` and ``coefficient_of_diff`` build their
+        coefficients from the form's terms directly: the keys are those that
+        canonicalizing the same terms gives, for forms with atoms, ``inv``
+        atoms, odd coordinates and float coefficients."""
+        rng = random.Random(31)
+        for trial in range(60):
+            c = random_chart(rng, max_even=3, max_odd=2)
+            w = gdiv(random_expr(c, rng, n_terms=2, form_degree=1),
+                     coord(c, "x0") ** 2 + 2)
+            for fdeg in (0, 1, 1, 2):
+                w = w + random_atomic_monomial(c, rng, floats=trial % 4 == 0,
+                                               form_degree=fdeg)
+            parts = list(w.diff_components().values())
+            parts += [w.coefficient_of_diff(name) for name in c.names]
+            assert any(a.kind == "inv" for e in parts for m in e.terms
+                       for a in m.atoms)
+            for e in parts:
+                assert e.key() == GradedExpr.from_terms(c, e.terms).key()
+
 
 def _coefficients(e):
     """Every coefficient of an expression, atom arguments included."""
@@ -479,7 +499,53 @@ class TestIntCoefficients:
                   if a == b else random_expr(ev, rng, n_terms=1) * Fraction(1, 4)
                   for b in range(n)] for a in range(n)]
             out += solve_left_linear(M, [random_expr(ev, rng, n_terms=2)
-                                         for _ in range(n)])
+                                         for _ in range(n)])[0]
             for e in out:
                 assert e.is_exact()
                 assert not any(isinstance(v, float) for v in _coefficients(e))
+
+
+class TestSolveLeftLinear:
+    def test_kernel_vectors_solve_the_homogeneous_system(self):
+        """Each kernel vector k of ``sum_a R^a M[a][b] = rhs[b]`` gives
+        ``sum_a k_a M[a][b] = 0`` by ``equal``, and the solution solves the
+        system, on systems with a dependent unknown or more unknowns than
+        equations, multi-term pivots included."""
+        # a box away from 0, so that no monomial pivot comes near zero
+        ev = chart(("x", 0, 1), ("y", 0, -1), ("w", 0, 0),
+                   default_box=(0.5, 1.0))
+        rng = random.Random(19)
+        kernels = 0
+        for trial in range(30):
+            n, m = rng.randint(2, 4), rng.randint(1, 3)
+            M = [[random_expr(ev, rng, n_terms=rng.choice([1, 2]), max_deg=2)
+                  for b in range(m)] for a in range(n)]
+            if trial % 2:
+                c0 = random_expr(ev, rng, n_terms=2, max_deg=1)
+                M[-1] = [gmul(c0, M[0][b]) - M[1][b] for b in range(m)]
+            R = [random_expr(ev, rng, n_terms=1, max_deg=1) for a in range(n)]
+            rhs = [sum((gmul(R[a], M[a][b]) for a in range(n)), zero(ev))
+                   for b in range(m)]
+            sol, kernel = solve_left_linear(M, rhs)
+            kernels += len(kernel)
+            for b in range(m):
+                got = sum((gmul(sol[a], M[a][b]) for a in range(n)), zero(ev))
+                assert equal(got, rhs[b])
+            for f, k in kernel.items():
+                assert k[f] == one(ev)
+                assert all(k[g].is_zero() for g in kernel if g != f)
+                for b in range(m):
+                    assert equal(sum((gmul(k[a], M[a][b]) for a in range(n)),
+                                     zero(ev)), zero(ev))
+        assert kernels >= 30
+
+    def test_an_odd_coefficient_is_never_a_pivot(self, sup):
+        """Odd elements are not central, so an equation whose only nonzero
+        coefficient is odd takes no pivot and leaves the system degenerate;
+        an even pivot elsewhere still solves the rest."""
+        xi, x = coord(sup, "xi"), coord(sup, "x")
+        with pytest.raises(SingularSystemError, match="degenerate"):
+            solve_left_linear([[xi]], [zero(sup)])
+        sol, kernel = solve_left_linear([[x, zero(sup)], [xi, one(sup)]],
+                                        [x, zero(sup)])
+        assert sol == [one(sup), zero(sup)] and kernel == {}

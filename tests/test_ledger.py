@@ -23,7 +23,7 @@ from graded_darboux.darboux import StraighteningError, straighten_commuting
 from graded_darboux.grexpr.chart import ChartSpec, CoordinateDecl
 from graded_darboux.grexpr.equality import EqualityPolicy, equal
 from graded_darboux.pfaffian import (PfaffianError, characteristic_class,
-                                     presymplectic_check)
+                                     presymplectic_check, reeb)
 
 TYPED = (PfaffianError, StraighteningError)
 
@@ -78,6 +78,8 @@ SUPER = chart(("x", 0, 0), ("y", 0, 0), ("a", 1, 0), ("b", 1, 0),
 # T*[1]M over (x, y): odd fibre coordinates of weight 1
 T1M = chart(("x", 0, 0), ("y", 0, 0), ("u", 1, 1), ("v", 1, 1))
 PLANE = chart(("x", 0, 0), ("y", 0, 0))
+# the README chart with a fourth coordinate, u
+PRECONTACT = chart(("z", 0, 0), ("p", 0, 1), ("q", 0, -1), ("u", 0, 0))
 # exp(x)*exp(x) is finite up to x = 354.89, but a singular value of twice it
 # overflows
 EDGE = chart(("x", 0, 0), ("y", 0, 0), ("z", 0, 0),
@@ -152,6 +154,15 @@ CASES = {
         "finding", lambda: _straighten(
             [vector_field(PLANE, {"y": "1e-20"})], box=0.5),
         ([0], True)),
+    # item 19: d(d(z)) = 0, so i_R d(z) = 1 fixes R^z alone, and
+    # d/dz + a d/dp + b d/dq solves the Reeb system for all a, b
+    "closed-form-reeb": Case(
+        "19", lambda: reeb(parse_expr("d(z)", README)),
+        Refused("no unique Reeb field: free unknowns p, q")),
+    # d(alpha) = d(p) d(q) reads no u, so d/du is in the kernel
+    "precontact-reeb": Case(
+        "19", lambda: reeb(parse_expr("d(z) + p*d(q)", PRECONTACT)),
+        Refused("no unique Reeb field: free unknowns u")),
     # y d/dx vanishes on y = 0, where the grid from base (0, 0.5) ends
     "field-vanishing-on-the-grid": Case(
         "finding", lambda: straighten_commuting(

@@ -327,3 +327,28 @@ def test_membership_of_a_vector_whose_squares_overflow():
     rows = [[[1.0, 0.0]]]
     assert _linalg.contains(rows, [[0.0, 1e305]], 1e-9)[0] == (1, False, 1e305)
     assert _linalg.contains(rows, [[1e305, 0.0]], 1e-9)[0] == (1, True, 0.0)
+
+
+def test_kernel_of_the_integer_elimination_is_exact():
+    """The one elimination over the integers: its pivot columns are the
+    reference RREF's, and each kernel vector read from its pivots and
+    reduced rows, one per free column, is annihilated by the rows exactly
+    and holds the reference RREF's entries."""
+    rng = random.Random(31)
+    for trial in range(400):
+        rows = _rational_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
+        ncols = len(rows[0])
+        ref, ref_pivots = _reference_rref(rows)
+        pivots, m = _linalg.eliminate(_linalg._integers(rows), ncols,
+                                      _linalg.INTEGERS)
+        assert [j for _, j in pivots] == ref_pivots
+        for j in range(ncols):
+            if j in ref_pivots:
+                continue
+            k = [Fraction(0)] * ncols
+            k[j] = Fraction(1)
+            for i, c in pivots:
+                k[c] = Fraction(-m[i][j], m[i][c])
+            assert all(sum(a * b for a, b in zip(row, k)) == 0 for row in rows)
+            assert [k[c] for c in ref_pivots] == \
+                [-ref[r][j] for r in range(len(ref_pivots))]

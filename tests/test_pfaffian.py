@@ -71,11 +71,12 @@ class TestClassification:
         assert rep.class_ == cyl_alpha.chart.dim  # class parity link
 
     def test_one_elimination_per_exact_point(self, cyl, monkeypatch):
-        """Rank and membership at an exact point come from one ``_rref``."""
+        """Rank and membership at an exact point come from one
+        ``eliminate``."""
         calls = []
-        rref = _linalg._rref
-        monkeypatch.setattr(_linalg, "_rref",
-                            lambda *args: calls.append(1) or rref(*args))
+        eliminate = _linalg.eliminate
+        monkeypatch.setattr(_linalg, "eliminate",
+                            lambda *args: calls.append(1) or eliminate(*args))
         alpha = parse_expr("d(z) - p*d(q)", cyl)
         rep = characteristic_class(alpha, policy=EqualityPolicy(n_points=5))
         assert rep.kind == "contact"
@@ -311,6 +312,19 @@ class TestReeb:
         c = chart(("q", 0, 0), ("p", 0, 0), default_box=(0.2, 0.9))
         with pytest.raises(PfaffianError):
             reeb(parse_expr("p*d(q)", c))
+
+    def test_no_unique_field_rejected(self):
+        """Where the system i_R alpha = 1, i_R d(alpha) = 0 has a kernel,
+        every field plus a kernel vector solves it: no field is the Reeb
+        field, and the refusal names the unknowns left free."""
+        c = chart(("z", 0, 0), ("p", 0, 1), ("q", 0, -1))
+        with pytest.raises(PfaffianError, match="^no unique Reeb field: "
+                                                "free unknowns p, q$"):
+            reeb(parse_expr("d(z)", c))
+        c = chart(("z", 0, 0), ("p", 0, 1), ("q", 0, -1), ("u", 0, 0))
+        with pytest.raises(PfaffianError, match="^no unique Reeb field: "
+                                                "free unknowns u$"):
+            reeb(parse_expr("d(z) + p*d(q)", c))
 
 
 class TestLiouville:
