@@ -4,9 +4,12 @@ and ``rank``, ``contains`` and ``nullspace`` alone choose between the two
 paths.
 
 Decisions take a stack: one matrix (and one vector) per sample point.  The
-exact path is chosen once per stack and eliminates point by point, with the
-package's one exact elimination ``eliminate`` over the integers (``symsolve``
-runs it over expressions); the float path decides the points whose data are
+exact path is chosen once per stack and eliminates once per run of
+consecutive equal matrices, with the package's one exact elimination
+``eliminate`` over the integers (``symsolve`` runs it over expressions): a
+membership takes every vector of the run as one right-hand-side column.  A
+constant flat map gives every point the same value objects, so its run is
+found by identity checks.  The float path decides the points whose data are
 finite from one SVD over them (Golub & Van Loan, *Matrix Computations*, 4th
 ed., section 5.5) and returns None at every other point, so no inf or nan
 reaches LAPACK.  A finite matrix whose singular values overflow is decided
@@ -21,6 +24,8 @@ import math
 import operator
 from fractions import Fraction
 from functools import wraps
+from itertools import groupby
+from numbers import Real
 from typing import (Callable, List, NamedTuple, Optional, Sequence, Tuple,
                     Union)
 
@@ -53,12 +58,14 @@ def eliminate(rows: list, ncols: int, ring: Ring):
     return pivots, rows
 
 
-def consistent(rows: list, pivots, start: int, zero: Callable) -> bool:
-    """Whether every reduced row with no pivot is zero from column ``start``
-    on: the equations it stands for are trivial."""
+def consistent(rows: list, pivots, start: int, zero: Callable,
+               stop: Optional[int] = None) -> bool:
+    """Whether every reduced row with no pivot is zero in the columns from
+    ``start`` up to ``stop`` (to the end when None): the equations it stands
+    for are trivial."""
     taken = {i for i, _ in pivots}
     return all(zero(v) for i, row in enumerate(rows) if i not in taken
-               for v in row[start:])
+               for v in row[start:stop])
 
 
 def _bareiss_step(m: List[List[int]], i: int, j: int, last) -> None:
@@ -91,14 +98,18 @@ def exact_rank(rows: Sequence[Sequence[Fraction]]) -> int:
 
 
 def exact_solve_membership(rows: Sequence[Sequence[Fraction]],
-                           target: Sequence[Fraction]) -> Tuple[int, bool]:
-    """Rank of ``rows`` and whether ``target`` is a combination of them."""
+                           *targets: Sequence[Fraction]) -> Tuple:
+    """Rank of ``rows`` and, per target in order, whether it is a
+    combination of them, from one elimination."""
     k = len(rows)
-    # eliminate on the augmented (ncols x k+1) system rows^T c = target
-    pivots, aug = eliminate(_integers([[r[i] for r in rows] + [t]
-                                       for i, t in enumerate(target)]),
+    # eliminate on the augmented (ncols x k+m) system rows^T C = targets,
+    # whose right-hand-side columns never mix, so each reads as if alone
+    pivots, aug = eliminate(_integers([[r[i] for r in rows]
+                                       + [t[i] for t in targets]
+                                       for i in range(len(targets[0]))]),
                             k, INTEGERS)
-    return len(pivots), consistent(aug, pivots, k, INTEGERS.zero)
+    return (len(pivots), *(consistent(aug, pivots, c, INTEGERS.zero, c + 1)
+                           for c in range(k, k + len(targets))))
 
 
 def negligible(x: float, tol: float, scale: float = 0.0) -> bool:
@@ -108,13 +119,15 @@ def negligible(x: float, tol: float, scale: float = 0.0) -> bool:
 
 
 def _finite_points(decide):
-    """``decide(*stacks, tol)`` over the points where every float stack is
-    finite, in one call, and None at every other point, so that no inf or
+    """``decide(*stacks, *numbers)`` over the points where every float stack
+    is finite, in one call, and None at every other point, so that no inf or
     nan reaches LAPACK; the stacks share their leading axis, one entry a
-    point."""
+    point, and the trailing numbers (a tolerance) pass through."""
     @wraps(decide)
     def at_finite(*args):
-        *stacks, tol = args
+        k = next((i for i, a in enumerate(args) if isinstance(a, Real)),
+                 len(args))
+        stacks, rest = args[:k], args[k:]
         if not len(stacks[0]):
             return []
         stacks = [np.asarray(a, dtype=float) for a in stacks]
@@ -122,8 +135,8 @@ def _finite_points(decide):
         for a in stacks:
             bad |= ~np.isfinite(a).all(axis=tuple(range(1, a.ndim)))
         if not bad.any():
-            return decide(*stacks, tol)
-        out = iter(decide(*(a[~bad] for a in stacks), tol))
+            return decide(*stacks, *rest)
+        out = iter(decide(*(a[~bad] for a in stacks), *rest))
         return [None if f else next(out) for f in bad.tolist()]
     return at_finite
 
@@ -194,6 +207,14 @@ def float_contains(mats: np.ndarray, vecs: np.ndarray,
     return list(zip(_ranks(s, tol), inside.tolist(), res.tolist()))
 
 
+@_finite_points
+def float_solve(mats: np.ndarray, rhs: np.ndarray) -> List[Optional[np.ndarray]]:
+    """Solution X of A X = B for each square matrix A of a float stack and
+    the matching B, from one ``np.linalg.solve`` over the points where both
+    are finite; None at the others."""
+    return list(np.linalg.solve(mats, rhs))
+
+
 def _exact(*stacks: Sequence) -> bool:
     return all(isinstance(v, Fraction)
                for st in stacks for m in st for r in m for v in r)
@@ -205,7 +226,10 @@ def rank(stack: Sequence[Sequence[Sequence[Union[Fraction, float]]]],
     every entry of the stack is a Fraction, else from one SVD, with None
     where a matrix is not finite."""
     if _exact(stack):
-        return [exact_rank(m) for m in stack]
+        out = []
+        for rows, run in groupby(stack):
+            out += [exact_rank(rows)] * len(list(run))
+        return out
     return float_rank(np.array(stack, dtype=float), tol)
 
 
@@ -215,21 +239,22 @@ def contains(stack: Sequence[Sequence[Sequence[Union[Fraction, float]]]],
     """Per point: rank of the k x n rows, membership of the n-vector in
     their row space and its residual.  Exact (residual 0.0, or None
     outside) when every entry of the stack and the vectors is a Fraction,
-    by one elimination per point; else from one SVD over the stack, where
-    exact rows keep their exact rank, and None where the rows or the vector
-    are not finite."""
+    by one elimination per run of equal matrices, each point's vector one
+    right-hand side; else from one SVD over the stack, where exact rows keep
+    their exact rank, and None where the rows or the vector are not
+    finite."""
     if _exact(stack, [vecs]):
         out = []
-        for rows, vec in zip(stack, vecs):
-            r, inside = exact_solve_membership(rows, vec)
-            out.append((r, inside, 0.0 if inside else None))
+        for rows, run in groupby(zip(stack, vecs), key=operator.itemgetter(0)):
+            r, *inside = exact_solve_membership(rows, *(v for _, v in run))
+            out += [(r, True, 0.0) if i else (r, False, None) for i in inside]
         return out
     vecs = np.array(vecs, dtype=float)
     mats = np.array(stack, dtype=float).reshape(len(vecs), -1, vecs.shape[1])
     out = float_contains(mats, vecs, tol)
     if _exact(stack):
-        out = [None if d is None else (exact_rank(rows),) + d[1:]
-               for rows, d in zip(stack, out)]
+        out = [None if d is None else (r,) + d[1:]
+               for r, d in zip(rank(stack, tol), out)]
     return out
 
 

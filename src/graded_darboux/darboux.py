@@ -906,6 +906,9 @@ def straighten_commuting(fields: Sequence[VectorField],
     if singular:
         raise StraighteningError(f"singular jacobian on the grid at u={singular[0]}")
     F = np.stack([f(x) for f in fs], axis=-1)
-    max_err = float(np.max(np.abs(np.linalg.solve(J, F) - np.eye(n)[:, :k])))
+    # a node whose Jacobian or fields are not finite fails the certificate
+    eye = np.eye(n)[:, :k]
+    max_err = float(np.max([math.inf if sol is None else np.max(np.abs(sol - eye))
+                            for sol in _linalg.float_solve(J, F)]))
     return StraighteningGrid(base, slice_axes, nodes, list(J),
                              max_err, _linalg.negligible(max_err, GRID_CERTIFICATE))

@@ -531,15 +531,21 @@ def _coordinates(chart: ChartSpec, points: List[list]) -> List[np.ndarray]:
     return x
 
 
-def _body_point(plans: Sequence[Plan], point: Mapping[str, object],
-                number=Fraction) -> list:
-    """Per-coordinate values of a body point, as ``number``: only the even
-    coordinates some plan reads are converted, and the others are zero."""
+def _even_reads(plans: Sequence[Plan]) -> List[Tuple[int, str]]:
+    """(index, name) of the even coordinates some plan reads, in chart
+    order."""
     chart = plans[0].chart
     reads = set().union(*(p.reads for p in plans))
-    x = [number(0)] * chart.dim
-    for i in (i for i in chart.even_indices if i in reads):
-        name = chart.coords[i].name
+    return [(i, chart.coords[i].name) for i in chart.even_indices if i in reads]
+
+
+def _body_point(dim: int, reads: Sequence[Tuple[int, str]],
+                point: Mapping[str, object], number=Fraction) -> list:
+    """Per-coordinate values of a body point, as ``number``: only the even
+    coordinates in ``reads`` (see ``_even_reads``) are converted, and the
+    others are zero."""
+    x = [number(0)] * dim
+    for i, name in reads:
         if name not in point:
             raise EvaluationError(f"no value for coordinate {name!r}")
         x[i] = number(point[name])
@@ -554,7 +560,7 @@ def eval_numeric(a: GradedExpr, point: Mapping[str, object]) -> GrassmannValue:
     ``point`` (1 when absent).
     """
     plan = Plan(a)
-    x = _body_point([plan], point, float)
+    x = _body_point(a.chart.dim, _even_reads([plan]), point, float)
     for i in a.chart.odd_indices:
         x[i] = float(point.get(a.chart.coords[i].name, 1.0))
     batch = plan.grassmann(_coordinates(a.chart, [x]))
@@ -592,11 +598,12 @@ def body_values(plans: Sequence[Plan], points: Sequence[Mapping[str, object]]
     # the coordinate lists only plans that read a coordinate need
     some_exact = any(p.exact and p.reads for p in plans)
     some_float = any(not p.exact and p.reads for p in plans)
+    dim, reads = plans[0].chart.dim, _even_reads(plans)
     xq, xf, failure = [], [], None
     for point in points:
         try:
-            q = _body_point(plans, point) if some_exact else None
-            f = _body_point(plans, point, _as_float) if some_float else None
+            q = _body_point(dim, reads, point) if some_exact else None
+            f = _body_point(dim, reads, point, _as_float) if some_float else None
         except Exception as exc:
             failure = exc
             break
@@ -661,4 +668,4 @@ def eval_body_exact(a: GradedExpr, point: Mapping[str, Union[int, Fraction]]) ->
     transcendental atoms or float coefficients.
     """
     plan = Plan(a)
-    return plan.exact_body(_body_point([plan], point))
+    return plan.exact_body(_body_point(a.chart.dim, _even_reads([plan]), point))

@@ -195,13 +195,16 @@ def characteristic_class(alpha: GradedExpr,
     memo = Memo() if memo is None else memo
     dalpha = exterior_d(alpha, memo=memo)
     fmap = memo.take("flat", alpha, _FlatMap, alpha, memo)
-    closed = bool(equal(dalpha, zero(chart), policy))
     fms, failure = fmap.at(points)
     tol = policy.rel_tol
     alphas = [fm.alpha for fm in fms]
     ranks = _linalg.float_rank([[a] for a in alphas], tol)
-    decided = [] if closed else _linalg.contains(
-        [fm.rows for fm in fms], alphas, tol)
+    decided = _linalg.contains([fm.rows for fm in fms], alphas, tol)
+    # a flat matrix of rank >= 1 at a body point shows d alpha != 0; in every
+    # other case the randomized test decides, and its errors come first
+    shown = (failure is None and None not in decided
+             and any(r for r, _, _ in decided))
+    closed = not shown and bool(equal(dalpha, zero(chart), policy))
     # the first point, in order, that cannot be decided raises
     for i, fm in enumerate(fms):
         if ranks[i] is None:

@@ -69,7 +69,8 @@ def test_sampler_reads_each_coordinates_own_box():
 def _one_at_a_time(plans, point):
     """Each plan's body at one point, in plan order, as a plan is evaluated
     alone; the first failure raises."""
-    xq = grassmann._body_point(plans, point)
+    xq = grassmann._body_point(plans[0].chart.dim,
+                               grassmann._even_reads(plans), point)
     return [p.exact_body(xq) if p.exact else p.float_body([float(v) for v in xq])
             for p in plans]
 
@@ -90,11 +91,13 @@ def test_batch_matches_per_point_evaluation():
         points = sample_body_points(c, 9, rng.randrange(100))
         batch, failure = body_values(plans, points)
         assert failure is None and len(batch) == len(points)
+        reads = grassmann._even_reads(plans)
         for point, vals in zip(points, batch):
             assert [type(v) for v in vals] == \
                 [Fraction if p.exact else float for p in plans]
-            want = [p.exact_body(grassmann._body_point(plans, point)) if p.exact
-                    else p.float_body(grassmann._body_point(plans, point, float))
+            want = [p.exact_body(grassmann._body_point(c.dim, reads, point))
+                    if p.exact else
+                    p.float_body(grassmann._body_point(c.dim, reads, point, float))
                     for p in plans]
             assert [v if p.exact else v.hex() for p, v in zip(plans, vals)] == \
                 [v if p.exact else v.hex() for p, v in zip(plans, want)]
@@ -138,9 +141,9 @@ def test_points_missing_a_coordinate_fail_alone(monkeypatch):
     converted = []
     body_point = grassmann._body_point
 
-    def recorded(plans, point, *args):
+    def recorded(dim, reads, point, *args):
         converted.append(point)
-        return body_point(plans, point, *args)
+        return body_point(dim, reads, point, *args)
 
     monkeypatch.setattr(grassmann, "_body_point", recorded)
     values, failure = body_values(plans, points)
@@ -149,6 +152,19 @@ def test_points_missing_a_coordinate_fail_alone(monkeypatch):
     assert str(failure) == "no value for coordinate 'y'"
     assert body_values(plans, points[2:]) == ([[0.5]], None)
     assert body_values([], [{}, {}]) == ([[], []], None)
+
+
+def test_coordinates_read_are_found_once_per_batch(monkeypatch):
+    c = chart(("x", 0, 0), ("y", 0, 0), ("z", 0, 0))
+    plans = [Plan(parse_expr("x*y", c)), Plan(parse_expr("sin(y)", c)),
+             Plan(parse_expr("2", c))]
+    found = []
+    even_reads = grassmann._even_reads
+    monkeypatch.setattr(grassmann, "_even_reads",
+                        lambda plans: found.append(even_reads(plans)) or found[-1])
+    values, failure = body_values(plans, sample_body_points(c, 8, 1))
+    assert failure is None and len(values) == 8
+    assert found == [[(0, "x"), (1, "y")]]
 
 
 def test_classification_raises_the_first_point_error_in_sample_order():

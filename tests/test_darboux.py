@@ -807,6 +807,17 @@ class TestStraightening:
         with pytest.raises(StraighteningError, match=r"at u=\(-1\.0, 1\.0\)"):
             straighten_commuting([f], [0, 0], box=1.0, nodes_per_axis=3)
 
+    def test_jacobian_not_finite_fails_the_certificate(self):
+        # the field stays between 1 and 3, but its derivative overflows on
+        # the slice x = 0.7085, so the Jacobians there are not finite
+        c = chart(("x", 0, 0), ("y", 0, 0))
+        f = vector_field(c, {"y": "2 + sin(exp(1000*x))"})
+        grid = straighten_commuting([f], [0, 0], box=0.7085, nodes_per_axis=3)
+        bad = [u for (u, _), J in zip(grid.nodes, grid.jacobians)
+               if not np.isfinite(J).all()]
+        assert bad == [(-0.7085, 0.7085), (0.0, 0.7085), (0.7085, 0.7085)]
+        assert grid.max_error == math.inf and not grid.certified
+
     def test_escaping_flow_rejected(self):
         # finite-time blow-up leaves the working domain
         c = chart(("x", 0, 0))

@@ -163,6 +163,54 @@ def test_stacked_exact_decisions_match_a_reference_rref():
             assert abs(res - want_res) <= 1e-9 * max(1.0, math.hypot(*t))
 
 
+def _copy(rows):
+    """An equal matrix that shares no object with ``rows``."""
+    return [[Fraction(v.numerator, v.denominator) for v in r] for r in rows]
+
+
+def test_runs_of_equal_matrices_take_one_elimination_each(monkeypatch):
+    """The exact path eliminates once per run of consecutive equal matrices,
+    whether they are one object or equal copies, and still decides each
+    point as the reference RREF does: runs of one to four points, runs of
+    one point between them, and the empty stack."""
+    calls = []
+    eliminate = _linalg.eliminate
+    monkeypatch.setattr(_linalg, "eliminate",
+                        lambda *args: calls.append(1) or eliminate(*args))
+    assert _linalg.rank([], 1e-9) == [] and _linalg.contains([], [], 1e-9) == []
+    assert calls == []
+    rng = random.Random(32)
+    repeats = 0
+    for trial in range(300):
+        k, n = rng.randint(0, 4), rng.randint(1, 4)
+        stack = []
+        for _ in range(rng.randint(1, 4)):
+            rows = _rational_matrix(rng, k, n) if k else []
+            length = rng.choice([1, 1, 2, 3, 4])
+            stack += [rows if rng.random() < 0.5 else _copy(rows)
+                      for _ in range(length)]
+        targets = [rng.choice(_targets(rng, rows, n)) for rows in stack]
+        ranks = [len(_reference_rref(rows)[1]) for rows in stack]
+        inside = [len(_reference_rref(rows + [t])[1]) == r
+                  for rows, t, r in zip(stack, targets, ranks)]
+        runs = sum(i == 0 or stack[i] != stack[i - 1] for i in range(len(stack)))
+        repeats += runs < len(stack)
+        calls.clear()
+        assert _linalg.rank(stack, 1e-9) == ranks
+        assert len(calls) == (runs if k else 0)
+        calls.clear()
+        assert _linalg.contains(stack, targets, 1e-9) == \
+            [(r, ins, 0.0 if ins else None) for r, ins in zip(ranks, inside)]
+        assert len(calls) == runs
+        # exact rows with float vectors keep their exact rank, one
+        # elimination a run
+        calls.clear()
+        floated = [[float(v) for v in t] for t in targets]
+        assert [d[0] for d in _linalg.contains(stack, floated, 1e-9)] == ranks
+        assert len(calls) == (runs if k else 0)
+    assert repeats > 200
+
+
 def _float_stack(rng, N, k, n):
     """N float k x n matrices with one vector each: full rank or made rank
     deficient by a repeated row, a row combination or a zero row; each

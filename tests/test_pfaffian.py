@@ -27,6 +27,17 @@ from helpers import (darboux_class_oracle, random_atomic_monomial, random_chart,
                      random_expr, walk_interior_rows)
 
 
+MANIFESTS = Path(__file__).resolve().parents[1] / "src" / "graded_darboux" / "manifests"
+
+
+def _count_equal(monkeypatch) -> list:
+    """The arguments of every call classification makes to ``equal``."""
+    calls, real = [], pfaffian.equal
+    monkeypatch.setattr(pfaffian, "equal",
+                        lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
 @pytest.fixture
 def cyl():
     return chart(("z", 0, 0), ("p", 0, 1), ("q", 0, -1), default_box=(-0.7, 0.7))
@@ -71,8 +82,9 @@ class TestClassification:
         assert rep.class_ == cyl_alpha.chart.dim  # class parity link
 
     def test_one_elimination_per_exact_point(self, cyl, monkeypatch):
-        """Rank and membership at an exact point come from one
-        ``eliminate``."""
+        """Rank and membership at exact points come from one ``eliminate``
+        per run of equal flat matrices: d(z - p dq) = dq^dp is the same
+        matrix at every point, so its five points take one."""
         calls = []
         eliminate = _linalg.eliminate
         monkeypatch.setattr(_linalg, "eliminate",
@@ -81,7 +93,81 @@ class TestClassification:
         rep = characteristic_class(alpha, policy=EqualityPolicy(n_points=5))
         assert rep.kind == "contact"
         assert [e["residual"] for e in rep.evidence] == [None] * 5
+        assert len(calls) == 1
+
+    def test_one_elimination_per_point_of_a_varying_flat_map(self, cyl,
+                                                              monkeypatch):
+        """d(z - p^2 dq) = 2p dq^dp differs at every sampled point, so each
+        point takes its own ``eliminate``."""
+        calls = []
+        eliminate = _linalg.eliminate
+        monkeypatch.setattr(_linalg, "eliminate",
+                            lambda *args: calls.append(1) or eliminate(*args))
+        alpha = parse_expr("d(z) - p^2*d(q)", cyl)
+        rep = characteristic_class(alpha, policy=EqualityPolicy(n_points=5))
+        assert rep.kind == "contact"
+        assert len({e["point"]["p"] for e in rep.evidence}) == 5
         assert len(calls) == 5
+
+    def test_closedness_is_tested_only_where_every_flat_rank_is_zero(
+            self, cyl, cyl_alpha, monkeypatch):
+        """d(z) is closed, so its flat matrices are zero and the randomized
+        test decides; cylinder's form has flat rank 2, which shows that
+        d(alpha) != 0 without it."""
+        calls = _count_equal(monkeypatch)
+        assert characteristic_class(parse_expr("d(z)", cyl)).kind == "closed"
+        assert len(calls) == 1
+        calls.clear()
+        assert characteristic_class(cyl_alpha).kind == "contact"
+        assert calls == []
+
+    def test_a_nonzero_flat_rank_agrees_with_the_closedness_test(
+            self, monkeypatch):
+        """Every one-form of the shipped manifests and of the ledger's
+        classifications whose flat map has rank >= 1 at some sample point
+        is not closed by the randomized test, and is classified without
+        it."""
+        import test_ledger
+        forms = []
+        for path in sorted(MANIFESTS.glob("*.json")):
+            ws, _ = cli.load_manifest(json.loads(path.read_text()))
+            forms += [f for f in ws.forms.values() if f.form_degree() == 1]
+
+        class Seen(Exception):
+            pass
+
+        def seen(alpha, *args, **kwargs):
+            forms.append(alpha)
+            raise Seen
+
+        with monkeypatch.context() as m:
+            m.setattr(test_ledger, "characteristic_class", seen)
+            for case in test_ledger.CASES.values():
+                try:
+                    case.call()
+                except (Seen, *test_ledger.TYPED):
+                    pass
+        calls = _count_equal(monkeypatch)
+        policy, shown = EqualityPolicy(), 0
+        for alpha in forms:
+            points = pfaffian._body_points(alpha.chart, None, policy)
+            fms, failure = pfaffian._FlatMap(alpha, cartan.Memo()).at(points)
+            decided = _linalg.contains([fm.rows for fm in fms],
+                                       [fm.alpha for fm in fms], policy.rel_tol)
+            if (failure is not None or None in decided
+                    or not any(d[0] for d in decided)):
+                continue
+            shown += 1
+            assert not equal(exterior_d(alpha), zero(alpha.chart))
+            calls.clear()
+            try:
+                characteristic_class(alpha)
+            except PfaffianError:
+                pass
+            assert calls == []
+        # of 13 forms, the two nilpotent ledger cases and the two small
+        # contact forms have flat rank 0 at every point
+        assert (len(forms), shown) == (13, 9)
 
     def test_theta_symplectic_potential(self):
         w = chart(("x", 0, 1), ("y", 0, -1), default_box=(0.1, 0.8))

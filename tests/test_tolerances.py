@@ -141,11 +141,15 @@ def test_no_module_level_cache_in_the_derivation_modules():
 
 
 # no inf or nan reaches LAPACK: _finite_points hands a float decision only
-# the finite points of its stacks, and an SVD elsewhere would skip it
+# the finite points of its stacks, and an SVD or a solve elsewhere would
+# skip it
+GUARDED = {"svd", "solve"}
+
+
 def _lapack_guard_breaches(rel: str, source: str):
     """(module, line, what) of every ``float_*`` function of ``_linalg.py``
-    not wrapped by ``_finite_points``, and every reference to a ``svd`` of
-    a ``linalg`` module outside ``_linalg.py``."""
+    not wrapped by ``_finite_points``, and every reference to a ``svd`` or a
+    ``solve`` of a ``linalg`` module outside ``_linalg.py``."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if rel == "_linalg.py":
@@ -153,13 +157,13 @@ def _lapack_guard_breaches(rel: str, source: str):
                     and node.name.startswith("float_")
                     and "_finite_points" not in map(_name, node.decorator_list)):
                 found.append((rel, node.lineno, node.name))
-        elif (isinstance(node, ast.Attribute) and node.attr == "svd"
+        elif (isinstance(node, ast.Attribute) and node.attr in GUARDED
               and _name(node.value) == "linalg"):
-            found.append((rel, node.lineno, "svd"))
+            found.append((rel, node.lineno, node.attr))
         elif (isinstance(node, ast.ImportFrom)
-              and (node.module or "").endswith("linalg")
-              and "svd" in (a.name for a in node.names)):
-            found.append((rel, node.lineno, "svd"))
+              and (node.module or "").endswith("linalg")):
+            found += [(rel, node.lineno, a.name) for a in node.names
+                      if a.name in GUARDED]
     return found
 
 
@@ -167,13 +171,18 @@ def test_inf_and_nan_never_reach_lapack():
     for rel, bad in (("_linalg.py", "def float_norm(a, tol):\n    return a"),
                      ("_linalg.py", "@wraps(f)\ndef float_x(a, tol):\n    pass"),
                      ("darboux.py", "s = np.linalg.svd(J, compute_uv=False)"),
-                     ("pfaffian.py", "from numpy.linalg import norm, svd")):
+                     ("pfaffian.py", "from numpy.linalg import norm, svd"),
+                     ("darboux.py", "x = np.linalg.solve(J, F)"),
+                     ("cli.py", "from numpy.linalg import solve")):
         assert _lapack_guard_breaches(rel, bad), bad
+    # eigh and inv are not gated yet
+    assert _lapack_guard_breaches(
+        "darboux.py", "lam, V = np.linalg.eigh(G)\nC = np.linalg.inv(P)") == []
     assert _lapack_guard_breaches(
         "_linalg.py", "@_finite_points\ndef float_x(a, tol):\n"
                       "    return np.linalg.svd(a)") == []
     linalg = ast.parse((SRC / "_linalg.py").read_text())
-    assert {"float_rank", "float_contains"} <= {
+    assert {"float_rank", "float_contains", "float_solve"} <= {
         node.name for node in ast.walk(linalg)
         if isinstance(node, ast.FunctionDef)}
     found = [hit for path in sorted(SRC.rglob("*.py"))
