@@ -21,7 +21,7 @@ from . import _linalg
 from .cartan import ChartMap, Memo, VectorField, exterior_d, vector_field
 from .grexpr.chart import ChartSpec, CoordinateDecl, EVEN, as_parity
 from .grexpr.equality import DEFAULT_POLICY, EqualityPolicy, equal
-from .grexpr.expr import GradedExpr
+from .grexpr.expr import GradedExpr, is_exact_coeff
 from .grexpr.parser import format_expr, parse_expr
 from .homogeneity import (Distribution, degree_of, distribution_homogeneous,
                           involutive_check, tangent_lift, cotangent_lift,
@@ -288,11 +288,15 @@ def _pde_solve(args, ws, policy):
 
 
 def _linear_darboux(args, ws, policy):
-    res = linear_darboux(ws.form(args["form"]))
+    form = ws.form(args["form"])
+    res = linear_darboux(form, policy)
+    images = res.chart_map.images
+    exact = all(is_exact_coeff(m.coeff) for e in images.values() for m in e.terms)
     return ({"r": res.spec.r, "s": res.spec.s, "eps": list(res.spec.eps),
-             "residual": res.residual, "output_exprs": res.chart_map.images},
-            "pass" if _linalg.negligible(res.residual, policy.rel_tol)
-            else "fail")
+             "residual": res.residual, "output_exprs": images,
+             "mode": "exact" if exact else "numeric"},
+            "pass" if _linalg.negligible(res.residual, policy.rel_tol,
+                                         form.max_abs_coeff()) else "fail")
 
 
 def _darboux(args, ws, policy):

@@ -26,11 +26,11 @@ from . import _linalg
 from .cartan import (ChartMap, Memo, VectorField, exterior_d, interior,
                      lie_bracket, lie_derivative, pullback)
 from .grexpr.chart import (ChartError, ChartSpec, CoordinateDecl, EVEN, ODD)
-from .grexpr.equality import (COEFF_DROP, DEFAULT_POLICY, DOMAIN_LIMIT,
-                              GRID_CERTIFICATE, NOISE_FLOOR, RK4_STEP,
-                              EqualityPolicy, equal)
+from .grexpr.equality import (DEFAULT_POLICY, DOMAIN_LIMIT, GRID_CERTIFICATE,
+                              RK4_STEP, EqualityPolicy, equal)
 from .grexpr.expr import (GradedExpr, Monomial, apply_func, const, coord, diff,
-                          gdiv, gmul, partial, substitute, zero)
+                          gdiv, gmul, is_exact_coeff, partial, substitute,
+                          zero)
 from .grexpr.integrate import NonIntegrable, integrate_univariate
 from .grexpr.grassmann import Plan, body_values
 from .homogeneity import DegreeReport, degree_of, weight_field_of_chart
@@ -325,110 +325,108 @@ class LinearDarbouxResult:
     residual: float
 
 
-def _skew_pairs(A: np.ndarray, scale: float) -> Tuple[List[np.ndarray],
-                                                    List[np.ndarray],
-                                                    List[np.ndarray]]:
-    """Symplectic basis of a real skew form: pairs (u, v) with u^T A v = 1,
-    plus a basis of the kernel; ``scale`` is the largest entry of the form."""
-    n = A.shape[0]
-    vs = [np.eye(n)[:, i] for i in range(n)]
-    us, vvs = [], []
-    while True:
-        best = None
-        for i in range(len(vs)):
-            for j in range(len(vs)):
-                if i == j:
-                    continue
-                val = float(vs[i] @ A @ vs[j])
-                # prefer positive pairings below the diagonal so canonical
-                # inputs come back as the identity map
-                cand = (abs(val), 1 if (val > 0 and i > j) else 0, i, j, val)
-                if best is None or cand[:2] > best[:2]:
-                    best = cand
-        if best is None or _linalg.negligible(best[0], NOISE_FLOOR, scale):
+def _sqrt(x):
+    """Square root of x >= 0: a Fraction where x is a rational square."""
+    if is_exact_coeff(x):
+        root = Fraction(math.isqrt(x.numerator), math.isqrt(x.denominator))
+        if root * root == x:
+            return root
+    return math.sqrt(x)
+
+
+def _congruence(B: List[list], count: int, skew: bool):
+    """``count`` pivots of the skew or symmetric form B, the largest first,
+    by congruence on whatever numbers B holds.  Slot k starts as e_k; ``G``
+    holds the pairings B(w_k, w_l) of the slots and ``R[k]`` the functional
+    B(w_k, .).  A pivot is a pair (i, j) with val = B(w_i, w_j), i = j when
+    symmetric; every other slot then loses its pairings with it, so it stays
+    e_k plus multiples of pivots.  Returns the pivots (i, j, val), the slots
+    left over and R."""
+    G, R = [list(row) for row in B], [list(row) for row in B]
+    slots, pivots = list(range(len(B))), []
+    for _ in range(count):
+        # skew: prefer positive pairings below the diagonal, so canonical
+        # inputs come back as the identity map; symmetric: the diagonal
+        i, j = max(((i, j) for i in slots for j in slots
+                    if (i != j if skew else i <= j)),
+                   key=lambda p: (abs(G[p[0]][p[1]]), G[p[0]][p[1]] > 0
+                                  and p[0] > p[1] if skew else p[0] == p[1]))
+        if not skew and i != j:
+            # every |B(w, w)| is smaller: pivot on w_j + sigma w_i, where
+            # B(w, w) > |B(w_i, w_j)|, then on the rest of their span
+            sigma = 1 if G[i][j] > 0 else -1
+            for M in (G, R):
+                M[j] = [x + sigma * y for x, y in zip(M[j], M[i])]
+            for row in G:
+                row[j] += sigma * row[i]
+            i = j
+        val = G[i][j]
+        if not val:     # a float rank above what rounding leaves
             break
-        _, _, i, j, val = best
-        u = vs[i]
-        v = vs[j] / val
-        rest = [w for k, w in enumerate(vs) if k not in (i, j)]
-        vs = [w - float(w @ A @ v) * u + float(w @ A @ u) * v for w in rest]
-        us.append(u)
-        vvs.append(v)
-    return us, vvs, vs
+        slots = [k for k in slots if k not in (i, j)]
+        for k in slots:
+            cs = ([(i, G[k][j] / val), (j, -G[k][i] / val)] if skew
+                  else [(i, G[k][i] / val)])
+            for M in (G, R):
+                M[k] = [x - sum(c * M[p][l] for p, c in cs)
+                        for l, x in enumerate(M[k])]
+        pivots.append((i, j, val))
+    return pivots, slots, R
 
 
-def linear_darboux(omega0: GradedExpr) -> LinearDarbouxResult:
+def linear_darboux(omega0: GradedExpr, policy: EqualityPolicy = DEFAULT_POLICY
+                   ) -> LinearDarbouxResult:
     """Linear normal form of a constant-coefficient even two-form.
 
     The even-even block (skew) is brought to the standard pair form and the
     odd-odd block (symmetric) is congruence-diagonalized to +/-1 entries;
-    kernel directions become residual coordinates.  The transform is checked
-    by pulling the canonical form back.
-    """
+    kernel directions become residual coordinates.  The pivot counts are
+    ``_linalg.rank`` of each block, as in ``presymplectic_check``.  A pivot
+    pair (u, v) gives q = B(u, .) and p = B(., v), an odd pivot w with
+    d = B(w, w) gives y = sqrt(|d|/2) B(w, .)/d, and a slot left over keeps
+    its own coordinate, so the map is invertible and exact on exact data,
+    up to an irrational sqrt.  The transform is checked by pulling the
+    canonical form back."""
     chart = omega0.chart
     if omega0.form_degree() not in (0, 2):
         raise ValueError("expected a two-form")
     if omega0.parity() not in (EVEN, None):
         raise PfaffianError("odd two-forms are verified only, not constructed")
-    for pat, c in omega0.diff_components().items():
-        if c.constant_value() is None:
-            raise ValueError("expected constant coefficients")
+    if any(c.constant_value() is None
+           for c in omega0.diff_components().values()):
+        raise ValueError("expected constant coefficients")
 
-    B = flat_matrix(omega0, {c.name: 0 for c in chart.coords}).matrix
-    ev = list(chart.even_indices)
-    od = list(chart.odd_indices)
-    bmax = float(np.max(np.abs(B))) if B.size else 0.0
+    fm = flat_matrix(omega0, {c.name: 0 for c in chart.coords})
+    idxs = (chart.even_indices, chart.odd_indices)
+    ev, od = ([chart.names[k] for k in idx] for idx in idxs)
+    blocks = [[[fm.rows[a][b] for b in idx] for a in idx] for idx in idxs]
+    ranks = [_linalg.rank([m], policy.rel_tol)[0] for m in blocks]
+    if None in ranks:
+        raise PfaffianError("flat matrix is not finite", witness=fm.point)
+    pairs, even_left, Re = _congruence(blocks[0], ranks[0] // 2, True)
+    squares, odd_left, Ro = _congruence(blocks[1], ranks[1], False)
+    squares.sort(key=lambda piv: piv[2] < 0)        # +1 block before -1 block
 
-    us, vvs, kernel_even = _skew_pairs(B[np.ix_(ev, ev)], bmax)
-    r = len(us)
+    def image(row, scale, names: List[str]) -> GradedExpr:
+        return sum((coord(chart, n) * (scale * v) for v, n in zip(row, names)
+                    if v), zero(chart))
 
-    G = B[np.ix_(od, od)]
-    if od:
-        lam, V = np.linalg.eigh(G)
-    else:
-        lam, V = np.array([]), np.zeros((0, 0))
-    kern_odd = [l for l in range(len(lam))
-                if _linalg.negligible(lam[l], NOISE_FLOOR, bmax)]
-    keep = [l for l in range(len(lam)) if l not in kern_odd]
-    # +1 block before -1 block
-    keep.sort(key=lambda l: (0 if lam[l] > 0 else 1, -abs(lam[l])))
-    eps = tuple(1 if lam[l] > 0 else -1 for l in keep)
-    s = len(keep)
-
-    # new even coordinates: rows of the inverse of the basis matrix
-    decls: List[CoordinateDecl] = []
-    images: Dict[str, GradedExpr] = {}
-
-    def lin_comb(row: np.ndarray, indices: List[int]) -> GradedExpr:
-        e = zero(chart)
-        for val, idx in zip(row, indices):
-            if not _linalg.negligible(val, COEFF_DROP):
-                c = Fraction(val) if float(val).is_integer() else float(val)
-                e = e + coord(chart, chart.coords[idx].name) * c
-        return e
-
-    if ev:
-        P = np.column_stack(vvs + us + kernel_even) if (us or kernel_even) \
-            else np.eye(len(ev))
-        C = np.linalg.inv(P)
-    else:
-        C = np.zeros((0, 0))
-
-    blocks = [("q", EVEN, C[:r], ev), ("p", EVEN, C[r:2 * r], ev),
-              ("y", ODD, [math.sqrt(abs(lam[l]) / 2.0) * V[:, l] for l in keep], od),
-              ("z", EVEN, C[2 * r:], ev), ("w", ODD, [V[:, l] for l in kern_odd], od)]
-    for prefix, parity, rows, indices in blocks:
-        for j, row in enumerate(rows):
-            decls.append(CoordinateDecl(f"{prefix}{j + 1}", parity, 0))
-            images[f"{prefix}{j + 1}"] = lin_comb(row, indices)
-
-    target = ChartSpec(tuple(decls))
-    spec = NormalFormSpec("presymplectic", r, s, eps,
-                          residual=len(kernel_even) + len(kern_odd))
+    groups = [("q", [image(Re[i], 1, ev) for i, _, _ in pairs]),
+              ("p", [image(Re[j], -1 / val, ev) for _, j, val in pairs]),
+              ("y", [image(Ro[i], _sqrt(abs(val) / 2) / val, od)
+                     for i, _, val in squares]),
+              ("z", [coord(chart, ev[k]) for k in even_left]),
+              ("w", [coord(chart, od[k]) for k in odd_left])]
+    images = {f"{prefix}{j + 1}": e for prefix, exprs in groups
+              for j, e in enumerate(exprs)}
+    target = ChartSpec(tuple(CoordinateDecl(n, ODD if n[0] in "yw" else EVEN, 0)
+                             for n in images))
+    spec = NormalFormSpec("presymplectic", len(pairs), len(squares),
+                          tuple(1 if val > 0 else -1 for _, _, val in squares),
+                          residual=len(even_left) + len(odd_left))
     phi = ChartMap(chart, target, images)
     back = pullback(phi, canonical_expr(spec, target))
-    residual = (back - omega0).max_abs_coeff()
-    return LinearDarbouxResult(phi, spec, residual)
+    return LinearDarbouxResult(phi, spec, (back - omega0).max_abs_coeff())
 
 
 # -- one-form Darboux assembly ---------------------------------------------------

@@ -49,8 +49,6 @@ DEFAULT_POLICY = EqualityPolicy()
 # Thresholds that do not follow rel_tol, each fixed by what it guards.
 MAX_REDRAWS = 100           # sample draws per requested point before giving up
 DIVISOR_FLOOR = 1e-6        # a divisor body this close to 0 is a pole: redraw
-NOISE_FLOOR = 1e-12         # a pairing pivot or Gram eigenvalue this small is 0
-COEFF_DROP = 1e-15          # a float coefficient this small is left out of a chart map
 GRID_CERTIFICATE = 1e-6     # push-forward error a straightening grid may keep
 RK4_STEP = 1e-3             # flow time per RK4 step of straightening
 DOMAIN_LIMIT = 1e6          # a flow leaving |x| <= this has diverged

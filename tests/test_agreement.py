@@ -1,0 +1,94 @@
+"""Commands that answer the same question must agree.
+
+The linear Darboux relation: on a constant even two-form, ``linear_darboux``
+finds r pairs and s odd squares, so 2r + s is the rank of the form and
+2r + s plus the leftover coordinates is the dimension.  ``presymplectic_check``
+reads the same block ranks off the same flat matrix, so the two agree at
+every scale, on exact and on float data alike.
+"""
+
+import random
+from fractions import Fraction
+
+from graded_darboux import chart, diff, gmul, parse_expr, zero
+from graded_darboux.darboux import linear_darboux
+from graded_darboux.grexpr.equality import EqualityPolicy
+from graded_darboux.grexpr.expr import is_exact_coeff
+from graded_darboux.grexpr.parser import format_expr
+from graded_darboux.pfaffian import presymplectic_check
+
+SUPER = chart(*[(f"x{i}", 0, 0) for i in range(6)],
+              *[(f"t{i}", 1, 0) for i in range(3)])
+
+
+def _scaled_form(rng: random.Random, c):
+    """A constant even two-form with entries k/4 * 10^e, e in -14..14, some
+    of them zero: skew on the even coordinates, symmetric on the odd ones."""
+    w = zero(c)
+    for idx, odd in ((c.even_indices, False), (c.odd_indices, True)):
+        names = [c.names[i] for i in idx]
+        for a, x in enumerate(names):
+            for y in names[a + (0 if odd else 1):]:
+                v = Fraction(rng.randint(-8, 8), 4) * Fraction(10) ** rng.randint(-14, 14)
+                if v:
+                    w = w + gmul(diff(c, x), diff(c, y)) * v
+    return w
+
+
+def test_linear_darboux_agrees_with_presymplectic_at_every_scale():
+    """On exact data 2r + s is presymplectic's rank; on float data both
+    commands take r and s from the same block ranks.  Exact images leave
+    residual 0.0; an irrational odd scale leaves rounding alone."""
+    rng = random.Random(1718)
+    for trial in range(24):
+        exact = _scaled_form(rng, SUPER)
+        for w in (exact, exact * 1.0):
+            res = linear_darboux(w)
+            rep = presymplectic_check(w)
+            spec = res.spec
+            assert (2 * spec.r, spec.s) == (rep.even_rank, rep.odd_rank), trial
+            assert 2 * spec.r + spec.s + spec.residual == SUPER.dim
+            if w is exact:
+                assert 2 * spec.r + spec.s == rep.rank, trial
+                images = res.chart_map.images.values()
+                if all(is_exact_coeff(m.coeff) for e in images for m in e.terms):
+                    assert res.residual == 0.0, trial
+                else:
+                    assert res.residual <= 1e-15 * w.max_abs_coeff(), trial
+
+
+def test_even_forms_get_exact_normal_forms_at_every_scale():
+    c = chart(*[(f"x{i}", 0, 0) for i in range(6)])
+    rng = random.Random(17)
+    for trial in range(48):
+        w = _scaled_form(rng, c)
+        res = linear_darboux(w)
+        assert 2 * res.spec.r == presymplectic_check(w).rank, trial
+        assert res.residual == 0.0, trial
+
+
+def test_odd_pairing_with_zero_diagonal():
+    """d(a) d(b) on odd (a, b) is ((a + b)/2)^2 - ((a - b)/2)^2 in the
+    differentials: every diagonal entry is zero, yet s = 2."""
+    c = chart(("a", 1, 0), ("b", 1, 0))
+    res = linear_darboux(parse_expr("d(a)*d(b)", c))
+    assert (res.spec.r, res.spec.s, res.spec.eps) == (0, 2, (1, -1))
+    assert {k: format_expr(e) for k, e in res.chart_map.images.items()} == {
+        "y1": "1/2*b + 1/2*a", "y2": "-1/2*b + 1/2*a"}
+    assert res.residual == 0.0
+
+
+def test_a_tolerance_below_rounding_stops_at_an_exact_zero_pivot():
+    """alpha ^ beta has rank 2, but under rel_tol 1e-300 the rounding of its
+    float entries counts as rank 4; the congruence then meets an exact zero
+    pairing after one pair and stops there, dividing by nothing."""
+    c = chart(("x", 0, 0), ("y", 0, 0), ("u", 0, 0), ("v", 0, 0))
+    a, b = (0.2, 3.0, 3.0, 0.2), (0.5, 3.0, 1.0, 0.7)
+    w = zero(c)
+    for i in range(4):
+        for j in range(i + 1, 4):
+            w = w + gmul(diff(c, c.names[i]), diff(c, c.names[j])) * (
+                a[i] * b[j] - a[j] * b[i])
+    res = linear_darboux(w, EqualityPolicy(rel_tol=1e-300))
+    assert (res.spec.r, res.spec.residual) == (1, 2)
+    assert res.residual <= 1e-15

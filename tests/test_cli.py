@@ -11,7 +11,7 @@ import pytest
 from graded_darboux import apply_func, chart, coord, equal, parse_expr
 from graded_darboux import cli
 from graded_darboux.cli import Workspace, load_manifest, main, run, run_task
-from graded_darboux.grexpr.equality import EqualityPolicy
+from graded_darboux.grexpr.equality import DEFAULT_POLICY, EqualityPolicy
 
 MANIFESTS = Path(__file__).resolve().parents[1] / "src" / "graded_darboux" / "manifests"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -192,16 +192,40 @@ def test_degree_mode_randomized_when_residual_is_sampled():
 
 
 def test_linear_darboux_follows_tol():
-    """The congruence residual (about 1.2e-7, rounding at scale 1e9) passes
-    under rel_tol 1e-6 and fails under the default."""
+    """On float coefficients --tol decides the pair count r as it decides
+    presymplectic's rank: the pair of singular values near 1.6e-8 counts
+    under the default tolerance and is left over under 1e-6."""
     c = chart(("a", 0, 0), ("b", 0, 0), ("e", 0, 0), ("f", 0, 0))
-    ws = Workspace(charts={"M": c}, forms={"w": parse_expr(
-        "1000000000*d(a)*d(b) + 3*d(a)*d(e) + 7*d(b)*d(f) + 5*d(e)*d(f)", c)})
-    task = {"cmd": "linear-darboux", "args": {"form": "w"}}
-    loose = run_task(task, ws, EqualityPolicy(rel_tol=1e-6))
-    assert 1e-9 < loose["residual"] < 1e-6
-    assert loose["status"] == "pass"
-    assert run_task(task, ws, EqualityPolicy())["status"] == "fail"
+    w = parse_expr("1/2*d(a)*d(b) + 1/4*d(a)*d(e) - 3/4*d(b)*d(e)", c) * 1.0
+    ws = Workspace(charts={"M": c}, forms={"w": w + parse_expr(
+        "d(e)*d(f)", c) * 3e-8})
+    lin = {"cmd": "linear-darboux", "args": {"form": "w"}}
+    pre = {"cmd": "presymplectic", "args": {"form": "w"}}
+    for tol, r in ((DEFAULT_POLICY.rel_tol, 2), (1e-6, 1)):
+        policy = EqualityPolicy(rel_tol=tol)
+        out = run_task(lin, ws, policy)
+        assert out["r"] == r and run_task(pre, ws, policy)["rank"] == 2 * r
+        assert out["mode"] == "numeric" and out["status"] == "pass"
+        assert out["residual"] <= tol
+
+
+def test_linear_darboux_reports_its_mode():
+    """Exact data with rational scales give exact images; an irrational odd
+    scale gives a float one.  Either passes: the residual of a float image
+    is measured against the form's largest coefficient."""
+    c = chart(("x", 0, 0), ("y", 0, 0), ("a", 1, 0), ("b", 1, 0))
+    ws = Workspace(charts={"M": c}, forms={
+        "rational": parse_expr("1/3*d(x)*d(y) + 1e-12*d(a)*d(a)", c),
+        "irrational": parse_expr("5e9*d(a)*d(a) + d(a)*d(b)", c)})
+    outs = {name: run_task({"cmd": "linear-darboux", "args": {"form": name}},
+                           ws, EqualityPolicy())
+            for name in ws.forms}
+    assert outs["rational"]["mode"] == "exact"
+    assert outs["rational"]["output_exprs"]["q1"] == "1/3*y"
+    assert outs["rational"]["residual"] == 0.0
+    assert outs["irrational"]["mode"] == "numeric"
+    assert outs["irrational"]["residual"] > DEFAULT_POLICY.rel_tol
+    assert {o["status"] for o in outs.values()} == {"pass"}
 
 
 OVERFLOWING = {

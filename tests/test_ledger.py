@@ -19,9 +19,11 @@ import numpy as np
 
 from graded_darboux import chart, parse_expr
 from graded_darboux.cartan import basis_field, vector_field
-from graded_darboux.darboux import StraighteningError, straighten_commuting
+from graded_darboux.darboux import (StraighteningError, linear_darboux,
+                                    straighten_commuting)
 from graded_darboux.grexpr.chart import ChartSpec, CoordinateDecl
 from graded_darboux.grexpr.equality import EqualityPolicy, equal
+from graded_darboux.grexpr.parser import format_expr
 from graded_darboux.pfaffian import (PfaffianError, characteristic_class,
                                      presymplectic_check, reeb)
 
@@ -62,6 +64,11 @@ def _presymplectic(expr: str, c: ChartSpec) -> Tuple[bool, object, list]:
     return rep.constant_rank, rep.rank, np.round(lines, 9).tolist()
 
 
+def _linear_darboux(expr: str, c: ChartSpec) -> Tuple[int, int, tuple]:
+    spec = linear_darboux(parse_expr(expr, c)).spec
+    return spec.r, spec.s, spec.eps
+
+
 def _straighten(fields, **kwargs) -> Tuple[list, bool]:
     grid = straighten_commuting(fields, [0, 0], nodes_per_axis=3, **kwargs)
     return grid.slice_axes, grid.certified
@@ -78,6 +85,7 @@ SUPER = chart(("x", 0, 0), ("y", 0, 0), ("a", 1, 0), ("b", 1, 0),
 # T*[1]M over (x, y): odd fibre coordinates of weight 1
 T1M = chart(("x", 0, 0), ("y", 0, 0), ("u", 1, 1), ("v", 1, 1))
 PLANE = chart(("x", 0, 0), ("y", 0, 0))
+EVEN4 = chart(("x", 0, 0), ("y", 0, 0), ("u", 0, 0), ("v", 0, 0))
 # the README chart with a fourth coordinate, u
 PRECONTACT = chart(("z", 0, 0), ("p", 0, 1), ("q", 0, -1), ("u", 0, 0))
 # exp(x)*exp(x) is finite up to x = 354.89, but a singular value of twice it
@@ -163,6 +171,21 @@ CASES = {
     "precontact-reeb": Case(
         "19", lambda: reeb(parse_expr("d(z) + p*d(q)", PRECONTACT)),
         Refused("no unique Reeb field: free unknowns u")),
+    # item 17: constant two-forms of rank 4, exact at every scale; the even
+    # pairs have Pfaffians 1e-12 and 1e12, the odd squares are positive
+    "small-symplectic-pair": Case(
+        "17", lambda: _linear_darboux("1e-12*d(x)*d(y) + d(u)*d(v)", EVEN4),
+        (2, 0, ())),
+    "large-symplectic-pair": Case(
+        "17", lambda: _linear_darboux("1e12*d(x)*d(y) + d(u)*d(v)", EVEN4),
+        (2, 0, ())),
+    "small-odd-square": Case(
+        "17", lambda: _linear_darboux(
+            "d(x)*d(y) + 1e-12*d(a)*d(a) + d(b)*d(b)", SUPER), (1, 2, (1, 1))),
+    # (1/3) d(p1) d(q1) with p1 = x: q1 = y/3, whose coefficient is exact
+    "rational-pair-image": Case(
+        "17", lambda: format_expr(linear_darboux(parse_expr(
+            "(1/3)*d(x)*d(y)", EVEN4)).chart_map.images["q1"]), "1/3*y"),
     # y d/dx vanishes on y = 0, where the grid from base (0, 0.5) ends
     "field-vanishing-on-the-grid": Case(
         "finding", lambda: straighten_commuting(

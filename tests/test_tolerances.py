@@ -141,15 +141,15 @@ def test_no_module_level_cache_in_the_derivation_modules():
 
 
 # no inf or nan reaches LAPACK: _finite_points hands a float decision only
-# the finite points of its stacks, and an SVD or a solve elsewhere would
-# skip it
-GUARDED = {"svd", "solve"}
+# the finite points of its stacks, and an SVD, a solve, an eigen-decomposition
+# or an inverse elsewhere would skip it
+GUARDED = {"svd", "solve", "eigh", "inv"}
 
 
 def _lapack_guard_breaches(rel: str, source: str):
     """(module, line, what) of every ``float_*`` function of ``_linalg.py``
-    not wrapped by ``_finite_points``, and every reference to a ``svd`` or a
-    ``solve`` of a ``linalg`` module outside ``_linalg.py``."""
+    not wrapped by ``_finite_points``, and every reference to a ``GUARDED``
+    function of a ``linalg`` module outside ``_linalg.py``."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if rel == "_linalg.py":
@@ -173,11 +173,11 @@ def test_inf_and_nan_never_reach_lapack():
                      ("darboux.py", "s = np.linalg.svd(J, compute_uv=False)"),
                      ("pfaffian.py", "from numpy.linalg import norm, svd"),
                      ("darboux.py", "x = np.linalg.solve(J, F)"),
-                     ("cli.py", "from numpy.linalg import solve")):
+                     ("cli.py", "from numpy.linalg import solve"),
+                     ("darboux.py", "lam, V = np.linalg.eigh(G)"),
+                     ("darboux.py", "C = np.linalg.inv(P)"),
+                     ("pfaffian.py", "from numpy.linalg import eigh, inv")):
         assert _lapack_guard_breaches(rel, bad), bad
-    # eigh and inv are not gated yet
-    assert _lapack_guard_breaches(
-        "darboux.py", "lam, V = np.linalg.eigh(G)\nC = np.linalg.inv(P)") == []
     assert _lapack_guard_breaches(
         "_linalg.py", "@_finite_points\ndef float_x(a, tol):\n"
                       "    return np.linalg.svd(a)") == []
