@@ -23,7 +23,7 @@ from typing import Dict, Optional, Tuple, Union
 from .grexpr.chart import ChartError, ChartSpec, EVEN
 from .grexpr.equality import equal
 from .grexpr.expr import (GradedExpr, Monomial, ParityError, atom_chain,
-                          coord, derivation, diff, leibniz_walk, one,
+                          coord, derivation, generator, leibniz_walk, one,
                           power_image, substitute, zero)
 from .grexpr.parser import parse_expr
 
@@ -137,7 +137,7 @@ def _exterior_d(w: GradedExpr, memo: Memo) -> GradedExpr:
         if tag == "coord":
             i, k = payload
             if k == 1:      # so every odd coordinate, as xi*xi = 0
-                return diff(chart, chart.coords[i].name)
+                return generator(chart, "diff", i)
             # x even: d(x^k) = k*x^(k-1)*d(x), one monomial
             unit = tuple(int(j == i) for j in range(chart.dim))
             return GradedExpr(chart, (Monomial(

@@ -78,7 +78,10 @@ class ChartSpec:
 
     ``default_box`` is the sampling interval used for even coordinates that
     do not declare their own (randomized equality, point sampling).
-    ``odd_mask`` has bit i set when coordinate i is odd.
+    ``odd_mask`` has bit i set when coordinate i is odd.  ``_generators``
+    holds the expressions x_i and d(x_i), each built on first use by
+    ``grexpr.expr.generator``; like ``_index`` it takes no part in equality,
+    hashing or the repr.
     """
 
     coords: Tuple[CoordinateDecl, ...]
@@ -86,6 +89,8 @@ class ChartSpec:
     _index: dict = field(default=None, compare=False, hash=False, repr=False)
     odd_mask: int = field(default=0, init=False, compare=False, hash=False,
                           repr=False)
+    _generators: dict = field(default=None, init=False, compare=False,
+                              hash=False, repr=False)
 
     def __post_init__(self):
         coords = tuple(self.coords)
@@ -98,6 +103,7 @@ class ChartSpec:
         object.__setattr__(self, "_index", {c.name: i for i, c in enumerate(coords)})
         object.__setattr__(self, "odd_mask",
                            sum(c.parity << i for i, c in enumerate(coords)))
+        object.__setattr__(self, "_generators", {})
 
     # -- basic queries ----------------------------------------------------
 

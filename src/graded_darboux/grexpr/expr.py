@@ -17,10 +17,14 @@ Generator bidegrees:
     d(x), x even           (1, 0)   d(x)*d(x) = 0
     d(xi), xi odd          (1, 1)   d(xi)*d(xi) != 0
 
-Coefficients are exact rationals by default: an integral coefficient is a
-Python ``int``, and a ``Fraction`` appears only where a denominator does.
-Floats are allowed and taint the expression into "inexact" mode (randomized
-equality only); "exact" means "not a float" wherever it is read.
+Coefficients are exact rationals by default: an exact coefficient is an
+``int`` or a ``Fraction``, and an integral value may be either.  Constants
+and parsed numbers give an int, but products keep what Fraction arithmetic
+returns: ``(2/3*x)*(3/2*y)`` has the coefficient ``Fraction(1, 1)``.
+``_coeff_key`` and the printer treat the two alike, so both spellings share
+one key and one printed form.  Floats are allowed and taint the expression
+into "inexact" mode (randomized equality only); "exact" means "not a float"
+wherever it is read.
 """
 
 from __future__ import annotations
@@ -126,16 +130,14 @@ class Monomial:
 
     def key(self):
         if self._key is None:
-            self._key = (
-                tuple(a.full_key() for a in self.atoms),
-                self.cexp,
-                self.dexp,
-            )
+            atoms = self.atoms
+            self._key = (tuple(a.full_key() for a in atoms) if atoms else (),
+                         self.cexp, self.dexp)
         return self._key
 
     def sort_key(self):
-        return (sum(self.dexp), self.dexp, self.cexp,
-                tuple(a.full_key() for a in self.atoms))
+        atoms, cexp, dexp = self.key()
+        return (sum(dexp), dexp, cexp, atoms)
 
     def form_degree(self) -> int:
         return sum(self.dexp)
@@ -195,11 +197,11 @@ def _crossings(w1: int, w2: int, w3: int = 0) -> int:
 
 
 def _insert(c, atoms, cexp, dexp, lo, hi, t: Monomial,
-            chart: ChartSpec) -> Optional[Monomial]:
-    """``c * L * t * R`` in canonical order, or None on a square-zero
-    collision.  The cofactor L*R has ``atoms``, ``cexp`` and ``dexp``;
-    ``lo`` and ``hi`` are the masks of L and R, and every generator of L
-    precedes every generator of R."""
+            chart: ChartSpec, flip: int = 0) -> Optional[Monomial]:
+    """``(-1)**flip * c * L * t * R`` in canonical order, or None on a
+    square-zero collision.  The cofactor L*R has ``atoms``, ``cexp`` and
+    ``dexp``; ``lo`` and ``hi`` are the masks of L and R, and every
+    generator of L precedes every generator of R."""
     odd, zw, pw, sw = t.masks(chart)
     _, zl, pl, sl = lo
     _, zr, pr, sr = hi
@@ -207,9 +209,11 @@ def _insert(c, atoms, cexp, dexp, lo, hi, t: Monomial,
         return None
 
     # Koszul sign: t crosses the generators of L after its canonical
-    # position and those of R before it; a crossing costs (-1)**(p*q + s*t)
-    coeff = c * t.coeff
-    if (_crossings(pl, pw, pr) + _crossings(sl, sw, sr)) & 1:
+    # position and those of R before it; a crossing costs (-1)**(p*q + s*t).
+    # A unit coefficient, as every generator's, is not multiplied.
+    tc = t.coeff
+    coeff = c if type(tc) is int and tc == 1 else c * tc
+    if (_crossings(pl, pw, pr) + _crossings(sl, sw, sr) + flip) & 1:
         coeff = -coeff
     if not atoms:
         atoms = t.atoms
@@ -224,8 +228,10 @@ def _insert(c, atoms, cexp, dexp, lo, hi, t: Monomial,
         atoms = tuple(sorted(merged.values(), key=Atom.full_key))
 
     # powers of d(xi) add, so their parity bits do too
-    return Monomial(coeff, atoms, tuple(map(add, cexp, t.cexp)),
-                    tuple(map(add, dexp, t.dexp)),
+    tcexp, tdexp = t.cexp, t.dexp
+    return Monomial(coeff, atoms,
+                    tuple(map(add, cexp, tcexp)) if any(tcexp) else cexp,
+                    tuple(map(add, dexp, tdexp)) if any(tdexp) else dexp,
                     (odd, zl | zr | zw, pl ^ pr ^ pw, sl ^ sr ^ sw))
 
 
@@ -478,12 +484,22 @@ def one(chart: ChartSpec) -> GradedExpr:
     return const(chart, 1)
 
 
+def generator(chart: ChartSpec, tag: str, i: int) -> GradedExpr:
+    """x_i (tag 'coord') or d(x_i) (tag 'diff'), built once per chart and
+    kept in its ``_generators``."""
+    gens = chart._generators
+    g = gens.get((tag, i))
+    if g is None:
+        g = gens[tag, i] = _single_factor_expr(chart, tag, (i, 1))
+    return g
+
+
 def coord(chart: ChartSpec, name: str) -> GradedExpr:
-    return _single_factor_expr(chart, "coord", (chart.index(name), 1))
+    return generator(chart, "coord", chart.index(name))
 
 
 def diff(chart: ChartSpec, name: str) -> GradedExpr:
-    return _single_factor_expr(chart, "diff", (chart.index(name), 1))
+    return generator(chart, "diff", chart.index(name))
 
 
 def apply_func(kind: str, arg: GradedExpr) -> GradedExpr:
@@ -597,7 +613,7 @@ def gdiv(a: GradedExpr, b: GradedExpr) -> GradedExpr:
         inverse = [Atom("inv", scaled(b))]
     else:
         d = b.terms[0]
-        inverse = [Atom("inv", coord(chart, chart.coords[i].name), k)
+        inverse = [Atom("inv", generator(chart, "coord", i), k)
                    for i, k in enumerate(d.cexp) if k]
         inverse += [Atom("inv", _single_factor_expr(
             chart, "atom", at.with_power(1)), at.power) for at in d.atoms]
@@ -648,54 +664,66 @@ def leibniz_walk(e: GradedExpr, op_p: int, op_s: int,
     without f) and the masks of L and R are sliced out of m once, t is
     dropped when it meets a square-zero generator of L or R, and its sign
     is the parity of the crossings of t with L and with R, summed over
-    both sign words (exact, as L's generators all precede R's).
+    both sign words (exact, as L's generators all precede R's), plus the
+    parity of the derivation's crossings of L, carried as a bit: each
+    emitted coefficient is negated at most once.
     """
     chart = e.chart
     odd = chart.odd_mask
     n = chart.dim
     empty = (odd, 0, 0, 0)      # the masks of a factor-free cofactor
-    images: Dict[tuple, Optional[GradedExpr]] = {}
+    images: Dict[tuple, Tuple[Monomial, ...]] = {}
     out: List[Monomial] = []
 
     def image_of(tag, payload):
-        """``image(tag, payload)``, asked once per distinct factor; None
-        for zero."""
+        """The terms of ``image(tag, payload)``, asked once per distinct
+        factor."""
         key = (tag, payload.full_key() if tag == "atom" else payload)
-        if key not in images:
+        ts = images.get(key)
+        if ts is None:
             img = image(tag, payload)
-            images[key] = img if img is not None and img.terms else None
-        return images[key]
+            ts = images[key] = () if img is None else img.terms
+        return ts
 
-    def emit(img, c, atoms, cexp, dexp, lo, hi):
-        for t in img.terms:
-            m = _insert(c, atoms, cexp, dexp, lo, hi, t, chart)
-            if m is not None:
-                out.append(m)
-
+    # crossing x_i, or d(x_i)^k with k odd, flips the sign where these bit
+    # masks have bit i
+    cross_coord = odd if op_s % 2 else 0
+    cross_diff = (-1 if op_p % 2 else 0) ^ cross_coord
     for m in e.terms:
         atoms, cexp, dexp = m.atoms, m.cexp, m.dexp
         mk = m.masks(chart)
-        c = m.coeff     # carries the sign of the factors crossed so far
+        c = m.coeff
         for j, a in enumerate(atoms):
-            img = image_of("atom", a)
-            if img is not None:
-                emit(img, c, atoms[:j] + atoms[j + 1:], cexp, dexp, empty, mk)
+            ts = image_of("atom", a)
+            if ts:
+                rest = atoms[:j] + atoms[j + 1:]
+                for t in ts:
+                    p = _insert(c, rest, cexp, dexp, empty, mk, t, chart)
+                    if p is not None:
+                        out.append(p)
+        flip = 0        # the parity of the factors crossed so far
         for i, k in enumerate(cexp):
             if k:
-                img = image_of("coord", (i, k))
-                if img is not None:
-                    emit(img, c, atoms, cexp[:i] + (0,) + cexp[i + 1:], dexp,
-                         *_cut(mk, i))
-                if op_s % 2 and odd >> i & 1:
-                    c = -c
+                ts = image_of("coord", (i, k))
+                if ts:
+                    rest = cexp[:i] + (0,) + cexp[i + 1:]
+                    lo, hi = _cut(mk, i)
+                    for t in ts:
+                        p = _insert(c, atoms, rest, dexp, lo, hi, t, chart, flip)
+                        if p is not None:
+                            out.append(p)
+                flip ^= cross_coord >> i & 1
         for i, k in enumerate(dexp):
             if k:
-                img = image_of("diff", (i, k))
-                if img is not None:
-                    emit(img, c, atoms, cexp, dexp[:i] + (0,) + dexp[i + 1:],
-                         *_cut(mk, n + i))
-                if k & 1 and (op_p + op_s * (odd >> i & 1)) % 2:
-                    c = -c
+                ts = image_of("diff", (i, k))
+                if ts:
+                    rest = dexp[:i] + (0,) + dexp[i + 1:]
+                    lo, hi = _cut(mk, n + i)
+                    for t in ts:
+                        p = _insert(c, atoms, cexp, rest, lo, hi, t, chart, flip)
+                        if p is not None:
+                            out.append(p)
+                flip ^= k & cross_diff >> i & 1
     return GradedExpr.from_terms(chart, out)
 
 
@@ -825,7 +853,7 @@ def substitute(a: GradedExpr,
             raise ChartError(f"no image declared for d({name}) "
                              "(coordinate itself is remapped)")
         if name in target.names and target.parity(target.index(name)) == src.parity(i):
-            return _single_factor_expr(target, tag, (target.index(name), 1))
+            return generator(target, tag, target.index(name))
         raise ChartError("no image declared for "
                          + (f"d({name})" if tag == "diff" else f"coordinate {name!r}"))
 

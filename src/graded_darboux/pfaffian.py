@@ -10,6 +10,7 @@ the image of flat (transversal case) and rank(flat) when it is contained.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -77,10 +78,9 @@ def _interior_rows(beta: GradedExpr) -> List[List[GradedExpr]]:
     bins: List[List[list]] = [[[] for _ in range(n)] for _ in range(n)]
     for m in beta.terms:
         mk = m.masks(chart)
-        # the sign of the factors crossed so far, for an even and for an
+        # the parity of the factors crossed so far, for an even and for an
         # odd contraction: only an odd one crosses the odd coordinates
-        c = m.coeff
-        signs = [c, -c if (mk[3] & ((1 << n) - 1)).bit_count() & 1 else c]
+        flips = [0, (mk[3] & ((1 << n) - 1)).bit_count() & 1]
         for a, k in enumerate(m.dexp):
             if not k:
                 continue
@@ -90,17 +90,16 @@ def _interior_rows(beta: GradedExpr) -> List[List[GradedExpr]]:
                 img = images[a, k] = power_image(unit, "diff", a, k)
             rest = m.dexp[:a] + (0,) + m.dexp[a + 1:]
             for t in img.terms:
-                out = _insert(signs[par], m.atoms, m.cexp, rest,
-                              *_cut(mk, n + a), t, chart)
+                out = _insert(m.coeff, m.atoms, m.cexp, rest,
+                              *_cut(mk, n + a), t, chart, flips[par])
                 if out is not None and sum(out.dexp) == 1:
                     bins[a][out.dexp.index(1)].append(
                         Monomial(out.coeff, out.atoms, out.cexp, flat))
             # crossing d(x^a)^k costs (-1)**(k*(1 + s*parity(x^a))) for a
             # contraction of parity s
             if k & 1:
-                signs[0] = -signs[0]
-                if not par:
-                    signs[1] = -signs[1]
+                flips[0] ^= 1
+                flips[1] ^= 1 - par
     return [[GradedExpr.from_terms(chart, b) for b in row] for row in bins]
 
 
@@ -251,6 +250,22 @@ class PresymplecticReport:
         return self.constant_rank
 
 
+def _block_kernel(rows, blocks, tol: float) -> np.ndarray:
+    """The kernel of a matrix that is block diagonal over ``blocks`` (index
+    tuples that partition the coordinates): each block's kernel vectors,
+    put at the block's coordinates, merged by their last nonzero coordinate
+    so that each block keeps its own order.  On exact data that is the order
+    of the whole matrix's free columns, in which ``nullspace`` gives them."""
+    cols = []
+    for idx in filter(None, blocks):
+        sub = _linalg.nullspace([[rows[a][b] for b in idx] for a in idx], tol)
+        full = np.zeros((len(rows), sub.shape[1]))
+        full[list(idx)] = sub
+        cols.append(full.T)
+    merged = heapq.merge(*cols, key=lambda v: np.flatnonzero(v)[-1])
+    return np.array(list(merged)).reshape(-1, len(rows)).T
+
+
 def presymplectic_check(omega: GradedExpr,
                         points: Optional[Sequence[Dict[str, object]]] = None,
                         policy: EqualityPolicy = DEFAULT_POLICY, *,
@@ -272,25 +287,28 @@ def presymplectic_check(omega: GradedExpr,
 
     fmap = memo.take("flat", omega, _FlatMap, omega, memo)
     fms, failure = fmap.at(points)
-    blocks = (chart.even_indices, chart.odd_indices) if par == EVEN else ()
-    ranks = [_linalg.rank([fm.rows for fm in fms], policy.rel_tol)] + [
-        _linalg.rank([[[fm.rows[a][b] for b in idx] for a in idx]
-                      for fm in fms], policy.rel_tol)
-        for idx in blocks]
+    # at a body point the flat matrix of an even form is block diagonal, so
+    # its rank and kernel are its blocks': each block's rank is relative to
+    # the block's own scale, never to the other block's
+    even = par == EVEN
+    blocks = ((chart.even_indices, chart.odd_indices) if even
+              else (tuple(range(chart.dim)),))
+    ranks = [_linalg.rank([[[fm.rows[a][b] for b in idx] for a in idx]
+                           for fm in fms], policy.rel_tol)
+             for idx in blocks]
     evidence = []
     for fm, rs in zip(fms, zip(*ranks)):
-        # where the whole matrix is finite, so are its blocks
-        if rs[0] is None:
+        if None in rs:
             raise _not_finite(fm)
-        entry = {"point": fm.point, "rank": rs[0]}
-        if blocks:
-            entry["even_rank"], entry["odd_rank"] = rs[1:]
+        entry = {"point": fm.point, "rank": sum(rs)}
+        if even:
+            entry["even_rank"], entry["odd_rank"] = rs
         evidence.append(entry)
     if failure is not None:
         raise failure
     outcomes = {(e["rank"], e.get("even_rank"), e.get("odd_rank"))
                 for e in evidence}
-    kernel = _linalg.nullspace(fms[0].rows, policy.rel_tol)
+    kernel = _block_kernel(fms[0].rows, blocks, policy.rel_tol)
     constant = len(outcomes) == 1
     if constant:
         r, er, orank = outcomes.pop()

@@ -36,10 +36,18 @@ def _expressions(policy: EqualityPolicy) -> Ring:
     that randomized equality finds zero; the pivot is the first even nonzero
     candidate in ``_pivot_quality`` order, then row and column order; a step
     divides the pivot row by the pivot and subtracts its multiples from the
-    other rows."""
+    other rows.  Randomized equality runs once per entry up to sign: negation
+    is exact and the comparison symmetric, so e and -e share one verdict."""
+    verdicts: Dict[tuple, bool] = {}
+
     def is_zero(e: GradedExpr) -> bool:
-        return e.is_zero() or (len(e.terms) > 1
-                               and bool(equal(e, zero(e.chart), policy)))
+        if len(e.terms) < 2:
+            return not e.terms
+        found = verdicts.get(e.key())
+        if found is None:
+            found = bool(equal(e, zero(e.chart), policy))
+            verdicts[e.key()] = verdicts[(-e).key()] = found
+        return found
 
     def pivot(rows, free_rows, free_cols):
         order = sorted((_pivot_quality(rows[i][j]), i, j) for i in free_rows

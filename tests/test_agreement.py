@@ -5,6 +5,13 @@ finds r pairs and s odd squares, so 2r + s is the rank of the form and
 2r + s plus the leftover coordinates is the dimension.  ``presymplectic_check``
 reads the same block ranks off the same flat matrix, so the two agree at
 every scale, on exact and on float data alike.
+
+The Reeb relation: a unique Reeb field exists on the box iff the class is
+the dimension n (Geiges, *An Introduction to Contact Topology*, section
+1.1), so ``reeb`` succeeds iff ``characteristic_class`` says contact of
+class n.  ``KNOWN_DISAGREEMENTS`` lists each input where they differ today,
+with the ROADMAP item meant to fix it; the test requires the list to be
+exact in both directions.
 """
 
 import random
@@ -15,7 +22,8 @@ from graded_darboux.darboux import linear_darboux
 from graded_darboux.grexpr.equality import EqualityPolicy
 from graded_darboux.grexpr.expr import is_exact_coeff
 from graded_darboux.grexpr.parser import format_expr
-from graded_darboux.pfaffian import presymplectic_check
+from graded_darboux.pfaffian import (PfaffianError, characteristic_class,
+                                     presymplectic_check, reeb)
 
 SUPER = chart(*[(f"x{i}", 0, 0) for i in range(6)],
               *[(f"t{i}", 1, 0) for i in range(3)])
@@ -36,8 +44,8 @@ def _scaled_form(rng: random.Random, c):
 
 
 def test_linear_darboux_agrees_with_presymplectic_at_every_scale():
-    """On exact data 2r + s is presymplectic's rank; on float data both
-    commands take r and s from the same block ranks.  Exact images leave
+    """2r + s is presymplectic's rank, and both commands take r and s from
+    the same block ranks, on exact and on float data.  Exact images leave
     residual 0.0; an irrational odd scale leaves rounding alone."""
     rng = random.Random(1718)
     for trial in range(24):
@@ -48,8 +56,8 @@ def test_linear_darboux_agrees_with_presymplectic_at_every_scale():
             spec = res.spec
             assert (2 * spec.r, spec.s) == (rep.even_rank, rep.odd_rank), trial
             assert 2 * spec.r + spec.s + spec.residual == SUPER.dim
+            assert 2 * spec.r + spec.s == rep.rank, trial
             if w is exact:
-                assert 2 * spec.r + spec.s == rep.rank, trial
                 images = res.chart_map.images.values()
                 if all(is_exact_coeff(m.coeff) for e in images for m in e.terms):
                     assert res.residual == 0.0, trial
@@ -92,3 +100,35 @@ def test_a_tolerance_below_rounding_stops_at_an_exact_zero_pivot():
     res = linear_darboux(w, EqualityPolicy(rel_tol=1e-300))
     assert (res.spec.r, res.spec.residual) == (1, 2)
     assert res.residual <= 1e-15
+
+
+README = chart(("z", 0, 0), ("p", 0, 1), ("q", 0, -1), default_box=(-0.7, 0.7))
+
+# input -> the ROADMAP item meant to fix the disagreement
+KNOWN_DISAGREEMENTS = {
+    "d(z) - 1e9*p*(2+sin(p*q))*d(q)": "1",
+    "d(z) - 1e10*p*(2+sin(p*q))*d(q)": "1",
+    "d(z) - 1e12*p*(2+sin(p*q))*d(q)": "1",
+}
+
+
+def _reeb_found(alpha) -> bool:
+    try:
+        reeb(alpha)
+    except PfaffianError:
+        return False
+    return True
+
+
+def test_reeb_exists_iff_the_form_is_contact_of_full_class():
+    """alpha ^ d(alpha) = -c (2 + sin u + u cos u) dz dp dq with u = pq, so
+    the form is contact for every c != 0; the relation needs no hand answer."""
+    disagree = set()
+    for c in ("1e-10", "1", "1e6", "1e9", "1e10", "1e12"):
+        text = f"d(z) - {c}*p*(2+sin(p*q))*d(q)"
+        alpha = parse_expr(text, README)
+        rep = characteristic_class(alpha)
+        contact = (rep.kind, rep.class_) == ("contact", README.dim)
+        if _reeb_found(alpha) != contact:
+            disagree.add(text)
+    assert disagree == set(KNOWN_DISAGREEMENTS)

@@ -460,14 +460,26 @@ def _coefficients(e):
 
 
 class TestIntCoefficients:
-    """An integral exact coefficient is an int; a Fraction appears only with
-    a denominator, and no exact operation gives a float."""
+    """A constant or parsed integral coefficient is an int, a product may
+    leave an integral Fraction, the two share a key and a printed form, and
+    no exact operation gives a float."""
 
     def test_integral_fraction_and_int_are_one_constant(self, cyl):
         a, b = const(cyl, Fraction(6, 2)), const(cyl, 3)
         assert a.key() == b.key() and hash(a) == hash(b) and a == b
         assert str(a) == str(b) == "3"
         assert [type(m.coeff) for m in a.terms + b.terms] == [int, int]
+
+    def test_integral_fraction_of_a_product_keys_and_prints_as_an_int(self):
+        c = chart(("x", 0, 0), ("y", 0, 0))
+        for made, plain in (
+                (parse_expr("2/3*x", c) * parse_expr("3/2*y", c), "x*y"),
+                (exterior_d(parse_expr("1/2*x^2", c)), "x*d(x)")):
+            spelt = parse_expr(plain, c)
+            assert [type(m.coeff) for m in made.terms + spelt.terms] == [
+                Fraction, int]
+            assert made.key() == spelt.key() and hash(made) == hash(spelt)
+            assert str(made) == str(spelt) == plain
 
     def test_parsed_coefficients(self, cyl):
         (m,) = parse_expr("4*p/2", cyl).terms

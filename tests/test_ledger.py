@@ -56,10 +56,12 @@ def _equal(a: str, b: str, c: ChartSpec, **policy) -> bool:
                  EqualityPolicy(**policy)).equal
 
 
-def _presymplectic(expr: str, c: ChartSpec) -> Tuple[bool, object, list]:
+def _presymplectic(expr: str, c: ChartSpec,
+                   factor=1) -> Tuple[bool, object, list]:
     """Constant-rank verdict, rank, and the kernel as one row per basis
-    vector, scaled so that its first nonzero entry is 1."""
-    rep = presymplectic_check(parse_expr(expr, c))
+    vector, scaled so that its first nonzero entry is 1, of the form times
+    ``factor`` (1.0 makes its coefficients floats)."""
+    rep = presymplectic_check(parse_expr(expr, c) * factor)
     lines = [v / v[np.flatnonzero(np.round(v, 9))[0]] for v in rep.kernel.T]
     return rep.constant_rank, rep.rank, np.round(lines, 9).tolist()
 
@@ -106,6 +108,18 @@ CASES = {
     "cancelling-exponentials": Case(
         "1", lambda: _equal("exp(x)*exp(x) - exp(x-1)*exp(x+1) + 1", "1",
                             LINE, mode="randomized"), True),
+    # item 18: alpha ^ d(alpha) = -c (2 + sin u + u cos u) dz dp dq with
+    # u = pq, and sin u + u cos u >= -0.91 for |u| <= 0.49, so the form is
+    # contact for every c != 0; its Reeb field is d/dz
+    "large-contact-term-1e9": Case(
+        "1, 18", lambda: _classify("d(z) - 1e9*p*(2+sin(p*q))*d(q)", README),
+        CONTACT_3),
+    "large-contact-term-1e10": Case(
+        "1, 18", lambda: _classify("d(z) - 1e10*p*(2+sin(p*q))*d(q)", README),
+        CONTACT_3),
+    "large-contact-term-1e12": Case(
+        "1, 18", lambda: _classify("d(z) - 1e12*p*(2+sin(p*q))*d(q)", README),
+        CONTACT_3),
     # d(alpha) = 2 exp(2x) y dx dy and alpha ^ d(alpha) vanish nowhere
     "large-component": Case(
         "1", lambda: _classify("d(z) + exp(x)*exp(x)*y*d(y)", BIG_X),
@@ -145,6 +159,13 @@ CASES = {
         "finding", lambda: _presymplectic(
             "exp(x)*exp(x)*(d(x)*d(y) + d(x)*d(z))", EDGE),
         (True, 2, [[0.0, 1.0, -1.0]])),
+    # an even form: its flat matrix is block diagonal, the pair d(x) d(y)
+    # has rank 2 and the odd square rank 1 whatever the other block's
+    # scale, and d/db spans the kernel, on float data as on exact data
+    "float-blocks-of-two-scales": Case(
+        "finding", lambda: _presymplectic(
+            "d(x)*d(y) + 1e12*d(a)*d(a)", SUPER, 1.0),
+        (True, 3, [[0.0, 0.0, 0.0, 1.0]])),
     # a constant field is straight: its flow and the x slice are coordinates
     "large-constant-field": Case(
         "finding", lambda: _straighten(
@@ -199,6 +220,9 @@ LEDGER = {
     "small-contact-term": ("wrong", "1"),
     "small-contact-form": ("refused", "1"),
     "cancelling-exponentials": ("wrong", "1"),
+    "large-contact-term-1e9": ("refused", "1"),
+    "large-contact-term-1e10": ("refused", "1"),
+    "large-contact-term-1e12": ("wrong", "1"),
     "large-component": ("wrong", "1"),
     "nilpotent-differential": ("wrong", "5"),
     "nilpotent-factor": ("wrong", "5"),

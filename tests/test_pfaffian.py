@@ -14,7 +14,7 @@ import pytest
 
 from graded_darboux import (EqualityPolicy, chart, coord, diff, equal, gmul,
                             one, parse_expr, zero)
-from graded_darboux import _linalg, cartan, cli, pfaffian
+from graded_darboux import _linalg, cartan, cli, pfaffian, symsolve
 from graded_darboux.grexpr import expr
 from graded_darboux.grexpr.chart import ChartSpec, CoordinateDecl
 from graded_darboux.cartan import (basis_field, exterior_d, interior,
@@ -165,9 +165,9 @@ class TestClassification:
             except PfaffianError:
                 pass
             assert calls == []
-        # of 13 forms, the two nilpotent ledger cases and the two small
+        # of 16 forms, the two nilpotent ledger cases and the two small
         # contact forms have flat rank 0 at every point
-        assert (len(forms), shown) == (13, 9)
+        assert (len(forms), shown) == (16, 12)
 
     def test_theta_symplectic_potential(self):
         w = chart(("x", 0, 1), ("y", 0, -1), default_box=(0.1, 0.8))
@@ -333,6 +333,28 @@ class TestPresymplectic:
         assert rep.rank == 2
         assert rep.kernel.tolist() == [[0.0], [-1.0], [1.0]]
 
+    def test_float_blocks_at_their_own_scales(self):
+        # an even form's flat matrix is block diagonal: the weak even pair
+        # counts beside the strong odd square, and the kernel is the direct
+        # sum of the blocks' kernels, here d/dt2, exact or float
+        c = chart(("q", 0, 0), ("t1", 1, 0), ("p", 0, 0), ("t2", 1, 0))
+        omega = parse_expr("d(p)*d(q) + 1e12*d(t1)*d(t1)", c)
+        for w in (omega, omega * 1.0):
+            rep = presymplectic_check(w)
+            assert (rep.rank, rep.even_rank, rep.odd_rank) == (3, 2, 1)
+            assert {e["rank"] for e in rep.evidence} == {3}
+            assert np.abs(rep.kernel).tolist() == [[0.0], [0.0], [0.0], [1.0]]
+
+    def test_block_kernel_keeps_the_free_column_order(self):
+        # on exact data the blocks' kernels interleave as the whole
+        # matrix's free columns do: d/dt1 (odd), d/dz (even), d/dt2 (odd)
+        c = chart(("q", 0, 0), ("t1", 1, 0), ("p", 0, 0), ("z", 0, 0),
+                  ("t2", 1, 0))
+        rep = presymplectic_check(parse_expr("d(p)*d(q)", c))
+        assert rep.kernel.T.tolist() == [[0.0, 1.0, 0.0, 0.0, 0.0],
+                                         [0.0, 0.0, 0.0, 1.0, 0.0],
+                                         [0.0, 0.0, 0.0, 0.0, 1.0]]
+
     def test_float_kernel_spans_the_exact_one(self):
         # float coefficients take the SVD path; the kernel it finds spans
         # the same space as the rational-RREF kernel of the exact twin
@@ -374,6 +396,17 @@ class TestReeb:
         assert R.coefficient("z") == one(cyl)
         assert equal(interior(R, cyl_alpha), one(cyl))
         assert equal(interior(R, exterior_d(cyl_alpha)), zero(cyl))
+
+    def test_cylinder_screens_a_pivot_once_up_to_sign(self, cyl_alpha,
+                                                       monkeypatch):
+        """The elimination meets 2 + sin(pq) + pq cos(pq) and its negation;
+        randomized equality decides the first, and the second shares its
+        verdict."""
+        calls, real = [], symsolve.equal
+        monkeypatch.setattr(symsolve, "equal",
+                            lambda *args: calls.append(args) or real(*args))
+        reeb(cyl_alpha)
+        assert [str(e) for e, _, _ in calls] == ["2 + sin(p*q) + cos(p*q)*p*q"]
 
     def test_eta_randomized(self):
         c = chart(("x", 0, 1), ("y", 0, -1), ("z", 0, 0), default_box=(-0.6, 0.6))
