@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from graded_darboux import (chart, coord, eval_body_exact, one, parse_expr,
-                            partial, zero, NonIntegrable)
+from graded_darboux import (chart, coord, eval_body_exact, format_expr, one,
+                            parse_expr, partial, zero, NonIntegrable)
 from graded_darboux import cartan, cli, darboux
 from graded_darboux.cartan import (ChartMap, basis_field, exterior_d,
                                    vector_field)
@@ -229,7 +229,415 @@ class TestLinearDarboux:
             linear_darboux(parse_expr("d(a)*d(t)", c))
 
 
+# every input of TestOneFormDarboux: the form's coordinates and box, the
+# form, the supplied map as {target coordinate: image} (None: the
+# identity), and the keyword arguments, where "nabla" names a basis field
+# or gives the coefficients of a field
+ONE_FORM_INPUTS = {
+    "theta": (
+        [("x", 0, 1), ("y", 0, -1)], (0.1, 0.8),
+        "y*(cosh(x*y)+1)*(sinh(x*y)+x*y*cosh(x*y)+1)*d(x)"
+        " + x^2*y*cosh(x*y)*(cosh(x*y)+1)*d(y)",
+        {("q", 0, 1): "x*(1+sinh(x*y))", ("p", 0, -1): "y*(1+cosh(x*y))"}, {}),
+    "cylinder": (
+        [("z", 0, 0), ("p", 0, 1), ("q", 0, -1)], (-0.7, 0.7),
+        "d(z) - p*(2+sin(p*q))*d(q)",
+        {("Q", 0, -1): "q", ("P", 0, 1): "-p*(2+sin(p*q))", ("K", 0, 0): "z"},
+        {}),
+    "already-canonical": (
+        [("z", 0, 0), ("p", 0, 1), ("q", 0, -1)], (-1.0, 1.0), "d(z) + p*d(q)",
+        {("Q", 0, -1): "q", ("P", 0, 1): "p", ("K", 0, 0): "z"}, {}),
+    "log-branch": (
+        [("x", 0, 1), ("u", 0, 0), ("v", 0, 0)], (0.5, 1.5), "d(x)/x + v*d(u)",
+        {("q", 0, 0): "u", ("p", 0, 0): "v", ("K", 0, 1): "x"},
+        {"base_point": {"x": 1}}),
+    "eta": (
+        [("x", 0, 1), ("y", 0, -1), ("z", 0, 0)], (-0.6, 0.6),
+        "y*(1 + sin(z) + cos(x*y)*(1+sin(z)) - sin(x*y)*(exp(z)"
+        " + x*y*(1+sin(z))))*d(x) - x*sin(x*y)*(x*y*(sin(z)+1)"
+        " + exp(z))*d(y) + exp(z)*cos(x*y)*d(z)",
+        {("q", 0, 1): "x*(1+cos(x*y))", ("p", 0, -1): "y*(1+sin(z))",
+         ("K", 0, 0): "z"}, {}),
+    "guard-characteristic": (
+        [("xx", 0, 0), ("yy", 0, 0), ("tt", 0, 0)], (-0.4, 0.4), "(1+xx)*d(yy)",
+        {("q", 0, 0): "yy", ("p", 0, 0): "1+xx", ("K", 0, 0): "tt"},
+        {"nabla": "tt"}),
+    **{f"guard-overflow-{name}": (
+        [CoordinateDecl("x", 0, 0, box=(0.1, 1)), "y", "t"], (-1.0, 1.0),
+        "exp(x)*exp(x)*d(y)",
+        {("q", 0, 0): "y", ("p", 0, 0): "exp(x)*exp(x)", ("K", 0, 0): "t"},
+        {"nabla": nabla, "base_point": {"x": x}})
+       for name, nabla, x in [("0.3", "t", 0.3), ("358", "t", 358),
+                              ("1e200", {"y": "1e200"}, 300)]},
+    "momentum-absorption": (
+        [("q", 0, 0), ("p", 0, 0)], (0.5, 1.0), "(p + q^2)*d(q)", None, {}),
+    "unabsorbable": (
+        [("q", 0, 0), ("p", 0, 0)], (0.5, 1.0), "2*p*d(q) + q*d(p)", None, {}),
+    "no-inverse-images": (
+        [("q", 0, 0), ("p", 0, 0)], (0.5, 1.0), "(p + q^2)*d(q)",
+        {("Q", 0, 0): "q", ("P", 0, 0): "p"}, {}),
+    "no-residual-slot": (
+        [("q", 0, 1), ("p", 0, -1), ("z", 0, 0), ("w", 0, 0)], (-1.0, 1.0),
+        "d(z) + p*d(q)",
+        {("Q", 0, 1): "q", ("P", 0, -1): "p", ("K1", 0, 0): "q",
+         ("K2", 0, 0): "q"}, {}),
+    "z-named-apart": (
+        [("q", 0, 0), ("p", 0, 0), ("u", 0, 0), ("v", 0, 0)], (-1.0, 1.0),
+        "d(u) + p*d(q)",
+        {("Q", 0, 0): "q", ("P", 0, 0): "p", ("K", 0, 0): "u",
+         ("z", 0, 0): "v"}, {}),
+    "singular-without-residual": (
+        [("q", 0, 1), ("p", 0, -1), ("z", 0, 0)], (-1.0, 1.0),
+        "p*d(q) + 2*z*d(z)", {("Q", 0, 1): "q", ("P", 0, -1): "p"},
+        {"base_point": {"z": 0}}),
+    "log-nonconstant": (
+        [("x", 0, 1), ("u", 0, 1), ("v", 0, -1)], (0.5, 1.5), "d(x)/x + v*d(u)",
+        {("Q", 0, 1): "u", ("P", 0, -1): "v + 1", ("K", 0, 1): "x"},
+        {"base_point": {"x": 1}}),
+    "nonintegrable": (
+        [("q", 0, 1), ("p", 0, -1), ("z", 0, 0)], (-1.0, 1.0),
+        "p*d(q) + exp(z^2)*d(z)",
+        {("Q", 0, 1): "q", ("P", 0, -1): "p", ("K", 0, 0): "z"}, {}),
+    "wrong-chart": (
+        [("z", 0, 0), ("p", 0, 1), ("q", 0, -1)], (-1.0, 1.0), "d(z) + p*d(q)",
+        {("Q", 0, -1): "q", ("P", 0, 1): "2*p", ("K", 0, 0): "z"}, {}),
+}
+
+# the whole result of one_form_darboux(..., r=1) on each input: status,
+# spec, notes, target chart, printed images, new weights, and the
+# verification's mode and entries; or the typed error, message and witness
+ONE_FORM_PINS = {
+    "already-canonical": (
+        "ok",
+        ("contact", 1, 0, (), 0),
+        [],
+        ("ChartSpec(Q:-1, P:1, z:0)", {"Q": "q", "P": "p", "z": "z"}),
+        {"Q": "Fraction(-1, 1)", "P": "Fraction(1, 1)", "z": "Fraction(0, 1)"},
+        (
+            True,
+            "exact",
+            [
+                ("pullback-matches-form", True, "exact"),
+                (
+                    "form-homogeneous",
+                    True,
+                    "degree Degree(parity=0, weight=Fraction(0, 1))",
+                ),
+                ("coordinate-Q-homogeneous", True, "weight -1"),
+                ("coordinate-P-homogeneous", True, "weight 1"),
+                ("coordinate-z-homogeneous", True, "weight 0"),
+                ("pair-weight-Q-P", True, "w(Q)+w(P) = 0, expected 0"),
+                ("z-weight", True, "w(z) = 0, expected 0"),
+            ],
+        ),
+    ),
+    "cylinder": (
+        "ok",
+        ("contact", 1, 0, (), 0),
+        [],
+        (
+            "ChartSpec(Q:-1, P:1, z:0)",
+            {"Q": "q", "P": "-2*p - sin(p*q)*p", "z": "z"},
+        ),
+        {"Q": "Fraction(-1, 1)", "P": "Fraction(1, 1)", "z": "Fraction(0, 1)"},
+        (
+            True,
+            "exact",
+            [
+                ("pullback-matches-form", True, "exact"),
+                (
+                    "form-homogeneous",
+                    True,
+                    "degree Degree(parity=0, weight=Fraction(0, 1))",
+                ),
+                ("coordinate-Q-homogeneous", True, "weight -1"),
+                ("coordinate-P-homogeneous", True, "weight 1"),
+                ("coordinate-z-homogeneous", True, "weight 0"),
+                ("pair-weight-Q-P", True, "w(Q)+w(P) = 0, expected 0"),
+                ("z-weight", True, "w(z) = 0, expected 0"),
+            ],
+        ),
+    ),
+    "eta": (
+        "ok",
+        ("contact", 1, 0, (), 0),
+        [],
+        (
+            "ChartSpec(q:1, p:-1, z:0)",
+            {
+                "q": "x + cos(x*y)*x",
+                "p": "y + sin(z)*y",
+                "z": "-1 + cos(x*y)*exp(z)",
+            },
+        ),
+        {"q": "Fraction(1, 1)", "p": "Fraction(-1, 1)", "z": "Fraction(0, 1)"},
+        (
+            True,
+            "exact",
+            [
+                ("pullback-matches-form", True, "exact"),
+                (
+                    "form-homogeneous",
+                    True,
+                    "degree Degree(parity=0, weight=Fraction(0, 1))",
+                ),
+                ("coordinate-q-homogeneous", True, "weight 1"),
+                ("coordinate-p-homogeneous", True, "weight -1"),
+                ("coordinate-z-homogeneous", True, "weight 0"),
+                ("pair-weight-q-p", True, "w(q)+w(p) = 0, expected 0"),
+                ("z-weight", True, "w(z) = 0, expected 0"),
+            ],
+        ),
+    ),
+    "guard-characteristic": (
+        "not-guaranteed",
+        None,
+        [
+            "weight field is nonzero at the base point and lies in the "
+            "characteristic space: no homogeneous normal form is guaranteed "
+            "there",
+        ],
+        None,
+        {},
+        None,
+    ),
+    "guard-overflow-0.3": (
+        "not-guaranteed",
+        None,
+        [
+            "weight field is nonzero at the base point and lies in the "
+            "characteristic space: no homogeneous normal form is guaranteed "
+            "there",
+        ],
+        None,
+        {},
+        None,
+    ),
+    "guard-overflow-1e200": (
+        "raises",
+        "PfaffianError",
+        "weight field or flat matrix is not finite at the base point",
+        {"x": 300, "y": 0, "t": 0},
+    ),
+    "guard-overflow-358": (
+        "raises",
+        "PfaffianError",
+        "weight field or flat matrix is not finite at the base point",
+        {"x": 358, "y": 0, "t": 0},
+    ),
+    "log-branch": (
+        "ok",
+        ("contact-log", 1, 0, (), 0),
+        [],
+        ("ChartSpec(q:0, p:0, z:1)", {"q": "u", "p": "v", "z": "x"}),
+        {"q": "Fraction(0, 1)", "p": "Fraction(0, 1)", "z": "Fraction(1, 1)"},
+        (
+            True,
+            "exact",
+            [
+                ("pullback-matches-form", True, "exact"),
+                (
+                    "form-homogeneous",
+                    True,
+                    "degree Degree(parity=0, weight=Fraction(0, 1))",
+                ),
+                ("coordinate-q-homogeneous", True, "weight 0"),
+                ("coordinate-p-homogeneous", True, "weight 0"),
+                ("coordinate-z-homogeneous", True, "weight 1"),
+                ("pair-weight-q-p", True, "w(q)+w(p) = 0, expected 0"),
+                ("weight-zero-case", True, "form weight 0"),
+            ],
+        ),
+    ),
+    "log-nonconstant": (
+        "verification-only",
+        None,
+        [
+            "weight field applied to the primitive is not constant: cannot "
+            "form the exponential coordinate",
+        ],
+        None,
+        {},
+        None,
+    ),
+    "momentum-absorption": (
+        "ok",
+        ("potential", 1, 0, (), 0),
+        ["residual primitive absorbed into the momenta"],
+        ("ChartSpec(q:0, p:0)", {"q": "q", "p": "p + q^2"}),
+        {"q": "Fraction(0, 1)", "p": "Fraction(0, 1)"},
+        (
+            True,
+            "exact",
+            [
+                ("pullback-matches-form", True, "exact"),
+                (
+                    "form-homogeneous",
+                    True,
+                    "degree Degree(parity=0, weight=Fraction(0, 1))",
+                ),
+                ("coordinate-q-homogeneous", True, "weight 0"),
+                ("coordinate-p-homogeneous", True, "weight 0"),
+                ("pair-weight-q-p", True, "w(q)+w(p) = 0, expected 0"),
+            ],
+        ),
+    ),
+    "no-inverse-images": (
+        "verification-only",
+        None,
+        [
+            "nonzero residual one-form and no inverse images to absorb it: "
+            "construction downgraded",
+        ],
+        None,
+        {},
+        None,
+    ),
+    "no-residual-slot": (
+        "verification-only",
+        None,
+        [
+            "could not replace a residual coordinate with z while keeping "
+            "the chart nonsingular",
+        ],
+        None,
+        {},
+        None,
+    ),
+    "nonintegrable": (
+        "verification-only",
+        None,
+        ["primitive construction failed: argument of exp is not linear in z"],
+        None,
+        {},
+        None,
+    ),
+    "singular-without-residual": (
+        "verification-only",
+        None,
+        [
+            "no residual coordinate available and the candidate chart is "
+            "singular at the base point",
+        ],
+        None,
+        {},
+        None,
+    ),
+    "theta": (
+        "ok",
+        ("potential", 1, 0, (), 0),
+        [],
+        (
+            "ChartSpec(q:1, p:-1)",
+            {"q": "x + sinh(x*y)*x", "p": "y + cosh(x*y)*y"},
+        ),
+        {"q": "Fraction(1, 1)", "p": "Fraction(-1, 1)"},
+        (
+            True,
+            "exact",
+            [
+                ("pullback-matches-form", True, "exact"),
+                (
+                    "form-homogeneous",
+                    True,
+                    "degree Degree(parity=0, weight=Fraction(0, 1))",
+                ),
+                ("coordinate-q-homogeneous", True, "weight 1"),
+                ("coordinate-p-homogeneous", True, "weight -1"),
+                ("pair-weight-q-p", True, "w(q)+w(p) = 0, expected 0"),
+            ],
+        ),
+    ),
+    "unabsorbable": (
+        "verification-only",
+        None,
+        [
+            "residual primitive depends on ['p']: momentum absorption does "
+            "not apply",
+        ],
+        None,
+        {},
+        None,
+    ),
+    "wrong-chart": (
+        "raises",
+        "PfaffianError",
+        "the supplied chart does not canonicalize the differential of the "
+        "form",
+        None,
+    ),
+    "z-named-apart": (
+        "ok",
+        ("contact", 1, 0, (), 1),
+        [],
+        (
+            "ChartSpec(Q:0, P:0, z1:0, z:0)",
+            {"Q": "q", "P": "p", "z1": "u", "z": "v"},
+        ),
+        {
+            "Q": "Fraction(0, 1)",
+            "P": "Fraction(0, 1)",
+            "z1": "Fraction(0, 1)",
+            "z": "Fraction(0, 1)",
+        },
+        (
+            True,
+            "exact",
+            [
+                ("pullback-matches-form", True, "exact"),
+                (
+                    "form-homogeneous",
+                    True,
+                    "degree Degree(parity=0, weight=Fraction(0, 1))",
+                ),
+                ("coordinate-Q-homogeneous", True, "weight 0"),
+                ("coordinate-P-homogeneous", True, "weight 0"),
+                ("coordinate-z1-homogeneous", True, "weight 0"),
+                ("coordinate-z-homogeneous", True, "weight 0"),
+                ("pair-weight-Q-P", True, "w(Q)+w(P) = 0, expected 0"),
+                ("z-weight", True, "w(z) = 0, expected 0"),
+            ],
+        ),
+    ),
+}
+
+
+def _one_form_pin(name):
+    decls, box, form, images, kwargs = ONE_FORM_INPUTS[name]
+    c = chart(*decls, default_box=box)
+    if images is None:
+        phi = ChartMap.identity(c)
+    else:
+        t = chart(*images)
+        phi = ChartMap(c, t, {d[0]: parse_expr(img, c)
+                              for d, img in images.items()})
+    kwargs = dict(kwargs)
+    nabla = kwargs.get("nabla")
+    if nabla is not None:
+        kwargs["nabla"] = (basis_field(c, nabla) if isinstance(nabla, str)
+                           else vector_field(c, nabla))
+    try:
+        res = one_form_darboux(parse_expr(form, c), phi, r=1, **kwargs)
+    except PfaffianError as exc:
+        return ("raises", type(exc).__name__, str(exc),
+                getattr(exc, "witness", None))
+    spec = res.spec and (res.spec.variant, res.spec.r, res.spec.s,
+                         res.spec.eps, res.spec.residual)
+    cmap = res.chart_map and (
+        repr(res.chart_map.target),
+        {n: format_expr(e) for n, e in res.chart_map.images.items()})
+    ver = res.verification and (
+        res.verification.passed, res.verification.mode,
+        [(e.name, e.passed, e.detail) for e in res.verification.entries])
+    return (res.status, spec, res.notes, cmap,
+            {n: repr(w) for n, w in res.new_weights.items()}, ver)
+
+
 class TestOneFormDarboux:
+    @pytest.mark.parametrize("name", sorted(ONE_FORM_INPUTS))
+    def test_result_pinned(self, name):
+        assert _one_form_pin(name) == ONE_FORM_PINS[name]
+
     def test_theta(self):
         w = chart(("x", 0, 1), ("y", 0, -1), default_box=(0.1, 0.8))
         theta = parse_expr(
