@@ -38,10 +38,16 @@ class ManifestError(ValueError):
 
 
 class _TaskArgs(dict):
-    """A task's arguments: a missing one is a manifest error."""
+    """A task's arguments: a missing one is a manifest error, and so is a
+    list argument that is not a list."""
 
     def __missing__(self, key):
         raise ManifestError(f"missing argument {key!r}")
+
+    def as_list(self, key) -> list:
+        if not isinstance(self[key], list):
+            raise ManifestError(f"argument {key!r} is not a list")
+        return self[key]
 
 
 @dataclass
@@ -67,7 +73,7 @@ class Workspace:
 
     @staticmethod
     def _get(table, name, kind):
-        if name not in table:
+        if not isinstance(name, str) or name not in table:
             raise ManifestError(f"unknown {kind} {name!r}")
         return table[name]
 
@@ -216,10 +222,8 @@ def _check_chart(args, ws, policy):
 
 
 def _degree(args, ws, policy):
-    target = args["of"]
-    obj = ws.forms.get(target) or ws.fields.get(target)
-    if obj is None:
-        raise ManifestError(f"unknown form or field {target!r}")
+    # a form wins over a field of the same name
+    obj = ws._get({**ws.fields, **ws.forms}, args["of"], "form or field")
     rep = degree_of(obj, _nabla(args, ws, obj.chart), policy, memo=ws.memo)
     out = {"homogeneous": rep.homogeneous, "degree": None, "mode": rep.mode}
     if rep.degree is not None:
@@ -318,7 +322,7 @@ def _darboux(args, ws, policy):
 
 
 def _straighten(args, ws, policy):
-    fields_ = [ws.vfield(n) for n in args["fields"]]
+    fields_ = [ws.vfield(n) for n in args.as_list("fields")]
     if not fields_:
         raise ManifestError("straighten needs at least one field")
     grid = straighten_commuting(
@@ -337,6 +341,8 @@ def _straighten(args, ws, policy):
 def _verify_darboux(args, ws, policy):
     form = ws.form(args["form"])
     spec_args = args.get("spec", {})
+    if not isinstance(spec_args, dict):
+        raise ManifestError("argument 'spec' is not an object")
     nf = NormalFormSpec(spec_args.get("variant", "contact"),
                         spec_args.get("r", 0), spec_args.get("s", 0),
                         tuple(spec_args.get("eps", [])),
@@ -352,7 +358,7 @@ def _verify_darboux(args, ws, policy):
 
 def _dist(args, ws, policy):
     kind = args.get("kind", "involutive")
-    gens = tuple(ws.vfield(n) for n in args["generators"])
+    gens = tuple(ws.vfield(n) for n in args.as_list("generators"))
     if not gens:
         raise ManifestError("dist needs at least one generator")
     D = Distribution(gens[0].chart, gens)

@@ -455,15 +455,9 @@ def one_form_darboux(alpha: GradedExpr, presymp_chart: ChartMap,
                      policy: EqualityPolicy = DEFAULT_POLICY, *,
                      memo: Optional[Memo] = None) -> DarbouxResult:
     """Assemble a homogeneous normal form for a regular one-form, given a
-    chart map that canonicalizes its differential.
-
-    The construction follows the classification: transversal forms gain a
-    primitive coordinate z (or exp of a primitive in the weight-zero,
-    nonvanishing-weight-field case); contained forms must already reduce to
-    the pair part, or the q-dependent correction is absorbed into the
-    momenta.  Whatever is constructed is verified; failures downgrade the
-    result instead of faking it.
-    """
+    chart map that canonicalizes its differential: after the guard on the
+    weight field, the map is checked to put d(alpha) in presymplectic
+    normal form (r, s, eps), and ``_assemble`` builds on it."""
     chart = alpha.chart
     if presymp_chart.source != chart:
         raise ChartError("chart map must start at the form's chart")
@@ -475,8 +469,6 @@ def one_form_darboux(alpha: GradedExpr, presymp_chart: ChartMap,
     if base_point:
         base.update(base_point)
 
-    notes: List[str] = []
-
     # guard: nabla(base) nonzero and inside the characteristic space, that
     # is alpha(nabla) and i_nabla d(alpha) have one-row rank 0 there; None
     # where not finite, and entries are tested before the products (0*inf)
@@ -487,7 +479,7 @@ def one_form_darboux(alpha: GradedExpr, presymp_chart: ChartMap,
     ranks = _linalg.float_rank([[nvec]], policy.rel_tol)
     if ranks == [1]:
         fm = flat_matrix(alpha, base, memo=memo)
-        a, m = fm.alpha_row, fm.matrix
+        a, m = (np.array(v, dtype=float) for v in (fm.alpha, fm.rows))
         ok = np.isfinite(a).all() and np.isfinite(m).all()
         with np.errstate(over="ignore"):    # an overflow is inf, so None
             ranks += [_linalg.float_rank([[v]], policy.rel_tol)[0]
@@ -495,7 +487,6 @@ def one_form_darboux(alpha: GradedExpr, presymp_chart: ChartMap,
     if None in ranks:
         raise PfaffianError("weight field or flat matrix is not finite at "
                             "the base point", witness=base)
-    nabla_vanishes = ranks[0] == 0
     if ranks[1:] == [0, 0]:
         return DarbouxResult(
             status="not-guaranteed",
@@ -506,20 +497,44 @@ def one_form_darboux(alpha: GradedExpr, presymp_chart: ChartMap,
     target = presymp_chart.target
     pre_spec = NormalFormSpec("presymplectic", r, s, tuple(eps),
                               residual=target.dim - 2 * r - s)
-    dalpha = exterior_d(alpha, memo=memo)
-    if not equal(dalpha, pullback(presymp_chart, canonical_expr(pre_spec, target),
-                                  memo=memo), policy):
+    if not equal(exterior_d(alpha, memo=memo),
+                 pullback(presymp_chart, canonical_expr(pre_spec, target),
+                          memo=memo), policy):
         raise PfaffianError("the supplied chart does not canonicalize the "
                             "differential of the form")
+    return _assemble(alpha, presymp_chart, pre_spec, nabla, ranks[0] == 0,
+                     base, policy, memo)
 
-    potential = canonical_expr(NormalFormSpec("potential", r, s, pre_spec.eps),
-                               target)
-    alpha_prime = alpha - pullback(presymp_chart, potential, memo=memo)
+
+class _Downgrade(Exception):
+    """A step that cannot be taken: its message is the result's note."""
+
+
+def _assemble(alpha: GradedExpr, phi: ChartMap, pre_spec: NormalFormSpec,
+              nabla: VectorField, nabla_vanishes: bool,
+              base: Dict[str, object], policy: EqualityPolicy,
+              memo: Memo) -> DarbouxResult:
+    """The normal form of alpha on top of any chart ``phi`` that puts
+    d(alpha) in the presymplectic normal form ``pre_spec``.
+
+    The construction follows the classification: transversal forms gain a
+    primitive coordinate z (or exp of a primitive in the weight-zero,
+    nonvanishing-weight-field case); contained forms must already reduce to
+    the pair part, or the q-dependent correction is absorbed into the
+    momenta.  Whatever is constructed is verified; failures downgrade the
+    result instead of faking it.
+    """
+    chart, target = alpha.chart, phi.target
+    notes: List[str] = []
+
+    potential = canonical_expr(replace(pre_spec, variant="potential",
+                                       residual=0), target)
+    alpha_prime = alpha - pullback(phi, potential, memo=memo)
     if not equal(exterior_d(alpha_prime, memo=memo), zero(chart), policy):
         raise PfaffianError("residual one-form is not closed")
 
     rep = degree_of(alpha, nabla, policy, memo=memo)
-    w = rep.degree.weight if (rep.homogeneous and rep.degree is not None) else None
+    w = rep.degree.weight if rep.degree else None
     if not rep.homogeneous:
         notes.append("input form is not homogeneous: weight-law checks "
                      "will be reported as failures")
@@ -534,63 +549,65 @@ def one_form_darboux(alpha: GradedExpr, presymp_chart: ChartMap,
 
     roles = pre_spec.coordinate_roles(target)
     q, p, y, rest = roles["q"], roles["p"], roles["y"], roles["rest"]
-    images = dict(presymp_chart.images)
+    images = dict(phi.images)
 
-    if contact_like:
-        variant = "contact-log" if log_branch else "contact"
-        z_img = _closed_primitive(alpha_prime, base, notes)
-        if z_img is None:
-            return DarbouxResult("verification-only", notes=notes)
-        if log_branch:
-            if lie_derivative(nabla, z_img,
-                              memo=memo).constant_value() is None:
-                notes.append("weight field applied to the primitive is not "
-                             "constant: cannot form the exponential coordinate")
-                return DarbouxResult("verification-only", notes=notes)
-            z_img = apply_func("exp", z_img)
+    try:
+        if contact_like:
+            variant = "contact-log" if log_branch else "contact"
+            z_img = primitive_by_quadrature(alpha_prime, base)
+            if log_branch:
+                if lie_derivative(nabla, z_img,
+                                  memo=memo).constant_value() is None:
+                    raise _Downgrade("weight field applied to the primitive "
+                                     "is not constant: cannot form the "
+                                     "exponential coordinate")
+                z_img = apply_func("exp", z_img)
 
-        # z replaces one residual coordinate; pick one that keeps the
-        # jacobian nonsingular at the base point
-        for keep in [rest[:j] + rest[j + 1:] for j in range(len(rest))] or [[]]:
-            # the roles are positional, so any name not kept will do
-            kept = q + p + y + keep
-            zname = next(n for n in ["z"] + [f"z{i}" for i in range(1, len(kept) + 1)]
-                         if n not in kept)
-            new_names = q + p + [zname] + y + keep
-            new_images = ([images[n] for n in q + p] + [z_img]
-                          + [images[n] for n in y + keep])
-            if _jacobian_nonsingular(new_images, chart, base, policy):
-                break
+            # z replaces one residual coordinate; pick one that keeps the
+            # jacobian nonsingular at the base point
+            for keep in [[n for n in rest if n != m] for m in rest] or [[]]:
+                # the roles are positional, so any name not kept will do
+                kept = q + p + y + keep
+                zname = next(f"z{i or ''}" for i in range(len(kept) + 1)
+                             if f"z{i or ''}" not in kept)
+                new_names = q + p + [zname] + y + keep
+                new_images = ([images[n] for n in q + p] + [z_img]
+                              + [images[n] for n in y + keep])
+                if _jacobian_nonsingular(new_images, chart, base, policy):
+                    break
+            else:
+                raise _Downgrade("could not replace a residual coordinate "
+                                 "with z while keeping the chart nonsingular"
+                                 if rest else "no residual coordinate "
+                                 "available and the candidate chart is "
+                                 "singular at the base point")
         else:
-            notes.append("could not replace a residual coordinate with z "
-                         "while keeping the chart nonsingular" if rest else
-                         "no residual coordinate available and the "
-                         "candidate chart is singular at the base point")
-            return DarbouxResult("verification-only", notes=notes)
-    else:
-        # contained case: the residual must vanish or absorb into the momenta
-        variant, keep = "potential", rest
-        if not equal(alpha_prime, zero(chart), policy):
-            if presymp_chart.inverse_images is None:
-                notes.append("nonzero residual one-form and no inverse images "
-                             "to absorb it: construction downgraded")
-                return DarbouxResult("verification-only", notes=notes)
-            ap_t = pullback(presymp_chart.inverse(), alpha_prime, memo=memo)
-            zt = _closed_primitive(ap_t, {n: 0 for n in target.names}, notes)
-            if zt is None:
-                return DarbouxResult("verification-only", notes=notes)
-            bad = [n for n in target.names if n not in q and zt.depends_on(n)]
-            if bad:
-                notes.append(f"residual primitive depends on {bad}: "
-                             "momentum absorption does not apply")
-                return DarbouxResult("verification-only", notes=notes)
-            for qn, pn in zip(q, p):
-                images[pn] = images[pn] + substitute(partial(zt, qn),
-                                                     presymp_chart.images)
-            notes.append("residual primitive absorbed into the momenta")
-        new_names = q + p + y + rest
-        new_images = [images[n] for n in new_names]
-    out_spec = NormalFormSpec(variant, r, s, pre_spec.eps, len(keep))
+            # contained: the residual must vanish or absorb into the momenta
+            variant, keep = "potential", rest
+            if not equal(alpha_prime, zero(chart), policy):
+                if phi.inverse_images is None:
+                    raise _Downgrade("nonzero residual one-form and no "
+                                     "inverse images to absorb it: "
+                                     "construction downgraded")
+                ap_t = pullback(phi.inverse(), alpha_prime, memo=memo)
+                zt = primitive_by_quadrature(ap_t,
+                                             {n: 0 for n in target.names})
+                bad = [n for n in target.names
+                       if n not in q and zt.depends_on(n)]
+                if bad:
+                    raise _Downgrade(f"residual primitive depends on {bad}: "
+                                     "momentum absorption does not apply")
+                for qn, pn in zip(q, p):
+                    images[pn] = images[pn] + substitute(partial(zt, qn),
+                                                         phi.images)
+                notes.append("residual primitive absorbed into the momenta")
+            new_names = q + p + y + rest
+            new_images = [images[n] for n in new_names]
+    except (_Downgrade, NonIntegrable) as exc:
+        notes.append(str(exc) if isinstance(exc, _Downgrade)
+                     else f"primitive construction failed: {exc}")
+        return DarbouxResult("verification-only", notes=notes)
+    out_spec = replace(pre_spec, variant=variant, residual=len(keep))
 
     # weights of the new coordinates
     decls = []
@@ -598,12 +615,9 @@ def one_form_darboux(alpha: GradedExpr, presymp_chart: ChartMap,
     coord_reps: Dict[str, DegreeReport] = {}
     for name, img in zip(new_names, new_images):
         drep = coord_reps[name] = degree_of(img, nabla, policy, memo=memo)
-        if drep.homogeneous and drep.degree is not None:
-            wgt = drep.degree.weight
-        else:
-            wgt = None
+        wgt = weights[name] = drep.degree.weight if drep.degree else None
+        if wgt is None:
             notes.append(f"new coordinate {name!r} is not homogeneous")
-        weights[name] = wgt
         par = img.parity()
         decls.append(CoordinateDecl(name, par if par is not None else EVEN,
                                     wgt if isinstance(wgt, Fraction) else 0))
@@ -613,15 +627,6 @@ def one_form_darboux(alpha: GradedExpr, presymp_chart: ChartMap,
                                  policy, memo)
     status = "ok" if report.passed else "verification-only"
     return DarbouxResult(status, phi_out, out_spec, report, weights, notes)
-
-
-def _closed_primitive(beta: GradedExpr, base: Dict[str, object],
-                      notes: List[str]) -> Optional[GradedExpr]:
-    try:
-        return primitive_by_quadrature(beta, base)
-    except NonIntegrable as exc:
-        notes.append(f"primitive construction failed: {exc}")
-        return None
 
 
 # -- verification ---------------------------------------------------------------
@@ -659,7 +664,7 @@ def _verify_normal_form(alpha: GradedExpr, phi: ChartMap, spec: NormalFormSpec,
     mode = res.mode
 
     roles = spec.coordinate_roles(phi.target)
-    w = wdeg.degree.weight if (wdeg.homogeneous and wdeg.degree) else None
+    w = wdeg.degree.weight if wdeg.degree else None
     entries.append(CheckEntry("form-homogeneous", wdeg.homogeneous,
                               f"degree {wdeg.degree}" if wdeg.degree else wdeg.note))
 
@@ -667,20 +672,16 @@ def _verify_normal_form(alpha: GradedExpr, phi: ChartMap, spec: NormalFormSpec,
     for name in phi.target.names:
         rep = coord_reps[name]
         ok = rep.homogeneous
-        coord_weights[name] = rep.degree.weight if (ok and rep.degree) else None
+        coord_weights[name] = rep.degree.weight if rep.degree else None
         entries.append(CheckEntry(f"coordinate-{name}-homogeneous", ok,
                                   f"weight {coord_weights[name]}"))
-
-    def wsum(a, b):
-        if a is None or b is None:
-            return None
-        return a + b
 
     if w is not None:
         # pairs and odd squares carry the weight of the form, 0 in the log case
         want = Fraction(0) if spec.variant == "contact-log" else w
         for qn, pn in zip(roles["q"], roles["p"]):
-            tot = wsum(coord_weights[qn], coord_weights[pn])
+            wq, wp = coord_weights[qn], coord_weights[pn]
+            tot = None if wq is None or wp is None else wq + wp
             entries.append(CheckEntry(
                 f"pair-weight-{qn}-{pn}", tot == want,
                 f"w({qn})+w({pn}) = {tot}, expected {want}"))

@@ -45,21 +45,12 @@ class FlatMatrix:
 
     ``rows[a][b]`` is the d(x^b)-coefficient of i_{d/dx^a} beta evaluated
     at the point; for one-forms the extra ``alpha`` holds the form itself.
-    Entries are body values (see ``body_values``); ``matrix`` and
-    ``alpha_row`` read them as floats.
+    Entries are body values (see ``body_values``).
     """
 
     point: Dict[str, float]
     rows: List[list]
     alpha: Optional[list] = None
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.array(self.rows, dtype=float)
-
-    @property
-    def alpha_row(self) -> Optional[np.ndarray]:
-        return None if self.alpha is None else np.array(self.alpha, dtype=float)
 
 
 def _interior_rows(beta: GradedExpr) -> List[List[GradedExpr]]:

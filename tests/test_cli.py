@@ -100,6 +100,19 @@ def test_exit_two_on_bad_expression(tmp_path):
      "error: task 0: unknown command ['classify']"),
     ({"charts": {}, "tasks": [{"cmd": "lift", "args": {"kind": "tangent"}}]},
      "error: task 0: missing argument 'nabla'"),
+    ({"charts": {"M": {"coords": [["x", "even", "1"]]}},
+      "forms": {"f": {"chart": "M", "expr": "d(x)"}},
+      "tasks": [{"cmd": "verify-darboux",
+                 "args": {"form": "f", "map": "phi", "spec": 3}}]},
+     "error: task 0: argument 'spec' is not an object"),
+    ({"charts": {}, "tasks": [{"cmd": "classify", "args": {"form": ["a"]}}]},
+     "error: task 0: unknown form ['a']"),
+    ({"charts": {}, "tasks": [{"cmd": "degree", "args": {"of": ["a"]}}]},
+     "error: task 0: unknown form or field ['a']"),
+    ({"charts": {}, "tasks": [{"cmd": "straighten", "args": {"fields": 5}}]},
+     "error: task 0: argument 'fields' is not a list"),
+    ({"charts": {}, "tasks": [{"cmd": "dist", "args": {"generators": 5}}]},
+     "error: task 0: argument 'generators' is not a list"),
 ])
 def test_exit_two_on_malformed_manifest(tmp_path, capsys, payload, message):
     m = tmp_path / "malformed.json"

@@ -920,6 +920,29 @@ class TestOneFormDarboux:
         assert res.notes == ["primitive construction failed: argument of exp "
                              "is not linear in z"]
 
+    @pytest.mark.parametrize("decls, form, variant, s, eps, weights", [
+        ([("x", 0, 1), ("y", 0, -1), ("z", 0, 0)], "d(z) + 3*x*d(y) - y*d(x)",
+         "contact", 0, (), {"q1": -1, "p1": 1, "z": 0}),
+        ([("x", 0, 1), ("y", 0, 1), ("a", 1, 1), ("b", 1, 1)],
+         "x*d(y) + a*d(a) + b*d(b)",
+         "potential", 2, (1, 1), {"q1": 1, "p1": 1, "y1": 1, "y2": 1}),
+    ])
+    def test_assembles_on_the_linear_darboux_chart(self, decls, form, variant,
+                                                   s, eps, weights):
+        # the assembly takes any chart that puts d(alpha) in presymplectic
+        # normal form, here the one linear_darboux builds from d(alpha)
+        c = chart(*decls)
+        alpha = parse_expr(form, c)
+        ld = linear_darboux(exterior_d(alpha))
+        assert (ld.spec.r, ld.spec.s, ld.spec.eps) == (1, s, eps)
+        res = one_form_darboux(alpha, ld.chart_map, ld.spec.r, ld.spec.s,
+                               ld.spec.eps)
+        assert res.status == "ok" and res.notes == []
+        assert (res.spec.variant, res.spec.r, res.spec.s, res.spec.eps) == \
+            (variant, 1, s, eps)
+        assert res.new_weights == weights
+        assert res.verification.passed
+
     def test_wrong_presymplectic_chart_rejected(self):
         c = chart(("z", 0, 0), ("p", 0, 1), ("q", 0, -1))
         alpha = parse_expr("d(z) + p*d(q)", c)

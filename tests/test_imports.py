@@ -143,7 +143,7 @@ FRACTION_TESTS = {
     ("grexpr/chart.py", "as_weight"),           # a declared weight
     ("cli.py", "_render"),                      # a report value
     ("_linalg.py", "_exact"),                   # a body value
-    ("darboux.py", "one_form_darboux"),         # a degree weight
+    ("darboux.py", "_assemble"),                # a degree weight
     ("grexpr/expr.py", "_cnum"),
 }
 

@@ -120,6 +120,12 @@ CASES = {
     "large-contact-term-1e12": Case(
         "1, 18", lambda: _classify("d(z) - 1e12*p*(2+sin(p*q))*d(q)", README),
         CONTACT_3),
+    # the same form at c = 1e-10 (small-contact-term): its Reeb field is
+    # d/dz, as at c = 1 and c = 1e6
+    "small-contact-reeb": Case(
+        "1, 18", lambda: reeb(parse_expr("d(z) - 1e-10*p*(2+sin(p*q))*d(q)",
+                                         README)),
+        basis_field(README, "z")),
     # d(alpha) = 2 exp(2x) y dx dy and alpha ^ d(alpha) vanish nowhere
     "large-component": Case(
         "1", lambda: _classify("d(z) + exp(x)*exp(x)*y*d(y)", BIG_X),
@@ -223,6 +229,7 @@ LEDGER = {
     "large-contact-term-1e9": ("refused", "1"),
     "large-contact-term-1e10": ("refused", "1"),
     "large-contact-term-1e12": ("wrong", "1"),
+    "small-contact-reeb": ("refused", "1"),
     "large-component": ("wrong", "1"),
     "nilpotent-differential": ("wrong", "5"),
     "nilpotent-factor": ("wrong", "5"),

@@ -54,23 +54,25 @@ class TestFlatMatrix:
         fm = flat_matrix(parse_expr("d(p)*d(q)", c), {"q": 0, "p": 0, "z": 0})
         assert _linalg.rank([fm.rows], 1e-9)[0] == 2
         # even-even block is antisymmetric
-        even = fm.matrix[np.ix_(c.even_indices, c.even_indices)]
+        m = np.array(fm.rows, dtype=float)
+        even = m[np.ix_(c.even_indices, c.even_indices)]
         assert np.allclose(even, -even.T)
 
     def test_closed_one_form(self, cyl):
         fm = flat_matrix(parse_expr("d(z)", cyl), {"z": 0, "p": 0, "q": 0})
-        assert np.allclose(fm.matrix, 0)
-        assert list(fm.alpha_row) == [1.0, 0.0, 0.0]
+        assert np.allclose(np.array(fm.rows, dtype=float), 0)
+        assert list(np.array(fm.alpha, dtype=float)) == [1.0, 0.0, 0.0]
 
     def test_cylinder_at_origin(self, cyl, cyl_alpha):
         fm = flat_matrix(cyl_alpha, {"z": 0, "p": 0, "q": 0})
         assert _linalg.rank([fm.rows], 1e-9)[0] == 2
-        assert fm.alpha_row[0] == 1.0
+        assert np.array(fm.alpha, dtype=float)[0] == 1.0
 
     def test_odd_block_symmetric(self):
         c = chart(("t1", 1, 0), ("t2", 1, 0))
         fm = flat_matrix(parse_expr("d(t1)*d(t2)", c), {})
-        odd = fm.matrix[np.ix_(c.odd_indices, c.odd_indices)]
+        m = np.array(fm.rows, dtype=float)
+        odd = m[np.ix_(c.odd_indices, c.odd_indices)]
         assert np.allclose(odd, odd.T)
 
 
