@@ -565,11 +565,11 @@ def _assemble(alpha: GradedExpr, phi: ChartMap, pre_spec: NormalFormSpec,
 
             # z replaces one residual coordinate; pick one that keeps the
             # jacobian nonsingular at the base point
-            for keep in [[n for n in rest if n != m] for m in rest] or [[]]:
+            for keep in [rest[:j] + rest[j + 1:] for j in range(len(rest))] or [[]]:
                 # the roles are positional, so any name not kept will do
                 kept = q + p + y + keep
-                zname = next(f"z{i or ''}" for i in range(len(kept) + 1)
-                             if f"z{i or ''}" not in kept)
+                names = ["z"] + [f"z{i}" for i in range(1, len(kept) + 1)]
+                zname = next(n for n in names if n not in kept)
                 new_names = q + p + [zname] + y + keep
                 new_images = ([images[n] for n in q + p] + [z_img]
                               + [images[n] for n in y + keep])
