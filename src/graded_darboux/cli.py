@@ -39,15 +39,19 @@ class ManifestError(ValueError):
 
 class _TaskArgs(dict):
     """A task's arguments: a missing one is a manifest error, and so is a
-    list argument that is not a list."""
+    list or object argument of another JSON type."""
 
     def __missing__(self, key):
         raise ManifestError(f"missing argument {key!r}")
 
-    def as_list(self, key) -> list:
-        if not isinstance(self[key], list):
-            raise ManifestError(f"argument {key!r} is not a list")
-        return self[key]
+    def typed(self, key, kind=list, default=None):
+        """The list (or, for ``kind=dict``, object) argument ``key``; a
+        missing one is ``default`` when that is given."""
+        value = self[key] if default is None else self.get(key, default)
+        if not isinstance(value, kind):
+            raise ManifestError(f"argument {key!r} is not "
+                                + ("a list" if kind is list else "an object"))
+        return value
 
 
 @dataclass
@@ -306,9 +310,9 @@ def _linear_darboux(args, ws, policy):
 def _darboux(args, ws, policy):
     form = ws.form(args["form"])
     res = one_form_darboux(form, ws.cmap(args["map"]), args.get("r", 0),
-                           args.get("s", 0), tuple(args.get("eps", [])),
-                           _nabla(args, ws, form.chart), args.get("base"),
-                           policy, memo=ws.memo)
+                           args.get("s", 0), tuple(args.typed("eps", list, [])),
+                           _nabla(args, ws, form.chart),
+                           args.typed("base", dict, {}), policy, memo=ws.memo)
     out: Dict[str, Any] = {"outcome": res.status, "notes": res.notes}
     if res.spec is not None:
         out["variant"] = res.spec.variant
@@ -322,7 +326,7 @@ def _darboux(args, ws, policy):
 
 
 def _straighten(args, ws, policy):
-    fields_ = [ws.vfield(n) for n in args.as_list("fields")]
+    fields_ = [ws.vfield(n) for n in args.typed("fields")]
     if not fields_:
         raise ManifestError("straighten needs at least one field")
     grid = straighten_commuting(
@@ -340,12 +344,10 @@ def _straighten(args, ws, policy):
 
 def _verify_darboux(args, ws, policy):
     form = ws.form(args["form"])
-    spec_args = args.get("spec", {})
-    if not isinstance(spec_args, dict):
-        raise ManifestError("argument 'spec' is not an object")
+    spec_args = _TaskArgs(args.typed("spec", dict, {}))
     nf = NormalFormSpec(spec_args.get("variant", "contact"),
                         spec_args.get("r", 0), spec_args.get("s", 0),
-                        tuple(spec_args.get("eps", [])),
+                        tuple(spec_args.typed("eps", list, [])),
                         spec_args.get("residual", 0))
     rep = verify_normal_form(form, ws.cmap(args["map"]), nf,
                              _nabla(args, ws, form.chart), policy,
@@ -358,7 +360,7 @@ def _verify_darboux(args, ws, policy):
 
 def _dist(args, ws, policy):
     kind = args.get("kind", "involutive")
-    gens = tuple(ws.vfield(n) for n in args.as_list("generators"))
+    gens = tuple(ws.vfield(n) for n in args.typed("generators"))
     if not gens:
         raise ManifestError("dist needs at least one generator")
     D = Distribution(gens[0].chart, gens)

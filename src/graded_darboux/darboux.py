@@ -169,21 +169,15 @@ def homotopy(w: GradedExpr) -> GradedExpr:
     """Radial homotopy operator K on polynomial forms: d K + K d = id.
 
     Monomial-wise K(m) = i_E(m) / (poly degree + form degree) with E the
-    standard Euler field of the chart.
+    standard Euler field of the chart; i_E is linear, so each monomial is
+    scaled first and E contracts them all in one walk.
     """
     if not w.is_polynomial():
         raise NonIntegrable("homotopy operator needs a polynomial form")
     chart = w.chart
-    E = _euler_field(chart)
-    out = zero(chart)
-    for m in w.terms:
-        p = m.form_degree()
-        if p == 0:
-            continue
-        k = sum(m.cexp)
-        piece = interior(E, GradedExpr(chart, (m,)))
-        out = out + piece * Fraction(1, k + p)
-    return out
+    return interior(_euler_field(chart), GradedExpr.from_terms(chart, (
+        Monomial(m.coeff * Fraction(1, sum(m.cexp) + p), m.atoms, m.cexp,
+                 m.dexp) for m in w.terms if (p := m.form_degree()))))
 
 
 def poincare_primitive(w: GradedExpr,
@@ -554,7 +548,10 @@ def _assemble(alpha: GradedExpr, phi: ChartMap, pre_spec: NormalFormSpec,
     try:
         if contact_like:
             variant = "contact-log" if log_branch else "contact"
-            z_img = primitive_by_quadrature(alpha_prime, base)
+            # Cartan: w alpha' = L_nabla alpha' = d(i_nabla alpha'), as
+            # d(alpha') = 0, so i_nabla alpha' / w is a primitive of weight w
+            z_img = (interior(nabla, alpha_prime) * (1 / w) if w
+                     else primitive_by_quadrature(alpha_prime, base))
             if log_branch:
                 if lie_derivative(nabla, z_img,
                                   memo=memo).constant_value() is None:

@@ -20,8 +20,7 @@ from . import _linalg
 from .cartan import Memo, VectorField, basis_field, exterior_d, interior
 from .grexpr.chart import ChartSpec, EVEN
 from .grexpr.equality import DEFAULT_POLICY, EqualityPolicy, equal
-from .grexpr.expr import (GradedExpr, Monomial, _cut, _insert, one,
-                          power_image, zero)
+from .grexpr.expr import GradedExpr, one, zero
 from .grexpr.grassmann import Plan, body_values, sample_body_points
 from .symsolve import SingularSystemError, solve_left_linear
 
@@ -55,43 +54,11 @@ class FlatMatrix:
 
 def _interior_rows(beta: GradedExpr) -> List[List[GradedExpr]]:
     """Rows M[a][b]: the d(x^b)-coefficient of i_{d/dx^a} beta (left-linear),
-    every row from one pass over beta's terms.
-
-    i_{d/dx^a} is the Leibniz walk of bidegree (-1, parity(x^a)) that sends
-    d(x^a)^k to ``power_image`` k*d(x^a)^(k-1) and every other factor to 0.
-    So a term of beta feeds row a once per differential d(x^a) it holds:
-    the image goes into the term's cofactor by the walk's ``_insert``, and
-    lands in the bin of its one remaining differential."""
+    by one ``interior`` walk per row."""
     chart = beta.chart
-    n, odd = chart.dim, chart.odd_mask
-    unit, flat = one(chart), (0,) * n
-    images: Dict[tuple, GradedExpr] = {}
-    bins: List[List[list]] = [[[] for _ in range(n)] for _ in range(n)]
-    for m in beta.terms:
-        mk = m.masks(chart)
-        # the parity of the factors crossed so far, for an even and for an
-        # odd contraction: only an odd one crosses the odd coordinates
-        flips = [0, (mk[3] & ((1 << n) - 1)).bit_count() & 1]
-        for a, k in enumerate(m.dexp):
-            if not k:
-                continue
-            par = odd >> a & 1
-            img = images.get((a, k))
-            if img is None:
-                img = images[a, k] = power_image(unit, "diff", a, k)
-            rest = m.dexp[:a] + (0,) + m.dexp[a + 1:]
-            for t in img.terms:
-                out = _insert(m.coeff, m.atoms, m.cexp, rest,
-                              *_cut(mk, n + a), t, chart, flips[par])
-                if out is not None and sum(out.dexp) == 1:
-                    bins[a][out.dexp.index(1)].append(
-                        Monomial(out.coeff, out.atoms, out.cexp, flat))
-            # crossing d(x^a)^k costs (-1)**(k*(1 + s*parity(x^a))) for a
-            # contraction of parity s
-            if k & 1:
-                flips[0] ^= 1
-                flips[1] ^= 1 - par
-    return [[GradedExpr.from_terms(chart, b) for b in row] for row in bins]
+    return [[row.coefficient_of_diff(b) for b in chart.names]
+            for row in (interior(basis_field(chart, a), beta)
+                        for a in chart.names)]
 
 
 class _FlatMap:

@@ -14,7 +14,7 @@ from graded_darboux import (apply_func, chart, coord, diff, gmul, one, partial,
                             zero)
 from graded_darboux.grexpr.chart import ChartSpec, CoordinateDecl, EVEN, ODD
 from graded_darboux.grexpr.expr import ATOM_KINDS, GradedExpr, Monomial, const
-from graded_darboux.cartan import VectorField, basis_field, exterior_d, interior
+from graded_darboux.cartan import VectorField, exterior_d
 from graded_darboux.grexpr.equality import DEFAULT_POLICY
 from graded_darboux.grexpr.grassmann import Plan, body_values
 from graded_darboux.pfaffian import PfaffianError
@@ -302,19 +302,6 @@ def grassmann_series_oracle(u: dict, derivs, ngens: int) -> dict:
 
 
 # -- flat-map oracles ---------------------------------------------------------------
-
-
-def walk_interior_rows(beta: GradedExpr):
-    """Rows M[a][b]: the d(x^b)-coefficient of i_{d/dx^a} beta, by one
-    ``interior`` walk per row and one ``coefficient_of_diff`` scan per
-    entry."""
-    chart = beta.chart
-    rows = []
-    for a in range(chart.dim):
-        ia = interior(basis_field(chart, chart.coords[a].name), beta) \
-            if not beta.is_zero() else zero(chart)
-        rows.append([ia.coefficient_of_diff(name) for name in chart.names])
-    return rows
 
 
 def float_decision_oracle(rows, vec, tol: float):

@@ -12,18 +12,28 @@ the dimension n (Geiges, *An Introduction to Contact Topology*, section
 class n.  ``KNOWN_DISAGREEMENTS`` lists each input where they differ today,
 with the ROADMAP item meant to fix it; the test requires the list to be
 exact in both directions.
+
+The class relation: for a nonzero one-form, chi(alpha) = ker alpha /\\ ker
+d(alpha), so the class is rank(d alpha) or rank(d alpha) + 1 (Bryant et
+al., *Exterior Differential Systems*, 1991, ch. II), and
+``characteristic_class``'s class minus ``presymplectic_check``'s rank of
+d(alpha) is 0 or 1.  ``KNOWN_CLASS_DISAGREEMENTS`` is exact in the same way.
 """
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
-from graded_darboux import chart, diff, gmul, parse_expr, zero
+from graded_darboux import chart, cli, diff, gmul, parse_expr, zero
+from graded_darboux.cartan import exterior_d
 from graded_darboux.darboux import linear_darboux
 from graded_darboux.grexpr.equality import EqualityPolicy
 from graded_darboux.grexpr.expr import is_exact_coeff
 from graded_darboux.grexpr.parser import format_expr
 from graded_darboux.pfaffian import (PfaffianError, characteristic_class,
                                      presymplectic_check, reeb)
+from test_ledger import BIG_X, PRECONTACT, SUPER as LEDGER_SUPER, T1M
 
 SUPER = chart(*[(f"x{i}", 0, 0) for i in range(6)],
               *[(f"t{i}", 1, 0) for i in range(3)])
@@ -132,3 +142,63 @@ def test_reeb_exists_iff_the_form_is_contact_of_full_class():
         if _reeb_found(alpha) != contact:
             disagree.add(text)
     assert disagree == set(KNOWN_DISAGREEMENTS)
+
+
+MANIFESTS = Path(cli.__file__).parent / "manifests"
+
+# the one-form inputs of the ledger's classification and Reeb cases
+LEDGER_ONE_FORMS = [
+    (text, README) for text in (
+        "d(z) - 1e-10*p*(2+sin(p*q))*d(q)",
+        "1e-12*(d(z) - p*(2+sin(p*q))*d(q))",
+        "d(z) - 1e9*p*(2+sin(p*q))*d(q)",
+        "d(z) - 1e10*p*(2+sin(p*q))*d(q)",
+        "d(z) - 1e12*p*(2+sin(p*q))*d(q)",
+        "d(z)")] + [
+    ("d(z) + exp(x)*exp(x)*y*d(y)", BIG_X),
+    ("d(x) + a*b*d(y)", LEDGER_SUPER),
+    ("(1+a*b)*d(x)", LEDGER_SUPER),
+    ("a*d(x) + b*d(y)", LEDGER_SUPER),
+    ("u*d(x) + v*d(y)", T1M),
+    ("d(z) + p*d(q)", PRECONTACT),
+]
+
+# input -> the ROADMAP item meant to fix the disagreement
+KNOWN_CLASS_DISAGREEMENTS = {}
+
+
+def _class_and_rank(alpha):
+    """``characteristic_class``'s class and ``presymplectic_check``'s rank
+    of d(alpha), each None where that command gives no verdict: a typed
+    refusal, the ``irregular`` kind or a rank that is not constant."""
+    try:
+        cls = characteristic_class(alpha).class_
+    except PfaffianError:
+        cls = None
+    try:
+        rank = presymplectic_check(exterior_d(alpha)).rank
+    except PfaffianError:
+        rank = None
+    return cls, rank
+
+
+def test_the_class_is_the_rank_of_the_differential_or_one_more():
+    forms = {}
+    for path in sorted(MANIFESTS.glob("*.json")):
+        ws, _ = cli.load_manifest(json.loads(path.read_text()))
+        forms.update({f"{path.name}:{name}": form
+                      for name, form in ws.forms.items()
+                      if form.form_degree() == 1})
+    manifest_forms = set(forms)
+    forms.update({text: parse_expr(text, c) for text, c in LEDGER_ONE_FORMS})
+    disagree, decided = set(), set()
+    for label, alpha in forms.items():
+        cls, rank = _class_and_rank(alpha)
+        if cls is None or rank is None:
+            continue
+        decided.add(label)
+        if cls - rank not in (0, 1):
+            disagree.add(label)
+    # every shipped one-form gets both verdicts
+    assert len(manifest_forms) == 6 and manifest_forms <= decided
+    assert disagree == set(KNOWN_CLASS_DISAGREEMENTS)

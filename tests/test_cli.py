@@ -78,6 +78,14 @@ def test_exit_two_on_bad_expression(tmp_path):
     assert run(str(m), stream=open(os.devnull, "w")) == 2
 
 
+# a one-form on (x, y) and a map to (q, p), for the darboux task rows
+PLANE = {"charts": {"M": {"coords": [["x", "even", "1"], ["y", "even", "-1"]]},
+                    "N": {"coords": [["q", "even", "1"], ["p", "even", "-1"]]}},
+         "forms": {"f": {"chart": "M", "expr": "y*d(x)"}},
+         "maps": {"phi": {"source": "M", "target": "N",
+                          "images": {"q": "x", "p": "y"}}}}
+
+
 @pytest.mark.parametrize("payload, message", [
     ({"charts": {"M": {"coords": [["x", "even"]]}}, "tasks": []},
      "error: bad manifest: chart 'M': coordinate ['x', 'even'] is not "
@@ -113,12 +121,48 @@ def test_exit_two_on_bad_expression(tmp_path):
      "error: task 0: argument 'fields' is not a list"),
     ({"charts": {}, "tasks": [{"cmd": "dist", "args": {"generators": 5}}]},
      "error: task 0: argument 'generators' is not a list"),
+    ({**PLANE, "tasks": [{"cmd": "darboux", "args": {
+        "form": "f", "map": "phi", "r": 1, "eps": 5}}]},
+     "error: task 0: argument 'eps' is not a list"),
+    ({**PLANE, "tasks": [{"cmd": "darboux", "args": {
+        "form": "f", "map": "phi", "r": 1, "base": 5}}]},
+     "error: task 0: argument 'base' is not an object"),
+    ({**PLANE, "tasks": [{"cmd": "verify-darboux", "args": {
+        "form": "f", "map": "phi", "spec": {"r": 1, "eps": 5}}}]},
+     "error: task 0: argument 'eps' is not a list"),
 ])
 def test_exit_two_on_malformed_manifest(tmp_path, capsys, payload, message):
     m = tmp_path / "malformed.json"
     m.write_text(json.dumps(payload))
     assert run(str(m), stream=open(os.devnull, "w")) == 2
     assert capsys.readouterr().err == message + "\n"
+
+
+@pytest.mark.parametrize("name, cmd, path", [
+    ("theta.json", "darboux", ("eps",)),
+    ("theta.json", "darboux", ("base",)),
+    ("theta.json", "verify-darboux", ("spec", "eps")),
+    ("eta.json", "verify-darboux", ("spec", "eps")),
+], ids=["theta-darboux-eps", "theta-darboux-base", "theta-verify-spec.eps",
+        "eta-verify-spec.eps"])
+@pytest.mark.parametrize("value", [5, 2.5, "zz", [1], {"a": 1}, None, True,
+                                   [], -1], ids=json.dumps)
+def test_any_json_value_of_eps_or_base_is_an_exit_code(tmp_path, name, cmd,
+                                                       path, value):
+    """The shipped task with one argument replaced ends with exit 0, 1 or
+    2, never a traceback; a value of the wrong JSON type is exit 2."""
+    payload = json.loads((MANIFESTS / name).read_text())
+    payload["tasks"] = [t for t in payload["tasks"] if t["cmd"] == cmd]
+    args = payload["tasks"][0]["args"]
+    for key in path[:-1]:
+        args = args[key]
+    args[path[-1]] = value
+    m = tmp_path / name
+    m.write_text(json.dumps(payload))
+    code = run(str(m), stream=open(os.devnull, "w"))
+    assert code in (0, 1, 2)
+    if not isinstance(value, dict if path == ("base",) else list):
+        assert code == 2
 
 
 def test_determinism_same_seed(tmp_path):

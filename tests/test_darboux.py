@@ -25,7 +25,7 @@ from graded_darboux.darboux import (NormalFormSpec, StraighteningError,
                                     straighten_commuting, verify_normal_form)
 from graded_darboux.grexpr.chart import ChartSpec, CoordinateDecl
 from graded_darboux.grexpr.equality import (DOMAIN_LIMIT, RK4_STEP,
-                                            EqualityPolicy)
+                                            EqualityPolicy, equal)
 from graded_darboux.grexpr.grassmann import Plan
 from graded_darboux.homogeneity import degree_of, weight_field_of_chart
 from graded_darboux.pfaffian import PfaffianError
@@ -671,6 +671,27 @@ class TestOneFormDarboux:
                               "K": parse_expr("z", c)})
         res = one_form_darboux(alpha, phi, r=1)
         assert res.status == "ok" and res.spec.variant == "contact"
+
+    @pytest.mark.parametrize("g", ["z*exp(x^2)",
+                                   "z*sin(x)*exp(x)/(2 + cos(x))",
+                                   "z*cos(x) + x*z"])
+    def test_contact_z_by_cartans_formula(self, g):
+        """alpha = d(g) + p d(q) with g of weight 1 on (x:0, q:0, p:1, z:1):
+        d(alpha) = d(p) d(q) is the normal form on the identity map, the
+        residual alpha' is d(g), and its homogeneous primitive of weight 1
+        is g itself, whatever the base point: quadrature could not
+        integrate the first two, and its primitive of the third vanished at
+        the base point instead of being homogeneous."""
+        c = chart(("x", 0, 0), ("q", 0, 0), ("p", 0, 1), ("z", 0, 1))
+        t = chart(("Q", 0, 0), ("P", 0, 1), ("K1", 0, 0), ("K2", 0, 1))
+        phi = ChartMap(c, t, {n: parse_expr(x, c) for n, x in
+                              [("Q", "q"), ("P", "p"), ("K1", "x"), ("K2", "z")]})
+        alpha = exterior_d(parse_expr(g, c)) + parse_expr("p*d(q)", c)
+        res = one_form_darboux(alpha, phi, r=1,
+                               base_point={"x": 0.5, "z": 0.5})
+        assert (res.status, res.spec.variant) == ("ok", "contact")
+        assert equal(res.chart_map.images["z"], parse_expr(g, c))
+        assert res.new_weights["z"] == 1
 
     def test_log_branch(self):
         c = chart(("x", 0, 1), ("u", 0, 0), ("v", 0, 0), default_box=(0.5, 1.5))

@@ -43,6 +43,34 @@ def test_only_the_printer_imports_inside_a_function():
 
 
 
+def _private_grexpr_imports(files):
+    """(file, name) of every underscore name that a module outside
+    ``grexpr/`` imports from ``grexpr``."""
+    found = []
+    for rel, text in files.items():
+        if rel.startswith("grexpr/"):
+            continue
+        for node in ast.walk(ast.parse(text)):
+            if (isinstance(node, ast.ImportFrom)
+                    and "grexpr" in (node.module or "").split(".")):
+                found.extend((rel, a.name) for a in node.names
+                             if a.name.startswith("_"))
+    return found
+
+
+def test_only_grexpr_knows_its_private_names():
+    # the Koszul insertion and the walk's other helpers stay behind the
+    # public operators, so the sign rule lives in one module
+    files = {path.relative_to(SRC).as_posix(): path.read_text()
+             for path in sorted(SRC.rglob("*.py"))}
+    assert _private_grexpr_imports(files) == []
+    files["pfaffian.py"] += "\nfrom .grexpr.expr import GradedExpr, _insert\n"
+    files["cartan.py"] += "\nfrom .grexpr import _probe\n"
+    files["grexpr/parser.py"] += "\nfrom .expr import _cut\n"
+    assert sorted(_private_grexpr_imports(files)) == [
+        ("cartan.py", "_probe"), ("pfaffian.py", "_insert")]
+
+
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 
