@@ -32,7 +32,7 @@ from .grexpr.expr import (GradedExpr, Monomial, apply_func, const, coord, diff,
                           gdiv, gmul, is_exact_coeff, partial, substitute,
                           zero)
 from .grexpr.integrate import NonIntegrable, integrate_univariate
-from .grexpr.grassmann import Plan, body_values
+from .grexpr.grassmann import Plan, body_values, float_stage
 from .homogeneity import DegreeReport, degree_of, weight_field_of_chart
 from .pfaffian import PfaffianError, characteristic_class, flat_matrix
 
@@ -708,22 +708,31 @@ class StraighteningError(RuntimeError):
     pass
 
 
-def _evaluator(plans: Sequence[Plan], N: int):
+def _evaluator(plans: Sequence[Plan], N: int, compiled: bool = False):
     """Float bodies of the plans at N points, as a function of the (N, n)
     points that fills one (N, len(plans)) buffer and returns it; the plans
     of one call share one value table.  The first call evaluates every plan
-    in plan order, later ones only the plans that read a coordinate."""
+    in plan order, later ones only the plans that read a coordinate: by
+    the walk, or, if ``compiled``, by one ``float_stage`` of those plans,
+    which gives the walk's values bit for bit."""
     out = np.empty((N, len(plans)))
     todo = list(enumerate(plans))
     reading = [(j, p) for j, p in todo if p.reads]
+    columns = np.array([j for j, _ in reading], dtype=int)
+    stage = None
 
     def evaluate(x: np.ndarray) -> np.ndarray:
-        nonlocal todo
+        nonlocal todo, stage
+        if stage is not None:
+            out[:, columns] = stage(x.tolist())
+            return out
         values: dict = {}
         cols = list(x.T)
         for j, p in todo:
             out[:, j] = p.float_body(cols, values)
         todo = reading
+        if compiled and reading:
+            stage = float_stage([p for _, p in reading])
         return out
     return evaluate
 
@@ -750,7 +759,7 @@ def _rk4_flow(plans: Sequence[Plan], x: np.ndarray, J: np.ndarray,
         return _in_domain(_in_domain(x) + t[:, None] * f), J
     steps = max(1, math.ceil(float(np.max(np.abs(t))) / RK4_STEP))
     dt = (t / steps)[:, None]
-    field = _evaluator(plans, N)
+    field = _evaluator(plans, N, compiled=True)
     k = np.empty((4, N, n + n * n))      # the four stages' derivatives
 
     def rhs(y, out):

@@ -18,7 +18,9 @@ pair table per k.
 
 Every numeric evaluation goes through one compiled ``Plan`` per expression:
 the expression tree is walked once, and the plan is then called at many
-points, in exact ``Fraction`` bodies, float bodies or Grassmann values.
+points, in exact ``Fraction`` bodies, float bodies or Grassmann values;
+the float bodies of a list of plans also compile, through the same walk,
+into one Python function over a point's floats (``float_stage``).
 Plans can share two tables, passed explicitly: a compile table, so that
 each distinct atom argument is compiled once, and a value table per point
 batch, so that each distinct atom value, atom power and coordinate power
@@ -423,7 +425,7 @@ class Plan:
 
     The expression tree is walked once, here; the plan is then called at
     many points.  ``x`` holds one value per chart coordinate, in chart
-    order.  All three number kinds share one operation order: coefficient,
+    order.  Every number kind shares one operation order: coefficient,
     then atoms, then coordinate powers by repeated multiplication, summed
     term by term from zero.  ``exact`` is True for polynomials with exact
     coefficients, the only plans with an exact body.  ``compiled``, the
@@ -518,6 +520,87 @@ class Plan:
                 v = mul(v, x[i] if k == 1 else values[i, k])
             total = add(total, v)
         return total
+
+
+class _Source:
+    """The float-source number kind of ``Plan._run``: each operation the
+    walk makes becomes one line of Python over one node's floats, in walk
+    order, and its value is the name of that line's result.  Every
+    coefficient and atom function is bound in the namespace under a
+    generated name, so no text of the expression reaches the source; each
+    shared atom, atom power and coordinate power is the name the value
+    table holds, computed once per node."""
+
+    def __init__(self):
+        self.namespace: dict = {}
+        self.lines: List[str] = []
+
+    def bind(self, obj) -> str:
+        name = f"_k{len(self.namespace)}"
+        self.namespace[name] = obj
+        return name
+
+    def let(self, value: str) -> str:
+        name = f"t{len(self.lines)}"
+        self.lines.append(f"{name} = {value}")
+        return name
+
+    def lift(self, coeff) -> str:
+        return self.bind(coeff[1])
+
+    def atom(self, kind: str, arg: str) -> str:
+        return self.let(f"{self.bind(_ATOMS[kind].value)}({arg})")
+
+    def mul(self, u: str, v: str) -> str:
+        return self.let(f"{u} * {v}")
+
+    def add(self, u: str, v: str) -> str:
+        return self.let(f"{u} + {v}")
+
+
+def float_stage(plans: Sequence[Plan]) -> Callable[[list], np.ndarray]:
+    """The float bodies of one or more plans on one chart, compiled into
+    one function of a list of N points, each one float per coordinate (zero
+    at odd coordinates), that returns the (N, len(plans)) array of the
+    plans' values.
+
+    The source is the walk of ``float_body`` over the plans with one value
+    table, in the float-source kind, so each point's values are those the
+    walk gives at that point, bit for bit: Python and numpy float64 ``*``
+    and ``+`` are the same rounded operations, and an atom calls the
+    ``math`` function the walk maps over the points.  The compiled
+    function raises where the walk does: at an atom's domain, and at a
+    coefficient beyond float range, which stays exact and raises
+    OverflowError in Python as in numpy.  There the walk runs instead, so
+    the error raised is the walk's, the first in its order.
+    """
+    src = _Source()
+    x = [f"x{i}" for i in range(plans[0].chart.dim)]
+    values: dict = {}
+    totals = [plan._run(x, "0.0", src.lift, src.atom, values,
+                        mul=src.mul, add=src.add) for plan in plans]
+    body = "".join(f"        {line}\n" for line in src.lines)
+    source = (f"def stage(points):\n"
+              f"    out = []\n"
+              f"    for {''.join(f'{v}, ' for v in x)}in points:\n"
+              f"{body}"
+              f"        out.extend(({''.join(f'{t}, ' for t in totals)}))\n"
+              f"    return out\n")
+    exec(compile(source, "<float stage>", "exec"), src.namespace)
+    # popped, so that the function and its globals hold no cycle
+    compiled = src.namespace.pop("stage")
+
+    def stage(points: list) -> np.ndarray:
+        try:
+            return np.array(compiled(points)).reshape(len(points), len(plans))
+        except (ValueError, ArithmeticError):
+            cols = list(np.array(points, dtype=float).T)
+            values: dict = {}
+            with np.errstate(all="ignore"):
+                for plan in plans:
+                    plan.float_body(cols, values)
+            raise
+    return stage
 
 
 def _coordinates(chart: ChartSpec, points: List[list]) -> List[np.ndarray]:

@@ -18,22 +18,32 @@ d(alpha), so the class is rank(d alpha) or rank(d alpha) + 1 (Bryant et
 al., *Exterior Differential Systems*, 1991, ch. II), and
 ``characteristic_class``'s class minus ``presymplectic_check``'s rank of
 d(alpha) is 0 or 1.  ``KNOWN_CLASS_DISAGREEMENTS`` is exact in the same way.
+
+The symmetry relation: equality is symmetric, so ``equal(a, b)`` and
+``equal(b, a)`` give one verdict, or raise one error, in randomized mode at
+one seed.  The degree relation: d commutes with L_nabla, so where ``degree``
+gives both alpha and d(alpha) a weight, the weights are equal.  Both run on
+the forms of the six manifests and the ledger's forms, each with a known-
+disagreement table that is exact in the same way.
 """
 
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 from graded_darboux import chart, cli, diff, gmul, parse_expr, zero
 from graded_darboux.cartan import exterior_d
 from graded_darboux.darboux import linear_darboux
-from graded_darboux.grexpr.equality import EqualityPolicy
+from graded_darboux.grexpr.equality import EqualityPolicy, equal
 from graded_darboux.grexpr.expr import is_exact_coeff
 from graded_darboux.grexpr.parser import format_expr
+from graded_darboux.homogeneity import degree_of, weight_field_of_chart
 from graded_darboux.pfaffian import (PfaffianError, characteristic_class,
                                      presymplectic_check, reeb)
-from test_ledger import BIG_X, PRECONTACT, SUPER as LEDGER_SUPER, T1M
+from test_ledger import (BIG_X, EDGE, EVEN4, LINE, PRECONTACT,
+                         SUPER as LEDGER_SUPER, T1M)
 
 SUPER = chart(*[(f"x{i}", 0, 0) for i in range(6)],
               *[(f"t{i}", 1, 0) for i in range(3)])
@@ -182,13 +192,19 @@ def _class_and_rank(alpha):
     return cls, rank
 
 
-def test_the_class_is_the_rank_of_the_differential_or_one_more():
+def _manifest_forms():
+    """Every form of the six shipped manifests, by file and name."""
     forms = {}
     for path in sorted(MANIFESTS.glob("*.json")):
         ws, _ = cli.load_manifest(json.loads(path.read_text()))
         forms.update({f"{path.name}:{name}": form
-                      for name, form in ws.forms.items()
-                      if form.form_degree() == 1})
+                      for name, form in ws.forms.items()})
+    return forms
+
+
+def test_the_class_is_the_rank_of_the_differential_or_one_more():
+    forms = {label: form for label, form in _manifest_forms().items()
+             if form.form_degree() == 1}
     manifest_forms = set(forms)
     forms.update({text: parse_expr(text, c) for text, c in LEDGER_ONE_FORMS})
     disagree, decided = set(), set()
@@ -202,3 +218,82 @@ def test_the_class_is_the_rank_of_the_differential_or_one_more():
     # every shipped one-form gets both verdicts
     assert len(manifest_forms) == 6 and manifest_forms <= decided
     assert disagree == set(KNOWN_CLASS_DISAGREEMENTS)
+
+
+# the ledger's other inputs: the sides of its equality cases and its two-forms
+LEDGER_FORMS = LEDGER_ONE_FORMS + [
+    (text, LINE) for text in (
+        "1e-10*sin(x)", "2e-10*sin(x)",
+        "exp(x)*exp(x) - exp(x-1)*exp(x+1) + 1", "1")] + [
+    ("exp(x)*exp(x)*(d(x)*d(y) + d(x)*d(z))", EDGE),
+    ("d(x)*d(y) + 1e12*d(a)*d(a)", LEDGER_SUPER),
+    ("d(x)*d(y) + 1e-12*d(a)*d(a) + d(b)*d(b)", LEDGER_SUPER),
+    ("1e-12*d(x)*d(y) + d(u)*d(v)", EVEN4),
+    ("1e12*d(x)*d(y) + d(u)*d(v)", EVEN4),
+    ("(1/3)*d(x)*d(y)", EVEN4),
+]
+
+
+def _all_forms():
+    """The forms of the six manifests, then the ledger's, by label."""
+    forms = _manifest_forms()
+    assert len(forms) == 8
+    forms.update({text: parse_expr(text, c) for text, c in LEDGER_FORMS})
+    return forms
+
+
+# (label, label, seed) -> the ROADMAP item meant to fix the disagreement
+KNOWN_SYMMETRY_DISAGREEMENTS = {}
+
+
+def _verdict(a, b, policy):
+    """``equal(a, b)``'s verdict, or the type and text of its error."""
+    try:
+        return equal(a, b, policy).equal
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_equality_is_symmetric():
+    """Every pair of distinct forms on one chart, both ways round, in
+    randomized mode at seeds 0 to 2."""
+    forms = _all_forms()
+    disagree, verdicts = set(), []
+    for x, y in combinations(forms, 2):
+        a, b = forms[x], forms[y]
+        if a.chart != b.chart:
+            continue
+        for seed in range(3):
+            policy = EqualityPolicy(mode="randomized", seed=seed)
+            verdict = _verdict(a, b, policy)
+            verdicts.append(verdict)
+            if _verdict(b, a, policy) != verdict:
+                disagree.add((x, y, seed))
+    # the pairs reach both verdicts
+    assert verdicts.count(True) >= 3 and verdicts.count(False) >= 100
+    assert disagree == set(KNOWN_SYMMETRY_DISAGREEMENTS)
+
+
+# label -> the ROADMAP item meant to fix the disagreement
+KNOWN_DEGREE_DISAGREEMENTS = {}
+
+
+def _weight(form):
+    """``degree``'s weight of a form under its chart's weight field, None
+    where it gives none: not homogeneous, or zero, of any weight."""
+    rep = degree_of(form, weight_field_of_chart(form.chart))
+    return rep.degree.weight if rep.degree else None
+
+
+def test_a_form_and_its_differential_have_one_weight():
+    disagree, weights = set(), set()
+    for label, alpha in _all_forms().items():
+        w, dw = _weight(alpha), _weight(exterior_d(alpha))
+        if w is None or dw is None:
+            continue
+        weights.add(w)
+        if w != dw:
+            disagree.add(label)
+    # weight 1 is reached on the thermodynamics manifest and on T*[1]M
+    assert weights == {0, 1}
+    assert disagree == set(KNOWN_DEGREE_DISAGREEMENTS)

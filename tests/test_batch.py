@@ -1,5 +1,6 @@
 """The batched numeric stage of sampled checks: the integer sampler, batched
-body evaluation, and the per-point replay of its callers."""
+body evaluation, the per-point replay of its callers, and the compiled float
+stage of straightening's RK4 flows."""
 
 import math
 import random
@@ -7,14 +8,17 @@ import re
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from graded_darboux import EqualityPolicy, chart, coord, parse_expr
+from graded_darboux import (EqualityPolicy, apply_func, chart, const, coord,
+                            gmul, parse_expr)
 from graded_darboux.cartan import VectorField, basis_field, vector_field
 from graded_darboux.darboux import straighten_commuting
 from graded_darboux.grexpr import grassmann
 from graded_darboux.grexpr.expr import EvaluationError
-from graded_darboux.grexpr.grassmann import Plan, body_values, sample_body_points
+from graded_darboux.grexpr.grassmann import (Plan, body_values, float_stage,
+                                             sample_body_points)
 from graded_darboux.grexpr.chart import ChartSpec, CoordinateDecl
 from graded_darboux.homogeneity import (Distribution, RankCollapseError,
                                         _span_contains)
@@ -355,3 +359,110 @@ def test_a_failing_plan_that_reads_no_coordinate_fails_every_point():
     nonpositive = "log of a value with nonpositive body"
     assert met == [nonpositive] * 3 + ["no value for coordinate 'y'"] \
         + [nonpositive] * 12
+
+
+# -- the compiled float stage ------------------------------------------------------
+
+
+def _walked(plans, points):
+    """The plans' float bodies at the points by the walk with one value
+    table, as the first call of a flow's evaluator gives them."""
+    cols = list(np.array(points, dtype=float).T)
+    values = {}
+    with np.errstate(all="ignore"):
+        return np.stack([np.broadcast_to(p.float_body(cols, values), len(points))
+                         for p in plans], axis=1)
+
+
+def _bits(evaluate):
+    """Every value's ``float.hex`` in point order, or the error raised."""
+    try:
+        return [v.hex() for v in evaluate().ravel().tolist()]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+STAGE_ATOMS = ("sin", "cos", "exp", "log", "inv")
+
+
+def _stage_expr(c, rng):
+    """A polynomial times up to two atoms, each of power 1 to 3, whose
+    argument is a polynomial or, one time in four, a nonzero constant."""
+    e = random_expr(c, rng, n_terms=rng.randint(1, 3), max_deg=2)
+    for _ in range(rng.randint(0, 2)):
+        if rng.random() < 0.25:
+            arg = const(c, Fraction(rng.choice([-3, -1, 1, 2, 5]), 2))
+        else:
+            arg = random_expr(c, rng, n_terms=rng.randint(1, 2), max_deg=2)
+        if arg.is_zero():
+            continue
+        e = gmul(e, apply_func(rng.choice(STAGE_ATOMS), arg) ** rng.randint(1, 3))
+    return e * rng.choice([1, 0.1, -1 / 3])
+
+
+def test_the_compiled_stage_is_the_walk_bit_for_bit():
+    """Lists of plans on even charts, sharing one compile table as a
+    field's do, at points that include zeros, where log and 1/b have no
+    value, and values near 1e200, whose products overflow to inf and, in
+    inf - inf or inf * 0, to nan."""
+    rng = random.Random(3701)
+    kinds = {"values": 0, "error": 0, "inf": 0, "nan": 0, "power": 0,
+             "constant": 0}
+    seen = set()
+    for trial in range(300):
+        c = random_chart(rng, max_even=3, max_odd=0)
+        compiled = {}
+        plans = [Plan(_stage_expr(c, rng), compiled)
+                 for _ in range(rng.randint(1, 4))]
+        points = [[rng.choice([0.0, 1e200, -1e200]) if rng.random() < 0.15
+                   else rng.uniform(-2, 2) for _ in range(c.dim)]
+                  for _ in range(rng.randint(1, 8))]
+        want = _bits(lambda: _walked(plans, points))
+        assert _bits(lambda: float_stage(plans)(points)) == want, trial
+        if isinstance(want, tuple):
+            kinds["error"] += 1
+        else:
+            kinds["values"] += 1
+            kinds["inf"] += any(v in ("inf", "-inf") for v in want)
+            kinds["nan"] += "nan" in want
+        atoms = [(node, k) for p in plans for _, ats, _ in p.terms
+                 for node, k in ats]
+        seen.update(node[0] for node, _ in atoms)
+        kinds["power"] += any(k >= 2 for _, k in atoms)
+        kinds["constant"] += any(not node[1].reads for node, _ in atoms)
+    # every case the comparison is meant to reach is reached, ten times or
+    # more
+    assert min(kinds.values()) >= 10, kinds
+    assert seen == set(STAGE_ATOMS)
+
+
+def test_the_compiled_stage_raises_the_first_error_of_the_walk():
+    """1/y comes before log(x) in the walk.  At the first point log(x)
+    fails and 1/y does not; at the second, 1/y fails.  The walk computes
+    1/y at every point first, so its error is the one raised, although
+    one point's own operations meet log first."""
+    c = chart(("x", 0, 0), ("y", 0, 0))
+    plan = Plan(parse_expr("log(x)/y", c))
+    assert [node[0] for node, _ in plan.terms[0][1]] == ["inv", "log"]
+    points = [[-1.0, 1.0], [1.0, 0.0]]
+    with pytest.raises(EvaluationError, match="^division by a value with zero body$"):
+        _walked([plan], points)
+    with pytest.raises(EvaluationError, match="^division by a value with zero body$"):
+        float_stage([plan])(points)
+    # at the first point alone, log(x) is the error
+    with pytest.raises(EvaluationError, match="^log of a value with nonpositive body$"):
+        float_stage([plan])(points[:1])
+
+
+def test_a_coefficient_beyond_float_range_keeps_the_walk():
+    """10^400 stays an exact coefficient; the walk raises OverflowError at
+    it, after the plans before it, and so does the compiled stage."""
+    c = chart(("x", 0, 0))
+    plans = [Plan(parse_expr(t, c)) for t in ("sin(x)", "10^400*x + 1")]
+    assert [coeff[1] for coeff, _, _ in plans[1].terms] == [1.0, 10 ** 400]
+    points = [[0.5], [1.0]]
+    want = _bits(lambda: _walked(plans, points))
+    assert want[0] is OverflowError
+    assert _bits(lambda: float_stage(plans)(points)) == want
+    assert _bits(lambda: float_stage(plans[:1])(points)) == \
+        [math.sin(v).hex() for v in (0.5, 1.0)]

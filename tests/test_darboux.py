@@ -1113,17 +1113,29 @@ class TestStraightening:
     def test_a_constant_plan_runs_once_per_flow(self, monkeypatch):
         # a plan that reads no coordinate runs once at the base point, once
         # per flow and once on the grid, whatever the RK4 step count; a plan
-        # that reads one runs at each of the four stages of every step
+        # that reads one runs at each of the four stages of every step: by
+        # the walk at a flow's first stage, and by the flow's compiled stage
+        # after it
         c = chart(("x", 0, 0), ("y", 0, 0), ("z", 0, 0))
         pair = [basis_field(c, "x"), vector_field(c, {"y": "1", "z": "cos(y)"})]
         calls = []
         float_body = Plan.float_body
+        float_stage = darboux.float_stage
 
         def counting(plan, x, values=None):
             calls.append(plan)
             return float_body(plan, x, values)
 
+        def counting_stage(plans):
+            stage = float_stage(plans)
+
+            def counted(points):
+                calls.extend(plans)
+                return stage(points)
+            return counted
+
         monkeypatch.setattr(Plan, "float_body", counting)
+        monkeypatch.setattr(darboux, "float_stage", counting_stage)
         counts = []
         for box in (0.05, 0.3):
             calls.clear()

@@ -1,7 +1,8 @@
 """Package layout: imports sit at module level, so the import graph is the
 module graph and a cycle shows up at import time; every function the
-benchmark's tracer wraps by name exists; and every definition in ``src`` is
-reached from ``src``, so code that only tests call lives in the tests."""
+benchmark's tracer wraps by name exists; every definition in ``src`` is
+reached from ``src``, so code that only tests call lives in the tests; and
+only the float stage turns source text into code."""
 
 import ast
 import importlib
@@ -208,4 +209,51 @@ def test_coefficient_exactness_has_one_predicate():
     files["grexpr/parser.py"] += ("\n\ndef probe(m):\n"
                                   "    return isinstance(m.coeff, (int, Fraction))\n")
     assert sorted(set(_fraction_tests(files)) - FRACTION_TESTS) == [
+        ("grexpr/parser.py", "probe")]
+
+
+# the one place that turns generated source into code: the float stage
+# binds every coefficient and atom rule in a namespace, so no text of an
+# expression reaches the source it compiles
+CODE_BUILTINS = {"compile", "exec", "eval"}
+CODE_OWNERS = {("grexpr/grassmann.py", "float_stage")}
+
+
+def _code_builtins(files):
+    """(file, enclosing function) of every use of a builtin that runs
+    source text: a bare name, or an attribute of ``builtins``, so that
+    ``re.compile`` is not one."""
+    found = []
+
+    def visit(node, rel, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                inner = scope + [child.name]
+            if (isinstance(child, ast.Name) and child.id in CODE_BUILTINS
+                    or isinstance(child, ast.Attribute)
+                    and child.attr in CODE_BUILTINS
+                    and isinstance(child.value, ast.Name)
+                    and child.value.id in ("builtins", "__builtins__")):
+                found.append((rel, ".".join(scope)))
+            visit(child, rel, inner)
+
+    for rel, text in files.items():
+        visit(ast.parse(text), rel, [])
+    return found
+
+
+def test_only_the_float_stage_compiles_source():
+    files = {path.relative_to(SRC).as_posix(): path.read_text()
+             for path in sorted(SRC.rglob("*.py"))}
+    assert set(_code_builtins(files)) == CODE_OWNERS
+    files["darboux.py"] += ("\n\ndef probe(text):\n"
+                            "    return eval(text)\n")
+    files["grexpr/parser.py"] += ("\n\ndef probe(text, ns):\n"
+                                  "    run = builtins.exec\n    run(text, ns)\n"
+                                  "    return re.compile(text)\n")
+    files["grexpr/grassmann.py"] += "\nSTAGE = compile('1', '<probe>', 'eval')\n"
+    assert sorted(set(_code_builtins(files)) - CODE_OWNERS) == [
+        ("darboux.py", "probe"), ("grexpr/grassmann.py", ""),
         ("grexpr/parser.py", "probe")]
