@@ -18,7 +18,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations, product as iproduct
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -708,35 +708,6 @@ class StraighteningError(RuntimeError):
     pass
 
 
-def _evaluator(plans: Sequence[Plan], N: int, compiled: bool = False):
-    """Float bodies of the plans at N points, as a function of the (N, n)
-    points that fills one (N, len(plans)) buffer and returns it; the plans
-    of one call share one value table.  The first call evaluates every plan
-    in plan order, later ones only the plans that read a coordinate: by
-    the walk, or, if ``compiled``, by one ``float_stage`` of those plans,
-    which gives the walk's values bit for bit."""
-    out = np.empty((N, len(plans)))
-    todo = list(enumerate(plans))
-    reading = [(j, p) for j, p in todo if p.reads]
-    columns = np.array([j for j, _ in reading], dtype=int)
-    stage = None
-
-    def evaluate(x: np.ndarray) -> np.ndarray:
-        nonlocal todo, stage
-        if stage is not None:
-            out[:, columns] = stage(x.tolist())
-            return out
-        values: dict = {}
-        cols = list(x.T)
-        for j, p in todo:
-            out[:, j] = p.float_body(cols, values)
-        todo = reading
-        if compiled and reading:
-            stage = float_stage([p for _, p in reading])
-        return out
-    return evaluate
-
-
 def _in_domain(x: np.ndarray) -> np.ndarray:
     if not np.abs(x).max() <= DOMAIN_LIMIT:     # also true for nan
         raise StraighteningError(
@@ -744,28 +715,22 @@ def _in_domain(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _rk4_flow(plans: Sequence[Plan], x: np.ndarray, J: np.ndarray,
-              t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def _rk4_flow(field: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
+              J: np.ndarray, t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Flow of a field f from every row of x for its own time t, with the
-    variational equation for J; ``plans`` holds Df, row-major, then f, and
-    may leave out Df when f reads no coordinate.  Such a field moves x to
-    x + t f and leaves J (Df = 0); the domain is convex, so checking both
-    ends checks the path.  Any other takes fixed-step RK4 in rescaled time
-    s in [0, 1], dx/ds = t f(x) and dJ/ds = t Df(x) J, with one step count
-    for all rows."""
+    variational equation for J; ``field`` gives f and then Df, row-major,
+    at a batch of points.  Fixed-step RK4 in rescaled time s in [0, 1],
+    dx/ds = t f(x) and dJ/ds = t Df(x) J, with one step count for all
+    rows."""
     N, n = x.shape
-    if not any(p.reads for p in plans):
-        f = _evaluator(plans[-n:], N)(x)
-        return _in_domain(_in_domain(x) + t[:, None] * f), J
     steps = max(1, math.ceil(float(np.max(np.abs(t))) / RK4_STEP))
     dt = (t / steps)[:, None]
-    field = _evaluator(plans, N, compiled=True)
     k = np.empty((4, N, n + n * n))      # the four stages' derivatives
 
     def rhs(y, out):
         v = field(y[:, :n])
-        out[:, :n] = v[:, n * n:]
-        out[:, n:] = (v[:, :n * n].reshape(N, n, n)
+        out[:, :n] = v[:, :n]
+        out[:, n:] = (v[:, n:].reshape(N, n, n)
                       @ y[:, n:].reshape(N, n, n)).reshape(N, -1)
         return out
 
@@ -852,18 +817,20 @@ def straighten_commuting(fields: Sequence[VectorField],
 
     n = chart.dim
     k = len(fields)
-    plans, jac_plans = [], []
+    # one evaluator per field, of f and then Df, row-major; a field that
+    # reads no coordinate flows in closed form, so Df = 0 is left out
+    fs, reads = [], []
     for X in fields:
         compiled: dict = {}     # one compile table per field
-        plans.append([Plan(c, compiled) for c in X.coefficients])
-        # a field that reads no coordinate flows in closed form, so Df = 0
-        jac_plans.append([Plan(partial(c, name), compiled)
-                          for c in X.coefficients for name in chart.names]
-                         if any(p.reads for p in plans[-1]) else [])
+        plans = [Plan(c, compiled) for c in X.coefficients]
+        reads.append(any(p.reads for p in plans))
+        if reads[-1]:
+            plans += [Plan(partial(c, name), compiled)
+                      for c in X.coefficients for name in chart.names]
+        fs.append(float_stage(plans))
 
     # rank tests on unit rows, so that the fields' scale decides nothing
-    M = _linalg.unit_rows(np.vstack([_evaluator(ps, 1)(base[None])
-                                     for ps in plans]))
+    M = _linalg.unit_rows(np.vstack([f(base[None])[:, :n] for f in fs]))
     # only now, so that a field's own typed error at the base point, such as
     # an atom of an overflowed argument, comes first
     if (np.abs(base) > DOMAIN_LIMIT).any():
@@ -893,14 +860,19 @@ def straighten_commuting(fields: Sequence[VectorField],
     for m, ax in enumerate(slice_axes):
         x[:, ax] += U[:, k + m]
         J[:, ax, k + m] = 1.0
-    fs = [_evaluator(ps, len(combos)) for ps in plans]
     for i in reversed(range(k)):
-        bad = ~np.isfinite(fs[i](x)).all(axis=1)    # where each flow starts
+        f = fs[i](x)[:, :n]     # where each flow starts
+        bad = ~np.isfinite(f).all(axis=1)
         if bad.any():
             raise StraighteningError("fields are not finite at the grid node "
                                      f"u={tuple(map(float, U[bad.argmax()]))}")
-        x, J = _rk4_flow(jac_plans[i] + plans[i], x, J, U[:, i])
-        J[:, :, i] = fs[i](x)
+        if reads[i]:
+            x, J = _rk4_flow(fs[i], x, J, U[:, i])
+        else:
+            # a translation, and the domain is convex, so checking both
+            # ends checks the path
+            x = _in_domain(_in_domain(x) + U[:, i, None] * f)
+        J[:, :, i] = fs[i](x)[:, :n]
 
     nodes = [(tuple(map(float, combo)), row) for combo, row in zip(combos, x)]
     # rank tests on unit columns, as at the base point; a Jacobian that is
@@ -910,7 +882,7 @@ def straighten_commuting(fields: Sequence[VectorField],
                 if r is not None and r < n]
     if singular:
         raise StraighteningError(f"singular jacobian on the grid at u={singular[0]}")
-    F = np.stack([f(x) for f in fs], axis=-1)
+    F = np.stack([f(x)[:, :n] for f in fs], axis=-1)
     # a node whose Jacobian or fields are not finite fails the certificate
     eye = np.eye(n)[:, :k]
     max_err = float(np.max([math.inf if sol is None else np.max(np.abs(sol - eye))

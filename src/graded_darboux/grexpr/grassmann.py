@@ -19,8 +19,9 @@ pair table per k.
 Every numeric evaluation goes through one compiled ``Plan`` per expression:
 the expression tree is walked once, and the plan is then called at many
 points, in exact ``Fraction`` bodies, float bodies or Grassmann values;
-the float bodies of a list of plans also compile, through the same walk,
-into one Python function over a point's floats (``float_stage``).
+the float bodies of a list of plans called many times are one evaluator,
+``float_stage``, which walks them once and then runs one Python function
+compiled from the same walk over a point's floats.
 Plans can share two tables, passed explicitly: a compile table, so that
 each distinct atom argument is compiled once, and a value table per point
 batch, so that each distinct atom value, atom power and coordinate power
@@ -558,48 +559,66 @@ class _Source:
         return self.let(f"{u} + {v}")
 
 
-def float_stage(plans: Sequence[Plan]) -> Callable[[list], np.ndarray]:
-    """The float bodies of one or more plans on one chart, compiled into
-    one function of a list of N points, each one float per coordinate (zero
-    at odd coordinates), that returns the (N, len(plans)) array of the
-    plans' values.
+def float_stage(plans: Sequence[Plan]) -> Callable[[np.ndarray], np.ndarray]:
+    """The float bodies of one or more plans on one chart, as a function of
+    an (N, dim) float array of points (zero at odd coordinates) that fills
+    one (N, len(plans)) buffer and returns it; a new N copies the columns
+    of the plans that read no coordinate into a new buffer.
 
-    The source is the walk of ``float_body`` over the plans with one value
-    table, in the float-source kind, so each point's values are those the
-    walk gives at that point, bit for bit: Python and numpy float64 ``*``
+    The first call walks ``float_body`` over every plan, in plan order,
+    with one value table, which fills those columns once.  Later calls run
+    one Python function, compiled here from the same walk of the plans that
+    read a coordinate, in the float-source kind, so each point's values are
+    the walk's at that point, bit for bit: Python and numpy float64 ``*``
     and ``+`` are the same rounded operations, and an atom calls the
-    ``math`` function the walk maps over the points.  The compiled
-    function raises where the walk does: at an atom's domain, and at a
-    coefficient beyond float range, which stays exact and raises
-    OverflowError in Python as in numpy.  There the walk runs instead, so
-    the error raised is the walk's, the first in its order.
+    ``math`` function the walk maps over the points.  The compiled function
+    raises where the walk does: at an atom's domain, and at a coefficient
+    beyond float range, which stays exact and raises OverflowError in
+    Python as in numpy.  There the walk runs instead, so the error raised
+    is the walk's, the first in its order.
     """
-    src = _Source()
-    x = [f"x{i}" for i in range(plans[0].chart.dim)]
-    values: dict = {}
-    totals = [plan._run(x, "0.0", src.lift, src.atom, values,
-                        mul=src.mul, add=src.add) for plan in plans]
-    body = "".join(f"        {line}\n" for line in src.lines)
-    source = (f"def stage(points):\n"
-              f"    out = []\n"
-              f"    for {''.join(f'{v}, ' for v in x)}in points:\n"
-              f"{body}"
-              f"        out.extend(({''.join(f'{t}, ' for t in totals)}))\n"
-              f"    return out\n")
-    exec(compile(source, "<float stage>", "exec"), src.namespace)
-    # popped, so that the function and its globals hold no cycle
-    compiled = src.namespace.pop("stage")
+    columns = np.flatnonzero([bool(plan.reads) for plan in plans])
+    compiled = None
+    if columns.size:
+        src = _Source()
+        x = [f"x{i}" for i in range(plans[0].chart.dim)]
+        values: dict = {}
+        totals = [plans[j]._run(x, "0.0", src.lift, src.atom, values,
+                                mul=src.mul, add=src.add) for j in columns]
+        body = "".join(f"        {line}\n" for line in src.lines)
+        source = (f"def stage(points):\n"
+                  f"    out = []\n"
+                  f"    for {''.join(f'{v}, ' for v in x)}in points:\n"
+                  f"{body}"
+                  f"        out.extend(({''.join(f'{t}, ' for t in totals)}))\n"
+                  f"    return out\n")
+        exec(compile(source, "<float stage>", "exec"), src.namespace)
+        # popped, so that the function and its globals hold no cycle
+        compiled = src.namespace.pop("stage")
+    out = None
 
-    def stage(points: list) -> np.ndarray:
-        try:
-            return np.array(compiled(points)).reshape(len(points), len(plans))
-        except (ValueError, ArithmeticError):
-            cols = list(np.array(points, dtype=float).T)
-            values: dict = {}
-            with np.errstate(all="ignore"):
-                for plan in plans:
-                    plan.float_body(cols, values)
-            raise
+    def walk(points: np.ndarray, buffer: np.ndarray) -> np.ndarray:
+        cols, values = list(points.T), {}
+        with np.errstate(all="ignore"):
+            for j, plan in enumerate(plans):
+                buffer[:, j] = plan.float_body(cols, values)
+        return buffer
+
+    def stage(points: np.ndarray) -> np.ndarray:
+        nonlocal out
+        if out is None:
+            out = walk(points, np.empty((len(points), len(plans))))
+            return out
+        if len(points) != len(out):
+            out = np.repeat(out[:1], len(points), axis=0)
+        if compiled is not None:
+            try:
+                out[:, columns] = np.array(compiled(points.tolist())).reshape(
+                    len(points), len(columns))
+            except (ValueError, ArithmeticError):
+                walk(points, out)
+                raise
+        return out
     return stage
 
 

@@ -127,10 +127,12 @@ def degree_of(T, nabla: VectorField,
     if w is None:
         return DegreeReport(False, None, L, "no consistent weight",
                             "exact" if exact else "numeric")
-    residuals = [cl - ct * w for ct, cl in pairs]
+    # both sides, not their difference, so that equal's tolerance has a scale
+    sides = [(cl, ct * w) for ct, cl in pairs]
+    residuals = [cl - tw for cl, tw in sides]
     ok, mode = True, "exact"
-    for c in residuals:
-        res = equal(c, zero(c.chart), policy)
+    for cl, tw in sides:
+        res = equal(cl, tw, policy)
         if res.mode != "exact":
             mode = res.mode
         if not res:

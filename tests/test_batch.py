@@ -366,12 +366,20 @@ def test_a_failing_plan_that_reads_no_coordinate_fails_every_point():
 
 def _walked(plans, points):
     """The plans' float bodies at the points by the walk with one value
-    table, as the first call of a flow's evaluator gives them."""
+    table, as the first call of a ``float_stage`` evaluator gives them."""
     cols = list(np.array(points, dtype=float).T)
     values = {}
     with np.errstate(all="ignore"):
         return np.stack([np.broadcast_to(p.float_body(cols, values), len(points))
                          for p in plans], axis=1)
+
+
+def _warmed(plans, point):
+    """A ``float_stage`` evaluator of the plans after its first call, the
+    walk, at one point, so that its next call runs the compiled stage."""
+    stage = float_stage(plans)
+    stage(np.array([point], dtype=float))
+    return stage
 
 
 def _bits(evaluate):
@@ -404,7 +412,9 @@ def test_the_compiled_stage_is_the_walk_bit_for_bit():
     """Lists of plans on even charts, sharing one compile table as a
     field's do, at points that include zeros, where log and 1/b have no
     value, and values near 1e200, whose products overflow to inf and, in
-    inf - inf or inf * 0, to nan."""
+    inf - inf or inf * 0, to nan.  Each evaluator is first called at a
+    point where every plan evaluates, so that the call compared, on the
+    trial's points, is a compiled one."""
     rng = random.Random(3701)
     kinds = {"values": 0, "error": 0, "inf": 0, "nan": 0, "power": 0,
              "constant": 0}
@@ -417,8 +427,18 @@ def test_the_compiled_stage_is_the_walk_bit_for_bit():
         points = [[rng.choice([0.0, 1e200, -1e200]) if rng.random() < 0.15
                    else rng.uniform(-2, 2) for _ in range(c.dim)]
                   for _ in range(rng.randint(1, 8))]
+        # the warm-up point has its own draws, so the trials are the same
+        # whether or not one is found
+        warm = random.Random(trial)
+        for _ in range(50):
+            point = [warm.uniform(-2, 2) for _ in range(c.dim)]
+            if not isinstance(_bits(lambda: _walked(plans, [point])), tuple):
+                break
+        else:
+            continue
+        stage = _warmed(plans, point)
         want = _bits(lambda: _walked(plans, points))
-        assert _bits(lambda: float_stage(plans)(points)) == want, trial
+        assert _bits(lambda: stage(np.array(points))) == want, trial
         if isinstance(want, tuple):
             kinds["error"] += 1
         else:
@@ -440,29 +460,33 @@ def test_the_compiled_stage_raises_the_first_error_of_the_walk():
     """1/y comes before log(x) in the walk.  At the first point log(x)
     fails and 1/y does not; at the second, 1/y fails.  The walk computes
     1/y at every point first, so its error is the one raised, although
-    one point's own operations meet log first."""
+    one point's own operations meet log first.  Each evaluator is warmed
+    at (1, 1), so the calls that raise are compiled ones."""
     c = chart(("x", 0, 0), ("y", 0, 0))
     plan = Plan(parse_expr("log(x)/y", c))
     assert [node[0] for node, _ in plan.terms[0][1]] == ["inv", "log"]
-    points = [[-1.0, 1.0], [1.0, 0.0]]
+    points = np.array([[-1.0, 1.0], [1.0, 0.0]])
     with pytest.raises(EvaluationError, match="^division by a value with zero body$"):
         _walked([plan], points)
     with pytest.raises(EvaluationError, match="^division by a value with zero body$"):
-        float_stage([plan])(points)
+        _warmed([plan], [1.0, 1.0])(points)
     # at the first point alone, log(x) is the error
     with pytest.raises(EvaluationError, match="^log of a value with nonpositive body$"):
-        float_stage([plan])(points[:1])
+        _warmed([plan], [1.0, 1.0])(points[:1])
 
 
 def test_a_coefficient_beyond_float_range_keeps_the_walk():
     """10^400 stays an exact coefficient; the walk raises OverflowError at
-    it, after the plans before it, and so does the compiled stage."""
+    it, after the plans before it, at the first call and, through the
+    compiled stage, at every later one.  The plan without it is compiled
+    alone and gives math.sin bit for bit."""
     c = chart(("x", 0, 0))
     plans = [Plan(parse_expr(t, c)) for t in ("sin(x)", "10^400*x + 1")]
     assert [coeff[1] for coeff, _, _ in plans[1].terms] == [1.0, 10 ** 400]
-    points = [[0.5], [1.0]]
+    points = np.array([[0.5], [1.0]])
     want = _bits(lambda: _walked(plans, points))
     assert want[0] is OverflowError
-    assert _bits(lambda: float_stage(plans)(points)) == want
-    assert _bits(lambda: float_stage(plans[:1])(points)) == \
+    stage = float_stage(plans)
+    assert [_bits(lambda: stage(points)) for _ in range(3)] == [want] * 3
+    assert _bits(lambda: _warmed(plans[:1], [0.25])(points)) == \
         [math.sin(v).hex() for v in (0.5, 1.0)]

@@ -1110,27 +1110,30 @@ class TestStraightening:
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0
 
-    def test_a_constant_plan_runs_once_per_flow(self, monkeypatch):
-        # a plan that reads no coordinate runs once at the base point, once
-        # per flow and once on the grid, whatever the RK4 step count; a plan
-        # that reads one runs at each of the four stages of every step: by
-        # the walk at a flow's first stage, and by the flow's compiled stage
-        # after it
+    def test_each_plan_is_walked_once_at_the_base_point(self, monkeypatch):
+        # each field has one evaluator, whose first call, at the base point,
+        # walks every plan once; every later call, one per RK4 stage, grid
+        # check, Jacobian column and certificate, runs the compiled stage,
+        # so only the reading field's calls grow with the RK4 step count,
+        # by four per step
         c = chart(("x", 0, 0), ("y", 0, 0), ("z", 0, 0))
         pair = [basis_field(c, "x"), vector_field(c, {"y": "1", "z": "cos(y)"})]
-        calls = []
+        walked, built, calls = [], [], []
         float_body = Plan.float_body
         float_stage = darboux.float_stage
 
         def counting(plan, x, values=None):
-            calls.append(plan)
+            walked.append((plan, tuple(float(v) for col in x for v in col)))
             return float_body(plan, x, values)
 
         def counting_stage(plans):
             stage = float_stage(plans)
+            built.append(plans)
+            calls.append(0)
+            j = len(calls) - 1
 
             def counted(points):
-                calls.extend(plans)
+                calls[j] += 1
                 return stage(points)
             return counted
 
@@ -1138,17 +1141,20 @@ class TestStraightening:
         monkeypatch.setattr(darboux, "float_stage", counting_stage)
         counts = []
         for box in (0.05, 0.3):
-            calls.clear()
+            for log in (walked, built, calls):
+                log.clear()
             assert straighten_commuting(pair, [0, 0, 0], box=box).certified
-            counts.append([(bool(p.reads), calls.count(p))
-                           for p in dict.fromkeys(calls)])     # first-call order
+            # X1's three coefficients; X2's three and nine Jacobian entries
+            assert [len(ps) for ps in built] == [3, 12]
+            assert [p for p, _ in walked] == [p for ps in built for p in ps]
+            assert {x for _, x in walked} == {(0.0, 0.0, 0.0)}
+            counts.append(list(calls))
         small, large = counts
+        # base point, start nodes, Jacobian column and certificate
+        assert small[0] == 4
         extra = 4 * (math.ceil(0.3 / RK4_STEP) - math.ceil(0.05 / RK4_STEP))
-        assert [r for r, _ in small] == [r for r, _ in large]
-        assert [r for r, _ in small].count(True) == 2     # cos(y), -sin(y)
-        for (reads, n_small), (_, n_large) in zip(small, large):
-            assert n_large - n_small == (extra if reads else 0)
-            assert reads or n_small in (1, 3)
+        assert large[0] == small[0]
+        assert large[1] - small[1] == extra > 0
 
     def test_constant_field_flows_in_closed_form(self):
         # the flow of dx is the translation x + u1, rounded once; summing

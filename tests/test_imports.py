@@ -1,8 +1,9 @@
 """Package layout: imports sit at module level, so the import graph is the
 module graph and a cycle shows up at import time; every function the
 benchmark's tracer wraps by name exists; every definition in ``src`` is
-reached from ``src``, so code that only tests call lives in the tests; and
-only the float stage turns source text into code."""
+reached from ``src``, so code that only tests call lives in the tests;
+only ``grexpr`` evaluates a plan; and only the float stage turns source
+text into code."""
 
 import ast
 import importlib
@@ -71,6 +72,52 @@ def test_only_grexpr_knows_its_private_names():
     assert sorted(_private_grexpr_imports(files)) == [
         ("cartan.py", "_probe"), ("pfaffian.py", "_insert")]
 
+
+
+# a plan's number kinds are run by ``grexpr`` alone; other modules go
+# through ``body_values`` or ``float_stage``
+PLAN_RUNS = {"float_body", "exact_body", "grassmann", "_run"}
+
+
+def _plan_runs(files):
+    """(file, enclosing function, method) of every call of a plan's
+    evaluation method outside ``grexpr/``."""
+    found = []
+
+    def visit(node, rel, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                inner = scope + [child.name]
+            if (isinstance(child, ast.Call)
+                    and isinstance(child.func, ast.Attribute)
+                    and child.func.attr in PLAN_RUNS):
+                found.append((rel, ".".join(scope), child.func.attr))
+            visit(child, rel, inner)
+
+    for rel, text in files.items():
+        if not rel.startswith("grexpr/"):
+            visit(ast.parse(text), rel, [])
+    return found
+
+
+def test_only_grexpr_evaluates_a_plan():
+    files = {path.relative_to(SRC).as_posix(): path.read_text()
+             for path in sorted(SRC.rglob("*.py"))}
+    assert _plan_runs(files) == []
+    files["darboux.py"] += ("\n\ndef probe(plans, cols, values):\n"
+                            "    return [p.float_body(cols, values) for p in plans]\n")
+    files["pfaffian.py"] += ("\n\nclass Probe:\n    def at(self, plan, x):\n"
+                             "        return plan.exact_body(x), plan._run(x, 0)\n")
+    files["homogeneity.py"] += "\nVALUE = Plan(E).grassmann(X)\n"
+    files["grexpr/equality.py"] += ("\n\ndef probe(plan, x):\n"
+                                    "    return plan.float_body(x)\n")
+    assert sorted(_plan_runs(files)) == [
+        ("darboux.py", "probe", "float_body"),
+        ("homogeneity.py", "", "grassmann"),
+        ("pfaffian.py", "Probe.at", "_run"),
+        ("pfaffian.py", "Probe.at", "exact_body")]
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 

@@ -99,6 +99,11 @@ CASES = {
     # item 1: small, badly scaled and cancelling values
     "small-sines-differ": Case(
         "1", lambda: _equal("1e-10*sin(x)", "2e-10*sin(x)", LINE), False),
+    # the dq components differ by 1e-10*p*(2 + sin(p*q)), as small as the
+    # sines above
+    "small-contact-term-differs": Case(
+        "1", lambda: _equal("d(z) - 1e-10*p*(2+sin(p*q))*d(q)", "d(z)", README),
+        False),
     "small-contact-term": Case(
         "1", lambda: _classify("d(z) - 1e-10*p*(2+sin(p*q))*d(q)", README),
         CONTACT_3),
@@ -223,6 +228,7 @@ CASES = {
 
 LEDGER = {
     "small-sines-differ": ("wrong", "1"),
+    "small-contact-term-differs": ("wrong", "1"),
     "small-contact-term": ("wrong", "1"),
     "small-contact-form": ("refused", "1"),
     "cancelling-exponentials": ("wrong", "1"),
